@@ -25,6 +25,7 @@ __all__ = [
     "ChainLayout",
     "embed",
     "lambda_coupling",
+    "xy_coupling",
     "h1",
     "h3",
     "block_sz",
@@ -175,22 +176,26 @@ _HOP = 0.5 * (
 # configuration of the block is annihilated, not merely decoupled from the
 # computational states; the action on the qubit sector is unchanged.
 _QUBIT = np.diag([1.0, 1.0, 0.0]).astype(complex)
+_LEFT_BOND = np.kron(_HOP, _QUBIT)
+_RIGHT_BOND = np.kron(_QUBIT, _HOP)
 
 
-def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:
-    """Full-chain three-site XY Hamiltonian for the coupling on pair l'.
+def xy_coupling(vartheta: float) -> np.ndarray:
+    """Local 27x27 three-site XY coupling: -cos(v/2) left bond + sin(v/2) right bond.
 
-    Acts on sites (2l'-1, 2l', 2l'+1) with hopping amplitudes -cos(v/2) on
-    the left bond and +sin(v/2) on the right bond.  Commutes with the block
-    pseudo-spin S_z and annihilates every basis state carrying |e> on any
-    of the three sites.
+    Commutes with the block pseudo-spin S_z, annihilates every basis state
+    carrying |e> on any of the three sites, and, like ``lambda_coupling``,
+    has spectrum in {-1, 0, +1} for every vartheta.
     """
     if not np.isfinite(vartheta):
         raise ValueError("vartheta must be finite")
-    left, _, _ = layout.sites_of_pair(pair)
     half = 0.5 * vartheta
-    block = -np.cos(half) * np.kron(_HOP, _QUBIT) + np.sin(half) * np.kron(_QUBIT, _HOP)
-    return embed(block, left, layout)
+    return -np.cos(half) * _LEFT_BOND + np.sin(half) * _RIGHT_BOND
+
+
+def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:
+    """Full-chain XY Hamiltonian of pair l': ``xy_coupling`` on sites 2l'-1, 2l', 2l'+1."""
+    return embed(xy_coupling(vartheta), layout.sites_of_pair(pair)[0], layout)
 
 
 def block_sz(pair: int, layout: ChainLayout) -> np.ndarray:

@@ -7,7 +7,7 @@ Subcommands::
     holosim compile      --circuit F --qubits N [--out F]
     holosim extract-gate --schedule F --qubits N [--out F]
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or resource error.
 Report files are deterministic: fixed field order, floats with 17
 significant digits.
 """
@@ -80,8 +80,8 @@ def _layout(n_qubits: int) -> ChainLayout:
     layout = ChainLayout(n_qubits)
     if n_qubits > 4:
         print(
-            f"warning: N={n_qubits} means dense {layout.dim}-dimensional propagators; "
-            "expect long runtimes",
+            f"warning: N={n_qubits} means a {layout.dim}-dimensional chain; "
+            "extract-gate builds dense propagators of that size",
             file=sys.stderr,
         )
     return layout
@@ -205,13 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, MemoryError) as exc:  # bad input or an unmet resource limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .compiler import Reflection, Rotation, XYGate
-from .pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
+from .pulses import OneQubitPulse, ThreeSitePulse
 
 __all__ = [
     "FormatError",
@@ -139,9 +139,12 @@ def pulse_to_dict(pulse) -> dict:
     raise TypeError(f"not a pulse: {pulse!r}")
 
 
-def _field(obj: dict, name: str, where: str, kind=None):
+def _field(obj: dict, name: str, where: str, kind=None, default=None):
+    """``obj[name]`` checked against ``kind``; a field with a default is optional."""
     if name not in obj:
-        raise FormatError(f"{where}: missing field {name!r}")
+        if default is None:
+            raise FormatError(f"{where}: missing field {name!r}")
+        return default
     value = obj[name]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -161,28 +164,20 @@ def pulse_from_dict(obj, where: str = "pulse"):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = _field(obj, "type", where, str)
-    envelope = obj.get("envelope", "square")
-    if envelope not in ENVELOPES:
-        raise FormatError(f"{where}.envelope: unknown envelope {envelope!r}")
-    area = float(obj.get("area", math.pi))
-    duration = float(obj.get("duration", 1.0))
+    if kind == "one_qubit":
+        cls, required = OneQubitPulse, (("qubit", int), ("theta", float), ("phi", float))
+    elif kind == "three_site":
+        cls, required = ThreeSitePulse, (("pair", int), ("vartheta", float))
+    else:
+        raise FormatError(f"{where}.type: unknown pulse type {kind!r}")
+    fields = {name: _field(obj, name, where, k) for name, k in required}
+    fields.update(area=_field(obj, "area", where, float, math.pi),
+                  envelope=_field(obj, "envelope", where, str, "square"),
+                  duration=_field(obj, "duration", where, float, 1.0))
     try:
-        if kind == "one_qubit":
-            return OneQubitPulse(
-                qubit=_field(obj, "qubit", where, int),
-                theta=_field(obj, "theta", where, float),
-                phi=_field(obj, "phi", where, float),
-                area=area, envelope=envelope, duration=duration,
-            )
-        if kind == "three_site":
-            return ThreeSitePulse(
-                pair=_field(obj, "pair", where, int),
-                vartheta=_field(obj, "vartheta", where, float),
-                area=area, envelope=envelope, duration=duration,
-            )
+        return cls(**fields)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
-    raise FormatError(f"{where}.type: unknown pulse type {kind!r}")
 
 
 def schedule_to_obj(schedule) -> dict:

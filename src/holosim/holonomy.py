@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainLayout, logical_encode
-from .linalg import DEFAULT_TOL, Tolerances, expm_factors, expm_from_factors, gate_fidelity, polar_unitary
-from .pulses import OneQubitPulse, Pulse, ThreeSitePulse, block_hamiltonian, cumulative_area, propagate_exact
+from .linalg import DEFAULT_TOL, Tolerances, gate_fidelity, polar_unitary
+from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, block_hamiltonian,
+                     cumulative_area, local_expm, local_form, propagate_exact)
 
 __all__ = [
     "SubspacePath",
@@ -34,8 +35,6 @@ __all__ = [
     "wilson_loop",
     "certify",
 ]
-
-_REORTHO_EVERY = 64  # QR re-orthonormalization cadence along the path
 
 
 @dataclass
@@ -131,9 +130,9 @@ def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
 def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayout) -> SubspacePath:
     """Transport a frame through a pulse, sampling the subspace path.
 
-    The frame is propagated sample-to-sample with the exact per-slice
-    propagator (slice areas follow the pulse envelope) and re-orthonormalized
-    periodically to suppress roundoff drift.
+    Each frame is computed in closed form from the area accumulated by its
+    sample time (which follows the pulse envelope), F_j = U(a_j) F_0 with
+    U(a) the local block propagator, so roundoff does not drift along the path.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -144,21 +143,16 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
 
-    H = block_hamiltonian(pulse, layout)
-    w, V = expm_factors(H)
+    site, block = local_form(pulse, layout)
+    block_sq = block @ block
     times = np.linspace(0.0, pulse.duration, samples)
     areas = np.array(
         [cumulative_area(pulse.envelope, pulse.area, t / pulse.duration) for t in times]
     )
 
     frames = np.empty((samples, layout.dim, F0.shape[1]), dtype=complex)
-    frames[0] = F0
-    F = F0.copy()
-    for j in range(1, samples):
-        F = expm_from_factors(w, V, areas[j] - areas[j - 1]) @ F
-        if j % _REORTHO_EVERY == 0:
-            F = np.linalg.qr(F)[0]
-        frames[j] = F
+    for j, area in enumerate(areas):
+        frames[j] = apply_local(site, local_expm(block, block_sq, area), F0)
     return SubspacePath(times=times, areas=areas, frames=frames)
 
 

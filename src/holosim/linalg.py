@@ -2,9 +2,10 @@
 
 Everything here works on plain numpy arrays: operators are square
 ``complex128`` matrices (row-major), states are 1-d ``complex128`` vectors.
-Matrix exponentials go through a full Hermitian eigendecomposition rather
-than scaling-and-squaring; the spaces in play are tiny (<= 3**7) and the
-spectral route gives propagators that are unitary to roundoff.
+``expm_hermitian`` is the general dense exponential, through a full
+Hermitian eigendecomposition; pulse propagation does not use it (the local
+blocks have a closed-form exponential, see ``pulses``), so it serves as the
+dense reference for any Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -93,22 +94,6 @@ def expm_hermitian(H, t: float, tol: float = DEFAULT_TOL.hermiticity) -> np.ndar
     w, V = np.linalg.eigh(H)
     phases = np.exp(-1j * t * w)
     return (V * phases) @ V.conj().T
-
-
-def expm_factors(H, tol: float = DEFAULT_TOL.hermiticity):
-    """Eigendecomposition (w, V) of Hermitian H, for repeated exponentials."""
-    H = _as_square_matrix(H, "H")
-    defect = hermiticity_defect(H)
-    if defect > tol:
-        raise ValueError(
-            f"expm_factors requires a Hermitian matrix: ||H - H^dag|| = {defect:.3e} > {tol:.1e}"
-        )
-    return np.linalg.eigh(H)
-
-
-def expm_from_factors(w, V, t: float) -> np.ndarray:
-    """exp(-i t H) from a precomputed eigendecomposition of H."""
-    return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 
 def polar_unitary(M, min_singular: float = 1e-8) -> np.ndarray:

@@ -6,6 +6,11 @@ propagator, because the block Hamiltonian is constant while it is on.  The
 stepped integrator exists to certify exactly that: sliced propagation with
 any envelope shape of equal area reproduces the single-shot propagator.
 
+Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
+3.  Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H +
+(cos(a) - 1) H^2 exactly; propagation applies it to a state or to operator
+columns by reshape and contraction, and embeds it only for dense propagators.
+
 Schedules are plain sequences of pulses executed strictly one at a time;
 there is no way to express temporal overlap.
 """
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainLayout, h1, h3
-from .linalg import expm_factors, expm_from_factors, expm_hermitian
+from .chain import ChainLayout, embed, lambda_coupling, xy_coupling
 
 __all__ = [
     "ENVELOPES",
@@ -129,13 +133,34 @@ def cumulative_area(envelope: str, area: float, s: float) -> float:
     return area * frac
 
 
+def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
+    """(first site, local block Hamiltonian) of ``pulse``; every propagation path starts here."""
+    if isinstance(pulse, OneQubitPulse):
+        return layout.site_of_qubit(pulse.qubit), lambda_coupling(pulse.theta, pulse.phi)
+    if isinstance(pulse, ThreeSitePulse):
+        return layout.sites_of_pair(pulse.pair)[0], xy_coupling(pulse.vartheta)
+    raise TypeError(f"not a pulse: {pulse!r}")
+
+
+def local_expm(block: np.ndarray, block_sq: np.ndarray, area: float) -> np.ndarray:
+    """exp(-i area H) in closed form for a block with H^3 = H; ``block_sq`` is H @ H."""
+    return np.eye(len(block)) - 1j * np.sin(area) * block + (np.cos(area) - 1.0) * block_sq
+
+
+def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Apply the local operator U on sites site, site+1, ... to a state or dim x K columns."""
+    return (U @ X.reshape(3 ** (site - 1), len(U), -1)).reshape(X.shape)
+
+
+def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
+    site, block = local_form(pulse, layout)
+    return site, local_expm(block, block @ block, pulse.area)
+
+
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """The time-independent full-chain Hamiltonian switched on by ``pulse``."""
-    if isinstance(pulse, OneQubitPulse):
-        return h1(layout.site_of_qubit(pulse.qubit), pulse.theta, pulse.phi, layout)
-    if isinstance(pulse, ThreeSitePulse):
-        return h3(pulse.pair, pulse.vartheta, layout)
-    raise TypeError(f"not a pulse: {pulse!r}")
+    site, block = local_form(pulse, layout)
+    return embed(block, site, layout)
 
 
 def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
@@ -144,7 +169,8 @@ def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     The envelope shape is irrelevant here by construction: the block
     Hamiltonian is constant during the pulse, so only the area enters.
     """
-    return expm_hermitian(block_hamiltonian(pulse, layout), pulse.area)
+    site, U = _pulse_propagator(pulse, layout)
+    return embed(U, site, layout)
 
 
 def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarray:
@@ -154,29 +180,29 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     independence: returns prod_j exp(-i da_j H) with slice areas from
     midpoint sampling of the envelope (latest slice leftmost).
     """
-    H = block_hamiltonian(pulse, layout)
-    w, V = expm_factors(H)
-    U = np.eye(layout.dim, dtype=complex)
+    site, block = local_form(pulse, layout)
+    block_sq = block @ block
+    U = np.eye(len(block), dtype=complex)
     for da in slice_areas(pulse.envelope, pulse.area, steps):
-        U = expm_from_factors(w, V, da) @ U
-    return U
+        U = local_expm(block, block_sq, da) @ U
+    return embed(U, site, layout)
 
 
 def schedule_propagator(schedule, layout: ChainLayout) -> np.ndarray:
     """Full-chain unitary of a pulse schedule (first pulse acts first)."""
     U = np.eye(layout.dim, dtype=complex)
     for pulse in schedule:
-        U = propagate_exact(pulse, layout) @ U
+        U = apply_local(*_pulse_propagator(pulse, layout), U)
     return U
 
 
 def run_schedule(schedule, psi0, layout: ChainLayout) -> np.ndarray:
-    """Apply a schedule to a state, one propagator at a time."""
+    """Apply a schedule to a state, one local pulse propagator at a time."""
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (layout.dim,):
         raise ValueError(
             f"state dimension {psi.shape} does not match chain dimension ({layout.dim},)"
         )
     for pulse in schedule:
-        psi = propagate_exact(pulse, layout) @ psi
+        psi = apply_local(*_pulse_propagator(pulse, layout), psi)
     return psi

@@ -203,6 +203,27 @@ class TestLargeChainGuard:
         report = json.loads(captured.out)
         assert report["final_amplitudes"][0] == [1, 0]
 
+    def test_simulate_reaches_seven_qubits(self, tmp_path, capsys):
+        # dimension 3**13: a dense propagator would need 37 TiB, the local
+        # kernel only touches the state
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [OneQubitPulse(7, np.pi / 4, 0.0), ThreeSitePulse(6, 1.1),
+                               OneQubitPulse(1, 2.0, 0.5), ThreeSitePulse(1, np.pi / 2)])
+        assert main(["simulate", "--schedule", str(sched), "--qubits", "7",
+                     "--initial", "0100011"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["norm"] - 1.0) <= 1e-12
+        assert report["leakage"] <= 1e-10
+
+    def test_allocation_failure_is_a_resource_error(self, tmp_path, capsys):
+        # the 3**15 x 3**15 identity (about 2.9 PiB) exceeds any 64-bit user
+        # address space, so numpy refuses it before touching memory
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [])
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestExtractGate:
     def test_two_qubit_diagnostics(self, tmp_path, capsys):

@@ -77,6 +77,30 @@ class TestScheduleFormat:
         with pytest.raises(FormatError, match="integer"):
             loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1.5,"theta":0,"phi":0}]}')
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("area", "null", r"^pulses\[0\]\.area: expected a number, got None$"),
+            ("area", "true", r"^pulses\[0\]\.area: expected a number, got True$"),
+            ("duration", '"2"', r"^pulses\[0\]\.duration: expected a number, got '2'$"),
+            ("envelope", "3", r"^pulses\[0\]\.envelope: expected a string, got 3$"),
+        ],
+    )
+    def test_optional_fields_are_type_checked(self, field, value, message):
+        with pytest.raises(FormatError, match=message):
+            loads_schedule(
+                '{"pulses":[{"type":"three_site","pair":1,"vartheta":0,"%s":%s}]}' % (field, value)
+            )
+
+    def test_field_context_is_not_doubled(self):
+        with pytest.raises(FormatError) as err:
+            loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1,"theta":"x","phi":0}]}')
+        assert str(err.value) == "pulses[0].theta: expected a number, got 'x'"
+
+    def test_pulse_validation_errors_keep_their_context(self):
+        with pytest.raises(FormatError, match=r"^pulses\[0\]: pulse duration must be positive"):
+            loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1,"theta":0,"phi":0,"duration":0}]}')
+
     def test_missing_pulses_key(self):
         with pytest.raises(FormatError, match="pulses"):
             loads_schedule("{}")

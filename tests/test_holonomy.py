@@ -12,7 +12,9 @@ from holosim.holonomy import (
     wilson_loop,
 )
 from holosim.linalg import gate_fidelity, polar_unitary
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact
+from holosim.holonomy import SubspacePath
+from holosim.linalg import expm_hermitian
+from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact
 
 from oracles import haar_unitary
 
@@ -177,3 +179,40 @@ class TestWilsonConvergence:
         U = propagate_exact(pulse, LAYOUT)
         G = polar_unitary(frame.conj().T @ U @ frame)
         assert np.max(np.abs(W - G)) < 1e-12
+
+
+class TestAgainstDenseOracle:
+    """Closed-form frames and certification against dense eigh exponentials."""
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    @pytest.mark.parametrize("pulse_kind", ["one_qubit", "three_site"])
+    def test_frames_match_dense_propagation(self, envelope, pulse_kind):
+        layout = ChainLayout(3)
+        if pulse_kind == "one_qubit":
+            pulse = OneQubitPulse(2, 3.9, -1.2, area=2.1, envelope=envelope)
+        else:
+            pulse = ThreeSitePulse(2, -0.8, area=-1.7, envelope=envelope)
+        F0 = computational_frame(pulse, layout)
+        path = trace_subspace(pulse, F0, 33, layout)
+        H = block_hamiltonian(pulse, layout)
+        for j, area in enumerate(path.areas):
+            assert np.max(np.abs(path.frames[j] - expm_hermitian(H, area) @ F0)) <= 1e-12
+
+    @pytest.mark.parametrize("n_logical", [2, 3])
+    @pytest.mark.parametrize(
+        "pulse",
+        [OneQubitPulse(2, 2.0, -0.4, envelope="sin2"), ThreeSitePulse(1, -1.3, envelope="gaussian")],
+    )
+    def test_certified_gates_match_dense_oracle(self, n_logical, pulse):
+        layout = ChainLayout(n_logical)
+        samples = 256
+        report = certify(pulse, layout, samples=samples)
+        F0 = computational_frame(pulse, layout)
+        w, V = np.linalg.eigh(block_hamiltonian(pulse, layout))
+        VF0 = V.conj().T @ F0
+        path = trace_subspace(pulse, F0, samples, layout)
+        frames = np.array([(V * np.exp(-1j * a * w)) @ VF0 for a in path.areas])
+        dense = SubspacePath(times=path.times, areas=path.areas, frames=frames)
+        U = (V * np.exp(-1j * pulse.area * w)) @ V.conj().T
+        assert np.max(np.abs(report.wilson_gate - wilson_loop(dense))) <= 1e-12
+        assert np.max(np.abs(report.propagator_gate - polar_unitary(F0.conj().T @ U @ F0))) <= 1e-12

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holosim.chain import ChainLayout, block_sz, embed, logical_encode
+from holosim.chain import ChainLayout, block_sz, embed, lambda_coupling, logical_encode, xy_coupling
 from holosim.gates import bloch_vector, entanglement_entropy, one_qubit_gate
-from holosim.linalg import gate_fidelity, unitarity_defect
+from holosim.linalg import expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
     ENVELOPES,
     OneQubitPulse,
     ThreeSitePulse,
+    block_hamiltonian,
     cumulative_area,
+    local_expm,
     propagate_exact,
     propagate_stepped,
     run_schedule,
@@ -16,7 +20,7 @@ from holosim.pulses import (
     slice_areas,
 )
 
-from oracles import svd_entropy
+from oracles import svd_entropy, taylor_expm
 
 
 class TestEnvelopes:
@@ -202,3 +206,66 @@ class TestRunSchedule:
             run_schedule(schedule, psi0, layout),
             atol=1e-12,
         )
+
+
+def _raw_angle_pulses(layout, area, envelope="square"):
+    """One pulse of each kind on every qubit and pair, with raw (un-normalized) angles."""
+    pulses = [OneQubitPulse(q, 4.1 + 0.3 * q, -2.3 * q, area=area, envelope=envelope)
+              for q in range(1, layout.n_logical + 1)]
+    pulses += [ThreeSitePulse(p, -1.9 * p, area=area, envelope=envelope)
+               for p in range(1, layout.n_logical)]
+    return pulses
+
+
+class TestLocalKernelAgainstDense:
+    """The closed-form local kernel against dense eigh and Taylor exponentials."""
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3])
+    @pytest.mark.parametrize("area", [np.pi, 1.3, -0.7, -2.4])
+    def test_propagate_exact_matches_dense_oracles(self, n_logical, area):
+        layout = ChainLayout(n_logical)
+        for pulse in _raw_angle_pulses(layout, area):
+            H = block_hamiltonian(pulse, layout)
+            U = propagate_exact(pulse, layout)
+            assert np.max(np.abs(U - expm_hermitian(H, area))) <= 1e-12
+            assert np.max(np.abs(U - taylor_expm(H, area))) <= 1e-12
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3])
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_propagate_stepped_matches_dense_oracles(self, n_logical, envelope):
+        layout = ChainLayout(n_logical)
+        for pulse in _raw_angle_pulses(layout, -1.1, envelope):
+            H = block_hamiltonian(pulse, layout)
+            U = propagate_stepped(pulse, 37, layout)
+            assert np.max(np.abs(U - expm_hermitian(H, -1.1))) <= 1e-12
+            assert np.max(np.abs(U - taylor_expm(H, -1.1))) <= 1e-12
+
+    def test_run_schedule_matches_schedule_propagator(self):
+        layout = ChainLayout(3)
+        schedule = _raw_angle_pulses(layout, 0.9) + _raw_angle_pulses(layout, -2.6)[::-1]
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        psi0 /= np.linalg.norm(psi0)
+        want = schedule_propagator(schedule, layout) @ psi0
+        assert np.max(np.abs(run_schedule(schedule, psi0, layout) - want)) <= 1e-12
+
+    def test_schedule_propagator_matches_dense_product(self):
+        layout = ChainLayout(3)
+        schedule = _raw_angle_pulses(layout, 2.2)
+        want = np.eye(layout.dim)
+        for pulse in schedule:
+            want = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ want
+        assert np.max(np.abs(schedule_propagator(schedule, layout) - want)) <= 1e-12
+
+
+_ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+class TestLocalBlockProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(theta=_ANGLE, phi=_ANGLE, vartheta=_ANGLE, area=_ANGLE)
+    def test_blocks_cube_to_themselves_and_propagate_unitarily(self, theta, phi, vartheta, area):
+        for block in (lambda_coupling(theta, phi), xy_coupling(vartheta)):
+            block_sq = block @ block
+            assert np.max(np.abs(block_sq @ block - block)) <= 1e-14
+            assert unitarity_defect(local_expm(block, block_sq, area)) <= 1e-13
