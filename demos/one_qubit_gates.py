@@ -18,9 +18,10 @@ from holosim import (
     compose_rule,
     extract_logical_gate,
     gate_fidelity,
+    logical_frame,
     one_qubit_gate,
     propagate_exact,
-    schedule_propagator,
+    run_schedule,
 )
 
 np.set_printoptions(precision=6, suppress=True, linewidth=100)
@@ -32,7 +33,7 @@ print("chain: 1 logical qubit on", layout.n_sites, "site(s), Hilbert dimension",
 theta, phi = np.pi / 4, 0.0
 pulse = OneQubitPulse(qubit=1, theta=theta, phi=phi)  # area defaults to pi
 U = propagate_exact(pulse, layout)
-report = extract_logical_gate(U, layout)
+report = extract_logical_gate(U[:, layout.logical_indices()], layout)
 
 n = bloch_vector(theta, phi)
 print("\npulse angles theta=pi/4, phi=0  ->  n =", n)
@@ -57,7 +58,7 @@ schedule = [
     OneQubitPulse(1, *bloch_angles(n1)),
     OneQubitPulse(1, *bloch_angles(m1)),
 ]
-gate = extract_logical_gate(schedule_propagator(schedule, layout), layout).logical_gate
+gate = extract_logical_gate(run_schedule(schedule, logical_frame(layout), layout), layout).logical_gate
 target = compose_rule(n1, m1)
 print("simulated two-pulse gate:\n", np.round(gate, 6))
 print("closed-form composition n.m - i sigma.(n x m):\n", np.round(target, 6))

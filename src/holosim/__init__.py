@@ -29,6 +29,7 @@ from .chain import (
     h3,
     lambda_coupling,
     logical_encode,
+    logical_frame,
     normalize_bloch_angles,
 )
 from .pulses import (
@@ -97,6 +98,7 @@ __all__ = [
     "h3",
     "lambda_coupling",
     "logical_encode",
+    "logical_frame",
     "normalize_bloch_angles",
     "ENVELOPES",
     "OneQubitPulse",

@@ -30,6 +30,7 @@ __all__ = [
     "h3",
     "block_sz",
     "logical_encode",
+    "logical_frame",
     "normalize_bloch_angles",
 ]
 
@@ -212,6 +213,13 @@ def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.logical_index(bits)] = 1.0
     return psi
+
+
+def logical_frame(layout: ChainLayout) -> np.ndarray:
+    """The dim x 2^N frame whose columns are the logical basis states, lexicographic in n1..nN."""
+    frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
+    frame[layout.logical_indices(), np.arange(layout.logical_dim)] = 1.0
+    return frame
 
 
 def normalize_bloch_angles(theta: float, phi: float) -> tuple[float, float]:

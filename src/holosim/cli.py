@@ -15,12 +15,14 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .chain import ChainLayout, logical_encode
+from .chain import ChainLayout, logical_encode, logical_frame
 from .checks import SUITE_NAMES, run_suite
 from .compiler import Reflection, Rotation, XYGate, compile_gate, circuit_unitary
 from .formats import (
@@ -34,7 +36,7 @@ from .formats import (
     schedule_to_obj,
 )
 from .gates import extract_logical_gate
-from .pulses import run_schedule, schedule_propagator
+from .pulses import run_schedule
 
 __all__ = ["main", "build_parser"]
 
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--tol", type=float, default=1.0,
+    p.add_argument("--tol", type=_positive_float, default=1.0,
                    help="scale factor applied to every threshold (default 1)")
     p.add_argument("--samples", type=int, default=1024,
                    help="path samples for holonomy certification (default 1024)")
@@ -76,15 +78,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _layout(n_qubits: int) -> ChainLayout:
-    layout = ChainLayout(n_qubits)
-    if n_qubits > 4:
-        print(
-            f"warning: N={n_qubits} means a {layout.dim}-dimensional chain; "
-            "extract-gate builds dense propagators of that size",
-            file=sys.stderr,
-        )
-    return layout
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+# Peak RSS over the bytes of a command's largest array, measured on 64-bit
+# Linux with OpenBLAS: about 3x for extract-gate at N = 6, less above.
+_COPIES = 3
+
+
+def _gib(nbytes: int) -> str:
+    # math.log2 takes an int of any size; a float quotient overflows past 2^1024
+    return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"2^{math.log2(nbytes) - 30:.0f} GiB"
+
+
+def _check_memory(what: str, nbytes: int) -> None:
+    """Refuse, before allocating, a request whose arrays would not fit in physical memory."""
+    need = _COPIES * nbytes
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"{what} needs about {_gib(need)}, "
+                          f"more than the {_gib(have)} of physical memory")
 
 
 def _read(path: str) -> str:
@@ -107,7 +124,8 @@ def _parse_bits(bits: str, n: int) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    layout = _layout(args.qubits)
+    layout = ChainLayout(args.qubits)
+    _check_memory(f"simulate at N={args.qubits}", 16 * layout.dim)
     schedule = loads_schedule(_read(args.schedule))
     bits = _parse_bits(args.initial, layout.n_logical)
     psi = run_schedule(schedule, logical_encode(bits, layout), layout)
@@ -135,6 +153,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the holonomy suite's largest array: the sampled frames of a 27 x 4 subspace
+    _check_memory(f"verify with {args.samples} samples", 16 * args.samples * 27 * 4)
     results = run_suite(args.suite, samples=args.samples, tol_scale=args.tol)
     failed = 0
     for r in results:
@@ -153,7 +173,8 @@ _RULES = {
 
 
 def cmd_compile(args) -> int:
-    layout = _layout(args.qubits)
+    layout = ChainLayout(args.qubits)
+    _check_memory(f"compile at N={args.qubits}", 16 * layout.logical_dim ** 2)
     circuit = loads_circuit(_read(args.circuit))
     schedule = []
     provenance = []
@@ -178,10 +199,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_extract_gate(args) -> int:
-    layout = _layout(args.qubits)
+    layout = ChainLayout(args.qubits)
+    _check_memory(f"extract-gate at N={args.qubits}", 16 * layout.dim * layout.logical_dim)
     schedule = loads_schedule(_read(args.schedule))
-    U = schedule_propagator(schedule, layout)
-    report = extract_logical_gate(U, layout, diagnostics=True)
+    columns = run_schedule(schedule, logical_frame(layout), layout)
+    report = extract_logical_gate(columns, layout, diagnostics=True)
 
     doc = {
         "qubits": layout.n_logical,
@@ -205,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, MemoryError) as exc:  # bad input or an unmet resource limit
+    except (ValueError, OSError, MemoryError) as exc:  # bad input or an unmet resource limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

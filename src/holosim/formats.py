@@ -139,6 +139,14 @@ def pulse_to_dict(pulse) -> dict:
     raise TypeError(f"not a pulse: {pulse!r}")
 
 
+def _float(value) -> float:
+    """float(value), with an int beyond the float range mapped to +-inf instead of raising."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _field(obj: dict, name: str, where: str, kind=None, default=None):
     """``obj[name]`` checked against ``kind``; a field with a default is optional."""
     if name not in obj:
@@ -152,7 +160,7 @@ def _field(obj: dict, name: str, where: str, kind=None, default=None):
     elif kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"{where}.{name}: expected a number, got {value!r}")
-        value = float(value)
+        value = _float(value)
         if not math.isfinite(value):
             raise FormatError(f"{where}.{name}: value must be finite")
     elif kind is str and not isinstance(value, str):
@@ -193,12 +201,18 @@ def schedule_from_obj(obj) -> list:
     return [pulse_from_dict(p, f"pulses[{i}]") for i, p in enumerate(pulses)]
 
 
-def loads_schedule(text: str) -> list:
+def _parse(text: str):
+    """json.loads, with a malformed or too deeply nested document raised as FormatError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return schedule_from_obj(obj)
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+
+
+def loads_schedule(text: str) -> list:
+    return schedule_from_obj(_parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +224,7 @@ def _vector3(obj, name, where):
     if (not isinstance(value, list) or len(value) != 3
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
         raise FormatError(f"{where}.{name}: expected a 3-vector of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v) for v in value)
 
 
 def gate_from_dict(obj, where: str = "gate"):
@@ -251,8 +265,4 @@ def circuit_from_obj(obj) -> list:
 
 
 def loads_circuit(text: str) -> list:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return circuit_from_obj(obj)
+    return circuit_from_obj(_parse(text))

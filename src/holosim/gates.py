@@ -131,7 +131,7 @@ def projected_block_maps(vartheta: float, area: float):
 
 @dataclass
 class GateReport:
-    """Logical gate extracted from a full-chain propagator, plus diagnostics."""
+    """Logical gate extracted from the logical columns of a propagator, plus diagnostics."""
 
     logical_gate: np.ndarray
     leakage: float
@@ -143,33 +143,31 @@ class GateReport:
 
 
 def extract_logical_gate(
-    U_chain,
+    columns,
     layout: ChainLayout,
     target=None,
     diagnostics: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> GateReport:
-    """Project a full-chain propagator onto the logical subspace.
+    """Logical gate of a propagator U from its logical columns U[:, layout.logical_indices()].
 
-    leakage is the operator 2-norm of the block mapping logical states out
-    of the logical subspace.  If it is below ``tol.leakage`` the evolution
-    was cyclic: the projected block is unitarized by polar decomposition and
-    reported as the gate.  Otherwise the raw (contractive) block is returned
-    and the report is flagged non-cyclic.
+    ``columns`` (dim x 2^N, e.g. ``run_schedule(schedule, logical_frame(layout), layout)``)
+    is the only accepted shape.  leakage is the operator 2-norm of its non-logical rows.
+    If it is below ``tol.leakage`` the evolution was cyclic: the logical rows are
+    unitarized by polar decomposition and reported as the gate.  Otherwise the raw
+    (contractive) block is returned and the report is flagged non-cyclic.
 
     With ``diagnostics`` and a two-qubit layout, the entangling verdict and
     Makhlin invariants are attached.
     """
-    U_chain = np.asarray(U_chain, dtype=complex)
-    if U_chain.shape != (layout.dim, layout.dim):
+    columns = np.asarray(columns, dtype=complex)
+    if columns.shape != (layout.dim, layout.logical_dim):
         raise ValueError(
-            f"propagator shape {U_chain.shape} does not match chain dimension {layout.dim}"
+            f"logical columns shape {columns.shape} is not ({layout.dim}, {layout.logical_dim})"
         )
     idx = layout.logical_indices()
-    block = U_chain[np.ix_(idx, idx)]
-    comp = np.setdiff1d(np.arange(layout.dim), idx)
-    leak_block = U_chain[np.ix_(comp, idx)]
-    leakage = float(np.linalg.svd(leak_block, compute_uv=False)[0]) if comp.size else 0.0
+    block = columns[idx]
+    leakage = float(np.linalg.svd(np.delete(columns, idx, axis=0), compute_uv=False)[0])
 
     cyclic = leakage < tol.leakage
     gate = polar_unitary(block) if cyclic else block

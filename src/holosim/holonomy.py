@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainLayout, logical_encode
+from .chain import ChainLayout, logical_frame
 from .linalg import DEFAULT_TOL, Tolerances, gate_fidelity, polar_unitary
-from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, block_hamiltonian,
-                     cumulative_area, local_expm, local_form, propagate_exact)
+from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, cumulative_area,
+                     local_expm, local_form, run_schedule)
 
 __all__ = [
     "SubspacePath",
@@ -32,6 +32,7 @@ __all__ = [
     "computational_frame",
     "trace_subspace",
     "check_parallel_transport",
+    "projected_propagator",
     "wilson_loop",
     "certify",
 ]
@@ -64,8 +65,9 @@ class SubspacePath:
 
     @property
     def cyclicity_residual(self) -> float:
-        """||P(tau) - P(0)||_F, the loop-closure defect."""
-        return float(np.linalg.norm(self.projector(-1 % self.samples) - self.projector(0)))
+        """Loop-closure defect ||P(tau) - P(0)||_F, as sqrt(2) ||(1 - P(0)) F(tau)||_F."""
+        F0, F1 = self.frames[0], self.frames[-1]
+        return float(np.sqrt(2.0) * np.linalg.norm(F1 - F0 @ (F0.conj().T @ F1)))
 
     def max_projector_defect(self) -> float:
         """max_j ||F_j^dag F_j - 1||_F (orthonormality drift along the path)."""
@@ -114,16 +116,10 @@ def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """
     if isinstance(pulse, OneQubitPulse):
         layout.site_of_qubit(pulse.qubit)  # validate index
-        columns = []
-        for value in (0, 1):
-            bits = [0] * layout.n_logical
-            bits[pulse.qubit - 1] = value
-            columns.append(logical_encode(bits, layout))
-        return np.column_stack(columns)
+        return logical_frame(layout)[:, [0, 2 ** (layout.n_logical - pulse.qubit)]]
     if isinstance(pulse, ThreeSitePulse):
         layout.sites_of_pair(pulse.pair)  # validate index
-        eye = np.eye(layout.dim, dtype=complex)
-        return eye[:, layout.logical_indices()]
+        return logical_frame(layout)
     raise TypeError(f"not a pulse: {pulse!r}")
 
 
@@ -156,23 +152,27 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     return SubspacePath(times=times, areas=areas, frames=frames)
 
 
-def check_parallel_transport(path: SubspacePath, H) -> tuple[float, np.ndarray]:
-    """Residual of P H P = eps P along the path.
+def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[float, np.ndarray]:
+    """Residual of P H P = eps P along the path, for H the local form (site, block) of a pulse.
 
     Returns (max_j ||P_j H P_j||_F, eps array) where eps_j = Tr(P_j H P_j)/K
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
-    H = np.asarray(H, dtype=complex)
     K = path.subspace_dim
     residual = 0.0
     eps = np.empty(path.samples)
     for j in range(path.samples):
         F = path.frames[j]
-        PHP = F.conj().T @ H @ F  # K x K; same Frobenius norm as the full P H P
+        PHP = F.conj().T @ apply_local(site, block, F)  # K x K; same Frobenius norm as P H P
         residual = max(residual, float(np.linalg.norm(PHP)))
         eps[j] = float(np.trace(PHP).real) / K
     return residual, eps
+
+
+def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray:
+    """F^dag U F for the pulse's full-area propagator U, applied locally to the frame."""
+    return frame.conj().T @ run_schedule([pulse], frame, layout)
 
 
 def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cyclicity) -> np.ndarray:
@@ -213,16 +213,14 @@ def certify(
     """
     frame = computational_frame(pulse, layout)
     path = trace_subspace(pulse, frame, samples, layout)
-    H = block_hamiltonian(pulse, layout)
 
-    pt_residual, eps = check_parallel_transport(path, H)
+    pt_residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
     # eps is energy per unit envelope; integrating over accumulated area
     # (da = envelope dt) gives the dynamical phase integral.
     dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
     cyc_residual = path.cyclicity_residual
 
-    U = propagate_exact(pulse, layout)
-    projected = frame.conj().T @ U @ frame
+    projected = projected_propagator(pulse, frame, layout)
 
     failures = []
     if pt_residual >= tol.certify_parallel_transport:

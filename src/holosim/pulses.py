@@ -190,19 +190,16 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
 
 def schedule_propagator(schedule, layout: ChainLayout) -> np.ndarray:
     """Full-chain unitary of a pulse schedule (first pulse acts first)."""
-    U = np.eye(layout.dim, dtype=complex)
-    for pulse in schedule:
-        U = apply_local(*_pulse_propagator(pulse, layout), U)
-    return U
+    return run_schedule(schedule, np.eye(layout.dim, dtype=complex), layout)
 
 
-def run_schedule(schedule, psi0, layout: ChainLayout) -> np.ndarray:
-    """Apply a schedule to a state, one local pulse propagator at a time."""
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (layout.dim,):
+def run_schedule(schedule, X, layout: ChainLayout) -> np.ndarray:
+    """Apply a schedule to a state or dim x K columns, one local pulse propagator at a time."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim not in (1, 2) or X.shape[0] != layout.dim:
         raise ValueError(
-            f"state dimension {psi.shape} does not match chain dimension ({layout.dim},)"
+            f"state dimension {X.shape} does not match chain dimension ({layout.dim},)"
         )
     for pulse in schedule:
-        psi = apply_local(*_pulse_propagator(pulse, layout), psi)
-    return psi
+        X = apply_local(*_pulse_propagator(pulse, layout), X)
+    return X

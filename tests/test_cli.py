@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holosim.cli import main
 from holosim.formats import dumps, schedule_to_obj
 from holosim.gates import two_qubit_gate
 from holosim.linalg import gate_fidelity
-from holosim.pulses import OneQubitPulse, ThreeSitePulse
+from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
+
+
+MISSING = "/nonexistent.json"
 
 
 def write_schedule(path, pulses):
@@ -193,15 +199,26 @@ class TestCompile:
 
 
 class TestLargeChainGuard:
-    def test_warning_above_four_qubits(self, tmp_path, capsys):
-        sched = tmp_path / "s.json"
-        write_schedule(sched, [])
-        assert main(["simulate", "--schedule", str(sched), "--qubits", "5",
-                     "--initial", "00000"]) == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err
-        report = json.loads(captured.out)
-        assert report["final_amplitudes"][0] == [1, 0]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 3**23 amplitudes, 1.4 TiB
+            ["simulate", "--schedule", MISSING, "--qubits", "12", "--initial", "0" * 12],
+            # an estimate beyond the float range
+            ["simulate", "--schedule", MISSING, "--qubits", "400", "--initial", "0" * 400],
+            # 3**17 x 2**9 logical columns, 0.96 PiB
+            ["extract-gate", "--schedule", MISSING, "--qubits", "9"],
+            # a 2**40 x 2**40 circuit unitary
+            ["compile", "--circuit", MISSING, "--qubits", "40"],
+            # 10**9 sampled 27 x 4 frames, 1.6 TiB
+            ["verify", "--suite", "holonomy", "--samples", "1000000000"],
+        ],
+    )
+    def test_over_budget_request_exits_before_reading_input(self, argv, capsys):
+        # the input file does not exist: the budget is checked before anything is read
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
 
     def test_simulate_reaches_seven_qubits(self, tmp_path, capsys):
         # dimension 3**13: a dense propagator would need 37 TiB, the local
@@ -216,13 +233,28 @@ class TestLargeChainGuard:
         assert report["leakage"] <= 1e-10
 
     def test_allocation_failure_is_a_resource_error(self, tmp_path, capsys):
-        # the 3**15 x 3**15 identity (about 2.9 PiB) exceeds any 64-bit user
-        # address space, so numpy refuses it before touching memory
+        # the 3**23 x 2**12 logical columns (about 5.5 PiB) exceed any host's memory
         sched = tmp_path / "s.json"
         write_schedule(sched, [])
-        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "8"]) == 2
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "12"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_extract_gate_at_five_qubits(self, tmp_path, capsys):
+        # 3**9 x 32 logical columns, about 10 MiB; the full propagator would need 5.8 GiB
+        circ, compiled = tmp_path / "c.json", tmp_path / "compiled.json"
+        write_circuit(circ, [{"kind": "xy", "pair": 4, "vartheta": 0.7},
+                             {"kind": "rotation", "qubit": 5, "axis": [0.6, 0.0, 0.8], "angle": 1.3},
+                             {"kind": "xy", "pair": 1, "vartheta": 2.2}])
+        assert main(["compile", "--circuit", str(circ), "--qubits", "5", "--out", str(compiled)]) == 0
+        doc = json.loads(compiled.read_text())
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"pulses": doc["pulses"]}), encoding="utf-8")
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "5"]) == 0
+        gate_doc = json.loads(capsys.readouterr().out)
+        assert gate_doc["cyclic"] is True and gate_doc["leakage"] < 1e-10
+        extracted = unpack_matrix(gate_doc["logical_gate"])
+        assert gate_fidelity(extracted, unpack_matrix(doc["predicted_gate"])) >= 1.0 - 1e-10
 
 
 class TestExtractGate:
@@ -246,3 +278,93 @@ class TestExtractGate:
         assert doc["cyclic"] is False
         assert doc["leakage"] > 0.1
         assert "entangling" not in doc
+
+
+class TestBadInput:
+    def test_schedule_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--schedule", str(tmp_path), "--qubits", "1", "--initial", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_out_that_is_a_directory(self, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [])
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "1",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [("extract-gate", "--schedule"), ("compile", "--circuit")])
+    def test_deeply_nested_document(self, command, flag, tmp_path, capsys):
+        doc = tmp_path / "d.json"
+        doc.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main([command, flag, str(doc), "--qubits", "1"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_verify_tol_must_be_finite_and_positive(self, tol, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "compiler", "--tol", tol])
+        assert err.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+# Field names of both document kinds; a mutation sets one of them to an arbitrary value.
+_FIELDS = ("type", "qubit", "theta", "phi", "pair", "vartheta", "area", "envelope", "duration",
+           "kind", "axis", "angle", "n")
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=4)),
+    max_leaves=10,
+)
+_angles = st.floats(-10, 10)
+_vectors = st.lists(_angles, min_size=3, max_size=3)
+_pulses = st.one_of(
+    st.fixed_dictionaries({"type": st.just("one_qubit"), "qubit": st.integers(1, 2), "theta": _angles,
+                           "phi": _angles, "area": _angles, "envelope": st.sampled_from(ENVELOPES)}),
+    st.fixed_dictionaries({"type": st.just("three_site"), "pair": st.just(1), "vartheta": _angles,
+                           "area": _angles}),
+)
+_gates = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("rotation"), "qubit": st.integers(1, 2), "axis": _vectors,
+                           "angle": _angles}),
+    st.fixed_dictionaries({"kind": st.just("reflection"), "qubit": st.integers(1, 2), "n": _vectors}),
+    st.fixed_dictionaries({"kind": st.just("xy"), "pair": st.just(1), "vartheta": _angles}),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed schedule or circuit, often with one field set to an arbitrary value."""
+    key, entry = draw(st.sampled_from((("pulses", _pulses), ("gates", _gates))))
+    entries = draw(st.lists(entry, max_size=3))
+    if entries and draw(st.booleans()):
+        draw(st.sampled_from(entries))[draw(st.sampled_from(_FIELDS))] = draw(_values)
+    return {key: entries}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# Mostly well-formed documents (json.dumps writes NaN and Infinity, which json.loads reads back),
+# then arbitrary JSON values and arbitrary text.
+_texts = st.one_of(_documents().map(json.dumps), _documents().map(json.dumps),
+                   _values.map(json.dumps), st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_texts, qubits=st.integers(1, 2))
+def test_documents_never_raise(fuzz_dir, text, qubits):
+    path = fuzz_dir / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    n = str(qubits)
+    for argv in (["simulate", "--schedule", str(path), "--qubits", n, "--initial", "0" * qubits],
+                 ["extract-gate", "--schedule", str(path), "--qubits", n],
+                 ["compile", "--circuit", str(path), "--qubits", n]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 2)
+        assert "Traceback" not in err.getvalue()

@@ -105,6 +105,16 @@ class TestScheduleFormat:
         with pytest.raises(FormatError, match="pulses"):
             loads_schedule("{}")
 
+    def test_integer_beyond_float_range_is_not_finite(self):
+        with pytest.raises(FormatError, match=r"^pulses\[0\]\.theta: value must be finite$"):
+            loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1,"theta":1%s,"phi":0}]}'
+                           % ("0" * 400))
+
+    @pytest.mark.parametrize("loads", [loads_schedule, loads_circuit])
+    def test_deep_nesting_is_a_format_error(self, loads):
+        with pytest.raises(FormatError, match="nested too deeply"):
+            loads("[" * 100_000 + "]" * 100_000)
+
 
 class TestCircuitFormat:
     def test_parse(self):
@@ -127,6 +137,11 @@ class TestCircuitFormat:
     def test_bad_axis(self):
         with pytest.raises(FormatError, match="3-vector"):
             loads_circuit('{"gates":[{"kind":"rotation","qubit":1,"axis":[0,0],"angle":1}]}')
+
+    def test_axis_integer_beyond_float_range(self):
+        circuit = loads_circuit('{"gates":[{"kind":"reflection","qubit":1,"n":[-1%s,0,0]}]}'
+                                % ("0" * 400))
+        assert circuit == [Reflection(1, (-np.inf, 0.0, 0.0))]
 
 
 class TestDeterministicEmission:

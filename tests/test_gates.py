@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holosim.chain import ChainLayout
+from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import (
     SIGMA_X,
     SIGMA_Z,
@@ -17,8 +17,9 @@ from holosim.gates import (
     schmidt_coefficients,
     two_qubit_gate,
 )
-from holosim.linalg import unitarity_defect
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, propagate_exact
+from holosim.linalg import DEFAULT_TOL, expm_hermitian, polar_unitary, unitarity_defect
+from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
+                            run_schedule, schedule_propagator)
 
 from oracles import random_unit_vector, svd_entropy
 
@@ -88,7 +89,8 @@ class TestTwoQubitGate:
     def test_matches_simulated_pulse(self, vt):
         layout = ChainLayout(2)
         U = propagate_exact(ThreeSitePulse(1, vt), layout)
-        report = extract_logical_gate(U, layout, target=two_qubit_gate(vt))
+        report = extract_logical_gate(U[:, layout.logical_indices()], layout,
+                                      target=two_qubit_gate(vt))
         assert report.fidelity_vs_target >= 1.0 - 1e-10
 
 
@@ -125,7 +127,7 @@ class TestProjectedBlockMaps:
 class TestExtractLogicalGate:
     def test_identity_chain(self):
         layout = ChainLayout(2)
-        report = extract_logical_gate(np.eye(layout.dim), layout)
+        report = extract_logical_gate(np.eye(layout.dim)[:, layout.logical_indices()], layout)
         assert report.leakage == 0.0
         assert report.cyclic
         assert np.allclose(report.logical_gate, np.eye(4), atol=1e-14)
@@ -135,21 +137,21 @@ class TestExtractLogicalGate:
         theta, phi = 1.1, 0.6
         U = propagate_exact(OneQubitPulse(1, theta, phi), layout)
         target = np.kron(one_qubit_gate(bloch_vector(theta, phi)), np.eye(2))
-        report = extract_logical_gate(U, layout, target=target)
+        report = extract_logical_gate(U[:, layout.logical_indices()], layout, target=target)
         assert report.leakage < 1e-10
         assert report.fidelity_vs_target >= 1.0 - 1e-12
 
     def test_noncyclic_evolution_reported_not_unitarized(self):
         layout = ChainLayout(2)
         U = propagate_exact(ThreeSitePulse(1, np.pi / 2, area=np.pi / 2), layout)
-        report = extract_logical_gate(U, layout)
+        report = extract_logical_gate(U[:, layout.logical_indices()], layout)
         assert report.leakage > 0.1
         assert not report.cyclic
         # the raw contraction block is returned unmodified
         A, c = projected_block_maps(np.pi / 2, np.pi / 2)
         assert np.allclose(report.logical_gate[1:3, 1:3], A, atol=1e-12)
         with pytest.raises(ValueError, match="non-cyclic"):
-            extract_logical_gate(U, layout, target=np.eye(4))
+            extract_logical_gate(U[:, layout.logical_indices()], layout, target=np.eye(4))
 
     def test_auxiliary_site_restored_by_pi_pulse(self):
         layout = ChainLayout(2)
@@ -164,6 +166,55 @@ class TestExtractLogicalGate:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             extract_logical_gate(np.eye(9), ChainLayout(2))
+
+    def test_full_propagator_is_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            extract_logical_gate(np.eye(27), ChainLayout(2))
+
+
+def _random_schedule(layout, rng, cyclic):
+    """Pulses with raw (un-normalized) angles; pi areas if ``cyclic``, else mostly partial ones."""
+    schedule = []
+    for _ in range(int(rng.integers(1, 6))):
+        area = np.pi if cyclic or rng.random() < 0.3 else float(rng.uniform(-7.0, 7.0))
+        if layout.n_logical > 1 and rng.random() < 0.4:
+            schedule.append(ThreeSitePulse(int(rng.integers(1, layout.n_logical)),
+                                           float(rng.uniform(-9.0, 9.0)), area=area))
+        else:
+            schedule.append(OneQubitPulse(int(rng.integers(1, layout.n_logical + 1)),
+                                          float(rng.uniform(-9.0, 9.0)), float(rng.uniform(-9.0, 9.0)),
+                                          area=area))
+    return schedule
+
+
+def _dense_extraction(U, layout):
+    """(gate, leakage) from a full propagator by index blocks, independent of the column path."""
+    idx = layout.logical_indices()
+    comp = np.setdiff1d(np.arange(layout.dim), idx)
+    leakage = float(np.linalg.svd(U[np.ix_(comp, idx)], compute_uv=False)[0])
+    block = U[np.ix_(idx, idx)]
+    return (polar_unitary(block) if leakage < DEFAULT_TOL.leakage else block), leakage
+
+
+class TestColumnExtractionAgainstDense:
+    @pytest.mark.parametrize("n_logical", [1, 2, 3])
+    @pytest.mark.parametrize("cyclic", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logical_columns_match_full_propagators(self, n_logical, cyclic, seed):
+        layout = ChainLayout(n_logical)
+        schedule = _random_schedule(layout, np.random.default_rng([n_logical, seed]), cyclic)
+        report = extract_logical_gate(run_schedule(schedule, logical_frame(layout), layout), layout)
+        assert report.cyclic == cyclic
+
+        sliced = extract_logical_gate(schedule_propagator(schedule, layout)[:, layout.logical_indices()],
+                                      layout)
+        dense = np.eye(layout.dim)
+        for pulse in schedule:
+            dense = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ dense
+        gate, leakage = _dense_extraction(dense, layout)
+        for want_gate, want_leakage in ((sliced.logical_gate, sliced.leakage), (gate, leakage)):
+            assert np.max(np.abs(report.logical_gate - want_gate)) <= 1e-12
+            assert abs(report.leakage - want_leakage) <= 1e-12
 
 
 class TestEntanglementMeasures:

@@ -8,13 +8,15 @@ from holosim.holonomy import (
     certify,
     check_parallel_transport,
     computational_frame,
+    projected_propagator,
     trace_subspace,
     wilson_loop,
 )
 from holosim.linalg import gate_fidelity, polar_unitary
 from holosim.holonomy import SubspacePath
 from holosim.linalg import expm_hermitian
-from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact
+from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, local_form,
+                            propagate_exact)
 
 from oracles import haar_unitary
 
@@ -63,21 +65,21 @@ class TestParallelTransport:
     def test_one_qubit_pulse_has_zero_subspace_energy(self):
         pulse = OneQubitPulse(1, np.pi / 4, 0.0)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 129, LAYOUT)
-        residual, eps = check_parallel_transport(path, block_hamiltonian(pulse, LAYOUT))
+        residual, eps = check_parallel_transport(path, *local_form(pulse, LAYOUT))
         assert residual < 1e-10
         assert np.max(np.abs(eps)) < 1e-12
 
     def test_three_site_pulse_has_zero_subspace_energy(self):
         pulse = ThreeSitePulse(1, np.pi / 2)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 129, LAYOUT)
-        residual, eps = check_parallel_transport(path, block_hamiltonian(pulse, LAYOUT))
+        residual, eps = check_parallel_transport(path, *local_form(pulse, LAYOUT))
         assert residual < 1e-10
         assert np.max(np.abs(eps)) < 1e-12
 
     def test_identity_hamiltonian_diagnostic(self):
         pulse = OneQubitPulse(1, 0.4, 0.0)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 16, LAYOUT)
-        residual, eps = check_parallel_transport(path, np.eye(LAYOUT.dim))
+        residual, eps = check_parallel_transport(path, 1, np.eye(3))
         K = path.subspace_dim
         assert residual == pytest.approx(np.sqrt(K), abs=1e-10)
         assert np.allclose(eps, 1.0, atol=1e-12)
@@ -216,3 +218,59 @@ class TestAgainstDenseOracle:
         U = (V * np.exp(-1j * pulse.area * w)) @ V.conj().T
         assert np.max(np.abs(report.wilson_gate - wilson_loop(dense))) <= 1e-12
         assert np.max(np.abs(report.propagator_gate - polar_unitary(F0.conj().T @ U @ F0))) <= 1e-12
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    @pytest.mark.parametrize("n_logical", [2, 3])
+    def test_local_parallel_transport_matches_dense(self, envelope, n_logical):
+        layout = ChainLayout(n_logical)
+        rng = np.random.default_rng(n_logical)
+        for pulse in (OneQubitPulse(n_logical, 3.9, -1.2, area=2.1, envelope=envelope),
+                      ThreeSitePulse(n_logical - 1, -0.8, area=-1.7, envelope=envelope)):
+            # the computational frame (P H P = 0) and a random one (P H P far from 0)
+            Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
+            for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
+                path = trace_subspace(pulse, F0, 33, layout)
+                residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
+                H = block_hamiltonian(pulse, layout)
+                PHP = [F.conj().T @ H @ F for F in path.frames]
+                assert abs(residual - max(np.linalg.norm(M) for M in PHP)) <= 1e-12
+                assert np.max(np.abs(eps - [np.trace(M).real / F0.shape[1] for M in PHP])) <= 1e-12
+
+    @pytest.mark.parametrize("n_logical", [2, 3])
+    def test_projected_propagator_matches_dense(self, n_logical):
+        layout = ChainLayout(n_logical)
+        rng = np.random.default_rng(10 + n_logical)
+        for pulse in (OneQubitPulse(n_logical, 3.9, -1.2, area=2.1), ThreeSitePulse(1, -0.8, area=-1.7)):
+            U = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area)
+            Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
+            for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
+                got = projected_propagator(pulse, F0, layout)
+                assert np.max(np.abs(got - F0.conj().T @ U @ F0)) <= 1e-12
+
+
+class TestCertifyAtFourQubits:
+    """Dimension 3**7 = 2187: certify works on the local form, no dense operator."""
+
+    @pytest.mark.parametrize(
+        "pulse,gate",
+        [
+            (OneQubitPulse(3, 1.2, 0.4, envelope="sin2"), one_qubit_gate(bloch_vector(1.2, 0.4))),
+            (ThreeSitePulse(2, 0.9, envelope="gaussian"),
+             np.kron(np.kron(np.eye(2), two_qubit_gate(0.9)), np.eye(2))),
+        ],
+    )
+    def test_passes_and_matches_closed_form(self, pulse, gate):
+        report = certify(pulse, ChainLayout(4), samples=256)
+        assert report.passed
+        assert gate_fidelity(report.propagator_gate, gate) >= 1.0 - 1e-10
+        assert gate_fidelity(report.wilson_gate, gate) >= 1.0 - 1e-10
+
+
+class TestCyclicityResidual:
+    @pytest.mark.parametrize("area", [np.pi, 2.0, 0.3, 1e-9, 0.0])
+    def test_matches_dense_projector_difference(self, area):
+        layout = ChainLayout(3)
+        for pulse in (OneQubitPulse(2, 0.7, 1.9, area=area), ThreeSitePulse(2, 2.4, area=area)):
+            path = trace_subspace(pulse, computational_frame(pulse, layout), 8, layout)
+            dense = np.linalg.norm(path.projector(-1) - path.projector(0))
+            assert abs(path.cyclicity_residual - dense) <= 1e-12
