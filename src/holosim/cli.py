@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chain import ChainLayout, logical_encode, logical_frame
 from .checks import SUITE_NAMES, run_suite
-from .compiler import Reflection, Rotation, XYGate, compile_gate, circuit_unitary
+from .compiler import compile_gate, circuit_unitary
 from .formats import (
     FormatError,
     complex_pair,
@@ -36,6 +35,7 @@ from .formats import (
     schedule_to_obj,
 )
 from .gates import extract_logical_gate
+from .linalg import check_memory
 from .pulses import run_schedule
 
 __all__ = ["main", "build_parser"]
@@ -85,25 +85,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# Peak RSS over the bytes of a command's largest array, measured on 64-bit
-# Linux with OpenBLAS: about 3x for extract-gate at N = 6, less above.
-_COPIES = 3
-
-
-def _gib(nbytes: int) -> str:
-    # math.log2 takes an int of any size; a float quotient overflows past 2^1024
-    return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"2^{math.log2(nbytes) - 30:.0f} GiB"
-
-
-def _check_memory(what: str, nbytes: int) -> None:
-    """Refuse, before allocating, a request whose arrays would not fit in physical memory."""
-    need = _COPIES * nbytes
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise MemoryError(f"{what} needs about {_gib(need)}, "
-                          f"more than the {_gib(have)} of physical memory")
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -125,7 +106,7 @@ def _parse_bits(bits: str, n: int) -> list[int]:
 
 def cmd_simulate(args) -> int:
     layout = ChainLayout(args.qubits)
-    _check_memory(f"simulate at N={args.qubits}", 16 * layout.dim)
+    check_memory(f"simulate at N={args.qubits}", 16 * layout.dim)
     schedule = loads_schedule(_read(args.schedule))
     bits = _parse_bits(args.initial, layout.n_logical)
     psi = run_schedule(schedule, logical_encode(bits, layout), layout)
@@ -153,8 +134,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the holonomy suite's largest array: the sampled frames of a 27 x 4 subspace
-    _check_memory(f"verify with {args.samples} samples", 16 * args.samples * 27 * 4)
     results = run_suite(args.suite, samples=args.samples, tol_scale=args.tol)
     failed = 0
     for r in results:
@@ -165,16 +144,9 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-_RULES = {
-    Reflection: "reflection: one pi-area drive along n",
-    Rotation: "rotation: two pi-area drives (reflection pair n then m)",
-    XYGate: "xy: one pi-area three-site coupling pulse",
-}
-
-
 def cmd_compile(args) -> int:
     layout = ChainLayout(args.qubits)
-    _check_memory(f"compile at N={args.qubits}", 16 * layout.logical_dim ** 2)
+    check_memory(f"compile at N={args.qubits}", 16 * layout.logical_dim ** 2)
     circuit = loads_circuit(_read(args.circuit))
     schedule = []
     provenance = []
@@ -185,9 +157,9 @@ def cmd_compile(args) -> int:
             raise FormatError(f"gates[{i}]: {exc}") from None
         provenance.append({
             "gate": i,
-            "kind": type(gate).__name__.lower(),
+            "kind": gate.kind,
             "pulses": list(range(len(schedule), len(schedule) + len(pulses))),
-            "rule": _RULES[type(gate)],
+            "rule": gate.rule,
         })
         schedule.extend(pulses)
 
@@ -200,7 +172,7 @@ def cmd_compile(args) -> int:
 
 def cmd_extract_gate(args) -> int:
     layout = ChainLayout(args.qubits)
-    _check_memory(f"extract-gate at N={args.qubits}", 16 * layout.dim * layout.logical_dim)
+    check_memory(f"extract-gate at N={args.qubits}", 16 * layout.dim * layout.logical_dim)
     schedule = loads_schedule(_read(args.schedule))
     columns = run_schedule(schedule, logical_frame(layout), layout)
     report = extract_logical_gate(columns, layout, diagnostics=True)

@@ -5,12 +5,16 @@ Gate set: reflections (one pi pulse), rotations about an arbitrary axis
 gate on adjacent logical pairs (one pi-area three-site pulse).  Compilation
 is deterministic and performs no optimization, so the emitted schedule can
 be audited pulse-by-pulse against its source gates.
+
+Each gate class owns its circuit-document name ``kind``, its compile ``rule``,
+its ``pulses`` and its closed-form ``logical`` operator (first qubit, matrix).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +26,7 @@ __all__ = [
     "Rotation",
     "Reflection",
     "XYGate",
+    "Gate",
     "compile_rotation",
     "compile_gate",
     "compile_circuit",
@@ -35,36 +40,13 @@ _BASIS_AXES = (
 )
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """exp(-i angle/2 * axis.sigma) on one logical qubit."""
-
-    qubit: int
-    axis: tuple[float, float, float]
-    angle: float
-
-
-@dataclass(frozen=True)
-class Reflection:
-    """n.sigma on one logical qubit (single pi pulse)."""
-
-    qubit: int
-    n: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class XYGate:
-    """XY-block gate with mixing angle vartheta on adjacent pair (l', l'+1)."""
-
-    pair: int
-    vartheta: float
-
-
 def _checked_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
     norm = np.linalg.norm(a)
+    if not math.isfinite(norm):  # NaN would pass the comparison below
+        raise ValueError(f"rotation axis must be finite, got {a.tolist()}")
     if norm < 1e-12:
         raise ValueError("rotation axis must be nonzero")
     return a / norm
@@ -86,30 +68,81 @@ def compile_rotation(axis, angle: float) -> tuple[np.ndarray, np.ndarray]:
             n = e - np.dot(e, a) * a
             n /= np.linalg.norm(n)
             break
-    else:  # unreachable for a unit axis
+    else:  # unreachable for a finite unit axis
         raise ValueError(f"could not find a direction transverse to axis {a}")
     m = math.cos(0.5 * angle) * n + math.sin(0.5 * angle) * np.cross(a, n)
     return n, m
 
 
-def _reflection_pulse(qubit: int, n) -> OneQubitPulse:
-    theta, phi = bloch_angles(n)
-    return OneQubitPulse(qubit=qubit, theta=theta, phi=phi, area=math.pi)
+@dataclass(frozen=True)
+class Rotation:
+    """exp(-i angle/2 * axis.sigma) on one logical qubit."""
+
+    kind: ClassVar[str] = "rotation"
+    rule: ClassVar[str] = "rotation: two pi-area drives (reflection pair n then m)"
+    qubit: int
+    axis: tuple[float, float, float]
+    angle: float
+
+    def pulses(self, layout: ChainLayout) -> list:
+        layout.site_of_qubit(self.qubit)
+        n, m = compile_rotation(self.axis, self.angle)
+        return Reflection(self.qubit, n).pulses(layout) + Reflection(self.qubit, m).pulses(layout)
+
+    def logical(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        layout.site_of_qubit(self.qubit)
+        if not math.isfinite(self.angle):
+            raise ValueError("rotation angle must be finite")
+        half = 0.5 * self.angle
+        sigma = one_qubit_gate(_checked_axis(self.axis))
+        return self.qubit, math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
 
 
-def compile_gate(gate, layout: ChainLayout) -> list:
+@dataclass(frozen=True)
+class Reflection:
+    """n.sigma on one logical qubit (single pi pulse)."""
+
+    kind: ClassVar[str] = "reflection"
+    rule: ClassVar[str] = "reflection: one pi-area drive along n"
+    qubit: int
+    n: tuple[float, float, float]
+
+    def pulses(self, layout: ChainLayout) -> list:
+        layout.site_of_qubit(self.qubit)
+        theta, phi = bloch_angles(self.n)
+        return [OneQubitPulse(qubit=self.qubit, theta=theta, phi=phi, area=math.pi)]
+
+    def logical(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        layout.site_of_qubit(self.qubit)
+        return self.qubit, one_qubit_gate(self.n)
+
+
+@dataclass(frozen=True)
+class XYGate:
+    """XY-block gate with mixing angle vartheta on adjacent pair (l', l'+1)."""
+
+    kind: ClassVar[str] = "xy"
+    rule: ClassVar[str] = "xy: one pi-area three-site coupling pulse"
+    pair: int
+    vartheta: float
+
+    def pulses(self, layout: ChainLayout) -> list:
+        layout.sites_of_pair(self.pair)  # adjacent pairs only; rejects the rest
+        return [ThreeSitePulse(pair=self.pair, vartheta=self.vartheta, area=math.pi)]
+
+    def logical(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        layout.sites_of_pair(self.pair)
+        return self.pair, two_qubit_gate(self.vartheta)
+
+
+Gate = Rotation | Reflection | XYGate
+
+
+def compile_gate(gate: Gate, layout: ChainLayout) -> list:
     """Pulses implementing one logical gate, in execution order."""
-    if isinstance(gate, Reflection):
-        layout.site_of_qubit(gate.qubit)
-        return [_reflection_pulse(gate.qubit, gate.n)]
-    if isinstance(gate, Rotation):
-        layout.site_of_qubit(gate.qubit)
-        n, m = compile_rotation(gate.axis, gate.angle)
-        return [_reflection_pulse(gate.qubit, n), _reflection_pulse(gate.qubit, m)]
-    if isinstance(gate, XYGate):
-        layout.sites_of_pair(gate.pair)  # adjacent pairs only; rejects the rest
-        return [ThreeSitePulse(pair=gate.pair, vartheta=gate.vartheta, area=math.pi)]
-    raise TypeError(f"unknown gate type: {gate!r}")
+    if not isinstance(gate, Gate):
+        raise TypeError(f"unknown gate type: {gate!r}")
+    return gate.pulses(layout)
 
 
 def compile_circuit(circuit, layout: ChainLayout) -> list:
@@ -123,9 +156,10 @@ def compile_circuit(circuit, layout: ChainLayout) -> list:
     return schedule
 
 
-def _embed_logical(op, first_qubit: int, n_targets: int, n_logical: int) -> np.ndarray:
+def _embed_logical(first_qubit: int, op: np.ndarray, layout: ChainLayout) -> np.ndarray:
+    """1 (x) op (x) 1 on the 2^N logical space, with op acting from qubit ``first_qubit`` on."""
     left = 2 ** (first_qubit - 1)
-    right = 2 ** (n_logical - (first_qubit + n_targets - 1))
+    right = layout.logical_dim // (left * len(op))
     out = np.asarray(op, dtype=complex)
     if left > 1:
         out = np.kron(np.eye(left, dtype=complex), out)
@@ -137,25 +171,12 @@ def _embed_logical(op, first_qubit: int, n_targets: int, n_logical: int) -> np.n
 def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
     """Analytic 2^N x 2^N unitary of a logical circuit (first gate first).
 
-    Built directly from the closed-form gate matrices; serves as the
-    reference the compiled pulse schedule is verified against.
+    Built from each gate's closed-form ``logical`` operator, not its pulses;
+    the reference the compiled pulse schedule is verified against.
     """
-    N = layout.n_logical
     U = np.eye(layout.logical_dim, dtype=complex)
     for i, gate in enumerate(circuit):
-        if isinstance(gate, Reflection):
-            layout.site_of_qubit(gate.qubit)
-            G = _embed_logical(one_qubit_gate(gate.n), gate.qubit, 1, N)
-        elif isinstance(gate, Rotation):
-            layout.site_of_qubit(gate.qubit)
-            a = _checked_axis(gate.axis)
-            half = 0.5 * gate.angle
-            local = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * one_qubit_gate(a)
-            G = _embed_logical(local, gate.qubit, 1, N)
-        elif isinstance(gate, XYGate):
-            layout.sites_of_pair(gate.pair)
-            G = _embed_logical(two_qubit_gate(gate.vartheta), gate.pair, 2, N)
-        else:
+        if not isinstance(gate, Gate):
             raise TypeError(f"gate {i}: unknown gate type {gate!r}")
-        U = G @ U
+        U = _embed_logical(*gate.logical(layout), layout) @ U
     return U

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .compiler import Reflection, Rotation, XYGate
-from .pulses import OneQubitPulse, ThreeSitePulse
+from .compiler import Gate
+from .pulses import Pulse
 
 __all__ = [
     "FormatError",
@@ -113,30 +115,11 @@ def matrix_pairs(M) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Schedule documents
+# Pulse and gate documents: a tag (``type`` or ``kind``) holding the class's ``kind``,
+# then each dataclass field in order, typed by its annotation, optional if it has a default
 # ---------------------------------------------------------------------------
 
-def pulse_to_dict(pulse) -> dict:
-    if isinstance(pulse, OneQubitPulse):
-        return {
-            "type": "one_qubit",
-            "qubit": pulse.qubit,
-            "theta": float(pulse.theta),
-            "phi": float(pulse.phi),
-            "area": float(pulse.area),
-            "envelope": pulse.envelope,
-            "duration": float(pulse.duration),
-        }
-    if isinstance(pulse, ThreeSitePulse):
-        return {
-            "type": "three_site",
-            "pair": pulse.pair,
-            "vartheta": float(pulse.vartheta),
-            "area": float(pulse.area),
-            "envelope": pulse.envelope,
-            "duration": float(pulse.duration),
-        }
-    raise TypeError(f"not a pulse: {pulse!r}")
+_VECTOR3 = tuple[float, float, float]
 
 
 def _float(value) -> float:
@@ -147,46 +130,86 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _field(obj: dict, name: str, where: str, kind=None, default=None):
-    """``obj[name]`` checked against ``kind``; a field with a default is optional."""
+def _field(obj: dict, name: str, where: str, expected=None, default=MISSING):
+    """``obj[name]`` checked against the type ``expected``; a field with a default is optional."""
     if name not in obj:
-        if default is None:
+        if default is MISSING:
             raise FormatError(f"{where}: missing field {name!r}")
         return default
     value = obj[name]
-    if kind is int:
+    if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormatError(f"{where}.{name}: expected an integer, got {value!r}")
-    elif kind is float:
+    elif expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"{where}.{name}: expected a number, got {value!r}")
         value = _float(value)
         if not math.isfinite(value):
             raise FormatError(f"{where}.{name}: value must be finite")
-    elif kind is str and not isinstance(value, str):
+    elif expected is str and not isinstance(value, str):
         raise FormatError(f"{where}.{name}: expected a string, got {value!r}")
+    elif expected == _VECTOR3:
+        if (not isinstance(value, list) or len(value) != 3
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+            raise FormatError(f"{where}.{name}: expected a 3-vector of numbers")
+        value = tuple(_float(v) for v in value)
     return value
 
 
-def pulse_from_dict(obj, where: str = "pulse"):
+_PULSES = {cls.kind: cls for cls in get_args(Pulse)}
+_GATES = {cls.kind: cls for cls in get_args(Gate)}
+# (name, annotation, default) of each field, in declaration order
+_FIELDS = {cls: [(f.name, get_type_hints(cls)[f.name], f.default) for f in fields(cls)]
+           for cls in (*_PULSES.values(), *_GATES.values())}
+
+
+def _to_dict(obj, tag: str, noun: str, union) -> dict:
+    if not isinstance(obj, union):
+        raise TypeError(f"not a {noun}: {obj!r}")
+    doc = {tag: obj.kind}
+    for name, annotation, _ in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        if annotation is float:
+            value = float(value)
+        elif annotation == _VECTOR3:
+            value = [float(v) for v in value]
+        doc[name] = value
+    return doc
+
+
+def _from_dict(obj, where: str, tag: str, noun: str, classes: dict):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    kind = _field(obj, "type", where, str)
-    if kind == "one_qubit":
-        cls, required = OneQubitPulse, (("qubit", int), ("theta", float), ("phi", float))
-    elif kind == "three_site":
-        cls, required = ThreeSitePulse, (("pair", int), ("vartheta", float))
-    else:
-        raise FormatError(f"{where}.type: unknown pulse type {kind!r}")
-    fields = {name: _field(obj, name, where, k) for name, k in required}
-    fields.update(area=_field(obj, "area", where, float, math.pi),
-                  envelope=_field(obj, "envelope", where, str, "square"),
-                  duration=_field(obj, "duration", where, float, 1.0))
+    name = _field(obj, tag, where, str)
+    if name not in classes:
+        raise FormatError(f"{where}.{tag}: unknown {noun} {tag} {name!r}")
+    cls = classes[name]
+    values = {f: _field(obj, f, where, annotation, default) for f, annotation, default in _FIELDS[cls]}
     try:
-        return cls(**fields)
+        return cls(**values)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
+
+def pulse_to_dict(pulse) -> dict:
+    return _to_dict(pulse, "type", "pulse", Pulse)
+
+
+def pulse_from_dict(obj, where: str = "pulse"):
+    return _from_dict(obj, where, "type", "pulse", _PULSES)
+
+
+def gate_to_dict(gate) -> dict:
+    return _to_dict(gate, "kind", "gate", Gate)
+
+
+def gate_from_dict(obj, where: str = "gate"):
+    return _from_dict(obj, where, "kind", "gate", _GATES)
+
+
+# ---------------------------------------------------------------------------
+# Schedule and circuit documents
+# ---------------------------------------------------------------------------
 
 def schedule_to_obj(schedule) -> dict:
     return {"pulses": [pulse_to_dict(p) for p in schedule]}
@@ -213,46 +236,6 @@ def _parse(text: str):
 
 def loads_schedule(text: str) -> list:
     return schedule_from_obj(_parse(text))
-
-
-# ---------------------------------------------------------------------------
-# Circuit documents
-# ---------------------------------------------------------------------------
-
-def _vector3(obj, name, where):
-    value = _field(obj, name, where)
-    if (not isinstance(value, list) or len(value) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise FormatError(f"{where}.{name}: expected a 3-vector of numbers")
-    return tuple(_float(v) for v in value)
-
-
-def gate_from_dict(obj, where: str = "gate"):
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    kind = _field(obj, "kind", where, str)
-    if kind == "rotation":
-        return Rotation(
-            qubit=_field(obj, "qubit", where, int),
-            axis=_vector3(obj, "axis", where),
-            angle=_field(obj, "angle", where, float),
-        )
-    if kind == "reflection":
-        return Reflection(qubit=_field(obj, "qubit", where, int), n=_vector3(obj, "n", where))
-    if kind == "xy":
-        return XYGate(pair=_field(obj, "pair", where, int), vartheta=_field(obj, "vartheta", where, float))
-    raise FormatError(f"{where}.kind: unknown gate kind {kind!r}")
-
-
-def gate_to_dict(gate) -> dict:
-    if isinstance(gate, Rotation):
-        return {"kind": "rotation", "qubit": gate.qubit,
-                "axis": [float(v) for v in gate.axis], "angle": float(gate.angle)}
-    if isinstance(gate, Reflection):
-        return {"kind": "reflection", "qubit": gate.qubit, "n": [float(v) for v in gate.n]}
-    if isinstance(gate, XYGate):
-        return {"kind": "xy", "pair": gate.pair, "vartheta": float(gate.vartheta)}
-    raise TypeError(f"not a gate: {gate!r}")
 
 
 def circuit_from_obj(obj) -> list:

@@ -61,6 +61,8 @@ def _unit_vector(n, tol: float = 1e-9) -> np.ndarray:
     if n.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
     norm = np.linalg.norm(n)
+    if not math.isfinite(norm):  # NaN would pass the comparison below
+        raise ValueError(f"unit vector must be finite, got {n.tolist()}")
     if abs(norm - 1.0) > tol:
         raise ValueError(f"expected a unit vector, got norm {norm:.6g}")
     return n / norm

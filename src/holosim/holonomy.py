@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainLayout, logical_frame
-from .linalg import DEFAULT_TOL, Tolerances, gate_fidelity, polar_unitary
+from .linalg import DEFAULT_TOL, Tolerances, check_memory, gate_fidelity, polar_unitary
 from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, cumulative_area,
                      local_expm, local_form, run_schedule)
 
@@ -138,6 +138,7 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(F0.shape[1]))
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
+    check_memory(f"a subspace path of {samples} samples", 16 * samples * F0.size)
 
     site, block = local_form(pulse, layout)
     block_sq = block @ block

@@ -5,11 +5,14 @@ Everything here works on plain numpy arrays: operators are square
 ``expm_hermitian`` is the general dense exponential, through a full
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
-dense reference for any Hermitian matrix.
+dense reference for any Hermitian matrix.  ``check_memory`` is the memory
+budget the commands and ``holonomy.trace_subspace`` check before they allocate.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +27,21 @@ __all__ = [
     "expm_hermitian",
     "polar_unitary",
     "gate_fidelity",
+    "check_memory",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numerical-tolerance record.
+    """Numerical-tolerance record.
 
-    All thresholds used by the library live here so that a verification run
-    can be tightened or relaxed in one place.
+    The defaults of the Hermiticity and unitarity checks, the cyclic/leaky
+    split of gate extraction and every ``certify`` and Wilson-loop bound live
+    here, so those can be tightened or relaxed in one place.
     """
 
     hermiticity: float = 1e-12        # ||H - H^dag||_F allowed on Hamiltonians
     unitarity: float = 1e-10          # ||U^dag U - 1||_F allowed on propagators
-    fidelity: float = 1.0 - 1e-9      # acceptance bound for gate comparisons
-    projector: float = 1e-10          # ||P^2 - P||_F on subspace projectors
     leakage: float = 1e-8             # cyclic-gate vs leaky-evolution split
     wilson_cyclicity: float = 1e-6    # loop-closure bound for overlap products
     certify_parallel_transport: float = 1e-9
@@ -130,3 +133,22 @@ def gate_fidelity(U, V, unitary_tol: float = 1e-8) -> float:
     dim = U.shape[0]
     # the exact value lies in [0, 1]; roundoff can push marginally past 1
     return float(min(max(abs(np.trace(U.conj().T @ V)) / dim, 0.0), 1.0))
+
+
+# Peak RSS over the bytes of a request's largest array, measured on 64-bit
+# Linux with OpenBLAS: about 3x for extract-gate at N = 6, less above.
+_COPIES = 3
+
+
+def _gib(nbytes: int) -> str:
+    # math.log2 takes an int of any size; a float quotient overflows past 2^1024
+    return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"2^{math.log2(nbytes) - 30:.0f} GiB"
+
+
+def check_memory(what: str, nbytes: int) -> None:
+    """Refuse, before allocating, a request whose arrays would not fit in physical memory."""
+    need = _COPIES * nbytes
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"{what} needs about {_gib(need)}, "
+                          f"more than the {_gib(have)} of physical memory")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,6 +62,7 @@ def _check_pulse_fields(area, envelope, duration):
 class OneQubitPulse:
     """Two-field drive on the site of logical qubit ``qubit``."""
 
+    kind: ClassVar[str] = "one_qubit"  # schedule-document name
     qubit: int
     theta: float
     phi: float
@@ -78,6 +80,7 @@ class OneQubitPulse:
 class ThreeSitePulse:
     """XY coupling pulse on the three sites of logical pair ``pair``."""
 
+    kind: ClassVar[str] = "three_site"  # schedule-document name
     pair: int
     vartheta: float
     area: float = math.pi

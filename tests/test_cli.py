@@ -170,6 +170,32 @@ class TestCompile:
         assert main(["compile", "--circuit", str(circ), "--qubits", "2"]) == 2
         assert "gates[0]" in capsys.readouterr().err
 
+    def test_provenance_kind_is_the_circuit_document_kind(self, tmp_path, capsys):
+        gates = [{"kind": "reflection", "qubit": 1, "n": [1, 0, 0]},
+                 {"kind": "xy", "pair": 1, "vartheta": 0.8},
+                 {"kind": "rotation", "qubit": 2, "axis": [0, 1, 0], "angle": 2.3}]
+        circ = tmp_path / "c.json"
+        write_circuit(circ, gates)
+        assert main(["compile", "--circuit", str(circ), "--qubits", "2"]) == 0
+        provenance = json.loads(capsys.readouterr().out)["provenance"]
+        assert [p["kind"] for p in provenance] == ["reflection", "xy", "rotation"]
+        assert [p["rule"].split(":")[0] for p in provenance] == ["reflection", "xy", "rotation"]
+        assert [p["pulses"] for p in provenance] == [[0], [1], [2, 3]]
+
+    @pytest.mark.parametrize("gate,message", [
+        ({"kind": "reflection", "qubit": 1, "n": [float("nan"), 0, 0]}, "unit vector must be finite"),
+        ({"kind": "rotation", "qubit": 1, "axis": [0, float("nan"), 1], "angle": 1.0},
+         "rotation axis must be finite"),
+    ], ids=["reflection", "rotation"])
+    def test_nan_vector_is_named(self, gate, message, tmp_path, capsys):
+        # json.loads reads the NaN literal that json.dumps writes
+        circ = tmp_path / "c.json"
+        write_circuit(circ, [gate])
+        assert "NaN" in circ.read_text()
+        assert main(["compile", "--circuit", str(circ), "--qubits", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"gates[0]: {message}" in err and "Traceback" not in err
+
     def test_compile_then_simulate_matches_prediction(self, tmp_path, capsys):
         circ = tmp_path / "c.json"
         write_circuit(

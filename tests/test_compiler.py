@@ -115,6 +115,23 @@ class TestCompileCircuit:
             compile_circuit([object()], ChainLayout(1))
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("gate,message", [
+        (Reflection(1, (np.nan, 0.0, 0.0)), r"unit vector must be finite, got \[nan, 0\.0, 0\.0\]"),
+        (Reflection(1, (0.0, 0.0, np.inf)), r"unit vector must be finite, got \[0\.0, 0\.0, inf\]"),
+        (Rotation(1, (np.nan, 0.0, 1.0), 1.0), r"rotation axis must be finite, got \[nan, 0\.0, 1\.0\]"),
+        (Rotation(1, (0.0, 0.0, 1.0), np.nan), r"rotation angle must be finite"),
+    ], ids=["reflection-nan", "reflection-inf", "rotation-nan", "rotation-angle-nan"])
+    def test_rejected_by_compiler_and_closed_form(self, gate, message):
+        # NaN passes any > or < check: the closed forms came out all NaN, and a
+        # NaN reflection axis failed only later, on the pulse angles
+        layout = ChainLayout(1)
+        with pytest.raises(ValueError, match=message):
+            compile_circuit([gate], layout)
+        with pytest.raises(ValueError, match=message):
+            circuit_unitary([gate], layout)
+
+
 class TestRoundTrip:
     @staticmethod
     def random_circuit(rng, n_logical, depth):

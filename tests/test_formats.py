@@ -1,20 +1,28 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holosim.compiler import Reflection, Rotation, XYGate
 from holosim.formats import (
     FormatError,
     complex_pair,
     dumps,
+    gate_from_dict,
     gate_to_dict,
     loads_circuit,
     loads_schedule,
     matrix_pairs,
+    pulse_from_dict,
+    pulse_to_dict,
     schedule_to_obj,
 )
-from holosim.pulses import OneQubitPulse, ThreeSitePulse
+from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCHEDULE_TEXT = """
 {"pulses":[
@@ -142,6 +150,63 @@ class TestCircuitFormat:
         circuit = loads_circuit('{"gates":[{"kind":"reflection","qubit":1,"n":[-1%s,0,0]}]}'
                                 % ("0" * 400))
         assert circuit == [Reflection(1, (-np.inf, 0.0, 0.0))]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_vectors = st.tuples(_finite, _finite, _finite)
+_pulse_tail = dict(area=_finite, envelope=st.sampled_from(ENVELOPES),
+                   duration=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_KINDS = {
+    "one_qubit": st.builds(OneQubitPulse, qubit=st.integers(), theta=_finite, phi=_finite, **_pulse_tail),
+    "three_site": st.builds(ThreeSitePulse, pair=st.integers(), vartheta=_finite, **_pulse_tail),
+    "rotation": st.builds(Rotation, qubit=st.integers(), axis=_vectors, angle=_finite),
+    "reflection": st.builds(Reflection, qubit=st.integers(), n=_vectors),
+    "xy": st.builds(XYGate, pair=st.integers(), vartheta=_finite),
+}
+_PULSE_KINDS = ("one_qubit", "three_site")
+
+
+def readme_entries():
+    """Every pulse and gate object in the README's JSON documents, keys in their written order."""
+    entries = []
+    for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        doc = json.loads(block)
+        entries += doc.get("pulses", []) + doc.get("gates", [])
+    return entries
+
+
+class TestPulseAndGateDocuments:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, kind, data):
+        value = data.draw(_KINDS[kind])
+        if kind in _PULSE_KINDS:
+            doc = pulse_to_dict(value)
+            assert doc["type"] == kind
+            assert pulse_from_dict(doc) == value
+            assert loads_schedule(dumps(schedule_to_obj([value]))) == [value]
+        else:
+            doc = gate_to_dict(value)
+            assert doc["kind"] == kind
+            assert gate_from_dict(doc) == value
+            assert loads_circuit(dumps({"gates": [doc]})) == [value]
+
+    def test_key_order_matches_the_readme(self):
+        entries = readme_entries()
+        assert {e.get("type", e.get("kind")) for e in entries} == set(_KINDS)
+        for entry in entries:
+            if "type" in entry:
+                emitted = pulse_to_dict(pulse_from_dict(entry))
+            else:
+                emitted = gate_to_dict(gate_from_dict(entry))
+            assert list(emitted) == list(entry)
+
+    def test_other_objects_are_rejected(self):
+        with pytest.raises(TypeError, match="not a pulse"):
+            pulse_to_dict(Reflection(1, (0.0, 0.0, 1.0)))
+        with pytest.raises(TypeError, match="not a gate"):
+            gate_to_dict(OneQubitPulse(1, 0.0, 0.0))
 
 
 class TestDeterministicEmission:

@@ -135,6 +135,11 @@ class TestCertify:
         assert report.cyclicity_residual < 1e-8
         assert report.cross_fidelity >= 1.0 - 1e-6
 
+    def test_memory_budget_is_checked_before_sampling(self):
+        # 10**9 samples of a 27 x 2 frame, about 0.8 TiB: refused before any samples-sized array
+        with pytest.raises(MemoryError, match="physical memory"):
+            certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
+
     def test_gate_agrees_with_analytic_target(self):
         report = certify(ThreeSitePulse(1, 0.8), LAYOUT, samples=512)
         assert gate_fidelity(report.wilson_gate, two_qubit_gate(0.8)) >= 1.0 - 1e-6

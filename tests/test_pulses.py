@@ -259,6 +259,7 @@ class TestLocalKernelAgainstDense:
 
 
 _ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
+_BLOCK_SZ = block_sz(1, ChainLayout(2))  # 27 x 27: pair 1 spans all three sites of N = 2
 
 
 class TestLocalBlockProperties:
@@ -269,3 +270,8 @@ class TestLocalBlockProperties:
             block_sq = block @ block
             assert np.max(np.abs(block_sq @ block - block)) <= 1e-14
             assert unitarity_defect(local_expm(block, block_sq, area)) <= 1e-13
+        # the XY block and its propagator conserve the three sites' pseudo-spin S_z
+        xy = xy_coupling(vartheta)
+        U = local_expm(xy, xy @ xy, area)
+        assert np.max(np.abs(xy @ _BLOCK_SZ - _BLOCK_SZ @ xy)) <= 1e-14
+        assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
