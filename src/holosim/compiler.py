@@ -178,5 +178,9 @@ def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
     for i, gate in enumerate(circuit):
         if not isinstance(gate, Gate):
             raise TypeError(f"gate {i}: unknown gate type {gate!r}")
-        U = _embed_logical(*gate.logical(layout), layout) @ U
+        try:
+            first_qubit, op = gate.logical(layout)
+        except ValueError as exc:
+            raise ValueError(f"gate {i}: {exc}") from None
+        U = _embed_logical(first_qubit, op, layout) @ U
     return U

@@ -12,6 +12,11 @@ ingredient separately and cross-validates the gate two independent ways:
 
 Agreement of the two, together with a vanishing subspace energy, certifies
 the geometric nature of the gate.
+
+A sampled path is held in closed form, as three dim x K terms and one
+coefficient row per sample (see ``SubspacePath``).  Each check contracts
+the nine K x K blocks between the terms with the coefficient table, at a
+cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .chain import ChainLayout, logical_frame
 from .linalg import DEFAULT_TOL, Tolerances, check_memory, gate_fidelity, polar_unitary
 from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, cumulative_area,
-                     local_expm, local_form, run_schedule)
+                     local_form, run_schedule)
 
 __all__ = [
     "SubspacePath",
@@ -40,43 +45,70 @@ __all__ = [
 
 @dataclass
 class SubspacePath:
-    """Sampled trajectory of a K-dimensional subspace under a pulse.
+    """Sampled trajectory of a K-dimensional subspace under a pulse, in closed form.
 
-    ``frames[j]`` is a dim x K orthonormal frame spanning the subspace at
-    sample j; ``areas[j]`` is the pulse area accumulated by that time.
-    Projectors are frame-gauge free: P_j = F_j F_j^dag.
+    The pulse's local block satisfies H^3 = H, so the frame at sample j is
+    F_j = U(a_j) F_0 = F_0 + s_j A + c_j B with A = H F_0, B = H A,
+    s_j = -i sin a_j and c_j = cos a_j - 1, where ``areas[j]`` is the pulse
+    area accumulated by sample j.  The path holds the three dim x K terms
+    (F_0, A, B) and the samples x 3 coefficient table (1, s_j, c_j); every
+    overlap F_j^dag X F_k is a weighted sum of the nine K x K blocks
+    T_x^dag X T_y between terms, so nothing samples x dim is built unless
+    ``frames`` is asked for.  Projectors are frame-gauge free: P_j = F_j F_j^dag.
     """
 
     times: np.ndarray
     areas: np.ndarray
-    frames: np.ndarray  # shape (samples, dim, K)
+    terms: np.ndarray  # shape (dim, 3, K): F_0, A, B
+    coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
 
     @property
     def samples(self) -> int:
-        return self.frames.shape[0]
+        return self.coefficients.shape[0]
 
     @property
     def subspace_dim(self) -> int:
-        return self.frames.shape[2]
+        return self.terms.shape[2]
+
+    def frame(self, j: int) -> np.ndarray:
+        """The dim x K frame F_j."""
+        return np.einsum("x,dxk->dk", self.coefficients[j], self.terms)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """All sampled frames, shape (samples, dim, K), built on demand."""
+        dim, _, K = self.terms.shape
+        check_memory(f"the frames of {self.samples} samples", 16 * self.samples * dim * K)
+        return np.einsum("jx,dxk->jdk", self.coefficients, self.terms)
 
     def projector(self, j: int) -> np.ndarray:
-        F = self.frames[j]
+        F = self.frame(j)
         return F @ F.conj().T
+
+    def _overlaps(self, left: np.ndarray, right: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+        """F_j^dag X F_k for each row pair (j, k) of the coefficient tables ``left`` and ``right``.
+
+        ``image`` is X applied to the terms (default: X = 1).  Returns a
+        (rows, K, K) array from one product of the terms with their image.
+        """
+        dim, _, K = self.terms.shape
+        T = self.terms.reshape(dim, 3 * K)
+        XT = T if image is None else image.reshape(dim, 3 * K)
+        blocks = (T.conj().T @ XT).reshape(3, K, 3, K).transpose(0, 2, 1, 3).reshape(9, K * K)
+        weights = (left.conj()[:, :, None] * right[:, None, :]).reshape(len(left), 9)
+        return (weights @ blocks).reshape(len(left), K, K)
 
     @property
     def cyclicity_residual(self) -> float:
         """Loop-closure defect ||P(tau) - P(0)||_F, as sqrt(2) ||(1 - P(0)) F(tau)||_F."""
-        F0, F1 = self.frames[0], self.frames[-1]
+        F0, F1 = self.terms[:, 0], self.frame(-1)
         return float(np.sqrt(2.0) * np.linalg.norm(F1 - F0 @ (F0.conj().T @ F1)))
 
     def max_projector_defect(self) -> float:
         """max_j ||F_j^dag F_j - 1||_F (orthonormality drift along the path)."""
-        K = self.subspace_dim
-        eye = np.eye(K)
-        return max(
-            float(np.linalg.norm(self.frames[j].conj().T @ self.frames[j] - eye))
-            for j in range(self.samples)
-        )
+        C = self.coefficients
+        gram = self._overlaps(C, C)
+        return float(np.max(np.linalg.norm(gram - np.eye(self.subspace_dim), axis=(1, 2))))
 
 
 class HolonomyError(ValueError):
@@ -126,31 +158,34 @@ def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
 def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayout) -> SubspacePath:
     """Transport a frame through a pulse, sampling the subspace path.
 
-    Each frame is computed in closed form from the area accumulated by its
-    sample time (which follows the pulse envelope), F_j = U(a_j) F_0 with
-    U(a) the local block propagator, so roundoff does not drift along the path.
+    Each sample's area follows the pulse envelope; its frame is the closed
+    form F_j = U(a_j) F_0 = F_0 + s_j A + c_j B (see ``SubspacePath``), so
+    roundoff does not drift along the path and only the three dim x K terms
+    and one coefficient row per sample are stored.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     F0 = np.asarray(initial_frame, dtype=complex)
     if F0.ndim != 2 or F0.shape[0] != layout.dim:
         raise ValueError(f"frame must have shape ({layout.dim}, K), got {F0.shape}")
-    defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(F0.shape[1]))
+    K = F0.shape[1]
+    defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(K))
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
-    check_memory(f"a subspace path of {samples} samples", 16 * samples * F0.size)
+    # the three terms, and per sample a time, an area, a coefficient row and
+    # the K x K overlap the consumers build
+    check_memory(f"a subspace path of {samples} samples",
+                 16 * (3 * layout.dim * K + samples * (K * K + 4)))
 
     site, block = local_form(pulse, layout)
-    block_sq = block @ block
+    terms = np.empty((layout.dim, 3, K), dtype=complex)
+    terms[:, 0] = F0
+    terms[:, 1] = apply_local(site, block, F0)
+    terms[:, 2] = apply_local(site, block, terms[:, 1])
     times = np.linspace(0.0, pulse.duration, samples)
-    areas = np.array(
-        [cumulative_area(pulse.envelope, pulse.area, t / pulse.duration) for t in times]
-    )
-
-    frames = np.empty((samples, layout.dim, F0.shape[1]), dtype=complex)
-    for j, area in enumerate(areas):
-        frames[j] = apply_local(site, local_expm(block, block_sq, area), F0)
-    return SubspacePath(times=times, areas=areas, frames=frames)
+    areas = cumulative_area(pulse.envelope, pulse.area, times / pulse.duration)
+    coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
+    return SubspacePath(times=times, areas=areas, terms=terms, coefficients=coefficients)
 
 
 def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[float, np.ndarray]:
@@ -160,14 +195,11 @@ def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[floa
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
-    K = path.subspace_dim
-    residual = 0.0
-    eps = np.empty(path.samples)
-    for j in range(path.samples):
-        F = path.frames[j]
-        PHP = F.conj().T @ apply_local(site, block, F)  # K x K; same Frobenius norm as P H P
-        residual = max(residual, float(np.linalg.norm(PHP)))
-        eps[j] = float(np.trace(PHP).real) / K
+    C = path.coefficients
+    # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j
+    PHP = path._overlaps(C, C, apply_local(site, block, path.terms))
+    residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
+    eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
     return residual, eps
 
 
@@ -179,7 +211,8 @@ def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray
 def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cyclicity) -> np.ndarray:
     """Discrete holonomy of a cyclic subspace path, in the initial frame.
 
-    Computed as the ordered product of frame-overlap matrices -- equivalently
+    Computed as the ordered product of frame overlaps
+    (F_0^dag F_{S-1}) M_{S-1} ... M_1 with M_j = F_j^dag F_{j-1} -- equivalently
     F_0^dag P(t_{S-1}) ... P(t_1) F_0 -- and unitarized by polar
     decomposition.  Interior frames enter only through their projectors, so
     the result is gauge covariant (conjugates under a rotation of the initial
@@ -190,12 +223,19 @@ def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cy
         raise ValueError(
             f"wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = {residual:.3e} >= {cyclicity_tol:.1e}"
         )
-    F0 = path.frames[0]
-    v = F0
-    for j in range(1, path.samples):
-        Fj = path.frames[j]
-        v = Fj @ (Fj.conj().T @ v)
-    return polar_unitary(F0.conj().T @ v)
+    C = path.coefficients
+    # F_{j+1}^dag F_j for j < S - 1, then the closing F_0^dag F_{S-1}
+    steps = path._overlaps(np.roll(C, -1, axis=0), C)
+    return polar_unitary(_ordered_product(steps))
+
+
+def _ordered_product(M: np.ndarray) -> np.ndarray:
+    """M[n-1] ... M[1] M[0] by pairwise batched products, about log2(n) of them."""
+    while len(M) > 1:
+        if len(M) % 2:
+            M = np.concatenate([M, np.eye(M.shape[1])[None]])
+        M = M[1::2] @ M[0::2]
+    return M[0]
 
 
 def certify(

@@ -47,6 +47,7 @@ ENVELOPES = ("square", "gaussian", "sin2")
 _GAUSS_SIGMA = 1.0 / 6.0
 _GAUSS_LO = math.erf(-0.5 / (_GAUSS_SIGMA * math.sqrt(2.0)))
 _GAUSS_HI = math.erf(0.5 / (_GAUSS_SIGMA * math.sqrt(2.0)))
+_erf = np.vectorize(math.erf, otypes=[float])  # element-wise; scipy is not a dependency
 
 
 def _check_pulse_fields(area, envelope, duration):
@@ -121,19 +122,23 @@ def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:
     return weights * (area / weights.sum())
 
 
-def cumulative_area(envelope: str, area: float, s: float) -> float:
-    """Area accumulated by scaled time s = t/tau (closed forms per shape)."""
-    s = min(max(float(s), 0.0), 1.0)
+def cumulative_area(envelope: str, area: float, s):
+    """Area accumulated by scaled time s = t/tau (closed forms per shape).
+
+    ``s`` is a number or an array of scaled times; a number gives a float.
+    """
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
     if envelope == "square":
         frac = s
     elif envelope == "sin2":
-        frac = s - math.sin(2.0 * math.pi * s) / (2.0 * math.pi)
+        frac = s - np.sin(2.0 * np.pi * s) / (2.0 * np.pi)
     elif envelope == "gaussian":
         z = (s - 0.5) / (_GAUSS_SIGMA * math.sqrt(2.0))
-        frac = (math.erf(z) - _GAUSS_LO) / (_GAUSS_HI - _GAUSS_LO)
+        frac = (_erf(z) - _GAUSS_LO) / (_GAUSS_HI - _GAUSS_LO)
     else:
         raise ValueError(f"unknown envelope {envelope!r}")
-    return area * frac
+    out = area * frac
+    return float(out) if out.ndim == 0 else out
 
 
 def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:

@@ -60,3 +60,24 @@ def svd_entropy(state4):
     p = s**2
     p = p[p > 1e-300]
     return float(-np.sum(p * np.log(p)))
+
+
+def eigh_frames(H, F0, areas):
+    """Frames exp(-i a H) F0 at each area, through a dense eigendecomposition of H."""
+    w, V = np.linalg.eigh(H)
+    VF0 = V.conj().T @ F0
+    return np.array([(V * np.exp(-1j * a * w)) @ VF0 for a in areas])
+
+
+def wilson_product(frames):
+    """Unitary polar factor of F_0^dag P_{S-1} ... P_1 F_0, one stored frame at a time."""
+    v = frames[0]
+    for F in frames[1:]:
+        v = F @ (F.conj().T @ v)
+    U, _, Vh = np.linalg.svd(frames[0].conj().T @ v)
+    return U @ Vh
+
+
+def subspace_energies(frames, H):
+    """F_j^dag H F_j for every stored frame."""
+    return np.array([F.conj().T @ H @ F for F in frames])

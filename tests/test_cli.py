@@ -236,7 +236,7 @@ class TestLargeChainGuard:
             ["extract-gate", "--schedule", MISSING, "--qubits", "9"],
             # a 2**40 x 2**40 circuit unitary
             ["compile", "--circuit", MISSING, "--qubits", "40"],
-            # 10**9 sampled 27 x 4 frames, 1.6 TiB
+            # 10**9 samples of a 4 x 4 overlap and a coefficient row, 0.29 TiB
             ["verify", "--suite", "holonomy", "--samples", "1000000000"],
         ],
     )

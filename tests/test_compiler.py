@@ -110,6 +110,13 @@ class TestCompileCircuit:
         with pytest.raises(ValueError, match="out of range"):
             compile_circuit([XYGate(2, 0.1)], layout)
 
+    def test_out_of_range_index_names_the_gate_in_both_routes(self):
+        layout = ChainLayout(2)
+        circuit = [XYGate(1, 0.1), Reflection(3, Z_AXIS)]
+        for route in (compile_circuit, circuit_unitary):
+            with pytest.raises(ValueError, match=r"^gate 1: qubit 3 out of range 1\.\.2$"):
+                route(circuit, layout)
+
     def test_unknown_gate_type(self):
         with pytest.raises(TypeError, match="unknown gate"):
             compile_circuit([object()], ChainLayout(1))

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,11 @@ from holosim.holonomy import (
     trace_subspace,
     wilson_loop,
 )
-from holosim.linalg import gate_fidelity, polar_unitary
-from holosim.holonomy import SubspacePath
-from holosim.linalg import expm_hermitian
+from holosim.linalg import expm_hermitian, gate_fidelity, polar_unitary
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, local_form,
                             propagate_exact)
 
-from oracles import haar_unitary
+from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
 
 LAYOUT = ChainLayout(2)
 
@@ -136,7 +137,8 @@ class TestCertify:
         assert report.cross_fidelity >= 1.0 - 1e-6
 
     def test_memory_budget_is_checked_before_sampling(self):
-        # 10**9 samples of a 27 x 2 frame, about 0.8 TiB: refused before any samples-sized array
+        # 10**9 samples of a 2 x 2 overlap and a coefficient row, about 0.12 TiB: refused
+        # before any samples-sized array
         with pytest.raises(MemoryError, match="physical memory"):
             certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
 
@@ -215,31 +217,66 @@ class TestAgainstDenseOracle:
         samples = 256
         report = certify(pulse, layout, samples=samples)
         F0 = computational_frame(pulse, layout)
-        w, V = np.linalg.eigh(block_hamiltonian(pulse, layout))
-        VF0 = V.conj().T @ F0
-        path = trace_subspace(pulse, F0, samples, layout)
-        frames = np.array([(V * np.exp(-1j * a * w)) @ VF0 for a in path.areas])
-        dense = SubspacePath(times=path.times, areas=path.areas, frames=frames)
-        U = (V * np.exp(-1j * pulse.area * w)) @ V.conj().T
-        assert np.max(np.abs(report.wilson_gate - wilson_loop(dense))) <= 1e-12
+        H = block_hamiltonian(pulse, layout)
+        frames = eigh_frames(H, F0, trace_subspace(pulse, F0, samples, layout).areas)
+        U = eigh_frames(H, np.eye(layout.dim), [pulse.area])[0]
+        assert np.max(np.abs(report.wilson_gate - wilson_product(frames))) <= 1e-12
         assert np.max(np.abs(report.propagator_gate - polar_unitary(F0.conj().T @ U @ F0))) <= 1e-12
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("n_logical", [2, 3])
-    def test_local_parallel_transport_matches_dense(self, envelope, n_logical):
+    def test_path_matches_dense_eigh_frames(self, envelope, n_logical):
         layout = ChainLayout(n_logical)
         rng = np.random.default_rng(n_logical)
-        for pulse in (OneQubitPulse(n_logical, 3.9, -1.2, area=2.1, envelope=envelope),
-                      ThreeSitePulse(n_logical - 1, -0.8, area=-1.7, envelope=envelope)):
+        pulses = (
+            OneQubitPulse(n_logical, 3.9, -1.2, area=2.1, envelope=envelope),  # partial area
+            ThreeSitePulse(n_logical - 1, -0.8, area=-1.7, envelope=envelope),  # negative
+            OneQubitPulse(1, 0.7, 1.9, envelope=envelope),  # pi: closes on the computational frame
+            ThreeSitePulse(1, 2.4, area=-2 * np.pi, envelope=envelope),  # U = 1: closes on any frame
+        )
+        for pulse in pulses:
+            H = block_hamiltonian(pulse, layout)
             # the computational frame (P H P = 0) and a random one (P H P far from 0)
             Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
             for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
                 path = trace_subspace(pulse, F0, 33, layout)
+                frames = eigh_frames(H, F0, path.areas)
+                PHP = subspace_energies(frames, H)
                 residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
-                H = block_hamiltonian(pulse, layout)
-                PHP = [F.conj().T @ H @ F for F in path.frames]
-                assert abs(residual - max(np.linalg.norm(M) for M in PHP)) <= 1e-12
-                assert np.max(np.abs(eps - [np.trace(M).real / F0.shape[1] for M in PHP])) <= 1e-12
+                assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
+                assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / F0.shape[1])) <= 1e-12
+                eye = np.eye(F0.shape[1])
+                defect = max(np.linalg.norm(F.conj().T @ F - eye) for F in frames)
+                assert abs(path.max_projector_defect() - defect) <= 1e-12
+                P0, P1 = (F @ F.conj().T for F in (frames[0], frames[-1]))
+                cyclicity = np.linalg.norm(P1 - P0)
+                assert abs(path.cyclicity_residual - cyclicity) <= 1e-12
+                if cyclicity < 1e-8:
+                    assert np.max(np.abs(wilson_loop(path) - wilson_product(frames))) <= 1e-12
+
+    def test_contractions_on_an_uneven_rescaled_path(self):
+        # the consumers are exact in the coefficient table: uneven areas make the
+        # overlaps non-palindromic, so their order shows, and per-sample scale
+        # factors make the subspace energy and the Gram drift differ sample to sample
+        layout = ChainLayout(2)
+        pulse = ThreeSitePulse(1, 2.4, area=-2 * np.pi)
+        H = block_hamiltonian(pulse, layout)
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
+        F0 = np.linalg.qr(Z)[0]
+        grid = np.linspace(0.0, 1.0, 40)
+        areas = pulse.area * grid**2
+        scale = 1.0 + 0.1 * np.sin(np.pi * grid) * rng.uniform(-1.0, 1.0, grid.size)
+        path = replace(trace_subspace(pulse, F0, grid.size, layout), areas=areas, coefficients=scale[:, None]
+                       * np.stack([np.ones_like(areas), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1))
+        frames = scale[:, None, None] * eigh_frames(H, F0, areas)
+        PHP = subspace_energies(frames, H)
+        residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
+        assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
+        assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / 3)) <= 1e-12
+        defect = max(np.linalg.norm(F.conj().T @ F - np.eye(3)) for F in frames)
+        assert abs(path.max_projector_defect() - defect) <= 1e-12
+        assert np.max(np.abs(wilson_loop(path) - wilson_product(frames))) <= 1e-12
 
     @pytest.mark.parametrize("n_logical", [2, 3])
     def test_projected_propagator_matches_dense(self, n_logical):
@@ -269,6 +306,30 @@ class TestCertifyAtFourQubits:
         assert report.passed
         assert gate_fidelity(report.propagator_gate, gate) >= 1.0 - 1e-10
         assert gate_fidelity(report.wilson_gate, gate) >= 1.0 - 1e-10
+
+
+class TestCertifyReach:
+    """The path keeps three dim x K terms, not one dim x K frame per sample."""
+
+    def test_three_site_pulse_at_five_qubits(self):
+        # dimension 3**9 and K = 32: 1024 sampled frames would be about 10 GiB
+        report = certify(ThreeSitePulse(3, 0.9, envelope="sin2"), ChainLayout(5), samples=1024)
+        gate = np.kron(np.kron(np.eye(4), two_qubit_gate(0.9)), np.eye(2))
+        assert report.passed
+        assert gate_fidelity(report.propagator_gate, gate) >= 1.0 - 1e-10
+        assert gate_fidelity(report.wilson_gate, gate) >= 1.0 - 1e-10
+
+    def test_traced_peak_of_a_three_site_certify_at_four_qubits(self):
+        # 1024 sampled frames would be 547 MiB; the three terms are 1.6 MiB
+        layout = ChainLayout(4)
+        pulse = ThreeSitePulse(2, 0.9, envelope="gaussian")
+        tracemalloc.start()
+        try:
+            assert certify(pulse, layout, samples=1024).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestCyclicityResidual:

@@ -40,6 +40,15 @@ class TestEnvelopes:
         assert np.all(np.diff(values) >= -1e-15)
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_cumulative_area_on_an_array_matches_scalar_calls(self, envelope):
+        s = np.concatenate([[-0.5, 0.0], np.random.default_rng(3).uniform(0, 1, 50), [1.0, 1.5]])
+        got = cumulative_area(envelope, -2.3, s)
+        assert isinstance(got, np.ndarray) and got.shape == s.shape
+        assert np.array_equal(got, [cumulative_area(envelope, -2.3, x) for x in s])
+        assert got[0] == 0.0 and got[-1] == pytest.approx(-2.3, abs=1e-15)  # clamped to [0, 1]
+        assert type(cumulative_area(envelope, -2.3, 0.4)) is float
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
     def test_slice_sums_track_the_closed_form_cumulative(self, envelope):
         # partial sums of the normalized slices must follow cumulative_area
         steps = 10000
