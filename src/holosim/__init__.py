@@ -15,8 +15,6 @@ from .linalg import (
     expm_hermitian,
     gate_fidelity,
     hermiticity_defect,
-    is_hermitian,
-    is_unitary,
     polar_unitary,
     unitarity_defect,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "expm_hermitian",
     "gate_fidelity",
     "hermiticity_defect",
-    "is_hermitian",
-    "is_unitary",
     "polar_unitary",
     "unitarity_defect",
     "ChainLayout",

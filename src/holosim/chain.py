@@ -9,6 +9,11 @@ Basis conventions (fixed once, everything downstream depends on them):
 * local codes |0> -> 0, |1> -> 1, |e> -> 2;
 * global index = sum_i code(site i) * 3**(n_sites - i), site 1 most
   significant (i.e. plain ``np.kron`` order with site 1 leftmost).
+
+The local blocks ``lambda_coupling`` and ``xy_coupling`` take arrays of
+angles and return stacks (..., 3^k, 3^k) with the angles' leading axes; a
+number is a batch with no leading axes and gives one block.  The full-chain
+builders (``embed``, ``h1``, ``h3``, ``block_sz``) take single operators.
 """
 
 from __future__ import annotations
@@ -140,17 +145,20 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     return out
 
 
-def lambda_coupling(theta: float, phi: float) -> np.ndarray:
+def lambda_coupling(theta, phi) -> np.ndarray:
     """Local 3x3 two-field coupling sin(t/2)e^{i p}|e><0| - cos(t/2)|e><1| + h.c.
 
     The two lower levels couple to |e> with relative amplitude -tan(theta/2)
     and relative phase phi; the {|0>,|1>} block is exactly zero, and the
     nonzero spectrum is {+1, -1} for every (theta, phi) since the coupling
-    vector has unit norm.
+    vector has unit norm.  Array angles broadcast: the result is a stack of
+    shape (..., 3, 3), and numbers give one 3x3 block.
     """
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise ValueError("theta and phi must be finite")
-    half = 0.5 * theta
+    half = 0.5 * theta[..., None, None]
+    phi = phi[..., None, None]
     return (
         np.sin(half) * (np.cos(phi) * _GELL_MANN[1] - np.sin(phi) * _GELL_MANN[2])
         - np.cos(half) * _GELL_MANN[4]
@@ -181,16 +189,18 @@ _LEFT_BOND = np.kron(_HOP, _QUBIT)
 _RIGHT_BOND = np.kron(_QUBIT, _HOP)
 
 
-def xy_coupling(vartheta: float) -> np.ndarray:
+def xy_coupling(vartheta) -> np.ndarray:
     """Local 27x27 three-site XY coupling: -cos(v/2) left bond + sin(v/2) right bond.
 
     Commutes with the block pseudo-spin S_z, annihilates every basis state
     carrying |e> on any of the three sites, and, like ``lambda_coupling``,
-    has spectrum in {-1, 0, +1} for every vartheta.
+    has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
+    a stack of shape (..., 27, 27).
     """
-    if not np.isfinite(vartheta):
+    vartheta = np.asarray(vartheta, dtype=float)
+    if not np.isfinite(vartheta).all():
         raise ValueError("vartheta must be finite")
-    half = 0.5 * vartheta
+    half = 0.5 * vartheta[..., None, None]
     return -np.cos(half) * _LEFT_BOND + np.sin(half) * _RIGHT_BOND
 
 

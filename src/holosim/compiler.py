@@ -20,6 +20,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
+from .linalg import cross, dot
 from .pulses import OneQubitPulse, ThreeSitePulse
 
 __all__ = [
@@ -33,44 +34,43 @@ __all__ = [
     "circuit_unitary",
 ]
 
-_BASIS_AXES = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
+_BASIS_AXES = np.eye(3)
 
 
 def _checked_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,):
+    if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
-    norm = np.linalg.norm(a)
-    if not math.isfinite(norm):  # NaN would pass the comparison below
+    norm = np.sqrt(dot(a, a))
+    if not np.isfinite(norm).all():  # NaN would pass the comparison below
         raise ValueError(f"rotation axis must be finite, got {a.tolist()}")
-    if norm < 1e-12:
+    if (norm < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
-    return a / norm
+    return a / norm[..., None]
 
 
-def compile_rotation(axis, angle: float) -> tuple[np.ndarray, np.ndarray]:
+def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:
     """Split a rotation into two reflection axes (n, m).
 
     n is the first of (x, y, z) not parallel to the rotation axis,
     orthogonalized against it; m = cos(angle/2) n + sin(angle/2) (axis x n).
     Then n.m = cos(angle/2) and n x m = sin(angle/2) axis, so the two
-    reflections compose to the requested rotation.
+    reflections compose to the requested rotation.  (..., 3) axes and
+    matching angles give (..., 3) pairs.
     """
     a = _checked_axis(axis)
-    if not np.isfinite(angle):
+    angle = np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
         raise ValueError("rotation angle must be finite")
-    for e in _BASIS_AXES:
-        if np.linalg.norm(np.cross(a, e)) > 1e-6:
-            n = e - np.dot(e, a) * a
-            n /= np.linalg.norm(n)
-            break
-    else:  # unreachable for a finite unit axis
+    sides = cross(a[..., None, :], _BASIS_AXES)  # axis x e for e = x, y, z
+    transverse = np.sqrt(dot(sides, sides)) > 1e-6
+    if not np.all(np.any(transverse, axis=-1)):  # unreachable for a finite unit axis
         raise ValueError(f"could not find a direction transverse to axis {a}")
-    m = math.cos(0.5 * angle) * n + math.sin(0.5 * angle) * np.cross(a, n)
+    e = _BASIS_AXES[np.argmax(transverse, axis=-1)]
+    n = e - dot(e, a)[..., None] * a
+    n = n / np.sqrt(dot(n, n))[..., None]
+    half = 0.5 * angle[..., None]
+    m = np.cos(half) * n + np.sin(half) * cross(a, n)
     return n, m
 
 

@@ -4,17 +4,25 @@ The closed forms implemented here are the targets the simulator is checked
 against: the one-qubit reflection n.sigma produced by a pi-area drive, its
 two-pulse composition rule, and the three-site XY gate together with its
 partial-area block maps.
+
+The closed forms, ``extract_logical_gate`` and the Schmidt and entropy
+diagnostics take a leading batch axis (or several): arrays of angles,
+(..., 3) vectors, (..., 4) states or columns (..., dim, 2^N) give stacked
+results, and a single input is a batch with no leading axes that gives the
+single result through the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import DEFAULT_TOL, Tolerances, gate_fidelity, polar_unitary, unitarity_defect
+from .linalg import (DEFAULT_TOL, Tolerances, cross, dot, gate_fidelity, inner, polar_unitary,
+                     unitarity_defect, unstack)
 
 __all__ = [
     "SIGMA_X",
@@ -39,109 +47,128 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# element-wise math.atan2 and math.hypot (numpy's own differ in the last bit),
+# returning a float for numbers and an object array for arrays
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def bloch_vector(theta: float, phi: float) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t)."""
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def bloch_vector(theta, phi) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t), shape (..., 3) for array angles."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    return np.stack(
+        np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
+        axis=-1,
     )
 
 
-def bloch_angles(n) -> tuple[float, float]:
-    """Angles (theta, phi) of a unit vector; phi fixed to 0 at the poles."""
+def bloch_angles(n):
+    """Angles (theta, phi) of a unit vector, or arrays of them for (..., 3); phi fixed to 0 at the poles."""
     n = _unit_vector(n)
-    theta = math.atan2(math.hypot(n[0], n[1]), n[2])
-    phi = 0.0 if math.sin(theta) < 1e-12 else math.atan2(n[1], n[0]) % (2.0 * math.pi)
-    return theta, phi
+    theta = np.asarray(_atan2(_hypot(n[..., 0], n[..., 1]), n[..., 2]), dtype=float)
+    azimuth = np.asarray(_atan2(n[..., 1], n[..., 0]), dtype=float) % (2.0 * math.pi)
+    return unstack(theta), unstack(np.where(np.sin(theta) < 1e-12, 0.0, azimuth))
 
 
 def _unit_vector(n, tol: float = 1e-9) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
+    if n.ndim < 1 or n.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    norm = np.linalg.norm(n)
-    if not math.isfinite(norm):  # NaN would pass the comparison below
+    norm = np.sqrt(dot(n, n))
+    if not np.isfinite(norm).all():  # NaN would pass the comparison below
         raise ValueError(f"unit vector must be finite, got {n.tolist()}")
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"expected a unit vector, got norm {norm:.6g}")
-    return n / norm
+    off = np.abs(norm - 1.0)
+    if (off > tol).any():
+        raise ValueError(f"expected a unit vector, got norm {np.ravel(norm)[np.argmax(off)]:.6g}")
+    return n / norm[..., None]
 
 
 def one_qubit_gate(n) -> np.ndarray:
-    """Reflection n . sigma implemented by one pi-area drive along n."""
-    n = _unit_vector(n)
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    """Reflection n . sigma implemented by one pi-area drive along n, shape (..., 2, 2)."""
+    n = _unit_vector(n)[..., None, None]
+    return n[..., 0, :, :] * SIGMA_X + n[..., 1, :, :] * SIGMA_Y + n[..., 2, :, :] * SIGMA_Z
 
 
 def compose_rule(n, m) -> np.ndarray:
     """Closed form of two sequential reflections: n.m - i sigma.(n x m).
 
     Equals one_qubit_gate(m) @ one_qubit_gate(n), i.e. a rotation by
-    2*arccos(n.m) about n x m.
+    2*arccos(n.m) about n x m.  (..., 3) vectors give (..., 2, 2) gates.
     """
     n = _unit_vector(n)
     m = _unit_vector(m)
-    cross = np.cross(n, m)
-    out = float(np.dot(n, m)) * np.eye(2, dtype=complex)
-    for c, sigma in zip(cross, _PAULI):
-        out -= 1j * c * sigma
+    normal = cross(n, m)
+    out = dot(n, m)[..., None, None] * np.eye(2, dtype=complex)
+    for k, sigma in enumerate(_PAULI):
+        out = out - 1j * normal[..., k, None, None] * sigma
     return out
 
 
-def two_qubit_gate(vartheta: float) -> np.ndarray:
+def two_qubit_gate(vartheta) -> np.ndarray:
     """4x4 logical gate of a pi-area three-site pulse (basis |00>,|01>,|10>,|11>).
 
     Real, symmetric, involutory; entangling for generic vartheta (it reduces
-    to sigma_z x 1 at vartheta = 0 and 1 x sigma_z at vartheta = pi).
+    to sigma_z x 1 at vartheta = 0 and 1 x sigma_z at vartheta = pi).  An
+    array of angles gives a (..., 4, 4) stack.
     """
-    if not np.isfinite(vartheta):
+    vartheta = np.asarray(vartheta, dtype=float)
+    if not np.isfinite(vartheta).all():
         raise ValueError("vartheta must be finite")
     c, s = np.cos(vartheta), np.sin(vartheta)
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, s, 0],
-            [0, s, -c, 0],
-            [0, 0, 0, -1],
-        ],
-        dtype=complex,
-    )
+    out = np.zeros(vartheta.shape + (4, 4), dtype=complex)
+    out[..., 0, 0], out[..., 3, 3] = 1.0, -1.0
+    out[..., 1, 1], out[..., 1, 2], out[..., 2, 1], out[..., 2, 2] = c, s, s, -c
+    return out
 
 
-def projected_block_maps(vartheta: float, area: float):
+def projected_block_maps(vartheta, area):
     """Closed-form projected maps of a three-site pulse at arbitrary area.
 
     Returns (A, c): the 2x2 map on span{|01>, |10>} and the scalar on |11>.
     Both are contractions for generic area and unitary exactly at odd
-    multiples of pi.
+    multiples of pi.  Array angles and areas broadcast to (..., 2, 2) and (...).
     """
-    if not (np.isfinite(vartheta) and np.isfinite(area)):
+    vartheta, area = np.broadcast_arrays(np.asarray(vartheta, dtype=float), np.asarray(area, dtype=float))
+    if not (np.isfinite(vartheta).all() and np.isfinite(area).all()):
         raise ValueError("vartheta and area must be finite")
     half = 0.5 * vartheta
     ca = np.cos(area)
     off = np.sin(vartheta) * np.sin(0.5 * area) ** 2
-    A = np.array(
-        [
-            [np.cos(half) ** 2 + np.sin(half) ** 2 * ca, off],
-            [off, np.sin(half) ** 2 + np.cos(half) ** 2 * ca],
-        ],
-        dtype=complex,
-    )
-    return A, complex(ca)
+    A = np.empty(vartheta.shape + (2, 2), dtype=complex)
+    A[..., 0, 0] = np.cos(half) ** 2 + np.sin(half) ** 2 * ca
+    A[..., 0, 1] = A[..., 1, 0] = off
+    A[..., 1, 1] = np.sin(half) ** 2 + np.cos(half) ** 2 * ca
+    return A, unstack(ca.astype(complex))
 
 
 @dataclass
 class GateReport:
-    """Logical gate extracted from the logical columns of a propagator, plus diagnostics."""
+    """Logical gate extracted from the logical columns of a propagator, plus diagnostics.
+
+    For a stack of column blocks the gate, leakage, cyclic flag and fidelity
+    are stacks too; a single block gives a matrix, floats and a bool.
+    """
 
     logical_gate: np.ndarray
-    leakage: float
-    cyclic: bool
-    fidelity_vs_target: float | None = None
+    leakage: float | np.ndarray
+    cyclic: bool | np.ndarray
+    fidelity_vs_target: float | np.ndarray | None = None
     entangling: bool | None = None
     witness: "EntanglingWitness | None" = None
     makhlin: tuple[complex, float] | None = None
+
+
+def _leakage(columns: np.ndarray, idx: list[int]) -> np.ndarray:
+    """Operator 2-norm of the non-logical rows of ``columns`` (per stack member).
+
+    The square root of the largest eigenvalue of their 2^N x 2^N Gram matrix,
+    summed over the runs of rows between consecutive logical indices; the
+    runs are views and ``inner`` conjugates nothing, so no row is copied.
+    """
+    edges = [-1, *idx, columns.shape[-2]]
+    gram = sum(inner(columns[..., a + 1:b, :], columns[..., a + 1:b, :])
+               for a, b in zip(edges, edges[1:]) if b > a + 1)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def extract_logical_gate(
@@ -153,56 +180,66 @@ def extract_logical_gate(
 ) -> GateReport:
     """Logical gate of a propagator U from its logical columns U[:, layout.logical_indices()].
 
-    ``columns`` (dim x 2^N, e.g. ``run_schedule(schedule, logical_frame(layout), layout)``)
-    is the only accepted shape.  leakage is the operator 2-norm of its non-logical rows.
-    If it is below ``tol.leakage`` the evolution was cyclic: the logical rows are
-    unitarized by polar decomposition and reported as the gate.  Otherwise the raw
-    (contractive) block is returned and the report is flagged non-cyclic.
+    ``columns`` (dim x 2^N, e.g. ``run_schedule(schedule, logical_frame(layout), layout)``,
+    or a stack (..., dim, 2^N) of them) is the only accepted shape.  leakage is the
+    operator 2-norm of its non-logical rows.  If it is below ``tol.leakage`` the
+    evolution was cyclic: the logical rows are unitarized by polar decomposition and
+    reported as the gate.  Otherwise the raw (contractive) block is returned and the
+    report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
+    member cyclic.
 
     With ``diagnostics`` and a two-qubit layout, the entangling verdict and
-    Makhlin invariants are attached.
+    Makhlin invariants of a single cyclic gate are attached.
     """
     columns = np.asarray(columns, dtype=complex)
-    if columns.shape != (layout.dim, layout.logical_dim):
+    if columns.shape[-2:] != (layout.dim, layout.logical_dim):
         raise ValueError(
             f"logical columns shape {columns.shape} is not ({layout.dim}, {layout.logical_dim})"
         )
+    if diagnostics and columns.ndim > 2:
+        raise ValueError("diagnostics take the columns of a single propagator")
     idx = layout.logical_indices()
-    block = columns[idx]
-    leakage = float(np.linalg.svd(np.delete(columns, idx, axis=0), compute_uv=False)[0])
+    block = columns[..., idx, :]
+    leakage = _leakage(columns, idx)
 
     cyclic = leakage < tol.leakage
-    gate = polar_unitary(block) if cyclic else block
+    keep = cyclic[..., None, None]
+    # a leaky member keeps its raw block; the identity stands in for it in the polar step
+    gate = np.where(keep, polar_unitary(np.where(keep, block, np.eye(layout.logical_dim))), block)
 
     fidelity = None
     if target is not None:
-        if not cyclic:
+        if not np.all(cyclic):
             raise ValueError(
-                f"cannot compare a non-cyclic evolution to a target gate (leakage {leakage:.3e})"
+                f"cannot compare a non-cyclic evolution to a target gate (leakage {np.max(leakage):.3e})"
             )
         fidelity = gate_fidelity(gate, target)
 
-    report = GateReport(logical_gate=gate, leakage=leakage, cyclic=cyclic,
+    report = GateReport(logical_gate=gate, leakage=unstack(leakage), cyclic=unstack(cyclic),
                         fidelity_vs_target=fidelity)
-    if diagnostics and cyclic and layout.n_logical == 2:
+    if diagnostics and report.cyclic and layout.n_logical == 2:
         report.entangling, report.witness = entangling_verdict(gate)
         report.makhlin = makhlin_invariants(gate)
     return report
 
 
 def schmidt_coefficients(state4) -> np.ndarray:
-    """Schmidt coefficients of a two-qubit pure state (descending)."""
+    """Schmidt coefficients of a two-qubit pure state (descending), or of each of (..., 4) states."""
     state4 = np.asarray(state4, dtype=complex)
-    if state4.shape != (4,):
+    if state4.ndim < 1 or state4.shape[-1] != 4:
         raise ValueError(f"expected a two-qubit state of shape (4,), got {state4.shape}")
-    return np.linalg.svd(state4.reshape(2, 2), compute_uv=False)
+    return np.linalg.svd(state4.reshape(state4.shape[:-1] + (2, 2)), compute_uv=False)
 
 
-def entanglement_entropy(state4) -> float:
-    """Von Neumann entropy (nats) of either reduced qubit of a pure state."""
-    probs = schmidt_coefficients(state4) ** 2
-    probs = probs[probs > 1e-300]
-    return float(-np.sum(probs * np.log(probs)))
+def _entropy(schmidt: np.ndarray) -> np.ndarray:
+    probs = schmidt**2
+    kept = probs > 1e-300
+    return -np.sum(np.where(kept, probs * np.log(np.where(kept, probs, 1.0)), 0.0), axis=-1)
+
+
+def entanglement_entropy(state4):
+    """Von Neumann entropy (nats) of either reduced qubit of a pure state (per state of a stack)."""
+    return unstack(_entropy(schmidt_coefficients(state4)))
 
 
 # Bell ("magic") basis in which local unitaries become real orthogonal.
@@ -242,22 +279,29 @@ class EntanglingWitness:
     min_schmidt: float
 
 
-def _qubit_state(theta: float, phi: float) -> np.ndarray:
-    return np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
+def _qubit_states(theta, phi) -> np.ndarray:
+    out = np.empty(theta.shape + (2,), dtype=complex)
+    out[..., 0] = np.cos(0.5 * theta)
+    out[..., 1] = np.exp(1j * phi) * np.sin(0.5 * theta)
+    return out
+
+
+def _product_outputs(U, angles):
+    """Product inputs at (..., 4) angles (theta_a, phi_a, theta_b, phi_b), their images,
+    output entropies and smallest Schmidt coefficients."""
+    angles = np.asarray(angles, dtype=float)
+    ta, pa, tb, pb = (angles[..., k] for k in range(4))
+    psi_in = _qubit_states(ta, pa)[..., :, None] * _qubit_states(tb, pb)[..., None, :]
+    psi_in = psi_in.reshape(ta.shape + (4,))
+    psi_out = (U @ psi_in[..., None])[..., 0]
+    s = schmidt_coefficients(psi_out)
+    return psi_in, psi_out, _entropy(s), s[..., -1]
 
 
 def _witness_at(U, angles) -> EntanglingWitness:
-    ta, pa, tb, pb = angles
-    psi_in = np.kron(_qubit_state(ta, pa), _qubit_state(tb, pb))
-    psi_out = U @ psi_in
-    s = schmidt_coefficients(psi_out)
-    return EntanglingWitness(
-        angles=tuple(angles),
-        input_state=psi_in,
-        output_state=psi_out,
-        entropy=entanglement_entropy(psi_out),
-        min_schmidt=float(s[-1]),
-    )
+    psi_in, psi_out, entropy, min_schmidt = _product_outputs(U, angles)
+    return EntanglingWitness(angles=tuple(angles), input_state=psi_in, output_state=psi_out,
+                             entropy=float(entropy), min_schmidt=float(min_schmidt))
 
 
 def entangling_verdict(U, schmidt_floor: float = 1e-4):
@@ -275,17 +319,16 @@ def entangling_verdict(U, schmidt_floor: float = 1e-4):
     if defect > 1e-8:
         raise ValueError(f"entangling_verdict: input not unitary, defect {defect:.3e}")
 
-    # 24 points per sphere: 6 polar x 4 azimuthal values.
+    # 24 points per sphere: 6 polar x 4 azimuthal values, all 576 pairs in one batch
     thetas = np.linspace(0.0, np.pi, 6)
     phis = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
-    points = [(t, p) for t in thetas for p in phis]
-
-    best = None
-    for ta, pa in points:
-        for tb, pb in points:
-            cand = _witness_at(U, (ta, pa, tb, pb))
-            if best is None or cand.entropy > best.entropy:
-                best = cand
+    points = list(product(thetas, phis))
+    grid = np.array([a + b for a, b in product(points, points)])
+    psi_in, psi_out, entropy, min_schmidt = _product_outputs(U, grid)
+    first = int(np.argmax(entropy))  # the first maximum, as a scan keeping strict improvements
+    best = EntanglingWitness(angles=tuple(grid[first]), input_state=psi_in[first],
+                             output_state=psi_out[first], entropy=float(entropy[first]),
+                             min_schmidt=float(min_schmidt[first]))
 
     # Local ascent: cycle through the four angles with a shrinking step.
     step = 0.2

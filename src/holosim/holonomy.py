@@ -16,7 +16,13 @@ the geometric nature of the gate.
 A sampled path is held in closed form, as three dim x K terms and one
 coefficient row per sample (see ``SubspacePath``).  Each check contracts
 the nine K x K blocks between the terms with the coefficient table, at a
-cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.
+cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.  The blocks
+come from ``linalg.inner`` and H is applied to one term at a time, so
+beside the terms a check holds at most two more dim x K arrays.
+
+The path and ``certify`` take one pulse; ``projected_propagator`` also takes
+a batch of pulses (array angles and areas, see ``pulses``) and returns a
+stack of projected maps.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainLayout, logical_frame
-from .linalg import DEFAULT_TOL, Tolerances, check_memory, gate_fidelity, polar_unitary
-from .pulses import (OneQubitPulse, Pulse, ThreeSitePulse, apply_local, cumulative_area,
-                     local_form, run_schedule)
+from .chain import ChainLayout
+from .linalg import DEFAULT_TOL, Tolerances, check_memory, gate_fidelity, inner, polar_unitary
+from .pulses import Pulse, apply_local, cumulative_area, local_form
 
 __all__ = [
     "SubspacePath",
@@ -51,15 +56,16 @@ class SubspacePath:
     F_j = U(a_j) F_0 = F_0 + s_j A + c_j B with A = H F_0, B = H A,
     s_j = -i sin a_j and c_j = cos a_j - 1, where ``areas[j]`` is the pulse
     area accumulated by sample j.  The path holds the three dim x K terms
-    (F_0, A, B) and the samples x 3 coefficient table (1, s_j, c_j); every
-    overlap F_j^dag X F_k is a weighted sum of the nine K x K blocks
-    T_x^dag X T_y between terms, so nothing samples x dim is built unless
-    ``frames`` is asked for.  Projectors are frame-gauge free: P_j = F_j F_j^dag.
+    (F_0, A, B), stacked as (3, dim, K), and the samples x 3 coefficient
+    table (1, s_j, c_j); every overlap F_j^dag X F_k is a weighted sum of
+    the nine K x K blocks T_x^dag X T_y between terms, so nothing
+    samples x dim is built unless ``frames`` is asked for.  Projectors are
+    frame-gauge free: P_j = F_j F_j^dag.
     """
 
     times: np.ndarray
     areas: np.ndarray
-    terms: np.ndarray  # shape (dim, 3, K): F_0, A, B
+    terms: np.ndarray  # shape (3, dim, K): F_0, A, B
     coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
 
     @property
@@ -72,37 +78,39 @@ class SubspacePath:
 
     def frame(self, j: int) -> np.ndarray:
         """The dim x K frame F_j."""
-        return np.einsum("x,dxk->dk", self.coefficients[j], self.terms)
+        return np.einsum("x,xdk->dk", self.coefficients[j], self.terms)
 
     @property
     def frames(self) -> np.ndarray:
         """All sampled frames, shape (samples, dim, K), built on demand."""
-        dim, _, K = self.terms.shape
+        _, dim, K = self.terms.shape
         check_memory(f"the frames of {self.samples} samples", 16 * self.samples * dim * K)
-        return np.einsum("jx,dxk->jdk", self.coefficients, self.terms)
+        return np.einsum("jx,xdk->jdk", self.coefficients, self.terms)
 
     def projector(self, j: int) -> np.ndarray:
         F = self.frame(j)
         return F @ F.conj().T
 
-    def _overlaps(self, left: np.ndarray, right: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+    def _overlaps(self, left: np.ndarray, right: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
         """F_j^dag X F_k for each row pair (j, k) of the coefficient tables ``left`` and ``right``.
 
-        ``image`` is X applied to the terms (default: X = 1).  Returns a
-        (rows, K, K) array from one product of the terms with their image.
+        ``blocks`` holds T_x^dag X T_y for the terms T, shape (3, 3, K, K)
+        (default: X = 1).  Returns a (rows, K, K) array.
         """
-        dim, _, K = self.terms.shape
-        T = self.terms.reshape(dim, 3 * K)
-        XT = T if image is None else image.reshape(dim, 3 * K)
-        blocks = (T.conj().T @ XT).reshape(3, K, 3, K).transpose(0, 2, 1, 3).reshape(9, K * K)
-        weights = (left.conj()[:, :, None] * right[:, None, :]).reshape(len(left), 9)
-        return (weights @ blocks).reshape(len(left), K, K)
+        K = self.subspace_dim
+        if blocks is None:
+            blocks = inner(self.terms[:, None], self.terms[None, :])
+        # conj(left[j, x]) right[j, y] for the nine (x, y), with the rows innermost and contiguous
+        left, right = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
+        weights = (left.conj()[:, None, :] * right[None, :, :]).reshape(9, -1)
+        return (weights.T @ blocks.reshape(9, K * K)).reshape(-1, K, K)
 
     @property
     def cyclicity_residual(self) -> float:
         """Loop-closure defect ||P(tau) - P(0)||_F, as sqrt(2) ||(1 - P(0)) F(tau)||_F."""
-        F0, F1 = self.terms[:, 0], self.frame(-1)
-        return float(np.sqrt(2.0) * np.linalg.norm(F1 - F0 @ (F0.conj().T @ F1)))
+        F0, F1 = self.terms[0], self.frame(-1)
+        F1 -= F0 @ inner(F0, F1)
+        return float(np.sqrt(2.0) * np.linalg.norm(F1))
 
     def max_projector_defect(self) -> float:
         """max_j ||F_j^dag F_j - 1||_F (orthonormality drift along the path)."""
@@ -138,21 +146,22 @@ class HolonomyReport:
         return not self.failures
 
 
+# The parallel-transport check applies H to at most this many bytes of path
+# terms at once, beside the path itself
+_CHUNK_BYTES = 8 * 2**20
+
+
 def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """Canonical initial frame for certifying a gate pulse.
 
     One-qubit pulse: the {|0>, |1>} pair of the driven qubit with every
-    other site in |0> (K = 2).  Three-site pulse: the full logical basis
-    (K = 2^N), i.e. the direct sum of all the invariant computational
-    blocks the pulse touches.
+    other site in |0> (K = 2), built as those two columns alone.
+    Three-site pulse: the full logical basis (K = 2^N), i.e. the direct sum
+    of all the invariant computational blocks the pulse touches.
     """
-    if isinstance(pulse, OneQubitPulse):
-        layout.site_of_qubit(pulse.qubit)  # validate index
-        return logical_frame(layout)[:, [0, 2 ** (layout.n_logical - pulse.qubit)]]
-    if isinstance(pulse, ThreeSitePulse):
-        layout.sites_of_pair(pulse.pair)  # validate index
-        return logical_frame(layout)
-    raise TypeError(f"not a pulse: {pulse!r}")
+    if not isinstance(pulse, Pulse):
+        raise TypeError(f"not a pulse: {pulse!r}")
+    return pulse.computational_frame(layout)
 
 
 def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayout) -> SubspacePath:
@@ -178,10 +187,12 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
                  16 * (3 * layout.dim * K + samples * (K * K + 4)))
 
     site, block = local_form(pulse, layout)
-    terms = np.empty((layout.dim, 3, K), dtype=complex)
-    terms[:, 0] = F0
-    terms[:, 1] = apply_local(site, block, F0)
-    terms[:, 2] = apply_local(site, block, terms[:, 1])
+    if block.ndim > 2:
+        raise ValueError(f"a subspace path takes one pulse, not a batch of shape {block.shape[:-2]}")
+    terms = np.empty((3, layout.dim, K), dtype=complex)
+    terms[0] = F0
+    terms[1] = apply_local(site, block, F0)
+    terms[2] = apply_local(site, block, terms[1])
     times = np.linspace(0.0, pulse.duration, samples)
     areas = cumulative_area(pulse.envelope, pulse.area, times / pulse.duration)
     coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
@@ -195,17 +206,32 @@ def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[floa
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
-    C = path.coefficients
-    # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j
-    PHP = path._overlaps(C, C, apply_local(site, block, path.terms))
+    C, T = path.coefficients, path.terms
+    # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j.  blocks[x, y] = T_x^dag H T_y,
+    # with H applied to as many terms at a time as fit in _CHUNK_BYTES (all three on small chains)
+    step = max(1, _CHUNK_BYTES // T[0].nbytes)
+    blocks = np.concatenate([inner(T[:, None], apply_local(site, block, T[y:y + step])[None])
+                             for y in range(0, 3, step)], axis=1)
+    PHP = path._overlaps(C, C, blocks)
     residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
     eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
     return residual, eps
 
 
 def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray:
-    """F^dag U F for the pulse's full-area propagator U, applied locally to the frame."""
-    return frame.conj().T @ run_schedule([pulse], frame, layout)
+    """F^dag U F for the pulse's full-area propagator U = 1 - i sin(a) H + (cos(a) - 1) H^2.
+
+    Takes one local application of the block, H F: F^dag H^2 F = (H F)^dag (H F)
+    for Hermitian H.  A batch of pulses gives a stack (..., K, K), so a grid
+    of areas costs one K x K product per area, not one dim x K propagation.
+    """
+    site, block = local_form(pulse, layout)
+    # (F, H F) from one application of the stacked local operators (1, H), and their four overlaps
+    FHF = apply_local(site, np.stack(np.broadcast_arrays(np.eye(block.shape[-1]), block)),
+                      np.asarray(frame, dtype=complex))
+    G = inner(FHF[:, None], FHF[None, :])
+    area = np.asarray(pulse.area, dtype=float)[..., None, None]
+    return G[0, 0] - 1j * np.sin(area) * G[0, 1] + (np.cos(area) - 1.0) * G[1, 1]
 
 
 def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cyclicity) -> np.ndarray:
@@ -252,8 +278,8 @@ def certify(
     With ``strict`` (default) a HolonomyError naming every violated
     condition is raised; otherwise the report carries the failure list.
     """
-    frame = computational_frame(pulse, layout)
-    path = trace_subspace(pulse, frame, samples, layout)
+    path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
+    frame = path.terms[0]  # the initial frame, not held twice
 
     pt_residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
     # eps is energy per unit envelope; integrating over accumulated area

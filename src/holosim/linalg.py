@@ -2,6 +2,10 @@
 
 Everything here works on plain numpy arrays: operators are square
 ``complex128`` matrices (row-major), states are 1-d ``complex128`` vectors.
+The matrix functions also take a stack (..., n, n) and work matrix by
+matrix; a single matrix is a stack with no leading axes and gives a float
+where a stack gives an array.  ``inner`` forms X^dag Y without a
+conjugated copy of X, for the Gram matrices of large column blocks.
 ``expm_hermitian`` is the general dense exponential, through a full
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
@@ -22,8 +26,9 @@ __all__ = [
     "DEFAULT_TOL",
     "hermiticity_defect",
     "unitarity_defect",
-    "is_hermitian",
-    "is_unitary",
+    "inner",
+    "dot",
+    "cross",
     "expm_hermitian",
     "polar_unitary",
     "gate_fidelity",
@@ -55,31 +60,69 @@ DEFAULT_TOL = Tolerances()
 
 def _as_square_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(float))):
+    if not np.isfinite(M.view(float)).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
-def hermiticity_defect(H) -> float:
-    """Frobenius norm of H - H^dagger."""
+def unstack(x):
+    """A numpy result with no leading axes as a Python scalar; a stack's results stay an array."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _adjoint(M):
+    return M.conj().swapaxes(-1, -2)
+
+
+def _frobenius(D):
+    """Frobenius norm of each complex matrix of a stack, from the real view of its entries."""
+    x = D.reshape(D.shape[:-2] + (-1,)).view(np.float64)
+    return unstack(np.sqrt(dot(x, x)))
+
+
+def hermiticity_defect(H):
+    """Frobenius norm of H - H^dagger (per matrix of a stack)."""
     H = np.asarray(H, dtype=complex)
-    return float(np.linalg.norm(H - H.conj().T))
+    return _frobenius(H - _adjoint(H))
 
 
-def unitarity_defect(U) -> float:
-    """Frobenius norm of U^dagger U - 1."""
+def unitarity_defect(U):
+    """Frobenius norm of U^dagger U - 1 (per matrix of a stack)."""
     U = np.asarray(U, dtype=complex)
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
+    return _frobenius(_adjoint(U) @ U - np.eye(U.shape[-1]))
 
 
-def is_hermitian(H, tol: float = DEFAULT_TOL.hermiticity) -> bool:
-    return hermiticity_defect(H) <= tol
+def dot(a, b) -> np.ndarray:
+    """a . b for (..., n) real vectors, each pair reduced by np.dot's kernel (so also np.linalg.norm's)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def is_unitary(U, tol: float = DEFAULT_TOL.unitarity) -> bool:
-    return unitarity_defect(U) <= tol
+def cross(a, b) -> np.ndarray:
+    """a x b for (..., 3) vectors: np.cross's products and differences, without its axis handling."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def _real_view(X) -> np.ndarray:
+    X = np.asarray(X, dtype=complex)
+    if X.shape[-1] > 1 and X.strides[-1] != X.itemsize:
+        X = np.ascontiguousarray(X)
+    return X.view(np.float64)
+
+
+def inner(X, Y) -> np.ndarray:
+    """X^dag Y, contracted over the second-to-last axis; leading axes broadcast.
+
+    Works on real views, so no conjugated copy of X is made.  With X = A + iB
+    and Y = C + iD, the real product of the views, read as complex pairs,
+    has rows A^T (C + iD) and B^T (C + iD) interleaved, and
+    X^dag Y = A^T (C + iD) - i B^T (C + iD).
+    """
+    V = (_real_view(X).swapaxes(-1, -2) @ _real_view(Y)).view(complex)
+    return V[..., 0::2, :] - 1j * V[..., 1::2, :]
 
 
 def expm_hermitian(H, t: float, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
@@ -89,55 +132,60 @@ def expm_hermitian(H, t: float, tol: float = DEFAULT_TOL.hermiticity) -> np.ndar
     reports the measured ||H - H^dag||).
     """
     H = _as_square_matrix(H, "H")
-    defect = hermiticity_defect(H)
+    defect = np.max(hermiticity_defect(H))
     if defect > tol:
         raise ValueError(
             f"expm_hermitian requires a Hermitian matrix: ||H - H^dag|| = {defect:.3e} > {tol:.1e}"
         )
     w, V = np.linalg.eigh(H)
     phases = np.exp(-1j * t * w)
-    return (V * phases) @ V.conj().T
+    return (V * phases[..., None, :]) @ _adjoint(V)
 
 
 def polar_unitary(M, min_singular: float = 1e-8) -> np.ndarray:
-    """Unitary factor W of the polar decomposition M = W P (P >= 0).
+    """Unitary factor W of the polar decomposition M = W P (P >= 0), per matrix of a stack.
 
-    M must be numerically full rank; otherwise the polar factor is not
-    well defined and a ValueError names the offending singular value.
+    Every matrix must be numerically full rank; otherwise the polar factor
+    is not well defined and a ValueError names the smallest singular value.
     """
     M = _as_square_matrix(M, "M")
     U, s, Vh = np.linalg.svd(M)
-    if s[-1] <= min_singular:
+    smallest = s[..., -1].min(initial=np.inf)
+    if smallest <= min_singular:
         raise ValueError(
-            f"polar_unitary: matrix is rank deficient, smallest singular value {s[-1]:.3e}"
+            f"polar_unitary: matrix is rank deficient, smallest singular value {smallest:.3e}"
         )
     return U @ Vh
 
 
 def gate_fidelity(U, V, unitary_tol: float = 1e-8) -> float:
-    """Phase-invariant gate fidelity |Tr(U^dag V)| / dim.
+    """Phase-invariant gate fidelity |Tr(U^dag V)| / dim, per matrix pair of two stacks.
 
-    Equals 1 exactly when U and V agree up to a global U(1) phase.  Both
-    inputs must be unitary (within ``unitary_tol``) and of equal dimension.
+    Equals 1 exactly when U and V agree up to a global U(1) phase.  Every
+    input must be unitary (within ``unitary_tol``) and of equal dimension;
+    the leading axes of U and V broadcast.
     """
     U = _as_square_matrix(U, "U")
     V = _as_square_matrix(V, "V")
-    if U.shape != V.shape:
+    if U.shape[-1] != V.shape[-1]:
         raise ValueError(f"dimension mismatch: {U.shape} vs {V.shape}")
     for name, M in (("U", U), ("V", V)):
-        defect = unitarity_defect(M)
+        defect = np.ravel(unitarity_defect(M)).max()
         if defect > unitary_tol:
             raise ValueError(
                 f"gate_fidelity: {name} is not unitary, ||U^dag U - 1|| = {defect:.3e}"
             )
-    dim = U.shape[0]
+    dim = U.shape[-1]
+    overlap = np.abs(np.trace(_adjoint(U) @ V, axis1=-2, axis2=-1)) / dim
     # the exact value lies in [0, 1]; roundoff can push marginally past 1
-    return float(min(max(abs(np.trace(U.conj().T @ V)) / dim, 0.0), 1.0))
+    return unstack(np.minimum(overlap, 1.0))
 
 
 # Peak RSS over the bytes of a request's largest array, measured on 64-bit
-# Linux with OpenBLAS: about 3x for extract-gate at N = 6, less above.
-_COPIES = 3
+# Linux with OpenBLAS: 2.2x for extract-gate at N = 6 (384 MiB for 173 MiB
+# of columns), 2.1x for simulate and 1.9x for a one-qubit certify at N = 7.
+# The budget takes 5/2, as an integer ratio so that an estimate of any size works.
+_COPIES = (5, 2)
 
 
 def _gib(nbytes: int) -> str:
@@ -147,7 +195,7 @@ def _gib(nbytes: int) -> str:
 
 def check_memory(what: str, nbytes: int) -> None:
     """Refuse, before allocating, a request whose arrays would not fit in physical memory."""
-    need = _COPIES * nbytes
+    need = nbytes * _COPIES[0] // _COPIES[1]
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(f"{what} needs about {_gib(need)}, "

@@ -11,6 +11,14 @@ Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
 (cos(a) - 1) H^2 exactly; propagation applies it to a state or to operator
 columns by reshape and contraction, and embeds it only for dense propagators.
 
+A pulse's angles and area may be arrays that broadcast together: the pulse
+is then a batch of pulses of one kind on one site.  ``local_form``,
+``local_expm``, ``apply_local`` and ``run_schedule`` carry the batch as
+leading axes of the blocks and of the columns (..., dim, K); a pulse with
+number fields is a batch with no leading axes and runs through the same
+code.  The dense builders (``block_hamiltonian``, ``propagate_exact``,
+``propagate_stepped``, ``schedule_propagator``) take single pulses.
+
 Schedules are plain sequences of pulses executed strictly one at a time;
 there is no way to express temporal overlap.
 """
@@ -24,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, embed, lambda_coupling, xy_coupling
+from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
 
 __all__ = [
     "ENVELOPES",
@@ -50,8 +58,13 @@ _GAUSS_HI = math.erf(0.5 / (_GAUSS_SIGMA * math.sqrt(2.0)))
 _erf = np.vectorize(math.erf, otypes=[float])  # element-wise; scipy is not a dependency
 
 
+def _finite(value) -> bool:
+    """Every element of a number or an array is finite."""
+    return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+
+
 def _check_pulse_fields(area, envelope, duration):
-    if not np.isfinite(area):
+    if not _finite(area):
         raise ValueError("pulse area must be finite")
     if envelope not in ENVELOPES:
         raise ValueError(f"unknown envelope {envelope!r}, expected one of {ENVELOPES}")
@@ -72,9 +85,19 @@ class OneQubitPulse:
     duration: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
+        if not (_finite(self.theta) and _finite(self.phi)):
             raise ValueError("theta and phi must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
+
+    def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        return layout.site_of_qubit(self.qubit), lambda_coupling(self.theta, self.phi)
+
+    def computational_frame(self, layout: ChainLayout) -> np.ndarray:
+        """The {|0>, |1>} pair of the driven qubit with every other site in |0> (K = 2)."""
+        site = layout.site_of_qubit(self.qubit)
+        frame = np.zeros((layout.dim, 2), dtype=complex)
+        frame[[0, 3 ** (layout.n_sites - site)], [0, 1]] = 1.0
+        return frame
 
 
 @dataclass(frozen=True)
@@ -89,9 +112,17 @@ class ThreeSitePulse:
     duration: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.vartheta):
+        if not _finite(self.vartheta):
             raise ValueError("vartheta must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
+
+    def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        return layout.sites_of_pair(self.pair)[0], xy_coupling(self.vartheta)
+
+    def computational_frame(self, layout: ChainLayout) -> np.ndarray:
+        """The full logical basis (K = 2^N): the direct sum of every computational block the pulse touches."""
+        layout.sites_of_pair(self.pair)  # validate index
+        return logical_frame(layout)
 
 
 Pulse = OneQubitPulse | ThreeSitePulse
@@ -142,22 +173,33 @@ def cumulative_area(envelope: str, area: float, s):
 
 
 def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local block Hamiltonian) of ``pulse``; every propagation path starts here."""
-    if isinstance(pulse, OneQubitPulse):
-        return layout.site_of_qubit(pulse.qubit), lambda_coupling(pulse.theta, pulse.phi)
-    if isinstance(pulse, ThreeSitePulse):
-        return layout.sites_of_pair(pulse.pair)[0], xy_coupling(pulse.vartheta)
-    raise TypeError(f"not a pulse: {pulse!r}")
+    """(first site, local block Hamiltonian) of ``pulse``; every propagation path starts here.
+
+    A batch of pulses gives a stack of blocks, shape (..., 3^k, 3^k).
+    """
+    if not isinstance(pulse, Pulse):
+        raise TypeError(f"not a pulse: {pulse!r}")
+    return pulse.local_form(layout)
 
 
-def local_expm(block: np.ndarray, block_sq: np.ndarray, area: float) -> np.ndarray:
-    """exp(-i area H) in closed form for a block with H^3 = H; ``block_sq`` is H @ H."""
-    return np.eye(len(block)) - 1j * np.sin(area) * block + (np.cos(area) - 1.0) * block_sq
+def local_expm(block: np.ndarray, block_sq: np.ndarray, area) -> np.ndarray:
+    """exp(-i area H) in closed form for a block with H^3 = H; ``block_sq`` is H @ H.
+
+    Stacks of blocks and arrays of areas broadcast against each other.
+    """
+    area = np.asarray(area, dtype=float)[..., None, None]
+    return np.eye(block.shape[-1]) - 1j * np.sin(area) * block + (np.cos(area) - 1.0) * block_sq
 
 
 def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Apply the local operator U on sites site, site+1, ... to a state or dim x K columns."""
-    return (U @ X.reshape(3 ** (site - 1), len(U), -1)).reshape(X.shape)
+    """Apply the local operator U on sites site, site+1, ... to a state or to columns (..., dim, K).
+
+    The leading axes of a stack U (..., d, d) and of the columns broadcast.
+    """
+    d = U.shape[-1]
+    Xr = X.reshape(X.shape[:-2] + (3 ** (site - 1), d, -1))
+    out = U[..., None, :, :] @ Xr
+    return out.reshape(out.shape[:-3] + X.shape[-2:])
 
 
 def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
@@ -202,12 +244,17 @@ def schedule_propagator(schedule, layout: ChainLayout) -> np.ndarray:
 
 
 def run_schedule(schedule, X, layout: ChainLayout) -> np.ndarray:
-    """Apply a schedule to a state or dim x K columns, one local pulse propagator at a time."""
+    """Apply a schedule to a state or to columns (..., dim, K), one local pulse propagator at a time.
+
+    A batch of pulses in the schedule and leading axes of the columns
+    broadcast; the result carries the broadcast leading axes, also for a state.
+    """
     X = np.asarray(X, dtype=complex)
-    if X.ndim not in (1, 2) or X.shape[0] != layout.dim:
+    if X.ndim == 0 or X.shape[0 if X.ndim == 1 else -2] != layout.dim:
         raise ValueError(
             f"state dimension {X.shape} does not match chain dimension ({layout.dim},)"
         )
+    columns = X[:, None] if X.ndim == 1 else X
     for pulse in schedule:
-        X = apply_local(*_pulse_propagator(pulse, layout), X)
-    return X
+        columns = apply_local(*_pulse_propagator(pulse, layout), columns)
+    return columns[..., 0] if X.ndim == 1 else columns

@@ -81,3 +81,38 @@ def wilson_product(frames):
 def subspace_energies(frames, H):
     """F_j^dag H F_j for every stored frame."""
     return np.array([F.conj().T @ H @ F for F in frames])
+
+
+def scan_entangling_witness(U):
+    """Best product input of a 4x4 unitary, one input at a time: the first strict maximum of the
+    output entropy over the 24 x 24 Bloch grid, then coordinate-wise ascent with a halving step.
+
+    Returns (angles, output entropy, smallest Schmidt coefficient) of the best input.
+    """
+    def evaluate(angles):
+        ta, pa, tb, pb = angles
+        qa = np.array([np.cos(0.5 * ta), np.exp(1j * pa) * np.sin(0.5 * ta)])
+        qb = np.array([np.cos(0.5 * tb), np.exp(1j * pb) * np.sin(0.5 * tb)])
+        out = U @ np.kron(qa, qb)
+        return svd_entropy(out), np.linalg.svd(out.reshape(2, 2), compute_uv=False)[-1]
+
+    points = [(t, p) for t in np.linspace(0.0, np.pi, 6) for p in np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)]
+    best = None
+    for a in points:
+        for b in points:
+            entropy, smallest = evaluate(a + b)
+            if best is None or entropy > best[1]:
+                best = (list(a + b), entropy, smallest)
+    step = 0.2
+    while step > 1e-7:
+        improved = False
+        for i in range(4):
+            for delta in (step, -step):
+                trial = best[0].copy()
+                trial[i] += delta
+                entropy, smallest = evaluate(trial)
+                if entropy > best[1]:
+                    best, improved = (trial, entropy, smallest), True
+        if not improved:
+            step *= 0.5
+    return tuple(best[0]), best[1], best[2]

@@ -61,6 +61,20 @@ class TestCompileRotation:
         with pytest.raises(ValueError, match="nonzero"):
             compile_rotation((0.0, 0.0, 0.0), 1.0)
 
+    def test_arrays_of_rotations_equal_single_splits(self):
+        rng = np.random.default_rng(31)
+        axes = rng.normal(size=(40, 3))
+        axes[:3] = [X_AXIS, Y_AXIS, (0.0, 0.0, -2.0)]  # basis axes pick the second basis direction
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, 40)
+        n, m = compile_rotation(axes, angles)
+        for k in range(40):
+            n1, m1 = compile_rotation(axes[k], angles[k])
+            assert np.array_equal(n[k], n1) and np.array_equal(m[k], m1)
+        with pytest.raises(ValueError, match="nonzero"):
+            compile_rotation([X_AXIS, (0.0, 0.0, 0.0)], [1.0, 2.0])
+        with pytest.raises(ValueError, match="angle must be finite"):
+            compile_rotation([X_AXIS, Y_AXIS], [1.0, np.nan])
+
 
 class TestCompileCircuit:
     def test_empty_circuit(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import (
@@ -21,7 +23,7 @@ from holosim.linalg import DEFAULT_TOL, expm_hermitian, polar_unitary, unitarity
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
                             run_schedule, schedule_propagator)
 
-from oracles import random_unit_vector, svd_entropy
+from oracles import random_unit_vector, scan_entangling_witness, svd_entropy
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -291,8 +293,26 @@ class TestEntanglingVerdict:
         with pytest.raises(ValueError, match="unitary"):
             entangling_verdict(np.diag([1.0, 1.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("name", ["swap", "cnot", "identity", "xy_half_pi", "xy_1.3", "xy_0"])
+    def test_batched_grid_matches_the_input_by_input_scan(self, name):
+        # grids with tied maxima: the search starts from the first one, as the scan does
+        U = {"swap": np.eye(4)[[0, 2, 1, 3]], "cnot": CNOT, "identity": np.eye(4),
+             "xy_half_pi": two_qubit_gate(np.pi / 2), "xy_1.3": two_qubit_gate(1.3),
+             "xy_0": two_qubit_gate(0.0)}[name]
+        _, witness = entangling_verdict(U)
+        angles, entropy, smallest = scan_entangling_witness(U)
+        assert witness.angles == angles
+        assert abs(witness.entropy - entropy) <= 1e-15 and abs(witness.min_schmidt - smallest) <= 1e-15
+
 
 class TestBlochAngles:
+    def test_near_poles_pin_phi_to_zero(self):
+        n = np.array([[1e-13, 1e-13, 1.0], [-1e-13, 2e-13, -1.0], [0.6, 0.0, 0.8]])
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        theta, phi = bloch_angles(n)
+        assert list(phi[:2]) == [0.0, 0.0] and phi[2] == 0.0
+        assert [bloch_angles(v)[1] for v in n[:2]] == [0.0, 0.0]
+
     def test_poles_pin_phi_to_zero(self):
         assert bloch_angles([0, 0, 1]) == (0.0, 0.0)
         theta, phi = bloch_angles([0, 0, -1])
@@ -306,3 +326,84 @@ class TestBlochAngles:
         theta, phi = bloch_angles(n)
         assert 0.0 <= theta <= np.pi and 0.0 <= phi < 2 * np.pi
         assert np.allclose(bloch_vector(theta, phi), n, atol=1e-12)
+
+
+class TestStackedExtraction:
+    """A stack of column blocks is extracted member by member, in one call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(), (1,), (5,)]), n_logical=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1), leaky=st.booleans())
+    def test_stack_equals_per_member_results(self, shape, n_logical, seed, leaky):
+        layout = ChainLayout(n_logical)
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(shape))
+        # with ``leaky`` the last member ends on a partial-area pulse, so it is not cyclic
+        schedules = [_random_schedule(layout, rng, cyclic=True) for _ in range(size)]
+        if leaky:
+            schedules[-1].append(OneQubitPulse(1, 0.4, 1.1, area=float(rng.uniform(0.5, 2.5))))
+        members = [run_schedule(sched, logical_frame(layout), layout) for sched in schedules]
+        columns = np.array(members).reshape(shape + members[0].shape)
+
+        stacked = extract_logical_gate(columns, layout)
+        if shape == ():
+            assert type(stacked.leakage) is float and type(stacked.cyclic) is bool
+        singles = [extract_logical_gate(m, layout) for m in members]
+        for point, single in zip(np.ndindex(shape), singles):
+            assert np.array_equal(stacked.logical_gate[point], single.logical_gate)
+            assert np.asarray(stacked.leakage)[point] == single.leakage
+            assert np.asarray(stacked.cyclic)[point] == single.cyclic
+        assert singles[-1].cyclic == (not leaky)
+
+        targets = np.array([s.logical_gate if s.cyclic else np.eye(layout.logical_dim) for s in singles])
+        targets = targets.reshape(shape + targets.shape[1:])
+        if leaky:
+            with pytest.raises(ValueError, match="non-cyclic"):
+                extract_logical_gate(columns, layout, target=targets)
+        else:
+            fidelity = extract_logical_gate(columns, layout, target=targets).fidelity_vs_target
+            for point, member, single in zip(np.ndindex(shape), members, singles):
+                want = extract_logical_gate(member, layout, target=single.logical_gate).fidelity_vs_target
+                assert np.asarray(fidelity)[point] == want
+
+    def test_diagnostics_take_one_propagator(self):
+        layout = ChainLayout(2)
+        columns = run_schedule([ThreeSitePulse(1, np.array([0.3, 1.2]))], logical_frame(layout), layout)
+        with pytest.raises(ValueError, match="single propagator"):
+            extract_logical_gate(columns, layout, diagnostics=True)
+        single = extract_logical_gate(columns[1], layout, diagnostics=True)
+        assert single.entangling and single.makhlin is not None
+
+
+class TestClosedFormsOnArrays:
+    """Array arguments give the stack of the single results, bit for bit."""
+
+    def test_one_qubit_forms(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(7, 3))
+        n, m = v / np.linalg.norm(v, axis=1, keepdims=True), np.roll(v, 1, axis=0)
+        m = m / np.linalg.norm(m, axis=1, keepdims=True)
+        theta, phi = bloch_angles(n)
+        assert np.array_equal(np.stack([theta, phi], axis=1), [bloch_angles(x) for x in n])
+        assert type(bloch_angles(n[0])[0]) is float
+        assert np.array_equal(bloch_vector(theta, phi), [bloch_vector(t, p) for t, p in zip(theta, phi)])
+        assert np.array_equal(one_qubit_gate(n), [one_qubit_gate(x) for x in n])
+        assert np.array_equal(compose_rule(n, m), [compose_rule(a, b) for a, b in zip(n, m)])
+
+    def test_two_qubit_forms(self):
+        vt = np.linspace(-3.0, 7.0, 9)
+        area = np.array([0.3, np.pi, -2.0])
+        assert np.array_equal(two_qubit_gate(vt), [two_qubit_gate(x) for x in vt])
+        A, c = projected_block_maps(vt[:, None], area)
+        for i, j in np.ndindex(A.shape[:2]):
+            A1, c1 = projected_block_maps(vt[i], area[j])
+            assert np.array_equal(A[i, j], A1) and c[i, j] == c1
+        assert type(c1) is complex
+
+    def test_non_unit_and_non_finite_members_are_named(self):
+        with pytest.raises(ValueError, match="norm 2"):
+            one_qubit_gate([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            compose_rule([[0.0, 0.0, 1.0]], [[np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            two_qubit_gate([0.0, np.inf])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holosim.chain import ChainLayout
+from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import bloch_vector, one_qubit_gate, two_qubit_gate
 from holosim.holonomy import (
     HolonomyError,
@@ -290,6 +290,42 @@ class TestAgainstDenseOracle:
                 assert np.max(np.abs(got - F0.conj().T @ U @ F0)) <= 1e-12
 
 
+class TestPulseClassForms:
+    @pytest.mark.parametrize("n_logical", [1, 2, 3])
+    def test_one_qubit_frame_is_two_logical_columns(self, n_logical):
+        layout = ChainLayout(n_logical)
+        full = logical_frame(layout)
+        for qubit in range(1, n_logical + 1):
+            frame = computational_frame(OneQubitPulse(qubit, 0.3, 0.1), layout)
+            assert np.array_equal(frame, full[:, [0, 2 ** (n_logical - qubit)]])
+        for pair in range(1, n_logical):
+            assert np.array_equal(computational_frame(ThreeSitePulse(pair, 0.3), layout), full)
+
+    def test_a_batch_of_pulses_is_not_certified(self):
+        with pytest.raises(ValueError, match=r"one pulse, not a batch of shape \(2,\)"):
+            certify(OneQubitPulse(1, np.array([0.1, 0.2]), 0.0), LAYOUT)
+
+    def test_out_of_range_and_non_pulses_are_rejected(self):
+        with pytest.raises(ValueError, match="qubit 3 out of range"):
+            computational_frame(OneQubitPulse(3, 0.3, 0.1), LAYOUT)
+        with pytest.raises(ValueError, match="pair 2 out of range"):
+            computational_frame(ThreeSitePulse(2, 0.3), LAYOUT)
+        with pytest.raises(TypeError, match="not a pulse"):
+            computational_frame(np.eye(3), LAYOUT)
+
+    def test_batched_projected_propagator_equals_single_pulses(self):
+        layout = ChainLayout(3)
+        frame = logical_frame(layout)
+        vt, area = np.array([[0.2], [1.7], [-4.0]]), np.array([0.5, np.pi, -2.2, 6.0])
+        stack = projected_propagator(ThreeSitePulse(2, vt, area=area), frame, layout)
+        assert stack.shape == (3, 4, 8, 8)
+        for i, j in np.ndindex(3, 4):
+            pulse = ThreeSitePulse(2, vt[i, 0], area=area[j])
+            dense = frame.conj().T @ expm_hermitian(block_hamiltonian(pulse, layout), area[j]) @ frame
+            assert np.max(np.abs(stack[i, j] - dense)) <= 1e-12
+            assert np.max(np.abs(stack[i, j] - projected_propagator(pulse, frame, layout))) <= 1e-15
+
+
 class TestCertifyAtFourQubits:
     """Dimension 3**7 = 2187: certify works on the local form, no dense operator."""
 
@@ -318,6 +354,18 @@ class TestCertifyReach:
         assert report.passed
         assert gate_fidelity(report.propagator_gate, gate) >= 1.0 - 1e-10
         assert gate_fidelity(report.wilson_gate, gate) >= 1.0 - 1e-10
+
+    def test_traced_peak_of_a_one_qubit_certify_at_six_qubits(self):
+        # the K = 2 frame is 5.4 MiB and the three terms 16.2 MiB; the whole
+        # dim x 2^N logical frame, sliced to two columns, would be 173 MiB
+        layout = ChainLayout(6)
+        tracemalloc.start()
+        try:
+            assert certify(OneQubitPulse(1, 1.2, 0.4), layout, samples=1024).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_traced_peak_of_a_three_site_certify_at_four_qubits(self):
         # 1024 sampled frames would be 547 MiB; the three terms are 1.6 MiB

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from holosim.linalg import (
+    cross,
+    dot,
     expm_hermitian,
     gate_fidelity,
     hermiticity_defect,
+    inner,
     polar_unitary,
     unitarity_defect,
 )
@@ -116,3 +119,49 @@ class TestGateFidelity:
         assert abs(f - gate_fidelity(V, U)) < 1e-12
         assert abs(f - gate_fidelity(np.exp(1j * alpha) * U, V)) < 1e-12
         assert 0.0 <= f <= 1.0
+
+
+class TestStacks:
+    """A stack (..., n, n) is handled matrix by matrix; a single matrix gives a float."""
+
+    def test_stacked_results_equal_single_results(self):
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        U = np.array([haar_unitary(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        V = haar_unitary(4, rng)
+        W = polar_unitary(M)
+        F = gate_fidelity(U, V)  # V broadcasts against the stack
+        H = random_hermitian(4, rng)
+        E = expm_hermitian(np.stack([H, 2.0 * H]), 0.7)
+        assert W.shape == M.shape and F.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(W[i, j], polar_unitary(M[i, j]))
+            assert abs(F[i, j] - gate_fidelity(U[i, j], V)) <= 1e-15
+            assert abs(unitarity_defect(U)[i, j] - unitarity_defect(U[i, j])) <= 1e-15
+            assert abs(hermiticity_defect(M)[i, j] - hermiticity_defect(M[i, j])) <= 1e-14
+        assert np.max(np.abs(E[1] - expm_hermitian(H, 1.4))) <= 1e-12
+        assert type(gate_fidelity(V, V)) is float and type(unitarity_defect(V)) is float
+
+    def test_any_bad_member_raises(self):
+        stack = np.array([np.eye(2), np.diag([1.0, 1e-12])])
+        with pytest.raises(ValueError, match="singular value 1.000e-12"):
+            polar_unitary(stack)
+        with pytest.raises(ValueError, match="not unitary"):
+            gate_fidelity(stack, np.eye(2))
+
+    def test_inner_matches_the_conjugated_product(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(3, 40, 5)) + 1j * rng.normal(size=(3, 40, 5))
+        Y = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        assert np.max(np.abs(inner(X, Y) - X.conj().swapaxes(-1, -2) @ Y)) <= 1e-13
+        # a row slice and a transposed (non-contiguous last axis) operand
+        assert np.max(np.abs(inner(X[1, 7:19], X[2, 7:19]) - X[1, 7:19].conj().T @ X[2, 7:19])) <= 1e-13
+        Z = np.ascontiguousarray(Y.T).T
+        assert np.max(np.abs(inner(Z, Z) - Y.conj().T @ Y)) <= 1e-13
+
+    def test_vector_helpers_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(500, 3)), rng.normal(size=(500, 3))
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+        assert np.array_equal(dot(a, b), [np.dot(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(np.sqrt(dot(a, a)), [np.linalg.norm(x) for x in a])

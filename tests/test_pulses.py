@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim.chain import ChainLayout, block_sz, embed, lambda_coupling, logical_encode, xy_coupling
+from holosim.chain import (ChainLayout, block_sz, embed, lambda_coupling, logical_encode, logical_frame,
+                           xy_coupling)
 from holosim.gates import bloch_vector, entanglement_entropy, one_qubit_gate
 from holosim.linalg import expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
@@ -12,7 +13,9 @@ from holosim.pulses import (
     ThreeSitePulse,
     block_hamiltonian,
     cumulative_area,
+    apply_local,
     local_expm,
+    local_form,
     propagate_exact,
     propagate_stepped,
     run_schedule,
@@ -284,3 +287,72 @@ class TestLocalBlockProperties:
         U = local_expm(xy, xy @ xy, area)
         assert np.max(np.abs(xy @ _BLOCK_SZ - _BLOCK_SZ @ xy)) <= 1e-14
         assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
+
+
+class TestBatchedPulses:
+    """Array angles and areas make a batch of pulses; each member equals its single pulse."""
+
+    def test_couplings_and_block_exponential_broadcast(self):
+        theta, phi = np.array([[0.3], [2.9]]), np.array([-1.0, 0.5, 4.0])
+        blocks = lambda_coupling(theta, phi)
+        assert blocks.shape == (2, 3, 3, 3)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(blocks[i, j], lambda_coupling(theta[i, 0], phi[j]))
+        vt = np.array([0.0, 1.1, -7.5])
+        xy = xy_coupling(vt)
+        assert np.array_equal(xy, [xy_coupling(v) for v in vt])
+        areas = np.array([0.4, np.pi, -3.0, 9.0])
+        U = local_expm(xy[:, None], (xy @ xy)[:, None], areas)
+        assert U.shape == (3, 4, 27, 27)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(U[i, j], local_expm(xy[i], xy[i] @ xy[i], areas[j]))
+        with pytest.raises(ValueError, match="finite"):
+            lambda_coupling(np.array([0.1, np.nan]), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            xy_coupling([0.0, np.inf])
+
+    def test_apply_local_broadcasts_blocks_against_columns(self):
+        layout = ChainLayout(2)
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(4, layout.dim, 3)) + 1j * rng.normal(size=(4, layout.dim, 3))
+        site, block = 3, lambda_coupling(rng.uniform(0, 3, (5, 1)), 0.7)  # (5, 1, 3, 3) against (4, dim, 3)
+        got = apply_local(site, block, X)
+        assert got.shape == (5, 4, layout.dim, 3)
+        for i, j in np.ndindex(5, 4):
+            assert np.max(np.abs(got[i, j] - embed(block[i, 0], site, layout) @ X[j])) <= 1e-13
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_batched_schedule_matches_single_pulses(self, envelope):
+        layout = ChainLayout(3)
+        rng = np.random.default_rng(22)
+        theta, phi = rng.uniform(-7, 7, 6), rng.uniform(-7, 7, 6)
+        vt, area = rng.uniform(-7, 7, (3, 1)), rng.uniform(-7, 7, 6)
+        schedule = [OneQubitPulse(2, theta, phi, envelope=envelope),
+                    ThreeSitePulse(2, vt, area=area, envelope=envelope),
+                    OneQubitPulse(3, 0.3, 1.0, area=area)]
+        frame, psi0 = logical_frame(layout), logical_encode([1, 0, 1], layout)
+        columns, states = run_schedule(schedule, frame, layout), run_schedule(schedule, psi0, layout)
+        assert columns.shape == (3, 6, layout.dim, 8) and states.shape == (3, 6, layout.dim)
+        for i, j in np.ndindex(3, 6):
+            single = [OneQubitPulse(2, theta[j], phi[j], envelope=envelope),
+                      ThreeSitePulse(2, vt[i, 0], area=area[j], envelope=envelope),
+                      OneQubitPulse(3, 0.3, 1.0, area=area[j])]
+            assert np.max(np.abs(columns[i, j] - run_schedule(single, frame, layout))) <= 1e-14
+            assert np.max(np.abs(states[i, j] - run_schedule(single, psi0, layout))) <= 1e-14
+        # leading axes of the columns broadcast against the pulse batch
+        stacked = run_schedule([OneQubitPulse(2, theta[:, None], phi[:, None])],
+                               np.stack([frame, 2.0 * frame]), layout)
+        assert stacked.shape == (6, 2, layout.dim, 8)
+        assert np.max(np.abs(stacked[:, 1] - 2.0 * stacked[:, 0])) <= 1e-14
+
+    def test_array_fields_are_checked(self):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            OneQubitPulse(1, np.array([0.1, np.nan]), 0.0)
+        with pytest.raises(ValueError, match="vartheta must be finite"):
+            ThreeSitePulse(1, np.array([np.inf]))
+        with pytest.raises(ValueError, match="area must be finite"):
+            ThreeSitePulse(1, 0.3, area=np.array([1.0, -np.inf]))
+
+    def test_local_form_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="not a pulse"):
+            local_form("one_qubit", ChainLayout(1))
