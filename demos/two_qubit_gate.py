@@ -54,12 +54,12 @@ for area in (np.pi / 2, np.pi, 2 * np.pi):
           f"singular values {np.round(sv, 6)}, scalar on |11> = {c.real:+.3f}")
 
 # --- entangling power ------------------------------------------------------
-print("\nentangling diagnostics:")
+print("\nentangling diagnostics (e_p = (2/9)(1 - |G1|), at most 2/9 = 0.222222):")
 for angle in (0.0, np.pi / 2, np.pi):
-    verdict, witness = entangling_verdict(two_qubit_gate(angle))
+    verdict, power = entangling_verdict(two_qubit_gate(angle))
     G1, G2 = makhlin_invariants(two_qubit_gate(angle))
     print(f"  vartheta = {angle/np.pi:.1f}*pi: entangling = {verdict}, "
-          f"best witness entropy = {witness.entropy:.6f}, G1 = {G1:.3f}, G2 = {G2:+.3f}")
+          f"entangling power e_p = {power:.6f}, G1 = {G1:.3f}, G2 = {G2:+.3f}")
 
 # --- a maximally entangled state from product input ------------------------
 # Hadamard pulses on both qubits, then the exchange pulse

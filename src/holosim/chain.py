@@ -12,8 +12,9 @@ Basis conventions (fixed once, everything downstream depends on them):
 
 The local blocks ``lambda_coupling`` and ``xy_coupling`` take arrays of
 angles and return stacks (..., 3^k, 3^k) with the angles' leading axes; a
-number is a batch with no leading axes and gives one block.  The full-chain
-builders (``embed``, ``h1``, ``h3``, ``block_sz``) take single operators.
+number is a batch with no leading axes and gives one block.  ``embed``
+takes a stack of operators too; ``h1``, ``h3`` and ``block_sz`` build
+single full-chain operators.
 """
 
 from __future__ import annotations
@@ -123,14 +124,17 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     """Tensor-embed ``op`` (acting on contiguous sites) into the full chain.
 
     ``op`` must act on m = log3(dim) consecutive sites beginning at
-    ``start_site`` (1-based); identities fill the remaining sites.
+    ``start_site`` (1-based); identities fill the remaining sites.  A stack
+    (..., 3^m, 3^m) gives the stack of embeddings (``np.kron`` broadcasts its
+    leading axes), bit for bit the per-member results.
     """
     op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+    if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator must be square, got shape {op.shape}")
-    m = round(np.log(op.shape[0]) / np.log(3))
-    if 3 ** m != op.shape[0]:
-        raise ValueError(f"operator dimension {op.shape[0]} is not a power of 3")
+    size = op.shape[-1]
+    m = round(np.log(size) / np.log(3))
+    if 3 ** m != size:
+        raise ValueError(f"operator dimension {size} is not a power of 3")
     if start_site < 1 or start_site + m - 1 > layout.n_sites:
         raise ValueError(
             f"sites {start_site}..{start_site + m - 1} out of range 1..{layout.n_sites}"

@@ -5,10 +5,13 @@ theory and returns one record per check with the measured value and its
 threshold.  Suites are deterministic: randomized checks use fixed seeds.
 
 Each sweep is one batched call: the 16x16 gate-law grid, the 1000
-composition pairs, the 32x16 block-map grid and the 32-angle XY sweep pass
-their angles and areas as arrays to one pulse (see ``pulses``) and extract
-the whole stack at once; the block maps come from ``projected_propagator``,
-whose three-term form needs no 27 x 27 propagator per grid point.
+composition pairs, the 32x16 block-map grid, the 32-angle XY sweep and the
+8x3 grid of dense XY propagators pass their angles and areas as arrays to
+one pulse (see ``pulses``); the block maps come from
+``projected_propagator``, whose three-term form needs no 27 x 27
+propagator per grid point.  The compiler suite runs each random circuit on
+its own and extracts all circuits of one chain size in one call.  The
+entangling checks read the exact verdict of ``gates.entangling_verdict``.
 """
 
 from __future__ import annotations
@@ -130,26 +133,22 @@ def suite_twoqubit(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckRes
     results.append(_check("pi-area XY gate: max auxiliary-site population",
                           _aux_population(columns, layout), 1e-12 * tol_scale))
 
+    # 8 vartheta x 3 areas in one dense propagation
+    U = propagate_exact(ThreeSitePulse(1, thetas[::4, None], area=np.array([0.37, np.pi, 5.1])), layout)
     sz = block_sz(1, layout)
-    worst_sz, worst_e = 0.0, 0.0
-    for vt in thetas[::4]:
-        for a in (0.37, np.pi, 5.1):
-            U = propagate_exact(ThreeSitePulse(1, vt, area=a), layout)
-            worst_sz = max(worst_sz, float(np.linalg.norm(U @ sz - sz @ U)))
-            worst_e = max(worst_e, _excited_fixity(U, layout))
     results.append(_check("XY propagator commutes with block S_z: max commutator norm",
-                          worst_sz, 1e-10 * tol_scale))
+                          np.max(np.linalg.norm(U @ sz - sz @ U, axis=(-2, -1))), 1e-10 * tol_scale))
     results.append(_check("XY propagator fixes every |e>-carrying basis state: max deviation",
-                          worst_e, 1e-12 * tol_scale))
+                          _excited_fixity(U, layout), 1e-12 * tol_scale))
 
     ent_pi2, _ = entangling_verdict(two_qubit_gate(np.pi / 2))
-    local_0, w0 = entangling_verdict(two_qubit_gate(0.0))
-    local_pi, wpi = entangling_verdict(two_qubit_gate(np.pi))
+    ent_0, power_0 = entangling_verdict(two_qubit_gate(0.0))
+    ent_pi, power_pi = entangling_verdict(two_qubit_gate(np.pi))
     results.append(_check("entangling verdict at vartheta=pi/2 (1=true)", float(ent_pi2), 1.0, ">="))
     results.append(_check("max product-state output entropy at vartheta=0",
-                          0.0 if not local_0 else w0.entropy, 1e-8 * tol_scale))
+                          0.0 if not ent_0 else power_0, 1e-8 * tol_scale))
     results.append(_check("max product-state output entropy at vartheta=pi",
-                          0.0 if not local_pi else wpi.entropy, 1e-8 * tol_scale))
+                          0.0 if not ent_pi else power_pi, 1e-8 * tol_scale))
     return results
 
 
@@ -160,9 +159,9 @@ def _aux_population(columns, layout: ChainLayout) -> float:
 
 
 def _excited_fixity(U, layout: ChainLayout) -> float:
-    """Largest ||U e_j - e_j|| over the basis states e_j carrying |e> on some site."""
+    """Largest ||U e_j - e_j|| over the basis states e_j carrying |e> on some site (over a stack too)."""
     excited = [j for j in range(layout.dim) if "2" in np.base_repr(j, base=3)]
-    return float(np.max(np.linalg.norm(U[:, excited] - np.eye(layout.dim)[:, excited], axis=0)))
+    return float(np.max(np.linalg.norm(U[..., excited] - np.eye(layout.dim)[:, excited], axis=-2)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +229,18 @@ def suite_compiler(samples: int = 1024, tol_scale: float = 1.0, circuits: int = 
     results = []
     rng = np.random.default_rng(77)
 
-    worst = 1.0
+    # each circuit is drawn, compiled and run on its own; extraction is one call per chain size
+    columns, targets = {}, {}
     for _ in range(circuits):
         n_logical = int(rng.integers(1, 4))
         layout = ChainLayout(n_logical)
         circuit = _random_circuit(rng, n_logical, int(rng.integers(1, 7)))
-        columns = run_schedule(compile_circuit(circuit, layout), logical_frame(layout), layout)
-        report = extract_logical_gate(columns, layout, target=circuit_unitary(circuit, layout))
-        worst = min(worst, report.fidelity_vs_target)
+        schedule = compile_circuit(circuit, layout)
+        columns.setdefault(n_logical, []).append(run_schedule(schedule, logical_frame(layout), layout))
+        targets.setdefault(n_logical, []).append(circuit_unitary(circuit, layout))
+    worst = min(1.0, *(np.min(extract_logical_gate(np.array(columns[n]), ChainLayout(n),
+                                                   target=np.array(targets[n])).fidelity_vs_target)
+                       for n in columns))
     results.append(_check(f"compiled-schedule round trip, {circuits} random circuits: min fidelity",
                           worst, 1.0 - 1e-8 * tol_scale, ">="))
 

@@ -189,7 +189,7 @@ def cmd_extract_gate(args) -> int:
         doc["makhlin_g2"] = report.makhlin[1]
     if report.entangling is not None:
         doc["entangling"] = report.entangling
-        doc["witness_entropy"] = report.witness.entropy
+        doc["entangling_power"] = report.entangling_power
     _write_report(dumps(doc), args.out)
     return 0
 

@@ -3,7 +3,9 @@
 The closed forms implemented here are the targets the simulator is checked
 against: the one-qubit reflection n.sigma produced by a pi-area drive, its
 two-pulse composition rule, and the three-site XY gate together with its
-partial-area block maps.
+partial-area block maps.  Whether a two-qubit gate entangles is decided
+exactly, from its Makhlin invariants: ``entangling_verdict`` returns the
+entangling power, with no search over product inputs.
 
 The closed forms, ``extract_logical_gate`` and the Schmidt and entropy
 diagnostics take a leading batch axis (or several): arrays of angles,
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "schmidt_coefficients",
     "entanglement_entropy",
     "makhlin_invariants",
-    "EntanglingWitness",
     "entangling_verdict",
 ]
 
@@ -154,7 +154,7 @@ class GateReport:
     cyclic: bool | np.ndarray
     fidelity_vs_target: float | np.ndarray | None = None
     entangling: bool | None = None
-    witness: "EntanglingWitness | None" = None
+    entangling_power: float | None = None
     makhlin: tuple[complex, float] | None = None
 
 
@@ -188,8 +188,8 @@ def extract_logical_gate(
     report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
     member cyclic.
 
-    With ``diagnostics`` and a two-qubit layout, the entangling verdict and
-    Makhlin invariants of a single cyclic gate are attached.
+    With ``diagnostics`` and a two-qubit layout, the entangling verdict, the
+    entangling power and the Makhlin invariants of a single cyclic gate are attached.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.shape[-2:] != (layout.dim, layout.logical_dim):
@@ -218,7 +218,7 @@ def extract_logical_gate(
     report = GateReport(logical_gate=gate, leakage=unstack(leakage), cyclic=unstack(cyclic),
                         fidelity_vs_target=fidelity)
     if diagnostics and report.cyclic and layout.n_logical == 2:
-        report.entangling, report.witness = entangling_verdict(gate)
+        report.entangling, report.entangling_power = entangling_verdict(gate)
         report.makhlin = makhlin_invariants(gate)
     return report
 
@@ -231,15 +231,11 @@ def schmidt_coefficients(state4) -> np.ndarray:
     return np.linalg.svd(state4.reshape(state4.shape[:-1] + (2, 2)), compute_uv=False)
 
 
-def _entropy(schmidt: np.ndarray) -> np.ndarray:
-    probs = schmidt**2
-    kept = probs > 1e-300
-    return -np.sum(np.where(kept, probs * np.log(np.where(kept, probs, 1.0)), 0.0), axis=-1)
-
-
 def entanglement_entropy(state4):
     """Von Neumann entropy (nats) of either reduced qubit of a pure state (per state of a stack)."""
-    return unstack(_entropy(schmidt_coefficients(state4)))
+    probs = schmidt_coefficients(state4) ** 2
+    kept = probs > 1e-300
+    return unstack(-np.sum(np.where(kept, probs * np.log(np.where(kept, probs, 1.0)), 0.0), axis=-1))
 
 
 # Bell ("magic") basis in which local unitaries become real orthogonal.
@@ -268,49 +264,16 @@ def makhlin_invariants(U) -> tuple[complex, float]:
     return complex(G1), float(G2.real)
 
 
-@dataclass
-class EntanglingWitness:
-    """Best product input found for a two-qubit gate and what it produces."""
+def entangling_verdict(U, tol: float = 1e-8) -> tuple[bool, float]:
+    """Exact entangling test of a two-qubit unitary from its Makhlin invariant G1.
 
-    angles: tuple[float, float, float, float]  # (theta_a, phi_a, theta_b, phi_b)
-    input_state: np.ndarray
-    output_state: np.ndarray
-    entropy: float
-    min_schmidt: float
-
-
-def _qubit_states(theta, phi) -> np.ndarray:
-    out = np.empty(theta.shape + (2,), dtype=complex)
-    out[..., 0] = np.cos(0.5 * theta)
-    out[..., 1] = np.exp(1j * phi) * np.sin(0.5 * theta)
-    return out
-
-
-def _product_outputs(U, angles):
-    """Product inputs at (..., 4) angles (theta_a, phi_a, theta_b, phi_b), their images,
-    output entropies and smallest Schmidt coefficients."""
-    angles = np.asarray(angles, dtype=float)
-    ta, pa, tb, pb = (angles[..., k] for k in range(4))
-    psi_in = _qubit_states(ta, pa)[..., :, None] * _qubit_states(tb, pb)[..., None, :]
-    psi_in = psi_in.reshape(ta.shape + (4,))
-    psi_out = (U @ psi_in[..., None])[..., 0]
-    s = schmidt_coefficients(psi_out)
-    return psi_in, psi_out, _entropy(s), s[..., -1]
-
-
-def _witness_at(U, angles) -> EntanglingWitness:
-    psi_in, psi_out, entropy, min_schmidt = _product_outputs(U, angles)
-    return EntanglingWitness(angles=tuple(angles), input_state=psi_in, output_state=psi_out,
-                             entropy=float(entropy), min_schmidt=float(min_schmidt))
-
-
-def entangling_verdict(U, schmidt_floor: float = 1e-4):
-    """Operational entangling test: does any product input leave entangled?
-
-    Sweeps a deterministic 24x24 grid of Bloch product states, refines the
-    best candidate by coordinate-wise hill climbing on the output entropy,
-    and declares the gate entangling iff the refined output has both Schmidt
-    coefficients >= ``schmidt_floor``.  Returns (verdict, witness).
+    A gate leaves some product input entangled iff it is not locally
+    equivalent to the identity or to SWAP, i.e. iff |G1| < 1.  Returns
+    (entangling, power): the entangling power e_p = (2/9)(1 - |G1|), clamped
+    at 0, is the mean linear entropy 1 - Tr rho_A^2 of the outputs over
+    Haar-random product inputs (Zanardi, Zalka & Faoro, PRA 62, 030301
+    (2000); Balakrishnan & Sankaranarayanan, PRA 82, 034301 (2010)), and the
+    gate is entangling iff e_p > ``tol``.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
@@ -318,31 +281,5 @@ def entangling_verdict(U, schmidt_floor: float = 1e-4):
     defect = unitarity_defect(U)
     if defect > 1e-8:
         raise ValueError(f"entangling_verdict: input not unitary, defect {defect:.3e}")
-
-    # 24 points per sphere: 6 polar x 4 azimuthal values, all 576 pairs in one batch
-    thetas = np.linspace(0.0, np.pi, 6)
-    phis = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
-    points = list(product(thetas, phis))
-    grid = np.array([a + b for a, b in product(points, points)])
-    psi_in, psi_out, entropy, min_schmidt = _product_outputs(U, grid)
-    first = int(np.argmax(entropy))  # the first maximum, as a scan keeping strict improvements
-    best = EntanglingWitness(angles=tuple(grid[first]), input_state=psi_in[first],
-                             output_state=psi_out[first], entropy=float(entropy[first]),
-                             min_schmidt=float(min_schmidt[first]))
-
-    # Local ascent: cycle through the four angles with a shrinking step.
-    step = 0.2
-    angles = list(best.angles)
-    while step > 1e-7:
-        improved = False
-        for i in range(4):
-            for delta in (step, -step):
-                trial = angles.copy()
-                trial[i] += delta
-                cand = _witness_at(U, trial)
-                if cand.entropy > best.entropy:
-                    best, angles, improved = cand, trial, True
-        if not improved:
-            step *= 0.5
-
-    return best.min_schmidt >= schmidt_floor, best
+    power = max(0.0, 2.0 / 9.0 * (1.0 - abs(makhlin_invariants(U)[0])))
+    return power > tol, power

@@ -16,8 +16,9 @@ is then a batch of pulses of one kind on one site.  ``local_form``,
 ``local_expm``, ``apply_local`` and ``run_schedule`` carry the batch as
 leading axes of the blocks and of the columns (..., dim, K); a pulse with
 number fields is a batch with no leading axes and runs through the same
-code.  The dense builders (``block_hamiltonian``, ``propagate_exact``,
-``propagate_stepped``, ``schedule_propagator``) take single pulses.
+code.  The dense builders ``block_hamiltonian``, ``propagate_exact`` and
+``schedule_propagator`` give stacks (..., dim, dim) for a batch;
+``propagate_stepped`` takes a single pulse.
 
 Schedules are plain sequences of pulses executed strictly one at a time;
 there is no way to express temporal overlap.
@@ -208,13 +209,13 @@ def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarra
 
 
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
-    """The time-independent full-chain Hamiltonian switched on by ``pulse``."""
+    """The time-independent full-chain Hamiltonian switched on by ``pulse`` (a stack for a batch)."""
     site, block = local_form(pulse, layout)
     return embed(block, site, layout)
 
 
 def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
-    """Full-chain propagator exp(-i * area * H_block).
+    """Full-chain propagator exp(-i * area * H_block), a stack (..., dim, dim) for a batch.
 
     The envelope shape is irrelevant here by construction: the block
     Hamiltonian is constant during the pulse, so only the area enters.
@@ -231,6 +232,8 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     midpoint sampling of the envelope (latest slice leftmost).
     """
     site, block = local_form(pulse, layout)
+    if block.ndim > 2 or np.ndim(pulse.area) > 0:
+        raise ValueError("stepped propagation takes one pulse, not a batch")
     block_sq = block @ block
     U = np.eye(len(block), dtype=complex)
     for da in slice_areas(pulse.envelope, pulse.area, steps):

@@ -231,15 +231,15 @@ def test_criterion_8_entangling_universality_witness():
 
     worst_local = 0.0
     for vt in (0.0, np.pi):
-        verdict, witness = entangling_verdict(two_qubit_gate(vt))
-        worst_local = max(worst_local, witness.entropy)
+        verdict, power = entangling_verdict(two_qubit_gate(vt))
+        worst_local = max(worst_local, power)
         assert not verdict
     report(
         8,
         "entangling witness at vartheta=pi/2, none at 0 and pi",
         entropy_dev < 1e-9 and worst_local < 1e-8,
         f"|entropy - ln 2| {entropy_dev:.3e} (< 1e-9), "
-        f"max local-gate entropy {worst_local:.3e} (< 1e-8)",
+        f"max local-gate entangling power {worst_local:.3e} (< 1e-8)",
     )
 
 

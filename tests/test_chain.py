@@ -134,6 +134,27 @@ class TestEmbed:
         want = kron_chain([op.reshape(9, 9), np.eye(3)])
         assert np.array_equal(embed(op, 1, layout), want)
 
+    @pytest.mark.parametrize("n_logical", [2, 3])
+    @pytest.mark.parametrize("size", [3, 27])
+    def test_stack_equals_per_member_embeddings(self, n_logical, size):
+        layout = ChainLayout(n_logical)
+        rng = np.random.default_rng(10 * n_logical + size)
+        ops = rng.normal(size=(2, 3, size, size)) + 1j * rng.normal(size=(2, 3, size, size))
+        last = layout.n_sites - (1 if size == 3 else 3) + 1
+        for site in range(1, last + 1):
+            stacked = embed(ops, site, layout)
+            assert stacked.shape == (2, 3, layout.dim, layout.dim)
+            for point in np.ndindex(2, 3):
+                assert np.array_equal(stacked[point], embed(ops[point], site, layout))
+
+    def test_non_square_and_non_matrix_rejected(self):
+        layout = ChainLayout(2)
+        for op in (np.zeros(3), np.zeros((2, 3, 9)), np.zeros((3, 9))):
+            with pytest.raises(ValueError, match="must be square"):
+                embed(op, 1, layout)
+        with pytest.raises(ValueError, match="power of 3"):
+            embed(np.zeros((2, 4, 4)), 1, layout)
+
     def test_out_of_range(self):
         layout = ChainLayout(2)
         with pytest.raises(ValueError, match="out of range"):

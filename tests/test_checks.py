@@ -7,20 +7,19 @@ full-chain Hamiltonian (``h1``/``h3``) or ``oracles.taylor_expm``, then an
 ``np.ix_`` extraction of the logical rows and columns.
 """
 
-from itertools import product
-
 import numpy as np
 import pytest
 
-from holosim.chain import ChainLayout, h1, h3, logical_frame
-from holosim.checks import _phase_free_distance, run_suite
-from holosim.gates import (_product_outputs, bloch_angles, bloch_vector, compose_rule, extract_logical_gate,
-                           one_qubit_gate, projected_block_maps, two_qubit_gate)
+from holosim.chain import ChainLayout, block_sz, h1, h3, logical_frame
+from holosim import checks
+from holosim.checks import _excited_fixity, _phase_free_distance, run_suite
+from holosim.gates import (bloch_angles, bloch_vector, compose_rule, extract_logical_gate, one_qubit_gate,
+                           projected_block_maps, two_qubit_gate)
 from holosim.holonomy import projected_propagator
 from holosim.linalg import expm_hermitian, polar_unitary
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
+from holosim.pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
 
-from oracles import svd_entropy, taylor_expm
+from oracles import taylor_expm
 
 TOL = 1e-12
 
@@ -80,6 +79,40 @@ def test_phase_free_distance_ignores_a_global_phase_per_pair():
     for k, d in enumerate(_phase_free_distance(A, B)):
         overlap = np.trace(B[k].conj().T @ A[k])
         assert abs(d - np.linalg.norm(A[k] - overlap / abs(overlap) * B[k])) <= 1e-14
+
+
+def test_compiler_suite_extracts_every_circuit_in_one_call_per_chain_size(monkeypatch):
+    calls = []
+
+    def recording(columns, layout, **kwargs):
+        calls.append((layout.n_logical, np.shape(columns)[:-2]))
+        return extract_logical_gate(columns, layout, **kwargs)
+
+    monkeypatch.setattr(checks, "extract_logical_gate", recording)
+    checks.suite_compiler()
+    assert sorted(n for n, _ in calls) == [1, 2, 3]
+    assert sum(shape[0] for _, shape in calls) == 30
+
+
+def test_twoqubit_suite_makes_one_dense_call_over_its_grid(monkeypatch):
+    shapes = []
+
+    def recording(pulse, layout):
+        U = propagate_exact(pulse, layout)
+        shapes.append(U.shape)
+        return U
+
+    monkeypatch.setattr(checks, "propagate_exact", recording)
+    checks.suite_twoqubit()
+    assert shapes == [(8, 3, 27, 27)]
+
+
+def test_excited_fixity_takes_the_worst_column_over_a_stack():
+    layout = ChainLayout(2)
+    moved = np.eye(layout.dim, dtype=complex)
+    moved[:, [0, 2]] = moved[:, [2, 0]]  # |002> -> |000>: one |e>-carrying column moves by sqrt 2
+    assert _excited_fixity(np.eye(layout.dim), layout) == 0.0
+    assert _excited_fixity(np.stack([np.eye(layout.dim), moved]), layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def _subsample(shape, count, seed):
@@ -166,20 +199,15 @@ class TestSweepsAgainstDense:
             assert np.max(np.abs(gate - two_qubit_gate(thetas[k]))) <= TOL
             assert report.fidelity_vs_target[k] >= 1.0 - TOL
 
-    @pytest.mark.parametrize("vartheta", [0.0, np.pi / 2, 1.3, np.pi])
-    def test_product_state_grid(self, vartheta):
-        U = two_qubit_gate(vartheta)
-        thetas = np.linspace(0.0, np.pi, 6)
-        phis = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
-        points = list(product(thetas, phis))
-        grid = np.array([a + b for a, b in product(points, points)])
-        psi_in, psi_out, entropy, min_schmidt = _product_outputs(U, grid)
-        assert entropy.shape == (576,)
-        for (k,) in _subsample((576,), 48, seed=5):
-            ta, pa, tb, pb = grid[k]
-            qa = np.array([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)])
-            qb = np.array([np.cos(tb / 2), np.exp(1j * pb) * np.sin(tb / 2)])
-            out = U @ np.kron(qa, qb)
-            assert np.max(np.abs(psi_out[k] - out)) <= TOL
-            assert abs(entropy[k] - svd_entropy(out)) <= TOL
-            assert abs(min_schmidt[k] - np.linalg.svd(out.reshape(2, 2), compute_uv=False)[-1]) <= TOL
+    def test_dense_xy_grid(self):
+        layout = ChainLayout(2)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)[::4]
+        areas = np.array([0.37, np.pi, 5.1])
+        U = propagate_exact(ThreeSitePulse(1, thetas[:, None], area=areas), layout)
+        assert U.shape == (8, 3, layout.dim, layout.dim)
+        sz = block_sz(1, layout)
+        for i, j in np.ndindex(8, 3):
+            dense = taylor_expm(h3(1, thetas[i], layout), areas[j])
+            assert np.max(np.abs(U[i, j] - dense)) <= TOL
+            assert np.linalg.norm(dense @ sz - sz @ dense) <= TOL
+            assert _excited_fixity(U[i, j], layout) <= _excited_fixity(U, layout) <= TOL

@@ -292,7 +292,7 @@ class TestExtractGate:
         extracted = unpack_matrix(doc["logical_gate"])
         assert gate_fidelity(extracted, two_qubit_gate(np.pi / 2)) >= 1.0 - 1e-10
         assert doc["entangling"] is True
-        assert doc["witness_entropy"] == pytest.approx(np.log(2), abs=1e-6)
+        assert doc["entangling_power"] == pytest.approx(2.0 / 9.0, abs=1e-12)
         assert doc["makhlin_g1"] == pytest.approx([0.0, 0.0], abs=1e-10)
         assert doc["makhlin_g2"] == pytest.approx(-1.0, abs=1e-10)
 

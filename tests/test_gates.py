@@ -23,9 +23,10 @@ from holosim.linalg import DEFAULT_TOL, expm_hermitian, polar_unitary, unitarity
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
                             run_schedule, schedule_propagator)
 
-from oracles import random_unit_vector, scan_entangling_witness, svd_entropy
+from oracles import haar_unitary, random_unit_vector, scan_entangling_witness, svd_entropy
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 class TestOneQubitGate:
@@ -268,23 +269,23 @@ class TestMakhlinInvariants:
 class TestEntanglingVerdict:
     def test_local_gates_are_not_entangling(self):
         for vt in (0.0, np.pi):
-            verdict, witness = entangling_verdict(two_qubit_gate(vt))
+            verdict, power = entangling_verdict(two_qubit_gate(vt))
             assert not verdict
-            assert witness.entropy < 1e-8
+            assert power < 1e-8
 
     def test_exchange_gate_is_entangling(self):
-        verdict, witness = entangling_verdict(two_qubit_gate(np.pi / 2))
+        verdict, power = entangling_verdict(two_qubit_gate(np.pi / 2))
         assert verdict
-        assert witness.entropy > 0.5
+        assert power == pytest.approx(2.0 / 9.0, abs=1e-12)
         # the plus-plus input is a maximal witness
         plus = np.array([1, 1]) / np.sqrt(2)
         out = two_qubit_gate(np.pi / 2) @ np.kron(plus, plus)
         assert entanglement_entropy(out) == pytest.approx(np.log(2), abs=1e-9)
 
     def test_cnot_is_entangling(self):
-        verdict, witness = entangling_verdict(CNOT)
+        verdict, power = entangling_verdict(CNOT)
         assert verdict
-        assert witness.entropy == pytest.approx(np.log(2), abs=1e-6)
+        assert power == pytest.approx(2.0 / 9.0, abs=1e-12)
         # oracle: |+>|0> maps to a Bell state
         plus0 = np.kron([1, 1], [np.sqrt(2), 0]) / 2.0
         assert svd_entropy(CNOT @ plus0) == pytest.approx(np.log(2), abs=1e-12)
@@ -292,17 +293,64 @@ class TestEntanglingVerdict:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             entangling_verdict(np.diag([1.0, 1.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match="4x4"):
+            entangling_verdict(np.eye(2))
 
-    @pytest.mark.parametrize("name", ["swap", "cnot", "identity", "xy_half_pi", "xy_1.3", "xy_0"])
-    def test_batched_grid_matches_the_input_by_input_scan(self, name):
-        # grids with tied maxima: the search starts from the first one, as the scan does
-        U = {"swap": np.eye(4)[[0, 2, 1, 3]], "cnot": CNOT, "identity": np.eye(4),
-             "xy_half_pi": two_qubit_gate(np.pi / 2), "xy_1.3": two_qubit_gate(1.3),
-             "xy_0": two_qubit_gate(0.0)}[name]
-        _, witness = entangling_verdict(U)
-        angles, entropy, smallest = scan_entangling_witness(U)
-        assert witness.angles == angles
-        assert abs(witness.entropy - entropy) <= 1e-15 and abs(witness.min_schmidt - smallest) <= 1e-15
+    def test_xy_family_power_is_closed_form(self):
+        # G1 = cos^4 vartheta for the XY family
+        for vt in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
+            _, power = entangling_verdict(two_qubit_gate(vt))
+            assert abs(power - 2.0 / 9.0 * (1.0 - np.cos(vt) ** 4)) <= 1e-15
+
+    def test_tol_is_the_power_floor(self):
+        U = two_qubit_gate(0.01)  # e_p ~ 4.4e-5
+        assert entangling_verdict(U)[0]
+        assert not entangling_verdict(U, tol=1e-4)[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_local_and_local_times_swap_gates(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        for U in (local, local @ SWAP):
+            verdict, power = entangling_verdict(U)
+            assert not verdict and 0.0 <= power <= 1e-14
+
+    @pytest.mark.parametrize("name", ["xy_half_pi", "xy_0.7", "cnot", "swap", *(f"haar_{k}" for k in range(5))])
+    def test_power_is_the_mean_linear_entropy_over_product_inputs(self, name):
+        U = _named_gate(name)
+        rng = np.random.default_rng(700)
+        count = 200_000
+        qa, qb = (_haar_qubits(count, rng) for _ in range(2))
+        out = np.einsum("ij,nj->ni", U, (qa[:, :, None] * qb[:, None, :]).reshape(count, 4)).reshape(count, 2, 2)
+        # 1 - Tr rho_A^2 = 2 |det M| ^ 2 for the 2x2 amplitude matrix M of a pure state
+        linear = 2.0 * np.abs(out[:, 0, 0] * out[:, 1, 1] - out[:, 0, 1] * out[:, 1, 0]) ** 2
+        standard_error = np.std(linear) / np.sqrt(count)
+        _, power = entangling_verdict(U)
+        # SWAP leaves every product input a product state (zero variance): 1e-15 covers the roundoff of e_p
+        assert abs(np.mean(linear) - power) <= 5.0 * standard_error + 1e-15
+
+    @pytest.mark.parametrize("name", ["swap", "cnot", "identity", "xy_0", "xy_1.3", "xy_half_pi",
+                                      *(f"xy_grid_{k}" for k in range(32)), *(f"haar_{k}" for k in range(10))])
+    def test_verdict_equals_the_product_input_scan(self, name):
+        U = _named_gate(name)
+        _, _, smallest = scan_entangling_witness(U)
+        assert entangling_verdict(U)[0] == (smallest >= 1e-4)
+
+
+def _named_gate(name):
+    if name.startswith("haar_"):
+        return haar_unitary(4, np.random.default_rng(800 + int(name[5:])))
+    if name.startswith("xy_grid_"):
+        return two_qubit_gate(int(name[8:]) * 2.0 * np.pi / 32)
+    return {"swap": SWAP, "cnot": CNOT, "identity": np.eye(4), "xy_0": two_qubit_gate(0.0),
+            "xy_1.3": two_qubit_gate(1.3), "xy_0.7": two_qubit_gate(0.7),
+            "xy_half_pi": two_qubit_gate(np.pi / 2)}[name]
+
+
+def _haar_qubits(count, rng):
+    """Haar-random qubit states: normalized complex Gaussian vectors, shape (count, 2)."""
+    z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 class TestBlochAngles:
@@ -332,7 +380,7 @@ class TestStackedExtraction:
     """A stack of column blocks is extracted member by member, in one call."""
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=st.sampled_from([(), (1,), (5,)]), n_logical=st.sampled_from([1, 2]),
+    @given(shape=st.sampled_from([(), (1,), (5,)]), n_logical=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2**32 - 1), leaky=st.booleans())
     def test_stack_equals_per_member_results(self, shape, n_logical, seed, leaky):
         layout = ChainLayout(n_logical)

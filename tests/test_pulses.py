@@ -345,6 +345,34 @@ class TestBatchedPulses:
         assert stacked.shape == (6, 2, layout.dim, 8)
         assert np.max(np.abs(stacked[:, 1] - 2.0 * stacked[:, 0])) <= 1e-14
 
+    @pytest.mark.parametrize("n_logical", [2, 3])
+    def test_dense_builders_match_single_pulses(self, n_logical):
+        layout = ChainLayout(n_logical)
+        rng = np.random.default_rng(23 + n_logical)
+        theta, phi = rng.uniform(-7, 7, (2, 1)), rng.uniform(-7, 7, 3)
+        vt, area = rng.uniform(-7, 7, (2, 1)), rng.uniform(-7, 7, 3)
+        batches = [OneQubitPulse(q, theta, phi, area=area) for q in range(1, n_logical + 1)]
+        batches += [ThreeSitePulse(p, vt, area=area) for p in range(1, n_logical)]
+        for batch in batches:
+            U = propagate_exact(batch, layout)
+            assert U.shape == (2, 3, layout.dim, layout.dim)
+            H = np.broadcast_to(block_hamiltonian(batch, layout), U.shape)  # the area is not an axis of H
+            for i, j in np.ndindex(2, 3):
+                if isinstance(batch, OneQubitPulse):
+                    single = OneQubitPulse(batch.qubit, theta[i, 0], phi[j], area=area[j])
+                else:
+                    single = ThreeSitePulse(batch.pair, vt[i, 0], area=area[j])
+                assert np.array_equal(H[i, j], block_hamiltonian(single, layout))
+                assert np.array_equal(U[i, j], propagate_exact(single, layout))
+
+    def test_stepped_propagation_rejects_a_batch(self):
+        layout = ChainLayout(2)
+        # four areas and four slices broadcast together, so an unchecked batch gives one wrong propagator
+        for batch in (OneQubitPulse(1, 0.3, 0.2, area=np.array([0.5, 1.0, 2.0, 3.0])),
+                      ThreeSitePulse(1, np.array([0.1, 0.2]))):
+            with pytest.raises(ValueError, match="one pulse, not a batch"):
+                propagate_stepped(batch, 4, layout)
+
     def test_array_fields_are_checked(self):
         with pytest.raises(ValueError, match="theta and phi must be finite"):
             OneQubitPulse(1, np.array([0.1, np.nan]), 0.0)
