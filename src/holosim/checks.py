@@ -9,19 +9,24 @@ composition pairs, the 32x16 block-map grid, the 32-angle XY sweep and the
 8x3 grid of dense XY propagators pass their angles and areas as arrays to
 one pulse (see ``pulses``); the block maps come from
 ``projected_propagator``, whose three-term form needs no 27 x 27
-propagator per grid point.  The compiler suite runs each random circuit on
-its own and extracts all circuits of one chain size in one call.  The
-entangling checks read the exact verdict of ``gates.entangling_verdict``.
+propagator per grid point.  The compiler suite draws circuit shapes, not
+circuits: at each chain size, one shape holds every gate kind on every
+qubit and pair in a random order and one is a random draw.  Each shape is a
+batch circuit of 5 parameter draws (see ``compiler``), compiled, run and
+multiplied out in one call each, and the circuits of one chain size are
+extracted in one call.  The entangling checks read the exact verdict of
+``gates.entangling_verdict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .chain import ChainLayout, block_sz, logical_frame
-from .compiler import Reflection, Rotation, XYGate, compile_circuit, compile_rotation, circuit_unitary
+from .compiler import Gate, Rotation, XYGate, compile_circuit, compile_rotation, circuit_unitary
 from .gates import (
     bloch_angles,
     bloch_vector,
@@ -205,42 +210,49 @@ def wilson_deficits(pulse, layout: ChainLayout, sample_counts) -> np.ndarray:
 # Compiler suite
 # ---------------------------------------------------------------------------
 
-def _random_circuit(rng, n_logical: int, depth: int) -> list:
-    gates = []
-    for _ in range(depth):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            axis = tuple(_random_unit_vectors(1, rng)[0])
-            gates.append(Rotation(qubit=int(rng.integers(1, n_logical + 1)),
-                                  axis=axis, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
-        elif kind == 1:
-            n = tuple(_random_unit_vectors(1, rng)[0])
-            gates.append(Reflection(qubit=int(rng.integers(1, n_logical + 1)), n=n))
-        elif n_logical >= 2:
-            gates.append(XYGate(pair=int(rng.integers(1, n_logical)),
-                                vartheta=float(rng.uniform(0.0, 2.0 * np.pi))))
-        else:
-            gates.append(Reflection(qubit=1, n=(0.0, 0.0, 1.0)))
-    return gates
+def _circuit_shapes(rng, n_logical: int) -> list[list]:
+    """Two gate sequences (class, qubit or pair) at chain size ``n_logical``.
+
+    The first is every gate kind on every qubit or pair, in a random order;
+    the second is a random draw of depth 1-6 from the same list.
+    """
+    slots = [(cls, index) for cls in get_args(Gate) for index in range(1, n_logical + 2 - cls.qubits)]
+    coverage = [slots[k] for k in rng.permutation(len(slots))]
+    drawn = [slots[k] for k in rng.integers(0, len(slots), size=int(rng.integers(1, 7)))]
+    return [coverage, drawn]
 
 
-def suite_compiler(samples: int = 1024, tol_scale: float = 1.0, circuits: int = 30) -> list[CheckResult]:
+# per gate kind, whether each field after its qubit or pair is a number (else a 3-vector)
+_NUMBER_FIELDS = {cls: [get_type_hints(cls)[f.name] is float for f in fields(cls)[1:]]
+                  for cls in get_args(Gate)}
+
+
+def _batch_gate(cls, index: int, draws: int, rng):
+    """A batch of ``draws`` gates of class ``cls`` on one qubit or pair: a random angle in
+    [-2 pi, 2 pi) for each number field and a random unit vector for each 3-vector field."""
+    params = [rng.uniform(-2 * np.pi, 2 * np.pi, draws) if number else _random_unit_vectors(draws, rng)
+              for number in _NUMBER_FIELDS[cls]]
+    return cls(index, *params)
+
+
+def suite_compiler(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckResult]:
     del samples
     results = []
     rng = np.random.default_rng(77)
 
-    # each circuit is drawn, compiled and run on its own; extraction is one call per chain size
-    columns, targets = {}, {}
-    for _ in range(circuits):
-        n_logical = int(rng.integers(1, 4))
+    # per chain size, two circuit shapes with 5 parameter draws each: one compile, run and
+    # closed-form product per shape, one extraction per chain size
+    draws, worst, circuits = 5, 1.0, 0
+    for n_logical in (1, 2, 3):
         layout = ChainLayout(n_logical)
-        circuit = _random_circuit(rng, n_logical, int(rng.integers(1, 7)))
-        schedule = compile_circuit(circuit, layout)
-        columns.setdefault(n_logical, []).append(run_schedule(schedule, logical_frame(layout), layout))
-        targets.setdefault(n_logical, []).append(circuit_unitary(circuit, layout))
-    worst = min(1.0, *(np.min(extract_logical_gate(np.array(columns[n]), ChainLayout(n),
-                                                   target=np.array(targets[n])).fidelity_vs_target)
-                       for n in columns))
+        frame, columns, targets = logical_frame(layout), [], []
+        for shape in _circuit_shapes(rng, n_logical):
+            circuit = [_batch_gate(cls, index, draws, rng) for cls, index in shape]
+            columns.append(run_schedule(compile_circuit(circuit, layout), frame, layout))
+            targets.append(circuit_unitary(circuit, layout))
+            circuits += draws
+        report = extract_logical_gate(np.concatenate(columns), layout, target=np.concatenate(targets))
+        worst = min(worst, np.min(report.fidelity_vs_target))
     results.append(_check(f"compiled-schedule round trip, {circuits} random circuits: min fidelity",
                           worst, 1.0 - 1e-8 * tol_scale, ">="))
 

@@ -79,9 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 

@@ -7,7 +7,15 @@ is deterministic and performs no optimization, so the emitted schedule can
 be audited pulse-by-pulse against its source gates.
 
 Each gate class owns its circuit-document name ``kind``, its compile ``rule``,
-its ``pulses`` and its closed-form ``logical`` operator (first qubit, matrix).
+the number of logical qubits it acts on (``qubits``), its ``pulses`` and its
+closed-form ``logical`` operator (first qubit, matrix).
+
+A gate's parameters may be arrays that broadcast together, as a pulse's may:
+the gate is then a batch of gates of one kind on one qubit or pair, its
+``pulses`` are batch pulses and its ``logical`` operator is a stack
+(..., 2^k, 2^k).  A circuit of batch gates is a batch of circuits of one
+shape: ``compile_circuit`` gives a schedule of batch pulses and
+``circuit_unitary`` a stack (..., 2^N, 2^N).
 """
 
 from __future__ import annotations
@@ -76,10 +84,11 @@ def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Rotation:
-    """exp(-i angle/2 * axis.sigma) on one logical qubit."""
+    """exp(-i angle/2 * axis.sigma) on one logical qubit; (..., 3) axes and (...) angles make a batch."""
 
     kind: ClassVar[str] = "rotation"
     rule: ClassVar[str] = "rotation: two pi-area drives (reflection pair n then m)"
+    qubits: ClassVar[int] = 1
     qubit: int
     axis: tuple[float, float, float]
     angle: float
@@ -91,19 +100,21 @@ class Rotation:
 
     def logical(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         layout.site_of_qubit(self.qubit)
-        if not math.isfinite(self.angle):
+        angle = np.asarray(self.angle, dtype=float)
+        if not np.isfinite(angle).all():
             raise ValueError("rotation angle must be finite")
-        half = 0.5 * self.angle
+        half = 0.5 * angle[..., None, None]
         sigma = one_qubit_gate(_checked_axis(self.axis))
-        return self.qubit, math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
+        return self.qubit, np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * sigma
 
 
 @dataclass(frozen=True)
 class Reflection:
-    """n.sigma on one logical qubit (single pi pulse)."""
+    """n.sigma on one logical qubit (single pi pulse); (..., 3) vectors make a batch."""
 
     kind: ClassVar[str] = "reflection"
     rule: ClassVar[str] = "reflection: one pi-area drive along n"
+    qubits: ClassVar[int] = 1
     qubit: int
     n: tuple[float, float, float]
 
@@ -119,10 +130,11 @@ class Reflection:
 
 @dataclass(frozen=True)
 class XYGate:
-    """XY-block gate with mixing angle vartheta on adjacent pair (l', l'+1)."""
+    """XY-block gate with mixing angle vartheta on adjacent pair (l', l'+1); array angles make a batch."""
 
     kind: ClassVar[str] = "xy"
     rule: ClassVar[str] = "xy: one pi-area three-site coupling pulse"
+    qubits: ClassVar[int] = 2
     pair: int
     vartheta: float
 
@@ -156,20 +168,20 @@ def compile_circuit(circuit, layout: ChainLayout) -> list:
     return schedule
 
 
-def _embed_logical(first_qubit: int, op: np.ndarray, layout: ChainLayout) -> np.ndarray:
-    """1 (x) op (x) 1 on the 2^N logical space, with op acting from qubit ``first_qubit`` on."""
-    left = 2 ** (first_qubit - 1)
-    right = layout.logical_dim // (left * len(op))
-    out = np.asarray(op, dtype=complex)
-    if left > 1:
-        out = np.kron(np.eye(left, dtype=complex), out)
-    if right > 1:
-        out = np.kron(out, np.eye(right, dtype=complex))
-    return out
+def _apply_logical(first_qubit: int, op: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """(1 (x) op (x) 1) @ U on the 2^N logical space, op acting from qubit ``first_qubit`` on.
+
+    Contracts op with the rows of U reshaped to (2^(first-1), 2^k, rest), as
+    ``pulses.apply_local`` does on the chain; stacks of op and U broadcast.
+    """
+    d = op.shape[-1]
+    Ur = U.reshape(U.shape[:-2] + (2 ** (first_qubit - 1), d, -1))
+    out = op[..., None, :, :] @ Ur
+    return out.reshape(out.shape[:-3] + U.shape[-2:])
 
 
 def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
-    """Analytic 2^N x 2^N unitary of a logical circuit (first gate first).
+    """Analytic 2^N x 2^N unitary of a logical circuit (first gate first), a stack for batch gates.
 
     Built from each gate's closed-form ``logical`` operator, not its pulses;
     the reference the compiled pulse schedule is verified against.
@@ -182,5 +194,5 @@ def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
             first_qubit, op = gate.logical(layout)
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from None
-        U = _embed_logical(first_qubit, op, layout) @ U
+        U = _apply_logical(first_qubit, op, U)
     return U

@@ -67,7 +67,7 @@ def _emit(value, out, indent, level):
             return
         out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
-            out.append(f'{pad}"{key}": ')
+            out.append(f"{pad}{json.dumps(str(key))}: ")
             _emit(item, out, indent, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(closing_pad + "}")
@@ -91,7 +91,7 @@ def _emit(value, out, indent, level):
 
 
 def _scalar(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return "null"
@@ -120,6 +120,8 @@ def matrix_pairs(M) -> list:
 # ---------------------------------------------------------------------------
 
 _VECTOR3 = tuple[float, float, float]
+# the shape of a document field of each array-capable annotation (a batch has others)
+_SHAPES = {float: (), _VECTOR3: (3,)}
 
 
 def _float(value) -> float:
@@ -169,6 +171,10 @@ def _to_dict(obj, tag: str, noun: str, union) -> dict:
     doc = {tag: obj.kind}
     for name, annotation, _ in _FIELDS[type(obj)]:
         value = getattr(obj, name)
+        shape = _SHAPES.get(annotation)
+        if shape is not None and np.shape(value) != shape:
+            raise ValueError(f"{noun} field {name!r} has shape {np.shape(value)}, expected {shape}: "
+                             f"a document holds single {noun}s, not batches")
         if annotation is float:
             value = float(value)
         elif annotation == _VECTOR3:

@@ -37,6 +37,19 @@ def brute_embed(op, start_site, n_sites):
     return kron_chain(ops)
 
 
+def kron_logical(first_qubit, op, n_logical):
+    """1 (x) op (x) 1 on the 2^N logical space by explicit Kronecker products, op acting from qubit
+    ``first_qubit`` on; a factor of size 1 is skipped, not multiplied in."""
+    left = 2 ** (first_qubit - 1)
+    right = 2 ** n_logical // (left * len(op))
+    out = np.asarray(op, dtype=complex)
+    if left > 1:
+        out = np.kron(np.eye(left, dtype=complex), out)
+    if right > 1:
+        out = np.kron(out, np.eye(right, dtype=complex))
+    return out
+
+
 def haar_unitary(dim, rng):
     """Haar-random unitary via QR of a complex Ginibre matrix."""
     Z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -7,6 +7,8 @@ full-chain Hamiltonian (``h1``/``h3``) or ``oracles.taylor_expm``, then an
 ``np.ix_`` extraction of the logical rows and columns.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,53 @@ def test_compiler_suite_extracts_every_circuit_in_one_call_per_chain_size(monkey
     checks.suite_compiler()
     assert sorted(n for n, _ in calls) == [1, 2, 3]
     assert sum(shape[0] for _, shape in calls) == 30
+
+
+def _record_shapes(monkeypatch, name, shape_of):
+    """Replace ``checks.<name>`` by a pass-through that appends ``shape_of(args, result)`` to the returned list."""
+    shapes, original = [], getattr(checks, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        shapes.append(shape_of(args, result))
+        return result
+
+    monkeypatch.setattr(checks, name, recording)
+    return shapes
+
+
+def test_onequbit_suite_sweeps_its_full_grids(monkeypatch):
+    runs = _record_shapes(monkeypatch, "run_schedule", lambda args, columns: columns.shape[:-2])
+    splits = _record_shapes(monkeypatch, "compile_rotation", lambda args, nm: np.shape(args[1]))
+    checks.suite_onequbit()
+    assert runs == [(16, 16), (1000,)]
+    assert splits == [(100,)]
+
+
+def test_twoqubit_suite_sweeps_its_full_grids(monkeypatch):
+    maps = _record_shapes(monkeypatch, "projected_propagator", lambda args, M: M.shape[:-2])
+    runs = _record_shapes(monkeypatch, "run_schedule", lambda args, columns: columns.shape[:-2])
+    checks.suite_twoqubit()
+    assert maps == [(32, 16)]
+    assert runs == [(32,)]
+
+
+def test_compiler_suite_covers_every_gate_kind_on_every_qubit_and_pair(monkeypatch):
+    # one record per circuit shape: chain size, (kind, qubit or pair) per gate, batch size
+    shapes = _record_shapes(
+        monkeypatch, "circuit_unitary",
+        lambda args, U: (args[1].n_logical, tuple((g.kind, getattr(g, fields(g)[0].name)) for g in args[0]),
+                         U.shape[:-2]))
+    checks.suite_compiler()
+    assert sum(int(np.prod(batch)) for _, _, batch in shapes) == 30
+    slots = {1: {("rotation", 1), ("reflection", 1)},
+             2: {("rotation", 1), ("rotation", 2), ("reflection", 1), ("reflection", 2), ("xy", 1)},
+             3: {("rotation", 1), ("rotation", 2), ("rotation", 3), ("reflection", 1), ("reflection", 2),
+                 ("reflection", 3), ("xy", 1), ("xy", 2)}}
+    for n_logical, every in slots.items():
+        circuits = [gates for n, gates, _ in shapes if n == n_logical]
+        assert len(set(circuits)) >= 2
+        assert set().union(*circuits) == every
 
 
 def test_twoqubit_suite_makes_one_dense_call_over_its_grid(monkeypatch):

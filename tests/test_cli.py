@@ -327,12 +327,15 @@ class TestBadInput:
         assert main([command, flag, str(doc), "--qubits", "1"]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "abc", "", "1e"])
     def test_verify_tol_must_be_finite_and_positive(self, tol, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "compiler", "--tol", tol])
         assert err.value.code == 2
-        assert "--tol" in capsys.readouterr().err
+        # a word is refused like a number out of range, without the converter's internal name
+        message = capsys.readouterr().err
+        assert f"argument --tol: must be a finite number > 0, got {tol!r}" in message
+        assert "_positive_float" not in message
 
 
 # Field names of both document kinds; a mutation sets one of them to an arbitrary value.

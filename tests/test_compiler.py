@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from holosim.chain import ChainLayout
+from holosim.chain import ChainLayout, logical_frame
 from holosim.compiler import (
     Reflection,
     Rotation,
@@ -11,9 +13,9 @@ from holosim.compiler import (
     compile_rotation,
 )
 from holosim.gates import compose_rule, extract_logical_gate, one_qubit_gate
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, schedule_propagator
+from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule, schedule_propagator
 
-from oracles import random_unit_vector, taylor_expm
+from oracles import kron_logical, random_unit_vector, taylor_expm
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -195,3 +197,71 @@ class TestRoundTrip:
             assert report.leakage < 1e-8
             worst = min(worst, report.fidelity_vs_target)
         assert worst >= 1.0 - 1e-8
+
+
+def _unit_vectors(rng, count):
+    v = rng.normal(size=(count, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _every_gate_batch(rng, n_logical, count):
+    """Batches of ``count`` gates: every kind on every qubit and pair of the chain, in a random order."""
+    gates = ([Rotation(q, _unit_vectors(rng, count), rng.uniform(-2 * np.pi, 2 * np.pi, count))
+              for q in range(1, n_logical + 1)]
+             + [Reflection(q, _unit_vectors(rng, count)) for q in range(1, n_logical + 1)]
+             + [XYGate(p, rng.uniform(0.0, 2 * np.pi, count)) for p in range(1, n_logical)])
+    return [gates[k] for k in rng.permutation(len(gates))]
+
+
+def _member(gate, k):
+    """Gate ``k`` of a batch gate, as a single gate of the same kind."""
+    first, *params = fields(gate)
+    return type(gate)(getattr(gate, first.name), *(getattr(gate, f.name)[k] for f in params))
+
+
+class TestBatchedGates:
+    COUNT = 4
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    def test_batch_unitary_equals_member_unitaries_bit_for_bit(self, n_logical):
+        layout = ChainLayout(n_logical)
+        circuit = _every_gate_batch(np.random.default_rng(40 + n_logical), n_logical, self.COUNT)
+        U = circuit_unitary(circuit, layout)
+        assert U.shape == (self.COUNT, layout.logical_dim, layout.logical_dim)
+        for k in range(self.COUNT):
+            assert np.array_equal(U[k], circuit_unitary([_member(g, k) for g in circuit], layout))
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    def test_member_unitaries_equal_the_kron_oracle(self, n_logical):
+        # every kind on every qubit and pair, alone and as one circuit
+        layout = ChainLayout(n_logical)
+        circuit = _every_gate_batch(np.random.default_rng(50 + n_logical), n_logical, self.COUNT)
+        for k in range(self.COUNT):
+            members = [_member(g, k) for g in circuit]
+            product = np.eye(layout.logical_dim, dtype=complex)
+            for gate in members:
+                want = kron_logical(*gate.logical(layout), n_logical)
+                assert np.max(np.abs(circuit_unitary([gate], layout) - want)) <= 1e-15
+                product = want @ product
+            assert np.max(np.abs(circuit_unitary(members, layout) - product)) <= 1e-14
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    def test_batch_schedule_runs_equal_member_runs(self, n_logical):
+        layout = ChainLayout(n_logical)
+        circuit = _every_gate_batch(np.random.default_rng(60 + n_logical), n_logical, self.COUNT)
+        schedule = compile_circuit(circuit, layout)
+        columns = run_schedule(schedule, logical_frame(layout), layout)
+        assert columns.shape == (self.COUNT, layout.dim, layout.logical_dim)
+        for k in range(self.COUNT):
+            member_schedule = compile_circuit([_member(g, k) for g in circuit], layout)
+            assert [type(p) for p in member_schedule] == [type(p) for p in schedule]
+            assert np.array_equal(columns[k], run_schedule(member_schedule, logical_frame(layout), layout))
+
+    def test_nan_inside_a_batch_of_angles_names_the_gate(self):
+        layout = ChainLayout(2)
+        rng = np.random.default_rng(7)
+        circuit = [Reflection(2, _unit_vectors(rng, 3)),
+                   Rotation(1, _unit_vectors(rng, 3), np.array([0.4, np.nan, -1.2]))]
+        for route in (compile_circuit, circuit_unitary):
+            with pytest.raises(ValueError, match=r"^gate 1: rotation angle must be finite$"):
+                route(circuit, layout)

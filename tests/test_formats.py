@@ -208,6 +208,21 @@ class TestPulseAndGateDocuments:
         with pytest.raises(TypeError, match="not a gate"):
             gate_to_dict(OneQubitPulse(1, 0.0, 0.0))
 
+    @pytest.mark.parametrize("to_dict,obj,message", [
+        (pulse_to_dict, OneQubitPulse(1, np.array([0.1, 0.2]), 0.3),
+         r"^pulse field 'theta' has shape \(2,\), expected \(\)"),
+        (pulse_to_dict, ThreeSitePulse(1, 0.4, area=np.array([1.0])),
+         r"^pulse field 'area' has shape \(1,\), expected \(\)"),
+        (gate_to_dict, Rotation(1, np.eye(3)[:2], 0.5),
+         r"^gate field 'axis' has shape \(2, 3\), expected \(3,\)"),
+        (gate_to_dict, XYGate(1, np.array([0.1, 0.2, 0.3])),
+         r"^gate field 'vartheta' has shape \(3,\), expected \(\)"),
+    ], ids=["pulse-angle", "pulse-area-of-one", "gate-axis", "gate-angle"])
+    def test_batches_are_rejected_by_field_and_shape(self, to_dict, obj, message):
+        # a document holds one pulse or gate; a batch of one must not pass as a number either
+        with pytest.raises(ValueError, match=message):
+            to_dict(obj)
+
 
 class TestDeterministicEmission:
     def test_float_formatting_is_fixed(self):
@@ -239,3 +254,10 @@ class TestDeterministicEmission:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             dumps({"x": float("nan")})
+
+    def test_numpy_bools_are_emitted(self):
+        assert dumps([np.bool_(True), np.bool_(False), True]) == "[true, false, true]\n"
+
+    def test_keys_are_escaped(self):
+        keys = ['quote " here', "back\\slash", "new\nline", "tab\t"]
+        assert list(json.loads(dumps({key: 1 for key in keys}))) == keys
