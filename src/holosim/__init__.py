@@ -10,8 +10,6 @@ recovered independently from the loop geometry (a discrete Wilson loop).
 """
 
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     expm_hermitian,
     gate_fidelity,
     hermiticity_defect,
@@ -28,7 +26,6 @@ from .chain import (
     lambda_coupling,
     logical_encode,
     logical_frame,
-    normalize_bloch_angles,
 )
 from .pulses import (
     ENVELOPES,
@@ -79,8 +76,6 @@ from .compiler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
-    "Tolerances",
     "expm_hermitian",
     "gate_fidelity",
     "hermiticity_defect",
@@ -95,7 +90,6 @@ __all__ = [
     "lambda_coupling",
     "logical_encode",
     "logical_frame",
-    "normalize_bloch_angles",
     "ENVELOPES",
     "OneQubitPulse",
     "ThreeSitePulse",

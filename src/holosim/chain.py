@@ -37,7 +37,6 @@ __all__ = [
     "block_sz",
     "logical_encode",
     "logical_frame",
-    "normalize_bloch_angles",
 ]
 
 # The five generators actually used by the chain Hamiltonian, in the local
@@ -234,19 +233,3 @@ def logical_frame(layout: ChainLayout) -> np.ndarray:
     frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
     frame[layout.logical_indices(), np.arange(layout.logical_dim)] = 1.0
     return frame
-
-
-def normalize_bloch_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Canonical (theta, phi) with theta in [0, pi], phi in [0, 2*pi).
-
-    The returned pair points at the same Bloch vector as the input; use for
-    stable comparisons and reports.  Hamiltonian builders take raw angles
-    (the map below can flip the sign of the drive, which leaves every
-    pi-area gate unchanged but matters for partial-area propagators).
-    """
-    theta = float(theta) % (2.0 * np.pi)
-    phi = float(phi)
-    if theta > np.pi:
-        theta = 2.0 * np.pi - theta
-        phi += np.pi
-    return theta, phi % (2.0 * np.pi)

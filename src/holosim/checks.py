@@ -37,8 +37,18 @@ from .gates import (
     projected_block_maps,
     two_qubit_gate,
 )
-from .holonomy import certify, computational_frame, projected_propagator, trace_subspace, wilson_loop
-from .linalg import DEFAULT_TOL, cross, dot, gate_fidelity, polar_unitary
+from .holonomy import (
+    CERTIFY_CROSS_FIDELITY,
+    CERTIFY_CYCLICITY,
+    CERTIFY_DYNAMICAL_PHASE,
+    CERTIFY_PARALLEL_TRANSPORT,
+    certify,
+    computational_frame,
+    projected_propagator,
+    trace_subspace,
+    wilson_loop,
+)
+from .linalg import cross, dot, gate_fidelity, polar_unitary
 from .pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
@@ -176,7 +186,6 @@ def _excited_fixity(U, layout: ChainLayout) -> float:
 def suite_holonomy(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckResult]:
     results = []
     layout = ChainLayout(2)
-    tol = DEFAULT_TOL
     for label, pulse in (
         ("one-qubit pi pulse (theta=pi/4)", OneQubitPulse(1, np.pi / 4, 0.0)),
         ("three-site pi pulse (vartheta=pi/2)", ThreeSitePulse(1, np.pi / 2)),
@@ -184,13 +193,13 @@ def suite_holonomy(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckRes
         report = certify(pulse, layout, samples=samples, strict=False)
         results.append(_check(f"{label}: parallel-transport residual",
                               report.parallel_transport_residual,
-                              tol.certify_parallel_transport * tol_scale))
+                              CERTIFY_PARALLEL_TRANSPORT * tol_scale))
         results.append(_check(f"{label}: |dynamical phase|", abs(report.dynamical_phase),
-                              tol.certify_dynamical_phase * tol_scale))
+                              CERTIFY_DYNAMICAL_PHASE * tol_scale))
         results.append(_check(f"{label}: cyclicity residual", report.cyclicity_residual,
-                              tol.certify_cyclicity * tol_scale))
+                              CERTIFY_CYCLICITY * tol_scale))
         results.append(_check(f"{label}: wilson cross-fidelity", report.cross_fidelity,
-                              tol.certify_cross_fidelity, ">="))
+                              CERTIFY_CROSS_FIDELITY, ">="))
     return results
 
 

@@ -50,17 +50,17 @@ def _fmt_float(x: float) -> str:
     return text
 
 
-def dumps(value, indent: int = 2) -> str:
-    """Render ``value`` as JSON with fixed key order and float formatting."""
+def dumps(value) -> str:
+    """Render ``value`` as JSON with fixed key order and float formatting, indented by two spaces."""
     pieces = []
-    _emit(value, pieces, indent, 0)
+    _emit(value, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(value, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
+def _emit(value, out, level):
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -68,7 +68,7 @@ def _emit(value, out, indent, level):
         out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(closing_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -83,7 +83,7 @@ def _emit(value, out, indent, level):
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(closing_pad + "]")
     else:

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import (DEFAULT_TOL, Tolerances, cross, dot, gate_fidelity, inner, polar_unitary,
-                     unitarity_defect, unstack)
+from .linalg import cross, dot, gate_fidelity, inner, polar_unitary, unitarity_defect, unstack
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
+    "CYCLIC_LEAKAGE",
     "bloch_vector",
     "bloch_angles",
     "one_qubit_gate",
@@ -47,10 +47,9 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-# element-wise math.atan2 and math.hypot (numpy's own differ in the last bit),
-# returning a float for numbers and an object array for arrays
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+# leakage below which an evolution counts as cyclic and its logical block is unitarized
+CYCLIC_LEAKAGE = 1e-8
 
 
 def bloch_vector(theta, phi) -> np.ndarray:
@@ -65,12 +64,12 @@ def bloch_vector(theta, phi) -> np.ndarray:
 def bloch_angles(n):
     """Angles (theta, phi) of a unit vector, or arrays of them for (..., 3); phi fixed to 0 at the poles."""
     n = _unit_vector(n)
-    theta = np.asarray(_atan2(_hypot(n[..., 0], n[..., 1]), n[..., 2]), dtype=float)
-    azimuth = np.asarray(_atan2(n[..., 1], n[..., 0]), dtype=float) % (2.0 * math.pi)
+    theta = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
+    azimuth = np.arctan2(n[..., 1], n[..., 0]) % (2.0 * math.pi)
     return unstack(theta), unstack(np.where(np.sin(theta) < 1e-12, 0.0, azimuth))
 
 
-def _unit_vector(n, tol: float = 1e-9) -> np.ndarray:
+def _unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.ndim < 1 or n.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
@@ -78,7 +77,7 @@ def _unit_vector(n, tol: float = 1e-9) -> np.ndarray:
     if not np.isfinite(norm).all():  # NaN would pass the comparison below
         raise ValueError(f"unit vector must be finite, got {n.tolist()}")
     off = np.abs(norm - 1.0)
-    if (off > tol).any():
+    if (off > 1e-9).any():
         raise ValueError(f"expected a unit vector, got norm {np.ravel(norm)[np.argmax(off)]:.6g}")
     return n / norm[..., None]
 
@@ -176,13 +175,12 @@ def extract_logical_gate(
     layout: ChainLayout,
     target=None,
     diagnostics: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> GateReport:
     """Logical gate of a propagator U from its logical columns U[:, layout.logical_indices()].
 
     ``columns`` (dim x 2^N, e.g. ``run_schedule(schedule, logical_frame(layout), layout)``,
     or a stack (..., dim, 2^N) of them) is the only accepted shape.  leakage is the
-    operator 2-norm of its non-logical rows.  If it is below ``tol.leakage`` the
+    operator 2-norm of its non-logical rows.  If it is below ``CYCLIC_LEAKAGE`` the
     evolution was cyclic: the logical rows are unitarized by polar decomposition and
     reported as the gate.  Otherwise the raw (contractive) block is returned and the
     report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
@@ -202,7 +200,7 @@ def extract_logical_gate(
     block = columns[..., idx, :]
     leakage = _leakage(columns, idx)
 
-    cyclic = leakage < tol.leakage
+    cyclic = leakage < CYCLIC_LEAKAGE
     keep = cyclic[..., None, None]
     # a leaky member keeps its raw block; the identity stands in for it in the polar step
     gate = np.where(keep, polar_unitary(np.where(keep, block, np.eye(layout.logical_dim))), block)
@@ -264,7 +262,7 @@ def makhlin_invariants(U) -> tuple[complex, float]:
     return complex(G1), float(G2.real)
 
 
-def entangling_verdict(U, tol: float = 1e-8) -> tuple[bool, float]:
+def entangling_verdict(U) -> tuple[bool, float]:
     """Exact entangling test of a two-qubit unitary from its Makhlin invariant G1.
 
     A gate leaves some product input entangled iff it is not locally
@@ -273,7 +271,7 @@ def entangling_verdict(U, tol: float = 1e-8) -> tuple[bool, float]:
     at 0, is the mean linear entropy 1 - Tr rho_A^2 of the outputs over
     Haar-random product inputs (Zanardi, Zalka & Faoro, PRA 62, 030301
     (2000); Balakrishnan & Sankaranarayanan, PRA 82, 034301 (2010)), and the
-    gate is entangling iff e_p > ``tol``.
+    gate is entangling iff e_p > 1e-8.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
@@ -282,4 +280,4 @@ def entangling_verdict(U, tol: float = 1e-8) -> tuple[bool, float]:
     if defect > 1e-8:
         raise ValueError(f"entangling_verdict: input not unitary, defect {defect:.3e}")
     power = max(0.0, 2.0 / 9.0 * (1.0 - abs(makhlin_invariants(U)[0])))
-    return power > tol, power
+    return power > 1e-8, power

@@ -32,10 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import DEFAULT_TOL, Tolerances, check_memory, gate_fidelity, inner, polar_unitary
+from .linalg import check_memory, gate_fidelity, inner, polar_unitary
 from .pulses import Pulse, apply_local, cumulative_area, local_form
 
 __all__ = [
+    "CERTIFY_PARALLEL_TRANSPORT",
+    "CERTIFY_DYNAMICAL_PHASE",
+    "CERTIFY_CYCLICITY",
+    "CERTIFY_CROSS_FIDELITY",
     "SubspacePath",
     "HolonomyReport",
     "HolonomyError",
@@ -46,6 +50,16 @@ __all__ = [
     "wilson_loop",
     "certify",
 ]
+
+# certify's bounds: the parallel-transport residual, |dynamical phase| and
+# cyclicity residual must stay below the first three, the Wilson cross-fidelity
+# at or above the last
+CERTIFY_PARALLEL_TRANSPORT = 1e-9
+CERTIFY_DYNAMICAL_PHASE = 1e-9
+CERTIFY_CYCLICITY = 1e-8
+CERTIFY_CROSS_FIDELITY = 1.0 - 1e-6
+# the loop-closure residual wilson_loop accepts
+_WILSON_CYCLICITY = 1e-6
 
 
 @dataclass
@@ -63,7 +77,6 @@ class SubspacePath:
     frame-gauge free: P_j = F_j F_j^dag.
     """
 
-    times: np.ndarray
     areas: np.ndarray
     terms: np.ndarray  # shape (3, dim, K): F_0, A, B
     coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
@@ -181,8 +194,8 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(K))
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
-    # the three terms, and per sample a time, an area, a coefficient row and
-    # the K x K overlap the consumers build
+    # the three terms, and per sample an area and a coefficient row (within
+    # four complex numbers) and the K x K overlap the consumers build
     check_memory(f"a subspace path of {samples} samples",
                  16 * (3 * layout.dim * K + samples * (K * K + 4)))
 
@@ -193,10 +206,9 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     terms[0] = F0
     terms[1] = apply_local(site, block, F0)
     terms[2] = apply_local(site, block, terms[1])
-    times = np.linspace(0.0, pulse.duration, samples)
-    areas = cumulative_area(pulse.envelope, pulse.area, times / pulse.duration)
+    areas = cumulative_area(pulse.envelope, pulse.area, np.linspace(0.0, 1.0, samples))
     coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
-    return SubspacePath(times=times, areas=areas, terms=terms, coefficients=coefficients)
+    return SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
 
 
 def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[float, np.ndarray]:
@@ -234,7 +246,7 @@ def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray
     return G[0, 0] - 1j * np.sin(area) * G[0, 1] + (np.cos(area) - 1.0) * G[1, 1]
 
 
-def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cyclicity) -> np.ndarray:
+def wilson_loop(path: SubspacePath) -> np.ndarray:
     """Discrete holonomy of a cyclic subspace path, in the initial frame.
 
     Computed as the ordered product of frame overlaps
@@ -242,12 +254,13 @@ def wilson_loop(path: SubspacePath, cyclicity_tol: float = DEFAULT_TOL.wilson_cy
     F_0^dag P(t_{S-1}) ... P(t_1) F_0 -- and unitarized by polar
     decomposition.  Interior frames enter only through their projectors, so
     the result is gauge covariant (conjugates under a rotation of the initial
-    frame) and carries no dynamical phase.
+    frame) and carries no dynamical phase.  The path must close to within
+    ||P(tau) - P(0)|| < 1e-6.
     """
     residual = path.cyclicity_residual
-    if residual >= cyclicity_tol:
+    if residual >= _WILSON_CYCLICITY:
         raise ValueError(
-            f"wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = {residual:.3e} >= {cyclicity_tol:.1e}"
+            f"wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = {residual:.3e} >= {_WILSON_CYCLICITY:.1e}"
         )
     C = path.coefficients
     # F_{j+1}^dag F_j for j < S - 1, then the closing F_0^dag F_{S-1}
@@ -268,7 +281,6 @@ def certify(
     pulse: Pulse,
     layout: ChainLayout,
     samples: int = 1024,
-    tol: Tolerances = DEFAULT_TOL,
     strict: bool = True,
 ) -> HolonomyReport:
     """Full holonomy certification of a gate pulse.
@@ -290,18 +302,18 @@ def certify(
     projected = projected_propagator(pulse, frame, layout)
 
     failures = []
-    if pt_residual >= tol.certify_parallel_transport:
+    if pt_residual >= CERTIFY_PARALLEL_TRANSPORT:
         failures.append(
-            f"parallel transport residual {pt_residual:.3e} >= {tol.certify_parallel_transport:.1e}"
+            f"parallel transport residual {pt_residual:.3e} >= {CERTIFY_PARALLEL_TRANSPORT:.1e}"
         )
-    if abs(dyn_phase) >= tol.certify_dynamical_phase:
+    if abs(dyn_phase) >= CERTIFY_DYNAMICAL_PHASE:
         failures.append(
-            f"dynamical phase {dyn_phase:.3e} >= {tol.certify_dynamical_phase:.1e}"
+            f"dynamical phase {dyn_phase:.3e} >= {CERTIFY_DYNAMICAL_PHASE:.1e}"
         )
-    cyclic = cyc_residual < tol.certify_cyclicity
+    cyclic = cyc_residual < CERTIFY_CYCLICITY
     if not cyclic:
         failures.append(
-            f"cyclicity residual {cyc_residual:.3e} >= {tol.certify_cyclicity:.1e}"
+            f"cyclicity residual {cyc_residual:.3e} >= {CERTIFY_CYCLICITY:.1e}"
         )
 
     wilson = None
@@ -309,11 +321,11 @@ def certify(
     propagator_gate = projected
     if cyclic:
         propagator_gate = polar_unitary(projected)
-        wilson = wilson_loop(path, tol.wilson_cyclicity)
+        wilson = wilson_loop(path)
         cross = gate_fidelity(wilson, propagator_gate)
-        if cross < tol.certify_cross_fidelity:
+        if cross < CERTIFY_CROSS_FIDELITY:
             failures.append(
-                f"wilson cross fidelity {cross:.12f} < {tol.certify_cross_fidelity:.12f}"
+                f"wilson cross fidelity {cross:.12f} < {CERTIFY_CROSS_FIDELITY:.12f}"
             )
 
     report = HolonomyReport(

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "hermiticity_defect",
     "unitarity_defect",
     "inner",
@@ -34,28 +31,6 @@ __all__ = [
     "gate_fidelity",
     "check_memory",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical-tolerance record.
-
-    The defaults of the Hermiticity and unitarity checks, the cyclic/leaky
-    split of gate extraction and every ``certify`` and Wilson-loop bound live
-    here, so those can be tightened or relaxed in one place.
-    """
-
-    hermiticity: float = 1e-12        # ||H - H^dag||_F allowed on Hamiltonians
-    unitarity: float = 1e-10          # ||U^dag U - 1||_F allowed on propagators
-    leakage: float = 1e-8             # cyclic-gate vs leaky-evolution split
-    wilson_cyclicity: float = 1e-6    # loop-closure bound for overlap products
-    certify_parallel_transport: float = 1e-9
-    certify_dynamical_phase: float = 1e-9
-    certify_cyclicity: float = 1e-8
-    certify_cross_fidelity: float = 1.0 - 1e-6
-
-
-DEFAULT_TOL = Tolerances()
 
 
 def _as_square_matrix(M, name="matrix"):
@@ -125,44 +100,45 @@ def inner(X, Y) -> np.ndarray:
     return V[..., 0::2, :] - 1j * V[..., 1::2, :]
 
 
-def expm_hermitian(H, t: float, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def expm_hermitian(H, t: float) -> np.ndarray:
     """Return exp(-i t H) for Hermitian H via eigendecomposition.
 
-    Raises ValueError if H is not Hermitian within ``tol`` (the message
-    reports the measured ||H - H^dag||).
+    Raises ValueError if ||H - H^dag||_F exceeds 1e-12 (the message reports
+    the measured value).
     """
     H = _as_square_matrix(H, "H")
     defect = np.max(hermiticity_defect(H))
-    if defect > tol:
+    if defect > 1e-12:
         raise ValueError(
-            f"expm_hermitian requires a Hermitian matrix: ||H - H^dag|| = {defect:.3e} > {tol:.1e}"
+            f"expm_hermitian requires a Hermitian matrix: ||H - H^dag|| = {defect:.3e} > 1.0e-12"
         )
     w, V = np.linalg.eigh(H)
     phases = np.exp(-1j * t * w)
     return (V * phases[..., None, :]) @ _adjoint(V)
 
 
-def polar_unitary(M, min_singular: float = 1e-8) -> np.ndarray:
+def polar_unitary(M) -> np.ndarray:
     """Unitary factor W of the polar decomposition M = W P (P >= 0), per matrix of a stack.
 
-    Every matrix must be numerically full rank; otherwise the polar factor
-    is not well defined and a ValueError names the smallest singular value.
+    Every matrix must be numerically full rank (smallest singular value above
+    1e-8); otherwise the polar factor is not well defined and a ValueError
+    names the smallest singular value.
     """
     M = _as_square_matrix(M, "M")
     U, s, Vh = np.linalg.svd(M)
     smallest = s[..., -1].min(initial=np.inf)
-    if smallest <= min_singular:
+    if smallest <= 1e-8:
         raise ValueError(
             f"polar_unitary: matrix is rank deficient, smallest singular value {smallest:.3e}"
         )
     return U @ Vh
 
 
-def gate_fidelity(U, V, unitary_tol: float = 1e-8) -> float:
+def gate_fidelity(U, V) -> float:
     """Phase-invariant gate fidelity |Tr(U^dag V)| / dim, per matrix pair of two stacks.
 
     Equals 1 exactly when U and V agree up to a global U(1) phase.  Every
-    input must be unitary (within ``unitary_tol``) and of equal dimension;
+    input must be unitary (||U^dag U - 1||_F <= 1e-8) and of equal dimension;
     the leading axes of U and V broadcast.
     """
     U = _as_square_matrix(U, "U")
@@ -171,7 +147,7 @@ def gate_fidelity(U, V, unitary_tol: float = 1e-8) -> float:
         raise ValueError(f"dimension mismatch: {U.shape} vs {V.shape}")
     for name, M in (("U", U), ("V", V)):
         defect = np.ravel(unitarity_defect(M)).max()
-        if defect > unitary_tol:
+        if defect > 1e-8:
             raise ValueError(
                 f"gate_fidelity: {name} is not unitary, ||U^dag U - 1|| = {defect:.3e}"
             )

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from holosim.chain import ChainLayout, block_sz, embed
-from holosim.checks import wilson_deficits
+from holosim.checks import _aux_population, _excited_fixity, wilson_deficits
 from holosim.compiler import (
     Reflection,
     Rotation,
@@ -135,10 +135,7 @@ def test_criterion_4_two_qubit_gate_at_pi():
         rep = extract_logical_gate(U[:, idx], layout, target=two_qubit_gate(vt))
         worst_fid = min(worst_fid, rep.fidelity_vs_target)
         worst_leak = max(worst_leak, rep.leakage)
-        for j in idx:
-            psi = U[:, j]
-            outside = float(np.sum(np.abs(psi) ** 2) - np.sum(np.abs(psi[idx]) ** 2))
-            worst_aux = max(worst_aux, outside)
+        worst_aux = max(worst_aux, _aux_population(U[:, idx], layout))
     report(
         4,
         "pi-area exchange gate vs closed form",
@@ -210,11 +207,7 @@ def test_criterion_7_sz_block_structure():
         for area in (np.pi, 1.3):
             U = propagate_exact(ThreeSitePulse(1, vt, area=area), layout)
             worst_comm = max(worst_comm, float(np.linalg.norm(U @ sz - sz @ U)))
-            for j in range(layout.dim):
-                if "2" in np.base_repr(j, base=3).zfill(layout.n_sites):
-                    col = U[:, j].copy()
-                    col[j] -= 1.0
-                    worst_fix = max(worst_fix, float(np.linalg.norm(col)))
+            worst_fix = max(worst_fix, _excited_fixity(U, layout))
     report(
         7,
         "total pseudo-spin block structure",

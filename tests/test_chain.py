@@ -10,7 +10,6 @@ from holosim.chain import (
     h3,
     lambda_coupling,
     logical_encode,
-    normalize_bloch_angles,
 )
 
 from oracles import brute_embed, kron_chain
@@ -291,14 +290,3 @@ class TestLogicalEncode:
         G = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.array_equal(G, np.eye(8))
 
-
-class TestAngleNormalization:
-    @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (3.5, 1.0), (-0.7, 9.0), (7.0, -2.0)])
-    def test_canonical_range_and_same_direction(self, theta, phi):
-        t, p = normalize_bloch_angles(theta, phi)
-        assert 0.0 <= t <= np.pi
-        assert 0.0 <= p < 2 * np.pi
-        direction = lambda a, b: np.array(
-            [np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a)]
-        )
-        assert np.allclose(direction(t, p), direction(theta, phi), atol=1e-12)

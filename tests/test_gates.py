@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import (
+    CYCLIC_LEAKAGE,
     SIGMA_X,
     SIGMA_Z,
     bloch_angles,
@@ -19,7 +20,7 @@ from holosim.gates import (
     schmidt_coefficients,
     two_qubit_gate,
 )
-from holosim.linalg import DEFAULT_TOL, expm_hermitian, polar_unitary, unitarity_defect
+from holosim.linalg import expm_hermitian, polar_unitary, unitarity_defect
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
                             run_schedule, schedule_propagator)
 
@@ -196,7 +197,7 @@ def _dense_extraction(U, layout):
     comp = np.setdiff1d(np.arange(layout.dim), idx)
     leakage = float(np.linalg.svd(U[np.ix_(comp, idx)], compute_uv=False)[0])
     block = U[np.ix_(idx, idx)]
-    return (polar_unitary(block) if leakage < DEFAULT_TOL.leakage else block), leakage
+    return (polar_unitary(block) if leakage < CYCLIC_LEAKAGE else block), leakage
 
 
 class TestColumnExtractionAgainstDense:
@@ -303,9 +304,9 @@ class TestEntanglingVerdict:
             assert abs(power - 2.0 / 9.0 * (1.0 - np.cos(vt) ** 4)) <= 1e-15
 
     def test_tol_is_the_power_floor(self):
-        U = two_qubit_gate(0.01)  # e_p ~ 4.4e-5
-        assert entangling_verdict(U)[0]
-        assert not entangling_verdict(U, tol=1e-4)[0]
+        assert entangling_verdict(two_qubit_gate(0.01))[0]  # e_p ~ 4.4e-5
+        verdict, power = entangling_verdict(two_qubit_gate(1e-5))
+        assert not verdict and 0.0 < power < 1e-8  # e_p ~ 9e-11
 
     @pytest.mark.parametrize("seed", range(20))
     def test_local_and_local_times_swap_gates(self, seed):
