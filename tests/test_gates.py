@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,16 @@ class TestBlochAngles:
         theta, phi = bloch_angles([0, 0, -1])
         assert theta == pytest.approx(np.pi, abs=1e-15)
         assert phi == 0.0
+
+    def test_angles_agree_with_math_to_the_last_bits(self):
+        # numpy's arctan2/hypot may differ from math's by an ulp, never by more
+        n = np.random.default_rng(7).normal(size=(2000, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        theta, phi = bloch_angles(n)
+        ref_theta = [math.atan2(math.hypot(x, y), z) for x, y, z in n]
+        ref_phi = [math.atan2(y, x) % (2.0 * math.pi) for x, y, _ in n]
+        assert np.max(np.abs(theta - ref_theta)) <= 4 * np.spacing(np.pi)
+        assert np.max(np.abs(phi - ref_phi)) <= 4 * np.spacing(2.0 * np.pi)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip(self, seed):

@@ -16,8 +16,8 @@ from holosim.holonomy import (
     wilson_loop,
 )
 from holosim.linalg import expm_hermitian, gate_fidelity, polar_unitary
-from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, local_form,
-                            propagate_exact)
+from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, cumulative_area,
+                            local_form, propagate_exact)
 
 from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
 
@@ -50,6 +50,14 @@ class TestTraceSubspace:
             assert np.linalg.norm(P @ P - P) < 1e-10
             assert np.linalg.norm(P - P.conj().T) < 1e-12
             assert abs(np.trace(P).real - path.subspace_dim) < 1e-10
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_samples_are_evenly_spaced_in_scaled_time(self, envelope):
+        pulse = ThreeSitePulse(1, 0.9, area=1.3, envelope=envelope)
+        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 33, LAYOUT)
+        s = np.arange(33) / 32
+        assert np.allclose(path.areas, [cumulative_area(envelope, 1.3, x) for x in s], rtol=0, atol=1e-15)
+        assert path.areas[0] == 0.0 and path.areas[-1] == pytest.approx(1.3, abs=1e-15)
 
     def test_rejects_bad_frames_and_sample_counts(self):
         pulse = OneQubitPulse(1, 0.5, 0.0)

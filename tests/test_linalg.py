@@ -53,6 +53,15 @@ class TestExpmHermitian:
         t = rng.uniform(-2, 2)
         assert np.linalg.norm(expm_hermitian(H, t).conj().T - expm_hermitian(H, -t)) < 1e-12
 
+    def test_hermiticity_bound_is_1e_12(self):
+        # ||H - H^dag||_F = sqrt(2) * eps for one unpaired off-diagonal entry eps
+        H = np.zeros((2, 2))
+        H[0, 1] = 5e-13
+        assert np.allclose(expm_hermitian(H, 1.0), np.eye(2), atol=1e-12)
+        H[0, 1] = 1e-12
+        with pytest.raises(ValueError, match="1.0e-12"):
+            expm_hermitian(H, 1.0)
+
     def test_nonfinite_rejected(self):
         H = np.eye(3)
         H[0, 0] = np.nan
@@ -88,6 +97,11 @@ class TestPolarUnitary:
         with pytest.raises(ValueError, match="singular value"):
             polar_unitary(M)
 
+    def test_singular_value_floor_is_1e_8(self):
+        assert np.array_equal(polar_unitary(np.diag([1.0, 2e-8])), np.eye(2))
+        with pytest.raises(ValueError, match="singular value 1.000e-08"):
+            polar_unitary(np.diag([1.0, 1e-8]))
+
 
 class TestGateFidelity:
     def test_equal_gates(self):
@@ -109,6 +123,12 @@ class TestGateFidelity:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             gate_fidelity(np.eye(2), np.diag([1.0, 0.5]))
+
+    def test_unitarity_bound_is_1e_8(self):
+        # ||U^dag U - 1||_F = sqrt(2) * (2d + d^2) for U = (1 + d) * 1 on two levels
+        assert gate_fidelity(np.eye(2), (1.0 + 3e-9) * np.eye(2)) == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(ValueError, match="V is not unitary"):
+            gate_fidelity(np.eye(2), (1.0 + 1e-8) * np.eye(2))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry_and_phase_invariance(self, seed):
