@@ -34,7 +34,7 @@ print("chain: 2 logical qubits on", layout.n_sites, "sites, Hilbert dimension", 
 # --- the pi-area gate matches its closed form -----------------------------
 vt = np.pi / 2
 U = propagate_exact(ThreeSitePulse(pair=1, vartheta=vt), layout)
-report = extract_logical_gate(U[:, layout.logical_indices()], layout, diagnostics=True)
+report = extract_logical_gate(U[:, layout.logical_indices()], layout)
 print(f"\nextracted logical gate at vartheta = pi/2 (basis |00>,|01>,|10>,|11>):")
 print(report.logical_gate.real)
 print("closed form:")

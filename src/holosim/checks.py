@@ -26,14 +26,13 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .chain import ChainLayout, block_sz, logical_frame
-from .compiler import Gate, Rotation, XYGate, compile_circuit, compile_rotation, circuit_unitary
+from .compiler import Gate, Reflection, Rotation, XYGate, compile_circuit, compile_rotation, circuit_unitary
 from .gates import (
     bloch_angles,
     bloch_vector,
     compose_rule,
     entangling_verdict,
     extract_logical_gate,
-    one_qubit_gate,
     projected_block_maps,
     two_qubit_gate,
 )
@@ -89,8 +88,7 @@ def suite_onequbit(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckRes
     thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 16),
                                np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False), indexing="ij")
     columns = run_schedule([OneQubitPulse(1, thetas, phis)], logical_frame(layout), layout)
-    gates = one_qubit_gate(bloch_vector(thetas, phis))
-    targets = np.einsum("...ij,kl->...ikjl", gates, np.eye(2)).reshape(gates.shape[:-2] + (4, 4))
+    targets = circuit_unitary([Reflection(1, bloch_vector(thetas, phis))], layout)
     report = extract_logical_gate(columns, layout, target=targets)
     results.append(_check("pi-pulse gate law on 16x16 (theta, phi) grid: min fidelity",
                           np.min(report.fidelity_vs_target), 1.0 - 1e-10 * tol_scale, ">="))
@@ -106,8 +104,7 @@ def suite_onequbit(samples: int = 1024, tol_scale: float = 1.0) -> list[CheckRes
                           np.max(_phase_free_distance(got, compose_rule(n, m))), 1e-10 * tol_scale))
 
     axes, angles = _random_unit_vectors(100, rng), rng.uniform(-2 * np.pi, 2 * np.pi, 100)
-    half = 0.5 * angles[:, None, None]
-    targets = np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * one_qubit_gate(axes)
+    targets = circuit_unitary([Rotation(1, axes, angles)], layout1)
     fidelity = gate_fidelity(compose_rule(*compile_rotation(axes, angles)), targets)
     results.append(_check("rotation split round-trip, 100 random rotations: min fidelity",
                           np.min(fidelity), 1.0 - 1e-10 * tol_scale, ">="))

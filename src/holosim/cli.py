@@ -34,7 +34,7 @@ from .formats import (
     pulse_to_dict,
     schedule_to_obj,
 )
-from .gates import extract_logical_gate
+from .gates import entangling_verdict, extract_logical_gate, makhlin_invariants
 from .linalg import check_memory
 from .pulses import run_schedule
 
@@ -178,7 +178,7 @@ def cmd_extract_gate(args) -> int:
     check_memory(f"extract-gate at N={args.qubits}", 16 * layout.dim * layout.logical_dim)
     schedule = loads_schedule(_read(args.schedule))
     columns = run_schedule(schedule, logical_frame(layout), layout)
-    report = extract_logical_gate(columns, layout, diagnostics=True)
+    report = extract_logical_gate(columns, layout)
 
     doc = {
         "qubits": layout.n_logical,
@@ -187,12 +187,10 @@ def cmd_extract_gate(args) -> int:
         "leakage": report.leakage,
         "logical_gate": matrix_pairs(report.logical_gate),
     }
-    if report.makhlin is not None:
-        doc["makhlin_g1"] = complex_pair(report.makhlin[0])
-        doc["makhlin_g2"] = report.makhlin[1]
-    if report.entangling is not None:
-        doc["entangling"] = report.entangling
-        doc["entangling_power"] = report.entangling_power
+    if report.cyclic and layout.n_logical == 2:
+        g1, g2 = makhlin_invariants(report.logical_gate)
+        doc["makhlin_g1"], doc["makhlin_g2"] = complex_pair(g1), g2
+        doc["entangling"], doc["entangling_power"] = entangling_verdict(report.logical_gate)
     _write_report(dumps(doc), args.out)
     return 0
 

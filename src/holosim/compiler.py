@@ -71,9 +71,8 @@ def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(angle).all():
         raise ValueError("rotation angle must be finite")
     sides = cross(a[..., None, :], _BASIS_AXES)  # axis x e for e = x, y, z
+    # some |axis x e| >= sqrt(2/3) for a unit axis, as the three squares sum to 2
     transverse = np.sqrt(dot(sides, sides)) > 1e-6
-    if not np.all(np.any(transverse, axis=-1)):  # unreachable for a finite unit axis
-        raise ValueError(f"could not find a direction transverse to axis {a}")
     e = _BASIS_AXES[np.argmax(transverse, axis=-1)]
     n = e - dot(e, a)[..., None] * a
     n = n / np.sqrt(dot(n, n))[..., None]

@@ -3,9 +3,12 @@
 The closed forms implemented here are the targets the simulator is checked
 against: the one-qubit reflection n.sigma produced by a pi-area drive, its
 two-pulse composition rule, and the three-site XY gate together with its
-partial-area block maps.  Whether a two-qubit gate entangles is decided
-exactly, from its Makhlin invariants: ``entangling_verdict`` returns the
-entangling power, with no search over product inputs.
+partial-area block maps.  ``extract_logical_gate`` reports a propagator's
+logical gate, leakage, cyclicity and target fidelity only; the entangling
+diagnostics are separate functions of that gate.  Whether a two-qubit gate
+entangles is decided exactly, from its Makhlin invariants:
+``entangling_verdict`` returns the entangling power, with no search over
+product inputs.
 
 The closed forms, ``extract_logical_gate`` and the Schmidt and entropy
 diagnostics take a leading batch axis (or several): arrays of angles,
@@ -142,7 +145,7 @@ def projected_block_maps(vartheta, area):
 
 @dataclass
 class GateReport:
-    """Logical gate extracted from the logical columns of a propagator, plus diagnostics.
+    """Logical gate extracted from the logical columns of a propagator, with its leakage.
 
     For a stack of column blocks the gate, leakage, cyclic flag and fidelity
     are stacks too; a single block gives a matrix, floats and a bool.
@@ -152,9 +155,6 @@ class GateReport:
     leakage: float | np.ndarray
     cyclic: bool | np.ndarray
     fidelity_vs_target: float | np.ndarray | None = None
-    entangling: bool | None = None
-    entangling_power: float | None = None
-    makhlin: tuple[complex, float] | None = None
 
 
 def _leakage(columns: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -174,7 +174,6 @@ def extract_logical_gate(
     columns,
     layout: ChainLayout,
     target=None,
-    diagnostics: bool = False,
 ) -> GateReport:
     """Logical gate of a propagator U from its logical columns U[:, layout.logical_indices()].
 
@@ -185,17 +184,12 @@ def extract_logical_gate(
     reported as the gate.  Otherwise the raw (contractive) block is returned and the
     report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
     member cyclic.
-
-    With ``diagnostics`` and a two-qubit layout, the entangling verdict, the
-    entangling power and the Makhlin invariants of a single cyclic gate are attached.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.shape[-2:] != (layout.dim, layout.logical_dim):
         raise ValueError(
             f"logical columns shape {columns.shape} is not ({layout.dim}, {layout.logical_dim})"
         )
-    if diagnostics and columns.ndim > 2:
-        raise ValueError("diagnostics take the columns of a single propagator")
     idx = layout.logical_indices()
     block = columns[..., idx, :]
     leakage = _leakage(columns, idx)
@@ -213,12 +207,8 @@ def extract_logical_gate(
             )
         fidelity = gate_fidelity(gate, target)
 
-    report = GateReport(logical_gate=gate, leakage=unstack(leakage), cyclic=unstack(cyclic),
-                        fidelity_vs_target=fidelity)
-    if diagnostics and report.cyclic and layout.n_logical == 2:
-        report.entangling, report.entangling_power = entangling_verdict(gate)
-        report.makhlin = makhlin_invariants(gate)
-    return report
+    return GateReport(logical_gate=gate, leakage=unstack(leakage), cyclic=unstack(cyclic),
+                      fidelity_vs_target=fidelity)
 
 
 def schmidt_coefficients(state4) -> np.ndarray:

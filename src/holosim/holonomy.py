@@ -17,8 +17,9 @@ A sampled path is held in closed form, as three dim x K terms and one
 coefficient row per sample (see ``SubspacePath``).  Each check contracts
 the nine K x K blocks between the terms with the coefficient table, at a
 cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.  The blocks
-come from ``linalg.inner`` and H is applied to one term at a time, so
-beside the terms a check holds at most two more dim x K arrays.
+come from ``linalg.inner``, and H is not applied after the path is traced:
+it maps the terms (F_0, A, B) to (A, B, A), so every block T_x^dag H T_y is
+a block of the terms' own Gram matrix.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -151,17 +152,11 @@ class HolonomyReport:
     wilson_gate: np.ndarray | None
     propagator_gate: np.ndarray
     cross_fidelity: float | None
-    samples: int
     failures: tuple[str, ...] = field(default=())
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-# The parallel-transport check applies H to at most this many bytes of path
-# terms at once, beside the path itself
-_CHUNK_BYTES = 8 * 2**20
 
 
 def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
@@ -211,20 +206,18 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     return SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
 
 
-def check_parallel_transport(path: SubspacePath, site: int, block) -> tuple[float, np.ndarray]:
-    """Residual of P H P = eps P along the path, for H the local form (site, block) of a pulse.
+def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
+    """Residual of P H P = eps P along the path, for H the pulse the path was traced under.
 
     Returns (max_j ||P_j H P_j||_F, eps array) where eps_j = Tr(P_j H P_j)/K
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
     C, T = path.coefficients, path.terms
-    # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j.  blocks[x, y] = T_x^dag H T_y,
-    # with H applied to as many terms at a time as fit in _CHUNK_BYTES (all three on small chains)
-    step = max(1, _CHUNK_BYTES // T[0].nbytes)
-    blocks = np.concatenate([inner(T[:, None], apply_local(site, block, T[y:y + step])[None])
-                             for y in range(0, 3, step)], axis=1)
-    PHP = path._overlaps(C, C, blocks)
+    # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j.  H^3 = H maps the terms
+    # (F_0, A, B) to (A, B, A), so T_x^dag H T_y is the Gram block T_x^dag T_sigma(y), sigma = (1, 2, 1)
+    gram = inner(T[:, None], T[None, :])
+    PHP = path._overlaps(C, C, gram[:, [1, 2, 1]])
     residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
     eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
     return residual, eps
@@ -293,7 +286,7 @@ def certify(
     path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
     frame = path.terms[0]  # the initial frame, not held twice
 
-    pt_residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
+    pt_residual, eps = check_parallel_transport(path)
     # eps is energy per unit envelope; integrating over accumulated area
     # (da = envelope dt) gives the dynamical phase integral.
     dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
@@ -335,7 +328,6 @@ def certify(
         wilson_gate=wilson,
         propagator_gate=propagator_gate,
         cross_fidelity=cross,
-        samples=samples,
         failures=tuple(failures),
     )
     if failures and strict:

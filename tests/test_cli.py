@@ -303,7 +303,21 @@ class TestExtractGate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["cyclic"] is False
         assert doc["leakage"] > 0.1
-        assert "entangling" not in doc
+
+    @pytest.mark.parametrize("qubits,pulse,diagnosed", [
+        (2, ThreeSitePulse(1, np.pi / 2), True),
+        (2, ThreeSitePulse(1, np.pi / 2, area=np.pi / 2), False),  # not cyclic
+        (1, OneQubitPulse(1, np.pi / 4, 0.0), False),
+        (3, ThreeSitePulse(1, np.pi / 2), False),
+    ])
+    def test_entangling_keys_only_for_a_cyclic_two_qubit_gate(self, qubits, pulse, diagnosed, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [pulse])
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", str(qubits)]) == 0
+        keys = ["qubits", "pulses", "cyclic", "leakage", "logical_gate"]
+        if diagnosed:
+            keys += ["makhlin_g1", "makhlin_g2", "entangling", "entangling_power"]
+        assert list(json.loads(capsys.readouterr().out)) == keys
 
 
 class TestBadInput:

@@ -427,14 +427,6 @@ class TestStackedExtraction:
                 want = extract_logical_gate(member, layout, target=single.logical_gate).fidelity_vs_target
                 assert np.asarray(fidelity)[point] == want
 
-    def test_diagnostics_take_one_propagator(self):
-        layout = ChainLayout(2)
-        columns = run_schedule([ThreeSitePulse(1, np.array([0.3, 1.2]))], logical_frame(layout), layout)
-        with pytest.raises(ValueError, match="single propagator"):
-            extract_logical_gate(columns, layout, diagnostics=True)
-        single = extract_logical_gate(columns[1], layout, diagnostics=True)
-        assert single.entangling and single.makhlin is not None
-
 
 class TestClosedFormsOnArrays:
     """Array arguments give the stack of the single results, bit for bit."""

@@ -17,7 +17,7 @@ from holosim.holonomy import (
 )
 from holosim.linalg import expm_hermitian, gate_fidelity, polar_unitary
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, cumulative_area,
-                            local_form, propagate_exact)
+                            propagate_exact)
 
 from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
 
@@ -74,24 +74,16 @@ class TestParallelTransport:
     def test_one_qubit_pulse_has_zero_subspace_energy(self):
         pulse = OneQubitPulse(1, np.pi / 4, 0.0)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 129, LAYOUT)
-        residual, eps = check_parallel_transport(path, *local_form(pulse, LAYOUT))
+        residual, eps = check_parallel_transport(path)
         assert residual < 1e-10
         assert np.max(np.abs(eps)) < 1e-12
 
     def test_three_site_pulse_has_zero_subspace_energy(self):
         pulse = ThreeSitePulse(1, np.pi / 2)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 129, LAYOUT)
-        residual, eps = check_parallel_transport(path, *local_form(pulse, LAYOUT))
+        residual, eps = check_parallel_transport(path)
         assert residual < 1e-10
         assert np.max(np.abs(eps)) < 1e-12
-
-    def test_identity_hamiltonian_diagnostic(self):
-        pulse = OneQubitPulse(1, 0.4, 0.0)
-        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 16, LAYOUT)
-        residual, eps = check_parallel_transport(path, 1, np.eye(3))
-        K = path.subspace_dim
-        assert residual == pytest.approx(np.sqrt(K), abs=1e-10)
-        assert np.allclose(eps, 1.0, atol=1e-12)
 
 
 class TestWilsonLoop:
@@ -250,7 +242,7 @@ class TestAgainstDenseOracle:
                 path = trace_subspace(pulse, F0, 33, layout)
                 frames = eigh_frames(H, F0, path.areas)
                 PHP = subspace_energies(frames, H)
-                residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
+                residual, eps = check_parallel_transport(path)
                 assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
                 assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / F0.shape[1])) <= 1e-12
                 eye = np.eye(F0.shape[1])
@@ -279,7 +271,7 @@ class TestAgainstDenseOracle:
                        * np.stack([np.ones_like(areas), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1))
         frames = scale[:, None, None] * eigh_frames(H, F0, areas)
         PHP = subspace_energies(frames, H)
-        residual, eps = check_parallel_transport(path, *local_form(pulse, layout))
+        residual, eps = check_parallel_transport(path)
         assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
         assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / 3)) <= 1e-12
         defect = max(np.linalg.norm(F.conj().T @ F - np.eye(3)) for F in frames)
