@@ -20,7 +20,6 @@ from .chain import (
     ChainLayout,
     block_sz,
     embed,
-    gell_mann,
     h1,
     h3,
     lambda_coupling,
@@ -84,7 +83,6 @@ __all__ = [
     "ChainLayout",
     "block_sz",
     "embed",
-    "gell_mann",
     "h1",
     "h3",
     "lambda_coupling",

@@ -25,8 +25,6 @@ from itertools import product
 import numpy as np
 
 __all__ = [
-    "GELL_MANN_INDICES",
-    "gell_mann",
     "SIGMA_Z3",
     "ChainLayout",
     "embed",
@@ -52,20 +50,8 @@ _GELL_MANN = {
     7: -1j * np.outer(_KET0, _KET1) + 1j * np.outer(_KET1, _KET0),
 }
 
-GELL_MANN_INDICES = (1, 2, 4, 6, 7)
-
 # Pseudo-spin z on the qubit subspace of one qutrit: |0><0| - |1><1|.
 SIGMA_Z3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
-
-
-def gell_mann(index: int) -> np.ndarray:
-    """3x3 generator with the given catalog index (one of 1, 2, 4, 6, 7)."""
-    try:
-        return _GELL_MANN[index].copy()
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"gell_mann index must be one of {GELL_MANN_INDICES}, got {index!r}"
-        ) from None
 
 
 @dataclass(frozen=True)

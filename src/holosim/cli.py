@@ -3,7 +3,7 @@
 Subcommands::
 
     holosim simulate     --schedule F --qubits N --initial BITS [--out F]
-    holosim verify       --suite NAME [--tol X] [--samples K]
+    holosim verify       --suite NAME
     holosim compile      --circuit F --qubits N [--out F]
     holosim extract-gate --schedule F --qubits N [--out F]
 
@@ -15,7 +15,6 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -58,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--tol", type=_positive_float, default=1.0,
-                   help="scale factor applied to every threshold (default 1)")
-    p.add_argument("--samples", type=int, default=1024,
-                   help="path samples for holonomy certification (default 1024)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compile", help="compile a logical circuit into a pulse schedule")
@@ -76,16 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the gate report here instead of stdout")
     p.set_defaults(func=cmd_extract_gate)
     return parser
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 def _read(path: str) -> str:
@@ -137,7 +122,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, samples=args.samples, tol_scale=args.tol)
+    results = run_suite(args.suite)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

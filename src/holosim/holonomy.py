@@ -74,8 +74,8 @@ class SubspacePath:
     (F_0, A, B), stacked as (3, dim, K), and the samples x 3 coefficient
     table (1, s_j, c_j); every overlap F_j^dag X F_k is a weighted sum of
     the nine K x K blocks T_x^dag X T_y between terms, so nothing
-    samples x dim is built unless ``frames`` is asked for.  Projectors are
-    frame-gauge free: P_j = F_j F_j^dag.
+    samples x dim is built.  Projectors are frame-gauge free:
+    P_j = F_j F_j^dag.
     """
 
     areas: np.ndarray
@@ -93,17 +93,6 @@ class SubspacePath:
     def frame(self, j: int) -> np.ndarray:
         """The dim x K frame F_j."""
         return np.einsum("x,xdk->dk", self.coefficients[j], self.terms)
-
-    @property
-    def frames(self) -> np.ndarray:
-        """All sampled frames, shape (samples, dim, K), built on demand."""
-        _, dim, K = self.terms.shape
-        check_memory(f"the frames of {self.samples} samples", 16 * self.samples * dim * K)
-        return np.einsum("jx,xdk->jdk", self.coefficients, self.terms)
-
-    def projector(self, j: int) -> np.ndarray:
-        F = self.frame(j)
-        return F @ F.conj().T
 
     def _overlaps(self, left: np.ndarray, right: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
         """F_j^dag X F_k for each row pair (j, k) of the coefficient tables ``left`` and ``right``.
@@ -125,12 +114,6 @@ class SubspacePath:
         F0, F1 = self.terms[0], self.frame(-1)
         F1 -= F0 @ inner(F0, F1)
         return float(np.sqrt(2.0) * np.linalg.norm(F1))
-
-    def max_projector_defect(self) -> float:
-        """max_j ||F_j^dag F_j - 1||_F (orthonormality drift along the path)."""
-        C = self.coefficients
-        gram = self._overlaps(C, C)
-        return float(np.max(np.linalg.norm(gram - np.eye(self.subspace_dim), axis=(1, 2))))
 
 
 class HolonomyError(ValueError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -73,10 +73,19 @@ def _check_pulse_fields(area, envelope, duration):
         raise ValueError(f"pulse duration must be positive, got {duration}")
 
 
+def fields_equal(a, b):
+    """``==`` for the pulse and gate classes: every field compares with ``np.array_equal``,
+    so batch fields compare by shape and value instead of raising."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 @dataclass(frozen=True)
 class OneQubitPulse:
     """Two-field drive on the site of logical qubit ``qubit``."""
 
+    __eq__ = fields_equal
     kind: ClassVar[str] = "one_qubit"  # schedule-document name
     qubit: int
     theta: float
@@ -105,6 +114,7 @@ class OneQubitPulse:
 class ThreeSitePulse:
     """XY coupling pulse on the three sites of logical pair ``pair``."""
 
+    __eq__ = fields_equal
     kind: ClassVar[str] = "three_site"  # schedule-document name
     pair: int
     vartheta: float

@@ -2,6 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines.  Criteria 1 and 9 also enforce their runtime budgets.
+
+Criteria 1-3 sweep the same laws as the first checks of ``holosim verify``
+(``checks.suite_onequbit`` and ``suite_twoqubit``), one grid point or pair at
+a time through a dense propagator.  They are the per-point references for
+those batched sweeps, with their own seeds and metrics; the two sweeps are
+kept apart on purpose, so that neither takes its grid, seed or metric as an
+argument.
 """
 
 import time

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from holosim.chain import (
+    _GELL_MANN,
     ChainLayout,
     block_sz,
     embed,
-    gell_mann,
     h1,
     h3,
     lambda_coupling,
@@ -24,7 +24,8 @@ def ket(i):
 KET0, KET1, KETE = ket(0), ket(1), ket(2)
 
 
-class TestGellMann:
+class TestGenerators:
+    # the Gell-Mann table that lambda_coupling and the XY hop are built from
     def test_explicit_matrices(self):
         expected = {
             1: np.outer(KETE, KET0) + np.outer(KET0, KETE),
@@ -33,29 +34,18 @@ class TestGellMann:
             6: np.outer(KET0, KET1) + np.outer(KET1, KET0),
             7: -1j * np.outer(KET0, KET1) + 1j * np.outer(KET1, KET0),
         }
+        assert sorted(_GELL_MANN) == sorted(expected)
         for index, want in expected.items():
-            assert np.array_equal(gell_mann(index), want)
-
-    def test_index_6_is_sigma_x_block(self):
-        g = gell_mann(6)
-        assert g[0, 1] == 1 and g[1, 0] == 1
-        assert np.all(g[2, :] == 0) and np.all(g[:, 2] == 0)
-
-    def test_index_1_couples_ground_to_excited(self):
-        g = gell_mann(1)
-        assert g[2, 0] == 1 and g[0, 2] == 1
-        assert np.count_nonzero(g) == 2
+            assert np.array_equal(_GELL_MANN[index], want)
 
     @pytest.mark.parametrize("index", [1, 2, 4, 6, 7])
     def test_hermitian_traceless(self, index):
-        g = gell_mann(index)
+        g = _GELL_MANN[index]
         assert np.array_equal(g, g.conj().T)
         assert np.trace(g) == 0
 
-    @pytest.mark.parametrize("index", [0, 3, 5, 8, 9, "x", None])
-    def test_catalog_is_closed(self, index):
-        with pytest.raises(ValueError, match="index"):
-            gell_mann(index)
+    def test_undriven_generators_are_absent(self):
+        assert not {3, 5, 8} & set(_GELL_MANN)
 
 
 class TestChainLayout:
@@ -104,7 +94,7 @@ class TestChainLayout:
 class TestEmbed:
     def test_least_significant_site_action(self):
         layout = ChainLayout(2)
-        M = embed(gell_mann(6), 3, layout)
+        M = embed(np.outer(KET0, KET1) + np.outer(KET1, KET0), 3, layout)
         assert M[0, 1] == 1 and M[1, 0] == 1
 
     def test_identity_any_site(self):
@@ -113,7 +103,7 @@ class TestEmbed:
             assert np.array_equal(embed(np.eye(3), site, layout), np.eye(27))
 
     def test_site1_exchange_blocks(self):
-        M = embed(gell_mann(4), 1, ChainLayout(2))
+        M = embed(np.outer(KETE, KET1) + np.outer(KET1, KETE), 1, ChainLayout(2))
         for j in range(9):
             assert M[9 + j, 18 + j] == 1
             assert M[18 + j, 9 + j] == 1
@@ -176,6 +166,14 @@ class TestOneQubitHamiltonian:
     def test_spectrum_is_unit_lambda_system(self, theta, phi):
         evals = np.linalg.eigvalsh(lambda_coupling(theta, phi))
         assert np.allclose(evals, [-1.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("theta,phi", [(0.83, 2.1), (2.4, -0.7), (1.3, 4.4)])
+    def test_matches_documented_coupling(self, theta, phi):
+        # sin(t/2) e^{i p} |e><0| - cos(t/2) |e><1| + h.c.
+        upper = (np.sin(theta / 2) * np.exp(1j * phi) * np.outer(KETE, KET0)
+                 - np.cos(theta / 2) * np.outer(KETE, KET1))
+        want = upper + upper.conj().T
+        assert np.max(np.abs(lambda_coupling(theta, phi) - want)) <= 1e-15
 
     def test_qubit_block_exactly_zero(self):
         H = lambda_coupling(0.83, 2.1)

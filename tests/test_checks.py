@@ -25,7 +25,7 @@ from oracles import taylor_expm
 
 TOL = 1e-12
 
-# verify --suite all at tol_scale 1: name, comparison, threshold, in output order
+# verify --suite all: name, comparison, threshold, in output order
 EXPECTED_CHECKS = [
     ("pi-pulse gate law on 16x16 (theta, phi) grid: min fidelity", ">=", 1.0 - 1e-10),
     ("two-pulse composition law, 1000 random pairs: max deviation", "<=", 1e-10),
@@ -68,7 +68,7 @@ class TestVerifyAll:
 
     def test_suites_concatenate_to_all(self, all_results):
         names = [r.name for suite in ("onequbit", "twoqubit", "holonomy", "compiler")
-                 for r in run_suite(suite, samples=64)]
+                 for r in run_suite(suite)]
         assert names == [name for name, _, _ in EXPECTED_CHECKS]
 
 

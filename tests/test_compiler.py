@@ -199,6 +199,16 @@ class TestRoundTrip:
         assert worst >= 1.0 - 1e-8
 
 
+# one constructor per pulse and gate class, each varying one field with an angle
+_BY_ANGLE = {
+    "one_qubit": lambda a: OneQubitPulse(1, a, 0.2),
+    "three_site": lambda a: ThreeSitePulse(1, a),
+    "rotation": lambda a: Rotation(1, Z_AXIS, a),
+    "reflection": lambda a: Reflection(1, np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1)),
+    "xy": lambda a: XYGate(1, a),
+}
+
+
 def _unit_vectors(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -256,6 +266,45 @@ class TestBatchedGates:
             member_schedule = compile_circuit([_member(g, k) for g in circuit], layout)
             assert [type(p) for p in member_schedule] == [type(p) for p in schedule]
             assert np.array_equal(columns[k], run_schedule(member_schedule, logical_frame(layout), layout))
+
+    def test_batches_compare_by_shape_and_value(self):
+        layout = ChainLayout(2)
+        rng = np.random.default_rng(70)
+        axes, angles = _unit_vectors(rng, 3), rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+        circuit = [Rotation(1, axes, angles), XYGate(1, angles)]
+        schedule = compile_circuit(circuit, layout)
+        assert compile_circuit(circuit, layout) == schedule
+        assert XYGate(1, angles) == XYGate(1, angles.copy())
+        other = angles.copy()
+        other[1] += 0.5
+        assert compile_circuit([Rotation(1, axes, angles), XYGate(1, other)], layout) != schedule
+        assert compile_circuit([Rotation(1, axes[:2], angles[:2]), XYGate(1, angles[:2])], layout) != schedule
+        assert XYGate(1, angles[None]) != XYGate(1, angles)
+
+    def test_single_gates_and_pulses_compare_as_before(self):
+        assert XYGate(1, 0.3) == XYGate(1, 0.3) and XYGate(1, 0.3) != XYGate(1, 0.4)
+        assert Reflection(1, (0.0, 0.0, 1.0)) != Reflection(2, (0.0, 0.0, 1.0))
+        assert OneQubitPulse(1, 0.3, 0.0) != ThreeSitePulse(1, 0.3)
+        assert OneQubitPulse(1, 0.3, 0.0, envelope="sin2") != OneQubitPulse(1, 0.3, 0.0)
+        assert hash(ThreeSitePulse(1, 0.3)) == hash(ThreeSitePulse(1, 0.3))
+
+    @pytest.mark.parametrize("make", list(_BY_ANGLE.values()), ids=list(_BY_ANGLE))
+    def test_every_class_compares_batches_fieldwise(self, make):
+        angles = np.array([0.3, 1.1, 2.5])
+        other = angles.copy()
+        other[2] += 0.5
+        assert make(angles) == make(angles.copy())
+        assert make(angles) != make(other)
+        assert make(angles) != make(angles[:2])
+        assert make(angles) != make(angles[None])
+
+    @pytest.mark.parametrize("make", list(_BY_ANGLE.values()), ids=list(_BY_ANGLE))
+    def test_every_class_compares_single_instances_by_value(self, make):
+        assert make(0.3) == make(0.3)
+        assert make(0.3) != make(0.4)
+        # a batch of one is not the single instance
+        assert make(0.3) != make(np.array([0.3]))
+        assert make(0.3) != object()
 
     def test_nan_inside_a_batch_of_angles_names_the_gate(self):
         layout = ChainLayout(2)

@@ -21,7 +21,7 @@ def test_every_exported_name_resolves():
 
 
 def test_no_function_takes_a_threshold():
-    knobs = {"tol", "cyclicity_tol", "min_singular", "unitary_tol", "indent"}
+    knobs = {"tol", "tol_scale", "cyclicity_tol", "min_singular", "unitary_tol", "indent"}
     found = [f"{module.__name__}.{name}({param})" for module in MODULES
              for name, obj in vars(module).items()
              if inspect.isfunction(obj) and obj.__module__ == module.__name__

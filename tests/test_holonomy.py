@@ -24,14 +24,19 @@ from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
 LAYOUT = ChainLayout(2)
 
 
+def projector(path, j):
+    F = path.frame(j)
+    return F @ F.conj().T
+
+
 class TestTraceSubspace:
     def test_zero_area_pulse_is_constant_path(self):
         pulse = OneQubitPulse(1, 0.8, 0.2, area=0.0)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 64, LAYOUT)
         assert path.cyclicity_residual < 1e-12
-        P0 = path.projector(0)
+        P0 = projector(path, 0)
         for j in (1, 31, 63):
-            assert np.linalg.norm(path.projector(j) - P0) < 1e-12
+            assert np.linalg.norm(projector(path, j) - P0) < 1e-12
 
     @pytest.mark.parametrize(
         "pulse",
@@ -40,13 +45,15 @@ class TestTraceSubspace:
     def test_pi_area_paths_close(self, pulse):
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 257, LAYOUT)
         assert path.cyclicity_residual < 1e-10
-        assert path.max_projector_defect() < 1e-10
+        eye = np.eye(path.subspace_dim)
+        frames = (path.frame(j) for j in range(path.samples))
+        assert max(np.linalg.norm(F.conj().T @ F - eye) for F in frames) < 1e-10
 
     def test_projector_identities_along_path(self):
         pulse = ThreeSitePulse(1, 1.7)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 65, LAYOUT)
         for j in (0, 17, 64):
-            P = path.projector(j)
+            P = projector(path, j)
             assert np.linalg.norm(P @ P - P) < 1e-10
             assert np.linalg.norm(P - P.conj().T) < 1e-12
             assert abs(np.trace(P).real - path.subspace_dim) < 1e-10
@@ -205,7 +212,7 @@ class TestAgainstDenseOracle:
         path = trace_subspace(pulse, F0, 33, layout)
         H = block_hamiltonian(pulse, layout)
         for j, area in enumerate(path.areas):
-            assert np.max(np.abs(path.frames[j] - expm_hermitian(H, area) @ F0)) <= 1e-12
+            assert np.max(np.abs(path.frame(j) - expm_hermitian(H, area) @ F0)) <= 1e-12
 
     @pytest.mark.parametrize("n_logical", [2, 3])
     @pytest.mark.parametrize(
@@ -245,9 +252,6 @@ class TestAgainstDenseOracle:
                 residual, eps = check_parallel_transport(path)
                 assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
                 assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / F0.shape[1])) <= 1e-12
-                eye = np.eye(F0.shape[1])
-                defect = max(np.linalg.norm(F.conj().T @ F - eye) for F in frames)
-                assert abs(path.max_projector_defect() - defect) <= 1e-12
                 P0, P1 = (F @ F.conj().T for F in (frames[0], frames[-1]))
                 cyclicity = np.linalg.norm(P1 - P0)
                 assert abs(path.cyclicity_residual - cyclicity) <= 1e-12
@@ -257,7 +261,7 @@ class TestAgainstDenseOracle:
     def test_contractions_on_an_uneven_rescaled_path(self):
         # the consumers are exact in the coefficient table: uneven areas make the
         # overlaps non-palindromic, so their order shows, and per-sample scale
-        # factors make the subspace energy and the Gram drift differ sample to sample
+        # factors make the subspace energy differ sample to sample
         layout = ChainLayout(2)
         pulse = ThreeSitePulse(1, 2.4, area=-2 * np.pi)
         H = block_hamiltonian(pulse, layout)
@@ -274,8 +278,6 @@ class TestAgainstDenseOracle:
         residual, eps = check_parallel_transport(path)
         assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
         assert np.max(np.abs(eps - np.trace(PHP, axis1=1, axis2=2).real / 3)) <= 1e-12
-        defect = max(np.linalg.norm(F.conj().T @ F - np.eye(3)) for F in frames)
-        assert abs(path.max_projector_defect() - defect) <= 1e-12
         assert np.max(np.abs(wilson_loop(path) - wilson_product(frames))) <= 1e-12
 
     @pytest.mark.parametrize("n_logical", [2, 3])
@@ -386,5 +388,5 @@ class TestCyclicityResidual:
         layout = ChainLayout(3)
         for pulse in (OneQubitPulse(2, 0.7, 1.9, area=area), ThreeSitePulse(2, 2.4, area=area)):
             path = trace_subspace(pulse, computational_frame(pulse, layout), 8, layout)
-            dense = np.linalg.norm(path.projector(-1) - path.projector(0))
+            dense = np.linalg.norm(projector(path, -1) - projector(path, 0))
             assert abs(path.cyclicity_residual - dense) <= 1e-12
