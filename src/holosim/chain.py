@@ -20,7 +20,6 @@ single full-chain operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -102,7 +101,11 @@ class ChainLayout:
 
     def logical_indices(self) -> list[int]:
         """Global indices of all 2^N logical states, lexicographic in n1..nN."""
-        return [self.logical_index(bits) for bits in product((0, 1), repeat=self.n_logical)]
+        # qubit q is bit N - q of the state's number and weighs 3^(n_sites - site) = 9^(N - q);
+        # indices past int64 (N > 20) stay exact as Python ints
+        shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if self.dim < 2**63 else object)
+        bits = (np.arange(self.logical_dim, dtype=shifts.dtype)[:, None] >> shifts) & 1
+        return (bits @ 9 ** shifts).tolist()
 
 
 def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:

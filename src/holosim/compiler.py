@@ -29,7 +29,7 @@ import numpy as np
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
 from .linalg import cross, dot
-from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal
+from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal, fields_hash
 
 __all__ = [
     "Rotation",
@@ -86,6 +86,7 @@ class Rotation:
     """exp(-i angle/2 * axis.sigma) on one logical qubit; (..., 3) axes and (...) angles make a batch."""
 
     __eq__ = fields_equal
+    __hash__ = fields_hash
     kind: ClassVar[str] = "rotation"
     rule: ClassVar[str] = "rotation: two pi-area drives (reflection pair n then m)"
     qubits: ClassVar[int] = 1
@@ -113,6 +114,7 @@ class Reflection:
     """n.sigma on one logical qubit (single pi pulse); (..., 3) vectors make a batch."""
 
     __eq__ = fields_equal
+    __hash__ = fields_hash
     kind: ClassVar[str] = "reflection"
     rule: ClassVar[str] = "reflection: one pi-area drive along n"
     qubits: ClassVar[int] = 1
@@ -134,6 +136,7 @@ class XYGate:
     """XY-block gate with mixing angle vartheta on adjacent pair (l', l'+1); array angles make a batch."""
 
     __eq__ = fields_equal
+    __hash__ = fields_hash
     kind: ClassVar[str] = "xy"
     rule: ClassVar[str] = "xy: one pi-area three-site coupling pulse"
     qubits: ClassVar[int] = 2

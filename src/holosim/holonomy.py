@@ -16,10 +16,14 @@ the geometric nature of the gate.
 A sampled path is held in closed form, as three dim x K terms and one
 coefficient row per sample (see ``SubspacePath``).  Each check contracts
 the nine K x K blocks between the terms with the coefficient table, at a
-cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.  The blocks
-come from ``linalg.inner``, and H is not applied after the path is traced:
-it maps the terms (F_0, A, B) to (A, B, A), so every block T_x^dag H T_y is
-a block of the terms' own Gram matrix.
+cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.  The
+blocks form the path's term Gram, built once with ``linalg.inner`` and kept.
+``certify`` applies the local block twice, to trace the path (A = H F_0,
+B = H A), and never again: H maps the terms (F_0, A, B) to (A, B, A), so
+every block T_x^dag H T_y is a Gram block, and so are the projected
+propagator's F_0^dag F_0, F_0^dag H F_0 = F_0^dag A and F_0^dag H^2 F_0 =
+A^dag A.  One term Gram serves the parallel-transport check, the Wilson
+steps and the projected propagator.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -29,11 +33,12 @@ stack of projected maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import check_memory, gate_fidelity, inner, polar_unitary
+from .linalg import check_memory, frobenius, gate_fidelity, inner, polar_unitary
 from .pulses import Pulse, apply_local, cumulative_area, local_form
 
 __all__ = [
@@ -75,7 +80,8 @@ class SubspacePath:
     table (1, s_j, c_j); every overlap F_j^dag X F_k is a weighted sum of
     the nine K x K blocks T_x^dag X T_y between terms, so nothing
     samples x dim is built.  Projectors are frame-gauge free:
-    P_j = F_j F_j^dag.
+    P_j = F_j F_j^dag.  The term Gram and the cyclicity residual are
+    computed on first use and kept.
     """
 
     areas: np.ndarray
@@ -94,21 +100,26 @@ class SubspacePath:
         """The dim x K frame F_j."""
         return np.einsum("x,xdk->dk", self.coefficients[j], self.terms)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The term Gram T_x^dag T_y for the terms (F_0, A, B), shape (3, 3, K, K)."""
+        return inner(self.terms[:, None], self.terms[None, :])
+
     def _overlaps(self, left: np.ndarray, right: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
         """F_j^dag X F_k for each row pair (j, k) of the coefficient tables ``left`` and ``right``.
 
         ``blocks`` holds T_x^dag X T_y for the terms T, shape (3, 3, K, K)
-        (default: X = 1).  Returns a (rows, K, K) array.
+        (default: X = 1, the term Gram).  Returns a (rows, K, K) array.
         """
         K = self.subspace_dim
         if blocks is None:
-            blocks = inner(self.terms[:, None], self.terms[None, :])
+            blocks = self.gram
         # conj(left[j, x]) right[j, y] for the nine (x, y), with the rows innermost and contiguous
         left, right = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
         weights = (left.conj()[:, None, :] * right[None, :, :]).reshape(9, -1)
         return (weights.T @ blocks.reshape(9, K * K)).reshape(-1, K, K)
 
-    @property
+    @cached_property
     def cyclicity_residual(self) -> float:
         """Loop-closure defect ||P(tau) - P(0)||_F, as sqrt(2) ||(1 - P(0)) F(tau)||_F."""
         F0, F1 = self.terms[0], self.frame(-1)
@@ -172,10 +183,10 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(K))
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
-    # the three terms, and per sample an area and a coefficient row (within
-    # four complex numbers) and the K x K overlap the consumers build
+    # the three terms, their 3 x 3 Gram of K x K blocks, and per sample an area and a
+    # coefficient row (within four complex numbers) and the K x K overlap the consumers build
     check_memory(f"a subspace path of {samples} samples",
-                 16 * (3 * layout.dim * K + samples * (K * K + 4)))
+                 16 * (3 * layout.dim * K + 9 * K * K + samples * (K * K + 4)))
 
     site, block = local_form(pulse, layout)
     if block.ndim > 2:
@@ -196,12 +207,11 @@ def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
-    C, T = path.coefficients, path.terms
+    C = path.coefficients
     # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j.  H^3 = H maps the terms
     # (F_0, A, B) to (A, B, A), so T_x^dag H T_y is the Gram block T_x^dag T_sigma(y), sigma = (1, 2, 1)
-    gram = inner(T[:, None], T[None, :])
-    PHP = path._overlaps(C, C, gram[:, [1, 2, 1]])
-    residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
+    PHP = path._overlaps(C, C, path.gram[:, [1, 2, 1]])
+    residual = float(np.max(frobenius(PHP)))
     eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
     return residual, eps
 
@@ -217,9 +227,16 @@ def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray
     # (F, H F) from one application of the stacked local operators (1, H), and their four overlaps
     FHF = apply_local(site, np.stack(np.broadcast_arrays(np.eye(block.shape[-1]), block)),
                       np.asarray(frame, dtype=complex))
-    G = inner(FHF[:, None], FHF[None, :])
-    area = np.asarray(pulse.area, dtype=float)[..., None, None]
-    return G[0, 0] - 1j * np.sin(area) * G[0, 1] + (np.cos(area) - 1.0) * G[1, 1]
+    return _projected_map(inner(FHF[:, None], FHF[None, :]), pulse.area)
+
+
+def _projected_map(gram: np.ndarray, area) -> np.ndarray:
+    """F^dag U(a) F = G00 - i sin(a) G01 + (cos(a) - 1) G11 for the Gram blocks G of (F, H F, ...).
+
+    A path's term Gram serves as it is: its first two terms are (F_0, A = H F_0).
+    """
+    area = np.asarray(area, dtype=float)[..., None, None]
+    return gram[0, 0] - 1j * np.sin(area) * gram[0, 1] + (np.cos(area) - 1.0) * gram[1, 1]
 
 
 def wilson_loop(path: SubspacePath) -> np.ndarray:
@@ -267,7 +284,6 @@ def certify(
     condition is raised; otherwise the report carries the failure list.
     """
     path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
-    frame = path.terms[0]  # the initial frame, not held twice
 
     pt_residual, eps = check_parallel_transport(path)
     # eps is energy per unit envelope; integrating over accumulated area
@@ -275,7 +291,7 @@ def certify(
     dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
     cyc_residual = path.cyclicity_residual
 
-    projected = projected_propagator(pulse, frame, layout)
+    projected = _projected_map(path.gram, pulse.area)  # F_0^dag F_0, F_0^dag A and A^dag A
 
     failures = []
     if pt_residual >= CERTIFY_PARALLEL_TRANSPORT:

@@ -51,7 +51,7 @@ def _adjoint(M):
     return M.conj().swapaxes(-1, -2)
 
 
-def _frobenius(D):
+def frobenius(D):
     """Frobenius norm of each complex matrix of a stack, from the real view of its entries."""
     x = D.reshape(D.shape[:-2] + (-1,)).view(np.float64)
     return unstack(np.sqrt(dot(x, x)))
@@ -60,13 +60,13 @@ def _frobenius(D):
 def hermiticity_defect(H):
     """Frobenius norm of H - H^dagger (per matrix of a stack)."""
     H = np.asarray(H, dtype=complex)
-    return _frobenius(H - _adjoint(H))
+    return frobenius(H - _adjoint(H))
 
 
 def unitarity_defect(U):
     """Frobenius norm of U^dagger U - 1 (per matrix of a stack)."""
     U = np.asarray(U, dtype=complex)
-    return _frobenius(_adjoint(U) @ U - np.eye(U.shape[-1]))
+    return frobenius(_adjoint(U) @ U - np.eye(U.shape[-1]))
 
 
 def dot(a, b) -> np.ndarray:

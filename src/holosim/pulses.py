@@ -81,11 +81,23 @@ def fields_equal(a, b):
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
+def fields_hash(obj):
+    """``hash`` for the pulse and gate classes: the frozen dataclass's hash of the field values,
+    or, when an array field makes the object a batch, a ``TypeError`` that says so."""
+    values = tuple(getattr(obj, f.name) for f in fields(obj))
+    for f, value in zip(fields(obj), values):
+        if isinstance(value, np.ndarray):
+            raise TypeError(f"unhashable {type(obj).__name__}: it is a batch "
+                            f"(field {f.name!r} is an array of shape {value.shape})")
+    return hash(values)
+
+
 @dataclass(frozen=True)
 class OneQubitPulse:
     """Two-field drive on the site of logical qubit ``qubit``."""
 
     __eq__ = fields_equal
+    __hash__ = fields_hash
     kind: ClassVar[str] = "one_qubit"  # schedule-document name
     qubit: int
     theta: float
@@ -115,6 +127,7 @@ class ThreeSitePulse:
     """XY coupling pulse on the three sites of logical pair ``pair``."""
 
     __eq__ = fields_equal
+    __hash__ = fields_hash
     kind: ClassVar[str] = "three_site"  # schedule-document name
     pair: int
     vartheta: float
@@ -209,7 +222,13 @@ def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     d = U.shape[-1]
     Xr = X.reshape(X.shape[:-2] + (3 ** (site - 1), d, -1))
-    out = U[..., None, :, :] @ Xr
+    if U.ndim == 2:
+        out = U[..., None, :, :] @ Xr
+    else:
+        # a stack: the sites before the block move behind its axis, so that each member is one
+        # product with 3^(site-1) times as many columns, at the cost of a copy in and out
+        out = U @ Xr.swapaxes(-3, -2).reshape(Xr.shape[:-3] + (d, -1))
+        out = out.reshape(out.shape[:-1] + (Xr.shape[-3], Xr.shape[-1])).swapaxes(-3, -2)
     return out.reshape(out.shape[:-3] + X.shape[-2:])
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ class TestChainLayout:
         assert len(idx) == 8
         assert len(set(idx)) == 8
         assert all(0 <= i < layout.dim for i in idx)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_logical_indices_equal_the_per_state_indices(self, n):
+        layout = ChainLayout(n)
+        idx = layout.logical_indices()
+        assert idx == [layout.logical_index(bits) for bits in product((0, 1), repeat=n)]
+        assert all(type(i) is int for i in idx)
+
+    def test_logical_indices_past_int64_are_python_ints(self):
+        # from N = 21 on the chain dimension passes 2^63; that route, taken here at N = 3
+        class Wide(ChainLayout):
+            dim = 2**63
+
+        layout = Wide(3)
+        idx = layout.logical_indices()
+        assert idx == [layout.logical_index(bits) for bits in product((0, 1), repeat=3)]
+        assert all(type(i) is int for i in idx)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):

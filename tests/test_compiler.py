@@ -288,6 +288,18 @@ class TestBatchedGates:
         assert OneQubitPulse(1, 0.3, 0.0, envelope="sin2") != OneQubitPulse(1, 0.3, 0.0)
         assert hash(ThreeSitePulse(1, 0.3)) == hash(ThreeSitePulse(1, 0.3))
 
+    def test_single_gates_and_pulses_hash_as_frozen_dataclasses(self):
+        # the hash a frozen dataclass generates: that of the tuple of its field values
+        for single in (OneQubitPulse(2, 0.3, 0.2, envelope="sin2"), ThreeSitePulse(1, 1.1, area=2.0),
+                       Rotation(1, (0.0, 0.0, 1.0), 0.4), Reflection(2, (1.0, 0.0, 0.0)), XYGate(1, 0.7)):
+            assert hash(single) == hash(tuple(getattr(single, f.name) for f in fields(single)))
+        assert len({XYGate(1, 0.3), XYGate(1, 0.3), XYGate(1, 0.4)}) == 2
+
+    @pytest.mark.parametrize("make", list(_BY_ANGLE.values()), ids=list(_BY_ANGLE))
+    def test_a_batch_is_unhashable_and_says_so(self, make):
+        with pytest.raises(TypeError, match=r"it is a batch \(field '\w+' is an array of shape \(3,"):
+            hash(make(np.array([0.3, 1.1, 2.5])))
+
     @pytest.mark.parametrize("make", list(_BY_ANGLE.values()), ids=list(_BY_ANGLE))
     def test_every_class_compares_batches_fieldwise(self, make):
         angles = np.array([0.3, 1.1, 2.5])

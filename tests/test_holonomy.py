@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holosim import holonomy
 from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import bloch_vector, one_qubit_gate, two_qubit_gate
 from holosim.holonomy import (
+    CERTIFY_CYCLICITY,
     HolonomyError,
+    _ordered_product,
     certify,
     check_parallel_transport,
     computational_frame,
@@ -15,9 +18,9 @@ from holosim.holonomy import (
     trace_subspace,
     wilson_loop,
 )
-from holosim.linalg import expm_hermitian, gate_fidelity, polar_unitary
-from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, cumulative_area,
-                            propagate_exact)
+from holosim.linalg import expm_hermitian, gate_fidelity, inner, polar_unitary
+from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, apply_local, block_hamiltonian,
+                            cumulative_area, local_form, propagate_exact)
 
 from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
 
@@ -148,6 +151,17 @@ class TestCertify:
         # before any samples-sized array
         with pytest.raises(MemoryError, match="physical memory"):
             certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
+
+    def test_memory_budget_counts_the_term_gram(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(holonomy, "check_memory", lambda what, nbytes: asked.append(nbytes))
+        layout = ChainLayout(3)
+        path = trace_subspace(ThreeSitePulse(2, 0.9), logical_frame(layout), 100, layout)
+        K = 8
+        # three dim x K terms, the 3 x 3 term Gram of K x K blocks, and per sample a K x K
+        # overlap, an area and a coefficient row
+        assert asked == [16 * (3 * layout.dim * K + 9 * K * K + 100 * (K * K + 4))]
+        assert path.gram.nbytes == 16 * 9 * K * K
 
     def test_gate_agrees_with_analytic_target(self):
         report = certify(ThreeSitePulse(1, 0.8), LAYOUT, samples=512)
@@ -380,6 +394,92 @@ class TestCertifyReach:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _separate_measurements(pulse, layout, samples):
+    """certify's five measurements, each computed on its own: the term Gram built anew for the
+    parallel-transport check and for the Wilson steps, the cyclicity residual recomputed, the
+    residual's norms from ``np.linalg.norm``, and the projected propagator from its own
+    application of the block.  Returns (residual, dynamical phase, cyclicity residual,
+    propagator gate, Wilson gate, cross fidelity); the last two are None for an open path."""
+    path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
+    T, C = path.terms, path.coefficients
+    PHP = path._overlaps(C, C, inner(T[:, None], T[None, :])[:, [1, 2, 1]])
+    residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
+    eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
+    phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
+    F0, F1 = T[0], path.frame(-1)
+    F1 -= F0 @ inner(F0, F1)
+    cyclicity = float(np.sqrt(2.0) * np.linalg.norm(F1))
+    site, block = local_form(pulse, layout)
+    FHF = np.stack([F0, apply_local(site, block, F0)])
+    G = inner(FHF[:, None], FHF[None, :])
+    area = np.asarray(pulse.area, dtype=float)[..., None, None]
+    projected = G[0, 0] - 1j * np.sin(area) * G[0, 1] + (np.cos(area) - 1.0) * G[1, 1]
+    if cyclicity >= CERTIFY_CYCLICITY:
+        return residual, phase, cyclicity, projected, None, None
+    wilson = polar_unitary(_ordered_product(path._overlaps(np.roll(C, -1, axis=0), C,
+                                                           inner(T[:, None], T[None, :]))))
+    gate = polar_unitary(projected)
+    return residual, phase, cyclicity, gate, wilson, gate_fidelity(wilson, gate)
+
+
+def _seeded_pulses():
+    """48 seeded pulses: N = 1-4, both kinds where the chain has them, all three envelopes,
+    every fourth at a partial area (an open path)."""
+    rng = np.random.default_rng(2012)
+    cases = []
+    for n_logical in (1, 2, 3, 4):
+        for envelope in ENVELOPES:
+            for _ in range(4 if n_logical == 1 else 2):
+                area = np.pi if len(cases) % 4 else rng.uniform(0.3, 3.0)
+                cases.append((n_logical, OneQubitPulse(int(rng.integers(1, n_logical + 1)), rng.uniform(0, np.pi),
+                                                       rng.uniform(0, 2 * np.pi), area=area, envelope=envelope)))
+                if n_logical > 1:
+                    cases.append((n_logical, ThreeSitePulse(int(rng.integers(1, n_logical)), rng.uniform(0, 2 * np.pi),
+                                                            area=area, envelope=envelope)))
+    return cases
+
+
+class TestOneTermGram:
+    """certify applies the local block twice and reads one term Gram for every check."""
+
+    def test_certify_applies_the_block_twice_and_builds_one_term_gram(self, monkeypatch):
+        applied, contracted = [], []
+        monkeypatch.setattr(holonomy, "apply_local", lambda *args: applied.append(1) or apply_local(*args))
+        monkeypatch.setattr(holonomy, "inner", lambda X, Y: contracted.append(np.ndim(X)) or inner(X, Y))
+        layout = ChainLayout(3)
+        for pulse in (OneQubitPulse(2, 1.2, 0.4), ThreeSitePulse(1, 0.9, envelope="sin2")):
+            applied.clear()
+            contracted.clear()
+            assert certify(pulse, layout, samples=128).passed
+            assert len(applied) == 2  # A = H F_0 and B = H A
+            # the (3, 1, dim, K) term Gram and the cyclicity residual's F_0^dag F(tau), once each
+            assert sorted(contracted) == [2, 4]
+
+    def test_path_keeps_its_term_gram_and_cyclicity_residual(self):
+        layout = ChainLayout(2)
+        path = trace_subspace(ThreeSitePulse(1, 0.9), logical_frame(layout), 32, layout)
+        assert path.gram is path.gram and path.gram.shape == (3, 3, 4, 4)
+        assert path.cyclicity_residual is path.cyclicity_residual
+
+    def test_measurements_equal_separately_computed_ones(self):
+        cases = _seeded_pulses()
+        assert len(cases) >= 40
+        for n_logical, pulse in cases:
+            layout = ChainLayout(n_logical)
+            report = certify(pulse, layout, samples=256, strict=False)
+            residual, phase, cyclicity, gate, wilson, cross = _separate_measurements(pulse, layout, 256)
+            # the residual's norms now come from the real view: equal but for the last ulp
+            assert abs(report.parallel_transport_residual - residual) <= 1e-15
+            assert report.dynamical_phase == phase
+            assert report.cyclicity_residual == cyclicity
+            assert report.propagator_gate.tobytes() == gate.tobytes()
+            cyclic = pulse.area == np.pi
+            assert (report.wilson_gate is not None) == (wilson is not None) == cyclic
+            if cyclic:
+                assert report.wilson_gate.tobytes() == wilson.tobytes()
+                assert report.cross_fidelity == cross
 
 
 class TestCyclicityResidual:

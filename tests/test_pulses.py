@@ -321,6 +321,23 @@ class TestBatchedPulses:
         for i, j in np.ndindex(5, 4):
             assert np.max(np.abs(got[i, j] - embed(block[i, 0], site, layout) @ X[j])) <= 1e-13
 
+    @pytest.mark.parametrize("site", [1, 3, 5])
+    def test_apply_local_batch_equals_member_loop_bit_for_bit(self, site):
+        # a stack of blocks moves the sites before the block behind its axis, one product per
+        # member; single blocks keep one product per configuration of those sites
+        layout = ChainLayout(3)
+        rng = np.random.default_rng(30 + site)
+        blocks = [lambda_coupling(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5))]
+        if site + 2 <= layout.n_sites:
+            blocks.append(xy_coupling(rng.uniform(0, 7, 5)))
+        X = rng.normal(size=(5, layout.dim, 8)) + 1j * rng.normal(size=(5, layout.dim, 8))
+        for block in blocks:
+            for columns in (logical_frame(layout), X):
+                got = apply_local(site, block, columns)
+                members = np.broadcast_to(columns, X.shape)
+                want = np.array([apply_local(site, block[k], members[k]) for k in range(5)])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("envelope", ENVELOPES)
     def test_batched_schedule_matches_single_pulses(self, envelope):
         layout = ChainLayout(3)
