@@ -15,6 +15,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -40,7 +41,13 @@ from .pulses import run_schedule
 __all__ = ["main", "build_parser"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built by the first call and not at import.
+
+    It names each command but holds no function: ``main`` looks the ``cmd_*`` function up in
+    ``_COMMANDS`` on every call, so a rebinding there (perfbench's tracer makes one) takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="holosim",
         description="Simulate, verify and compile holonomic gates on a qutrit chain.",
@@ -53,23 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", required=True, type=int, help="number of logical qubits N")
     p.add_argument("--initial", required=True, help="initial logical bitstring, length N")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compile", help="compile a logical circuit into a pulse schedule")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
     p.add_argument("--qubits", required=True, type=int)
     p.add_argument("--out", help="write the schedule document here instead of stdout")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("extract-gate", help="extract the logical gate of a schedule")
     p.add_argument("--schedule", required=True, help="schedule JSON file")
     p.add_argument("--qubits", required=True, type=int)
     p.add_argument("--out", help="write the gate report here instead of stdout")
-    p.set_defaults(func=cmd_extract_gate)
     return parser
 
 
@@ -180,11 +183,14 @@ def cmd_extract_gate(args) -> int:
     return 0
 
 
+_COMMANDS = {"simulate": cmd_simulate, "verify": cmd_verify, "compile": cmd_compile,
+             "extract-gate": cmd_extract_gate}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:  # bad input or an unmet resource limit
         print(f"error: {exc}", file=sys.stderr)
         return 2

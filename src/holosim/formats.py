@@ -3,7 +3,9 @@
 All files are plain JSON.  Complex numbers are serialized as [re, im]
 pairs; matrices as nested lists of those pairs.  Report writing goes
 through a deterministic emitter (fixed key order, floats rendered with 17
-significant digits) so identical inputs produce byte-identical files.
+significant digits) so identical inputs produce byte-identical files.  It
+renders each leaf from a table keyed by its exact type (float, int, bool,
+str, None), with an isinstance chain only for NumPy scalars and subclasses.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, fields
+from json.encoder import encode_basestring_ascii
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -46,8 +49,7 @@ class FormatError(ValueError):
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    text = format(x, ".17g")
-    return text
+    return format(x, ".17g")
 
 
 def dumps(value) -> str:
@@ -59,44 +61,56 @@ def dumps(value) -> str:
 
 
 def _emit(value, out, level):
+    text = _leaf(value)
+    if text is not None:
+        out.append(text)
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
     pad = "  " * (level + 1)
-    closing_pad = "  " * level
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
+            out.append(f"{pad}{encode_basestring_ascii(str(key))}: ")
             _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(closing_pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if scalars:
-            out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(seq):
-            out.append(pad)
-            _emit(item, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(closing_pad + "]")
+        out.append("  " * level + "}")
+        return
+    texts = []
+    for item in value:  # on one line while every item is a leaf
+        text = _leaf(item)
+        if text is None:
+            break
+        texts.append(text)
     else:
-        out.append(_scalar(value))
+        out.append("[" + ", ".join(texts) + "]")
+        return
+    out.append("[\n")
+    for i, item in enumerate(value):
+        out.append(pad)
+        _emit(item, out, level + 1)
+        out.append(",\n" if i < len(value) - 1 else "\n")
+    out.append("  " * level + "]")
 
 
-def _scalar(value) -> str:
+# The renderer of each exact leaf type; json.dumps(str) is encode_basestring_ascii
+_LEAVES = {float: _fmt_float, int: str, bool: lambda value: "true" if value else "false",
+           str: encode_basestring_ascii, type(None): lambda value: "null"}
+
+
+def _leaf(value) -> str | None:
+    """The JSON text of a leaf value, or None for a dict, list or tuple."""
+    render = _LEAVES.get(type(value))
+    if render is not None:
+        return render(value)
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    # NumPy scalars and subclasses of the leaf types
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -5,6 +5,9 @@ exponential is a Taylor sum, embeddings are brute-force Kronecker products,
 and entropies come straight from an SVD of the amplitude matrix.
 """
 
+import json
+import math
+
 import numpy as np
 
 
@@ -129,3 +132,65 @@ def scan_entangling_witness(U):
         if not improved:
             step *= 0.5
     return tuple(best[0]), best[1], best[2]
+
+
+def reference_dumps(value) -> str:
+    """The report emitter as first written, a recursive isinstance chain: the slow reference for
+    ``holosim.formats.dumps``, which must render every document to the same text."""
+    pieces = []
+    _emit(value, pieces, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _emit(value, out, level):
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, item) in enumerate(value.items()):
+            out.append(f"{pad}{json.dumps(str(key))}: ")
+            _emit(item, out, level + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(closing_pad + "}")
+    elif isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            out.append("[]")
+            return
+        scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        if scalars:
+            out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(seq):
+            out.append(pad)
+            _emit(item, out, level + 1)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(closing_pad + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt_float(float(value))
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    text = format(x, ".17g")
+    return text

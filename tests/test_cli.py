@@ -1,12 +1,19 @@
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holosim import cli
 from holosim.cli import main
 from holosim.formats import dumps, schedule_to_obj
 from holosim.gates import two_qubit_gate
@@ -15,6 +22,8 @@ from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
 
 
 MISSING = "/nonexistent.json"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def write_schedule(path, pulses):
@@ -331,6 +340,117 @@ class TestExtractGate:
         if diagnosed:
             keys += ["makhlin_g1", "makhlin_g2", "entangling", "entangling_power"]
         assert list(json.loads(capsys.readouterr().out)) == keys
+
+
+class TestInProcessReuse:
+    """One process runs many commands through one shared parser; each must act as in a fresh one."""
+
+    @staticmethod
+    def fresh_python(*args):
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(kwargs.get('prog'))\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import holosim.cli\n"
+                "print(len(built))\n")
+        result = self.fresh_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+
+    def test_many_calls_build_one_parser_tree(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()  # so that this test's first call builds the tree
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [ThreeSitePulse(1, np.pi / 2)])
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "2"]) == 0
+        tree = len(built)
+        assert tree == 1 + len(cli._COMMANDS)  # the root parser and one per command
+        for _ in range(5):
+            assert main(["simulate", "--schedule", str(sched), "--qubits", "2", "--initial", "01"]) == 0
+            assert main(["extract-gate", "--schedule", str(sched), "--qubits", "2"]) == 0
+            with pytest.raises(SystemExit):
+                main(["compile"])
+        capsys.readouterr()
+        assert len(built) == tree
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_tracer_sees_commands_after_the_parser_is_built(self, tmp_path, capsys):
+        # perfbench's tracer rebinds the cmd_* functions; a parser built before that must not hold the originals
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [ThreeSitePulse(1, np.pi / 2)])
+        argv = ["extract-gate", "--schedule", str(sched), "--qubits", "2"]
+        assert main(argv) == 0
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        table = tracer.table(1)
+        assert table["cli.cmd_extract_gate"]["calls"] == 1
+        assert table["formats.dumps"]["calls"] == 1
+
+    def test_sequence_matches_fresh_processes(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at the width a fresh process sees
+        circuit, bad = tmp_path / "c.json", tmp_path / "bad.json"
+        write_circuit(circuit, [{"kind": "rotation", "qubit": 1, "axis": [0, 0, 1], "angle": 1.5707963},
+                                {"kind": "xy", "pair": 1, "vartheta": 1.5707963},
+                                {"kind": "reflection", "qubit": 2, "n": [1, 0, 0]}])
+        bad.write_text('{"pulses": [', encoding="utf-8")
+        schedule, gate, state = (str(tmp_path / name) for name in ("s.json", "g.json", "st.json"))
+        steps = [  # (argv, exit code, report file or None)
+            (["compile", "--circuit", str(circuit), "--qubits", "2", "--out", schedule], 0, schedule),
+            (["simulate", "--schedule", schedule, "--qubits", "two", "--initial", "00"], 2, None),
+            (["extract-gate", "--schedule", str(bad), "--qubits", "2"], 2, None),
+            (["verify", "--help"], 0, None),
+            (["extract-gate", "--schedule", schedule, "--qubits", "2", "--out", gate], 0, gate),
+            (["simulate", "--schedule", schedule, "--qubits", "2", "--initial", "01", "--out", state], 0, state),
+            (["verify", "--suite", "onequbit"], 0, None),
+        ]
+
+        def run_in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        runs = []
+        for _ in range(2):  # the second pass reuses a parser that has already failed and printed help
+            run = []
+            for argv, code, report in steps:
+                got = run_in_process(argv)
+                assert got[0] == code, (argv, got)
+                run.append((*got, Path(report).read_bytes() if report else None))
+            runs.append(run)
+        assert runs[0] == runs[1]
+        assert runs[0][3][1].startswith("usage: holosim verify") and "--suite" in runs[0][3][1]
+
+        for (argv, _, report), (code, out, err, data) in zip(steps, runs[0]):
+            fresh = self.fresh_python("-m", "holosim.cli", *argv)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv
+            if report:
+                assert Path(report).read_bytes() == data, argv
 
 
 class TestBadInput:

@@ -1,10 +1,11 @@
+import enum
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holosim.compiler import Reflection, Rotation, XYGate
 from holosim.formats import (
@@ -21,6 +22,7 @@ from holosim.formats import (
     schedule_to_obj,
 )
 from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
+from oracles import reference_dumps
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -261,3 +263,92 @@ class TestDeterministicEmission:
     def test_keys_are_escaped(self):
         keys = ['quote " here', "back\\slash", "new\nline", "tab\t"]
         assert list(json.loads(dumps({key: 1 for key in keys}))) == keys
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+# Text that needs escaping: quotes, backslashes, control characters, non-ASCII (and non-BMP) text
+_texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600ab') | st.characters(),
+                 max_size=8)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                                1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53 + 1])
+_big_ints = st.integers(2 ** 64, 2 ** 200) | st.integers(-(2 ** 200), -(2 ** 64))
+_python_leaves = (st.none() | st.booleans() | st.integers() | _big_ints | _finite | _edge_floats | _texts)
+_leaves = (_python_leaves
+           | st.booleans().map(np.bool_)
+           | st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
+           | (_finite | _edge_floats).map(np.float64)
+           | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+           | st.integers().map(_Int) | _finite.map(_Float) | _texts.map(_Str) | _texts.map(np.str_)
+           | st.just(_Color.RED))
+
+
+def _nested(leaves, keys, tuples):
+    def containers(inner):
+        out = st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4)
+        return out | st.lists(inner, max_size=4).map(tuple) if tuples else out
+    return st.recursive(leaves, containers, max_leaves=24)
+
+
+_documents = _nested(_leaves, _texts | st.integers(), tuples=True)
+_json_documents = _nested(_python_leaves, _texts, tuples=False)  # json.loads reads them back as they are
+_bad_leaves = st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"), 1j, {1}, object()])
+
+
+class TestEmitterAgainstReference:
+    """``dumps`` against ``oracles.reference_dumps``, the recursive emitter it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents)
+    @example(doc={"": [[], {}, ()], "a": [[[]], [{}]], "b": ([],), "c": {"d": {}}})
+    @example(doc=[-0.0, 5e-324, 1e300, np.float32(0.1), 2 ** 64, -(2 ** 70), np.bool_(True), None])
+    @example(doc={'k"\\\n\u00e9\U0001f600': 'v"\\\x00\u2028', "\x7f": [np.int64(-1), True, 0]})
+    def test_same_text_as_reference(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_json_documents)
+    def test_python_documents_round_trip(self, doc):
+        assert json.loads(dumps(doc)) == doc
+
+    @pytest.mark.parametrize("bad,error", [
+        (float("nan"), ValueError), (float("inf"), ValueError), (-float("inf"), ValueError),
+        (np.float32("nan"), ValueError), (np.float64("-inf"), ValueError),
+        (1 + 2j, TypeError), ({1, 2}, TypeError), (object(), TypeError),
+    ], ids=["nan", "inf", "-inf", "f32-nan", "f64-inf", "complex", "set", "object"])
+    @pytest.mark.parametrize("place", [lambda v: v, lambda v: [v], lambda v: {"a": [1.0, v]},
+                                       lambda v: [[0.5], {"b": v}]], ids=["bare", "list", "pair", "nested"])
+    def test_unserializable_values_raise(self, bad, error, place):
+        with pytest.raises(error):
+            dumps(place(bad))
+        with pytest.raises(error):
+            reference_dumps(place(bad))
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_nested(_leaves | _bad_leaves, _texts, tuples=True))
+    @example(doc=[[float("nan")], object()])  # a container's error comes before a later leaf's
+    @example(doc={"a": [0.5, [1j], float("inf")]})
+    def test_same_error_as_reference(self, doc):
+        # the first unserializable value in document order decides the exception, as in the reference
+        try:
+            expected = reference_dumps(doc)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)):
+                dumps(doc)
+        else:
+            assert dumps(doc) == expected
