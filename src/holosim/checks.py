@@ -42,12 +42,9 @@ from .holonomy import (
     CERTIFY_DYNAMICAL_PHASE,
     CERTIFY_PARALLEL_TRANSPORT,
     certify,
-    computational_frame,
     projected_propagator,
-    trace_subspace,
-    wilson_loop,
 )
-from .linalg import cross, dot, gate_fidelity, polar_unitary
+from .linalg import cross, dot, gate_fidelity
 from .pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
@@ -194,18 +191,6 @@ def suite_holonomy() -> list[CheckResult]:
         results.append(_check(f"{label}: wilson cross-fidelity", report.cross_fidelity,
                               CERTIFY_CROSS_FIDELITY, ">="))
     return results
-
-
-def wilson_deficits(pulse, layout: ChainLayout, sample_counts) -> np.ndarray:
-    """1 - cross_fidelity of the Wilson gate at each sample count."""
-    frame = computational_frame(pulse, layout)
-    reference = polar_unitary(projected_propagator(pulse, frame, layout))
-    deficits = []
-    for count in sample_counts:
-        path = trace_subspace(pulse, frame, count, layout)
-        W = wilson_loop(path)
-        deficits.append(1.0 - gate_fidelity(W, reference))
-    return np.array(deficits)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
-from .linalg import cross, dot
+from .linalg import cross, dot, normalize
 from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal, fields_hash
 
 __all__ = [
@@ -49,12 +49,12 @@ def _checked_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
-    norm = np.sqrt(dot(a, a))
-    if not np.isfinite(norm).all():  # NaN would pass the comparison below
+    if not np.isfinite(a).all():  # NaN would pass the comparison below
         raise ValueError(f"rotation axis must be finite, got {a.tolist()}")
+    unit, norm = normalize(a)
     if (norm < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
-    return a / norm[..., None]
+    return unit
 
 
 def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:

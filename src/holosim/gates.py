@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import cross, dot, gate_fidelity, inner, polar_unitary, unitarity_defect, unstack
+from .linalg import cross, dot, gate_fidelity, inner, normalize, polar_unitary, unitarity_defect, unstack
 
 __all__ = [
     "SIGMA_X",
@@ -76,13 +76,13 @@ def _unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.ndim < 1 or n.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    norm = np.sqrt(dot(n, n))
-    if not np.isfinite(norm).all():  # NaN would pass the comparison below
+    if not np.isfinite(n).all():  # NaN would pass the comparison below
         raise ValueError(f"unit vector must be finite, got {n.tolist()}")
+    unit, norm = normalize(n)
     off = np.abs(norm - 1.0)
     if (off > 1e-9).any():
         raise ValueError(f"expected a unit vector, got norm {np.ravel(norm)[np.argmax(off)]:.6g}")
-    return n / norm[..., None]
+    return unit
 
 
 def one_qubit_gate(n) -> np.ndarray:

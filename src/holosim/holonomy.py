@@ -22,8 +22,8 @@ blocks form the path's term Gram, built once with ``linalg.inner`` and kept.
 B = H A), and never again: H maps the terms (F_0, A, B) to (A, B, A), so
 every block T_x^dag H T_y is a Gram block, and so are the projected
 propagator's F_0^dag F_0, F_0^dag H F_0 = F_0^dag A and F_0^dag H^2 F_0 =
-A^dag A.  One term Gram serves the parallel-transport check, the Wilson
-steps and the projected propagator.
+A^dag A.  One term Gram serves the frame's orthonormality check, the
+parallel-transport check, the Wilson steps and the projected propagator.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -180,9 +180,6 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     if F0.ndim != 2 or F0.shape[0] != layout.dim:
         raise ValueError(f"frame must have shape ({layout.dim}, K), got {F0.shape}")
     K = F0.shape[1]
-    defect = np.linalg.norm(F0.conj().T @ F0 - np.eye(K))
-    if defect > 1e-10:
-        raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
     # the three terms, their 3 x 3 Gram of K x K blocks, and per sample an area and a
     # coefficient row (within four complex numbers) and the K x K overlap the consumers build
     check_memory(f"a subspace path of {samples} samples",
@@ -197,7 +194,11 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     terms[2] = apply_local(site, block, terms[1])
     areas = cumulative_area(pulse.envelope, pulse.area, np.linspace(0.0, 1.0, samples))
     coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
-    return SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
+    path = SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
+    defect = np.linalg.norm(path.gram[0, 0] - np.eye(K))  # F_0^dag F_0 - 1
+    if defect > 1e-10:
+        raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
+    return path
 
 
 def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
@@ -224,19 +225,15 @@ def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray
     of areas costs one K x K product per area, not one dim x K propagation.
     """
     site, block = local_form(pulse, layout)
-    # (F, H F) from one application of the stacked local operators (1, H), and their four overlaps
-    FHF = apply_local(site, np.stack(np.broadcast_arrays(np.eye(block.shape[-1]), block)),
-                      np.asarray(frame, dtype=complex))
-    return _projected_map(inner(FHF[:, None], FHF[None, :]), pulse.area)
+    F = np.asarray(frame, dtype=complex)
+    HF = apply_local(site, block, F)
+    return _projected_map(inner(F, F), inner(F, HF), inner(HF, HF), pulse.area)
 
 
-def _projected_map(gram: np.ndarray, area) -> np.ndarray:
-    """F^dag U(a) F = G00 - i sin(a) G01 + (cos(a) - 1) G11 for the Gram blocks G of (F, H F, ...).
-
-    A path's term Gram serves as it is: its first two terms are (F_0, A = H F_0).
-    """
+def _projected_map(FF: np.ndarray, FHF: np.ndarray, HFHF: np.ndarray, area) -> np.ndarray:
+    """F^dag U(a) F = F^dag F - i sin(a) F^dag H F + (cos(a) - 1) (H F)^dag (H F)."""
     area = np.asarray(area, dtype=float)[..., None, None]
-    return gram[0, 0] - 1j * np.sin(area) * gram[0, 1] + (np.cos(area) - 1.0) * gram[1, 1]
+    return FF - 1j * np.sin(area) * FHF + (np.cos(area) - 1.0) * HFHF
 
 
 def wilson_loop(path: SubspacePath) -> np.ndarray:
@@ -291,7 +288,8 @@ def certify(
     dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
     cyc_residual = path.cyclicity_residual
 
-    projected = _projected_map(path.gram, pulse.area)  # F_0^dag F_0, F_0^dag A and A^dag A
+    G = path.gram
+    projected = _projected_map(G[0, 0], G[0, 1], G[1, 1], pulse.area)  # F_0^dag F_0, F_0^dag A, A^dag A
 
     failures = []
     if pt_residual >= CERTIFY_PARALLEL_TRANSPORT:

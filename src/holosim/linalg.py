@@ -74,6 +74,22 @@ def dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def normalize(a) -> tuple[np.ndarray, np.ndarray]:
+    """(a / |a|, |a|) for (..., n) finite real vectors, with no square overflowing and no warning.
+
+    Where an entry reaches 2^511, each vector is scaled down first by a power of two, which is
+    exact.  A norm past the largest float is inf; a zero norm, also from squares that underflow,
+    gives a non-finite direction for the caller to refuse.
+    """
+    shift = 0
+    if np.abs(a).max(initial=0.0) >= 2.0**511:
+        shift = np.maximum(np.frexp(np.abs(a).max(axis=-1))[1] - 511, 0)
+        a = np.ldexp(a, -shift[..., None])
+    norm = np.sqrt(dot(a, a))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return a / norm[..., None], np.ldexp(norm, shift)
+
+
 def cross(a, b) -> np.ndarray:
     """a x b for (..., 3) vectors: np.cross's products and differences, without its axis handling."""
     return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],

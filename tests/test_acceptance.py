@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from holosim.chain import ChainLayout, block_sz, embed
-from holosim.checks import _aux_population, _excited_fixity, wilson_deficits
+from holosim.checks import _aux_population, _excited_fixity
 from holosim.compiler import (
     Reflection,
     Rotation,
@@ -167,7 +167,8 @@ def test_criterion_5_holonomy_certification():
         ok &= rep.cyclicity_residual < 1e-8
         ok &= rep.cross_fidelity >= 1.0 - 1e-6
 
-        deficits = wilson_deficits(pulse, layout, counts)
+        deficits = np.array([1.0 - certify(pulse, layout, samples=count, strict=False).cross_fidelity
+                             for count in counts])
         max_deficit = float(np.max(deficits))
         if max_deficit <= 1e-12:
             # the discrete loop is exact at every sample count (deficits at

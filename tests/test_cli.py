@@ -220,6 +220,38 @@ class TestCompile:
         err = capsys.readouterr().err
         assert f"gates[0]: {message}" in err and "Traceback" not in err
 
+    def test_huge_axis_compiles_as_its_direction(self, tmp_path, capsys):
+        # finite, but its squares overflow: it was refused as "must be finite", with a RuntimeWarning
+        reports = []
+        for axis in ([1e300, 1e300, 0], [1, 1, 0]):
+            circ = tmp_path / "c.json"
+            write_circuit(circ, [{"kind": "rotation", "qubit": 1, "axis": axis, "angle": 1.0}])
+            assert main(["compile", "--circuit", str(circ), "--qubits", "1"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(json.loads(out))
+        huge, unit = reports
+        assert huge["provenance"] == unit["provenance"]
+        for got, want in zip(huge["pulses"], unit["pulses"], strict=True):
+            assert abs(got["theta"] - want["theta"]) <= 1e-15 and abs(got["phi"] - want["phi"]) <= 1e-15
+        assert np.allclose(unpack_matrix(huge["predicted_gate"]), unpack_matrix(unit["predicted_gate"]),
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gate,code,message", [
+        ({"kind": "rotation", "qubit": 1, "axis": [1e300, 1e300, 0], "angle": 1.0}, 0, ""),
+        ({"kind": "reflection", "qubit": 1, "n": [1e200, 0, 0]}, 2,
+         "error: gates[0]: expected a unit vector, got norm 1e+200\n"),
+    ], ids=["rotation", "reflection"])
+    def test_huge_vector_under_warnings_as_errors(self, gate, code, message, tmp_path):
+        # as CI runs the console script: a warning would end in a traceback and exit 1
+        circ = tmp_path / "c.json"
+        write_circuit(circ, [gate])
+        env = dict(os.environ, PYTHONWARNINGS="error")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "holosim.cli", "compile", "--circuit", str(circ),
+                                 "--qubits", "1"], env=env, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (code, message)
+
     def test_compile_then_simulate_matches_prediction(self, tmp_path, capsys):
         circ = tmp_path / "c.json"
         write_circuit(

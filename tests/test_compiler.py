@@ -60,8 +60,10 @@ class TestCompileRotation:
         assert np.max(np.abs(compose_rule(n, m) - rotation_matrix(axis, angle))) < 1e-11
 
     def test_zero_axis_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            compile_rotation((0.0, 0.0, 0.0), 1.0)
+        # the squares of a tiny axis underflow to a zero norm: refused too, with no division warning
+        for axis in ((0.0, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 5e-324, 0.0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                compile_rotation(axis, 1.0)
 
     def test_arrays_of_rotations_equal_single_splits(self):
         rng = np.random.default_rng(31)
@@ -153,6 +155,36 @@ class TestNonFiniteParameters:
             compile_circuit([gate], layout)
         with pytest.raises(ValueError, match=message):
             circuit_unitary([gate], layout)
+
+
+class TestHugeVectors:
+    """Finite vectors whose squares overflow a float: an axis counts by its direction, and a
+    reflection vector is not a unit vector; neither is refused as non-finite, nor warns."""
+
+    @pytest.mark.parametrize("huge,direction", [((1e300, 1e300, 0.0), (1.0, 1.0, 0.0)),
+                                                ((-1.7e308, 0.0, 1.7e308), (-1.0, 0.0, 1.0))])
+    def test_huge_axis_compiles_as_its_direction(self, huge, direction):
+        layout = ChainLayout(1)
+        got = compile_circuit([Rotation(1, huge, 1.0)], layout)
+        want = compile_circuit([Rotation(1, direction, 1.0)], layout)
+        for a, b in zip(got, want, strict=True):
+            assert abs(a.theta - b.theta) <= 1e-15 and abs(a.phi - b.phi) <= 1e-15
+        target = rotation_matrix(np.array(direction) / np.sqrt(2.0), 1.0)
+        assert np.allclose(circuit_unitary([Rotation(1, huge, 1.0)], layout), target, rtol=0, atol=1e-15)
+
+    def test_huge_axis_batch_keeps_ordinary_members_bit_for_bit(self):
+        axes = np.array([[1e300, 1e300, 0.0], [0.3, -0.4, 1.2], [1.0, 2.0, 2.0]])
+        n, m = compile_rotation(axes, np.array([1.0, 0.5, -2.0]))
+        for k in (1, 2):
+            n_k, m_k = compile_rotation(axes[k], [1.0, 0.5, -2.0][k])
+            assert n[k].tobytes() == n_k.tobytes() and m[k].tobytes() == m_k.tobytes()
+        assert np.allclose(n[0], compile_rotation((1.0, 1.0, 0.0), 1.0)[0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [(1e200, 0.0, 0.0), (1.7e308, 1.7e308, 1.7e308)])
+    def test_huge_reflection_vector_is_not_a_unit_vector(self, n):
+        for route in (compile_circuit, circuit_unitary):
+            with pytest.raises(ValueError, match=r"^gate 0: expected a unit vector, got norm (1e\+200|inf)$"):
+                route([Reflection(1, n)], ChainLayout(1))
 
 
 class TestRoundTrip:

@@ -74,10 +74,21 @@ class TestTraceSubspace:
         frame = computational_frame(pulse, LAYOUT)
         with pytest.raises(ValueError, match="samples"):
             trace_subspace(pulse, frame, 1, LAYOUT)
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(ValueError, match=r"^initial frame is not orthonormal: defect 1\.061e\+00$"):
             trace_subspace(pulse, 0.5 * frame, 8, LAYOUT)
         with pytest.raises(ValueError, match="shape"):
             trace_subspace(pulse, frame[:9], 8, LAYOUT)
+
+    def test_memory_is_budgeted_before_the_frame_is_checked(self, monkeypatch):
+        # the orthonormality defect is read from the term Gram, after the budget: no dim-sized
+        # work, not even a conjugated copy of the frame, comes before check_memory
+        def refuse(what, nbytes):
+            raise MemoryError(what)
+
+        monkeypatch.setattr(holonomy, "check_memory", refuse)
+        pulse = OneQubitPulse(1, 0.5, 0.0)
+        with pytest.raises(MemoryError, match="subspace path of 8 samples"):
+            trace_subspace(pulse, 0.5 * computational_frame(pulse, LAYOUT), 8, LAYOUT)
 
 
 class TestParallelTransport:
@@ -194,12 +205,11 @@ class TestWilsonConvergence:
         # which polar unitarization removes exactly; the discrete loop is
         # therefore exact at any sample count and the deficit curve sits at
         # the roundoff floor instead of decaying like 1/samples.
-        from holosim.checks import wilson_deficits
-
         counts = [64, 128, 256, 512]
         for pulse in (OneQubitPulse(1, np.pi / 4, 0.0), ThreeSitePulse(1, np.pi / 2)):
-            deficits = wilson_deficits(pulse, LAYOUT, counts)
-            assert np.all(deficits <= 1e-12)
+            deficits = [1.0 - certify(pulse, LAYOUT, samples=count, strict=False).cross_fidelity
+                        for count in counts]
+            assert np.all(np.array(deficits) <= 1e-12)
 
     def test_unitarized_overlap_product_is_projected_propagator(self):
         pulse = ThreeSitePulse(1, 1.1)
@@ -456,6 +466,21 @@ class TestOneTermGram:
             assert len(applied) == 2  # A = H F_0 and B = H A
             # the (3, 1, dim, K) term Gram and the cyclicity residual's F_0^dag F(tau), once each
             assert sorted(contracted) == [2, 4]
+
+    def test_projected_propagator_applies_the_block_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(holonomy, "apply_local", lambda *args: calls.append(args) or apply_local(*args))
+        layout = ChainLayout(3)
+        frame = logical_frame(layout)
+        for pulse in (OneQubitPulse(2, 1.2, 0.4), ThreeSitePulse(1, 0.9, area=2.0),
+                      ThreeSitePulse(2, np.array([0.2, 1.7]), area=np.array([[0.5], [np.pi]]))):
+            calls.clear()
+            projected_propagator(pulse, frame, layout)
+            site, block = local_form(pulse, layout)
+            # the pulse's own block: no stack of (identity, block) on a leading axis
+            assert len(calls) == 1
+            assert calls[0][0] == site and calls[0][1].shape == block.shape
+            assert np.array_equal(calls[0][1], block) and calls[0][2] is frame
 
     def test_path_keeps_its_term_gram_and_cyclicity_residual(self):
         layout = ChainLayout(2)
