@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_memory
+
 __all__ = [
     "SIGMA_Z3",
     "ChainLayout",
@@ -93,11 +95,8 @@ class ChainLayout:
         bits = tuple(int(b) for b in bits)
         if len(bits) != self.n_logical or any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be {self.n_logical} values in {{0,1}}, got {bits}")
-        index = 0
-        for qubit, b in enumerate(bits, start=1):
-            site = 2 * qubit - 1
-            index += b * 3 ** (self.n_sites - site)
-        return index
+        # qubit q weighs 9^(N - q) (see logical_indices): the bits are the index's base-9 digits
+        return int("".join(map(str, bits)), 9)
 
     def logical_indices(self) -> list[int]:
         """Global indices of all 2^N logical states, lexicographic in n1..nN."""
@@ -219,6 +218,7 @@ def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
 
 def logical_frame(layout: ChainLayout) -> np.ndarray:
     """The dim x 2^N frame whose columns are the logical basis states, lexicographic in n1..nN."""
+    check_memory(f"the logical frame at N={layout.n_logical}", 16 * layout.dim * layout.logical_dim)
     frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
     frame[layout.logical_indices(), np.arange(layout.logical_dim)] = 1.0
     return frame

@@ -163,9 +163,9 @@ def cmd_compile(args) -> int:
 
 def cmd_extract_gate(args) -> int:
     layout = ChainLayout(args.qubits)
-    check_memory(f"extract-gate at N={args.qubits}", 16 * layout.dim * layout.logical_dim)
+    frame = logical_frame(layout)  # budgeted where it is built, before the schedule is read
     schedule = loads_schedule(_read(args.schedule))
-    columns = run_schedule(schedule, logical_frame(layout), layout)
+    columns = run_schedule(schedule, frame, layout)
     report = extract_logical_gate(columns, layout)
 
     doc = {

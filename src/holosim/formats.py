@@ -130,7 +130,8 @@ def matrix_pairs(M) -> list:
 
 # ---------------------------------------------------------------------------
 # Pulse and gate documents: a tag (``type`` or ``kind``) holding the class's ``kind``,
-# then each dataclass field in order, typed by its annotation, optional if it has a default
+# then each dataclass field in order, typed by its annotation, optional if it has a default;
+# any other key is refused
 # ---------------------------------------------------------------------------
 
 _VECTOR3 = tuple[float, float, float]
@@ -174,8 +175,8 @@ def _field(obj: dict, name: str, where: str, expected=None, default=MISSING):
 
 _PULSES = {cls.kind: cls for cls in get_args(Pulse)}
 _GATES = {cls.kind: cls for cls in get_args(Gate)}
-# (name, annotation, default) of each field, in declaration order
-_FIELDS = {cls: [(f.name, get_type_hints(cls)[f.name], f.default) for f in fields(cls)]
+# name -> (annotation, default) of each field, in declaration order
+_FIELDS = {cls: {f.name: (get_type_hints(cls)[f.name], f.default) for f in fields(cls)}
            for cls in (*_PULSES.values(), *_GATES.values())}
 
 
@@ -183,7 +184,7 @@ def _to_dict(obj, tag: str, noun: str, union) -> dict:
     if not isinstance(obj, union):
         raise TypeError(f"not a {noun}: {obj!r}")
     doc = {tag: obj.kind}
-    for name, annotation, _ in _FIELDS[type(obj)]:
+    for name, (annotation, _) in _FIELDS[type(obj)].items():
         value = getattr(obj, name)
         shape = _SHAPES.get(annotation)
         if shape is not None and np.shape(value) != shape:
@@ -204,7 +205,10 @@ def _from_dict(obj, where: str, tag: str, noun: str, classes: dict):
     if name not in classes:
         raise FormatError(f"{where}.{tag}: unknown {noun} {tag} {name!r}")
     cls = classes[name]
-    values = {f: _field(obj, f, where, annotation, default) for f, annotation, default in _FIELDS[cls]}
+    unknown = [key for key in obj if key != tag and key not in _FIELDS[cls]]
+    if unknown:  # a misspelled optional field would otherwise fall back to its default unseen
+        raise FormatError(f"{where}: unknown field {unknown[0]!r}")
+    values = {f: _field(obj, f, where, *spec) for f, spec in _FIELDS[cls].items()}
     try:
         return cls(**values)
     except ValueError as exc:

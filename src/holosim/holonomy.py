@@ -24,6 +24,7 @@ every block T_x^dag H T_y is a Gram block, and so are the projected
 propagator's F_0^dag F_0, F_0^dag H F_0 = F_0^dag A and F_0^dag H^2 F_0 =
 A^dag A.  One term Gram serves the frame's orthonormality check, the
 parallel-transport check, the Wilson steps and the projected propagator.
+Both projected maps are evaluated by ``pulses.closed_form``.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -39,7 +40,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .linalg import check_memory, frobenius, gate_fidelity, inner, polar_unitary
-from .pulses import Pulse, apply_local, cumulative_area, local_form
+from .pulses import Pulse, apply_local, closed_form, cumulative_area, local_form
 
 __all__ = [
     "CERTIFY_PARALLEL_TRANSPORT",
@@ -227,13 +228,7 @@ def projected_propagator(pulse: Pulse, frame, layout: ChainLayout) -> np.ndarray
     site, block = local_form(pulse, layout)
     F = np.asarray(frame, dtype=complex)
     HF = apply_local(site, block, F)
-    return _projected_map(inner(F, F), inner(F, HF), inner(HF, HF), pulse.area)
-
-
-def _projected_map(FF: np.ndarray, FHF: np.ndarray, HFHF: np.ndarray, area) -> np.ndarray:
-    """F^dag U(a) F = F^dag F - i sin(a) F^dag H F + (cos(a) - 1) (H F)^dag (H F)."""
-    area = np.asarray(area, dtype=float)[..., None, None]
-    return FF - 1j * np.sin(area) * FHF + (np.cos(area) - 1.0) * HFHF
+    return closed_form(inner(F, F), inner(F, HF), inner(HF, HF), pulse.area)
 
 
 def wilson_loop(path: SubspacePath) -> np.ndarray:
@@ -289,22 +284,13 @@ def certify(
     cyc_residual = path.cyclicity_residual
 
     G = path.gram
-    projected = _projected_map(G[0, 0], G[0, 1], G[1, 1], pulse.area)  # F_0^dag F_0, F_0^dag A, A^dag A
+    projected = closed_form(G[0, 0], G[0, 1], G[1, 1], pulse.area)  # F_0^dag F_0, F_0^dag A, A^dag A
 
-    failures = []
-    if pt_residual >= CERTIFY_PARALLEL_TRANSPORT:
-        failures.append(
-            f"parallel transport residual {pt_residual:.3e} >= {CERTIFY_PARALLEL_TRANSPORT:.1e}"
-        )
-    if abs(dyn_phase) >= CERTIFY_DYNAMICAL_PHASE:
-        failures.append(
-            f"dynamical phase {dyn_phase:.3e} >= {CERTIFY_DYNAMICAL_PHASE:.1e}"
-        )
+    bounds = (("parallel transport residual", pt_residual, CERTIFY_PARALLEL_TRANSPORT),
+              ("dynamical phase", dyn_phase, CERTIFY_DYNAMICAL_PHASE),
+              ("cyclicity residual", cyc_residual, CERTIFY_CYCLICITY))
+    failures = [f"{name} {value:.3e} >= {bound:.1e}" for name, value, bound in bounds if abs(value) >= bound]
     cyclic = cyc_residual < CERTIFY_CYCLICITY
-    if not cyclic:
-        failures.append(
-            f"cyclicity residual {cyc_residual:.3e} >= {CERTIFY_CYCLICITY:.1e}"
-        )
 
     wilson = None
     cross = None

@@ -10,7 +10,8 @@ conjugated copy of X, for the Gram matrices of large column blocks.
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
 dense reference for any Hermitian matrix.  ``check_memory`` is the memory
-budget the commands and ``holonomy.trace_subspace`` check before they allocate.
+budget the commands, the frame builders and ``holonomy.trace_subspace`` check
+before they allocate.
 """
 
 from __future__ import annotations

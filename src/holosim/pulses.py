@@ -5,15 +5,17 @@ real envelope; only the pulse area (the envelope's time integral) enters the
 propagator, because the block Hamiltonian is constant while it is on.  The
 stepped integrator exists to certify exactly that: sliced propagation with
 any envelope shape of equal area reproduces the single-shot propagator.
+Each envelope is one row of a table: its shape and its accumulated area.
 
 Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
 3.  Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H +
-(cos(a) - 1) H^2 exactly; propagation applies it to a state or to operator
-columns by reshape and contraction, and embeds it only for dense propagators.
+(cos(a) - 1) H^2 exactly, and ``closed_form`` alone evaluates it; propagation
+applies it to a state or to operator columns by reshape and contraction,
+and embeds it only for dense propagators.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
-``local_expm``, ``apply_local`` and ``run_schedule`` carry the batch as
+``closed_form``, ``apply_local`` and ``run_schedule`` carry the batch as
 leading axes of the blocks and of the columns (..., dim, K); a pulse with
 number fields is a batch with no leading axes and runs through the same
 code.  The dense builders ``block_hamiltonian``, ``propagate_exact`` and
@@ -34,6 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
+from .linalg import check_memory
 
 __all__ = [
     "ENVELOPES",
@@ -50,13 +53,27 @@ __all__ = [
     "run_schedule",
 ]
 
-ENVELOPES = ("square", "gaussian", "sin2")
-
 # Gaussian envelope: centered, truncated at +-3 sigma, so sigma = tau/6.
 _GAUSS_SIGMA = 1.0 / 6.0
-_GAUSS_LO = math.erf(-0.5 / (_GAUSS_SIGMA * math.sqrt(2.0)))
-_GAUSS_HI = math.erf(0.5 / (_GAUSS_SIGMA * math.sqrt(2.0)))
+_GAUSS_SCALE = _GAUSS_SIGMA * math.sqrt(2.0)
+_GAUSS_LO, _GAUSS_HI = math.erf(-0.5 / _GAUSS_SCALE), math.erf(0.5 / _GAUSS_SCALE)
 _erf = np.vectorize(math.erf, otypes=[float])  # element-wise; scipy is not a dependency
+
+# Each envelope's unnormalized shape and accumulated-area fraction at scaled time s = t/tau in [0, 1]
+_ENVELOPES = {
+    "square": (np.ones_like, lambda s: s),
+    "gaussian": (lambda s: np.exp(-((s - 0.5) ** 2) / (2.0 * _GAUSS_SIGMA**2)),
+                 lambda s: (_erf((s - 0.5) / _GAUSS_SCALE) - _GAUSS_LO) / (_GAUSS_HI - _GAUSS_LO)),
+    "sin2": (lambda s: np.sin(np.pi * s) ** 2, lambda s: s - np.sin(2.0 * np.pi * s) / (2.0 * np.pi)),
+}
+ENVELOPES = tuple(_ENVELOPES)
+
+
+def _envelope(envelope: str):
+    """The (shape, area fraction) row of ``envelope``; a tuple test refuses an unhashable name too."""
+    if envelope not in ENVELOPES:
+        raise ValueError(f"unknown envelope {envelope!r}, expected one of {ENVELOPES}")
+    return _ENVELOPES[envelope]
 
 
 def _finite(value) -> bool:
@@ -67,8 +84,7 @@ def _finite(value) -> bool:
 def _check_pulse_fields(area, envelope, duration):
     if not _finite(area):
         raise ValueError("pulse area must be finite")
-    if envelope not in ENVELOPES:
-        raise ValueError(f"unknown envelope {envelope!r}, expected one of {ENVELOPES}")
+    _envelope(envelope)
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"pulse duration must be positive, got {duration}")
 
@@ -117,6 +133,7 @@ class OneQubitPulse:
     def computational_frame(self, layout: ChainLayout) -> np.ndarray:
         """The {|0>, |1>} pair of the driven qubit with every other site in |0> (K = 2)."""
         site = layout.site_of_qubit(self.qubit)
+        check_memory(f"a one-qubit frame at N={layout.n_logical}", 32 * layout.dim)
         frame = np.zeros((layout.dim, 2), dtype=complex)
         frame[[0, 3 ** (layout.n_sites - site)], [0, 1]] = 1.0
         return frame
@@ -153,17 +170,6 @@ Pulse = OneQubitPulse | ThreeSitePulse
 PulseSchedule = Sequence[Pulse]
 
 
-def _envelope_shape(envelope: str, s: np.ndarray) -> np.ndarray:
-    """Unnormalized envelope value at scaled time s = t/tau in [0, 1]."""
-    if envelope == "square":
-        return np.ones_like(s)
-    if envelope == "sin2":
-        return np.sin(np.pi * s) ** 2
-    if envelope == "gaussian":
-        return np.exp(-((s - 0.5) ** 2) / (2.0 * _GAUSS_SIGMA**2))
-    raise ValueError(f"unknown envelope {envelope!r}")
-
-
 def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:
     """Per-slice areas for midpoint time slicing, rescaled to sum to ``area``.
 
@@ -173,26 +179,17 @@ def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     mids = (np.arange(steps) + 0.5) / steps
-    weights = _envelope_shape(envelope, mids)
+    weights = _envelope(envelope)[0](mids)
     return weights * (area / weights.sum())
 
 
 def cumulative_area(envelope: str, area: float, s):
-    """Area accumulated by scaled time s = t/tau (closed forms per shape).
+    """Area accumulated by scaled time s = t/tau (a closed form per shape).
 
     ``s`` is a number or an array of scaled times; a number gives a float.
     """
     s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    if envelope == "square":
-        frac = s
-    elif envelope == "sin2":
-        frac = s - np.sin(2.0 * np.pi * s) / (2.0 * np.pi)
-    elif envelope == "gaussian":
-        z = (s - 0.5) / (_GAUSS_SIGMA * math.sqrt(2.0))
-        frac = (_erf(z) - _GAUSS_LO) / (_GAUSS_HI - _GAUSS_LO)
-    else:
-        raise ValueError(f"unknown envelope {envelope!r}")
-    out = area * frac
+    out = area * _envelope(envelope)[1](s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,13 +203,14 @@ def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
     return pulse.local_form(layout)
 
 
-def local_expm(block: np.ndarray, block_sq: np.ndarray, area) -> np.ndarray:
-    """exp(-i area H) in closed form for a block with H^3 = H; ``block_sq`` is H @ H.
+def closed_form(T0, T1, T2, area) -> np.ndarray:
+    """T0 - i sin(a) T1 + (cos(a) - 1) T2: exp(-i a H) from (1, H, H^2) for a block with H^3 = H,
+    and F^dag exp(-i a H) F from (F^dag F, F^dag H F, (H F)^dag (H F)).
 
-    Stacks of blocks and arrays of areas broadcast against each other.
+    Stacks of terms and arrays of areas broadcast against each other.
     """
     area = np.asarray(area, dtype=float)[..., None, None]
-    return np.eye(block.shape[-1]) - 1j * np.sin(area) * block + (np.cos(area) - 1.0) * block_sq
+    return T0 - 1j * np.sin(area) * T1 + (np.cos(area) - 1.0) * T2
 
 
 def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -234,7 +232,7 @@ def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
     site, block = local_form(pulse, layout)
-    return site, local_expm(block, block @ block, pulse.area)
+    return site, closed_form(np.eye(block.shape[-1]), block, block @ block, pulse.area)
 
 
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
@@ -263,10 +261,10 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     site, block = local_form(pulse, layout)
     if block.ndim > 2 or np.ndim(pulse.area) > 0:
         raise ValueError("stepped propagation takes one pulse, not a batch")
-    block_sq = block @ block
+    eye, block_sq = np.eye(len(block)), block @ block
     U = np.eye(len(block), dtype=complex)
     for da in slice_areas(pulse.envelope, pulse.area, steps):
-        U = local_expm(block, block_sq, da) @ U
+        U = closed_form(eye, block, block_sq, da) @ U
     return embed(U, site, layout)
 
 

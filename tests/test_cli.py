@@ -499,6 +499,30 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,doc,message", [
+        # a misspelled optional field would otherwise fall back to a square pi pulse
+        ("--schedule", {"pulses": [{"type": "one_qubit", "qubit": 1, "theta": 0.3, "phi": 0.0,
+                                    "envelop": "gaussian", "aera": 1.0}]}, "pulses[0]: unknown field 'envelop'"),
+        ("--schedule", {"pulses": [{"type": "three_site", "pair": 1, "vartheta": 0.3, "kind": "xy"}]},
+         "pulses[0]: unknown field 'kind'"),
+        ("--circuit", {"gates": [{"kind": "xy", "pair": 1, "vartheta": 0.3},
+                                 {"kind": "reflection", "qubit": 1, "n": [0, 0, 1], "angle": 1.0}]},
+         "gates[1]: unknown field 'angle'"),
+    ])
+    def test_unknown_field_is_refused(self, flag, doc, message, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        command = "extract-gate" if flag == "--schedule" else "compile"
+        assert main([command, flag, str(path), "--qubits", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_compile_output_keeps_its_top_level_keys_readable(self, tmp_path, capsys):
+        # predicted_gate and provenance sit beside "pulses": document keys stay open
+        circ, sched = tmp_path / "c.json", tmp_path / "s.json"
+        write_circuit(circ, [{"kind": "xy", "pair": 1, "vartheta": 0.3}])
+        assert main(["compile", "--circuit", str(circ), "--qubits", "2", "--out", str(sched)]) == 0
+        assert main(["extract-gate", "--schedule", str(sched), "--qubits", "2"]) == 0
+
     @pytest.mark.parametrize("command,flag", [("extract-gate", "--schedule"), ("compile", "--circuit")])
     def test_deeply_nested_document(self, command, flag, tmp_path, capsys):
         doc = tmp_path / "d.json"

@@ -19,6 +19,8 @@ def test_demos_are_found():
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # pytest's filterwarnings does not reach a subprocess
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -163,6 +163,36 @@ class TestCertify:
         with pytest.raises(MemoryError, match="physical memory"):
             certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
 
+    @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
+    def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
+        # the dim x 2^12 logical frame is about 5.5 PiB, the dim x 2 frame at N = 16 about 18 PiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                certify(pulse, ChainLayout(qubits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_failure_messages(self, monkeypatch):
+        # an eigenvector of H stays put and gains only the dynamical phase -area, so with every
+        # "value >= bound" bound at 0 each measurement fails, the negative phase by its magnitude
+        for name in ("CERTIFY_PARALLEL_TRANSPORT", "CERTIFY_DYNAMICAL_PHASE", "CERTIFY_CYCLICITY"):
+            monkeypatch.setattr(holonomy, name, 0.0)
+        layout, pulse = ChainLayout(1), OneQubitPulse(1, 0.7, 0.3)
+        eigenvector = np.linalg.eigh(local_form(pulse, layout)[1])[1][:, :1]  # eigenvalue -1
+        monkeypatch.setattr(holonomy, "computational_frame", lambda pulse, layout: eigenvector)
+        report = certify(pulse, layout, samples=64, strict=False)
+        assert report.dynamical_phase == pytest.approx(-np.pi, abs=1e-12)
+        assert report.failures == (
+            f"parallel transport residual {report.parallel_transport_residual:.3e} >= 0.0e+00",
+            f"dynamical phase {report.dynamical_phase:.3e} >= 0.0e+00",
+            f"cyclicity residual {report.cyclicity_residual:.3e} >= 0.0e+00",
+        )
+        assert report.failures[1] == "dynamical phase -3.142e+00 >= 0.0e+00"
+        assert report.cross_fidelity is None  # not cyclic against a bound of 0
+
     def test_memory_budget_counts_the_term_gram(self, monkeypatch):
         asked = []
         monkeypatch.setattr(holonomy, "check_memory", lambda what, nbytes: asked.append(nbytes))

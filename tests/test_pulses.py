@@ -14,7 +14,7 @@ from holosim.pulses import (
     block_hamiltonian,
     cumulative_area,
     apply_local,
-    local_expm,
+    closed_form,
     local_form,
     propagate_exact,
     propagate_stepped,
@@ -60,13 +60,21 @@ class TestEnvelopes:
         want = np.array([cumulative_area(envelope, np.pi, s) for s in grid])
         assert np.max(np.abs(partial - want)) < 1e-7
 
+    def test_envelope_order_is_pinned(self):
+        # perfbench's certify-n3 draws ENVELOPES[i] by index: a reordered table would change its inputs
+        assert ENVELOPES == ("square", "gaussian", "sin2")
+
     def test_invalid_envelope_and_steps(self):
-        with pytest.raises(ValueError, match="envelope"):
-            slice_areas("triangle", np.pi, 10)
+        # one lookup gives every caller the same message
+        message = "unknown envelope 'triangle', expected one of ('square', 'gaussian', 'sin2')"
+        for make in (lambda: slice_areas("triangle", np.pi, 10), lambda: cumulative_area("triangle", np.pi, 0.5),
+                     lambda: OneQubitPulse(1, 0.0, 0.0, envelope="triangle"),
+                     lambda: ThreeSitePulse(1, 0.0, envelope="triangle")):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
         with pytest.raises(ValueError, match="steps"):
             slice_areas("square", np.pi, 0)
-        with pytest.raises(ValueError, match="envelope"):
-            OneQubitPulse(1, 0.0, 0.0, envelope="trapezoid")
         with pytest.raises(ValueError, match="duration"):
             OneQubitPulse(1, 0.0, 0.0, duration=0.0)
 
@@ -281,10 +289,10 @@ class TestLocalBlockProperties:
         for block in (lambda_coupling(theta, phi), xy_coupling(vartheta)):
             block_sq = block @ block
             assert np.max(np.abs(block_sq @ block - block)) <= 1e-14
-            assert unitarity_defect(local_expm(block, block_sq, area)) <= 1e-13
+            assert unitarity_defect(closed_form(np.eye(len(block)), block, block_sq, area)) <= 1e-13
         # the XY block and its propagator conserve the three sites' pseudo-spin S_z
         xy = xy_coupling(vartheta)
-        U = local_expm(xy, xy @ xy, area)
+        U = closed_form(np.eye(27), xy, xy @ xy, area)
         assert np.max(np.abs(xy @ _BLOCK_SZ - _BLOCK_SZ @ xy)) <= 1e-14
         assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
 
@@ -302,10 +310,10 @@ class TestBatchedPulses:
         xy = xy_coupling(vt)
         assert np.array_equal(xy, [xy_coupling(v) for v in vt])
         areas = np.array([0.4, np.pi, -3.0, 9.0])
-        U = local_expm(xy[:, None], (xy @ xy)[:, None], areas)
+        U = closed_form(np.eye(27), xy[:, None], (xy @ xy)[:, None], areas)
         assert U.shape == (3, 4, 27, 27)
         for i, j in np.ndindex(3, 4):
-            assert np.array_equal(U[i, j], local_expm(xy[i], xy[i] @ xy[i], areas[j]))
+            assert np.array_equal(U[i, j], closed_form(np.eye(27), xy[i], xy[i] @ xy[i], areas[j]))
         with pytest.raises(ValueError, match="finite"):
             lambda_coupling(np.array([0.1, np.nan]), 0.0)
         with pytest.raises(ValueError, match="finite"):
