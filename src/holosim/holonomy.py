@@ -26,6 +26,20 @@ A^dag A.  One term Gram serves the frame's orthonormality check, the
 parallel-transport check, the Wilson steps and the projected propagator.
 Both projected maps are evaluated by ``pulses.closed_form``.
 
+``certify`` works on the pulse's minimal chain: a one-qubit pulse moves to
+qubit 1 of a one-qubit chain and a three-site pulse to pair 1 of a two-qubit
+chain (each pulse class's ``minimal_chain``).  Every other qubit is a
+spectator, so the full-chain frame factorizes: f (x) |0...0> for a one-qubit
+pulse, and f (x) R up to a fixed permutation of the logical columns for a
+three-site pulse, with R the logical frame of the other N - 2 qubits.  Every
+K x K block the full-chain path builds is then b (x) 1_m, with m = 1 and
+m = 2^(N-2) respectively.  ``certify`` therefore reports the full-chain norms
+as the local ones times sqrt(m), exact for this factorization, and embeds the
+local gates by identities, after budgeting them; the dynamical phase and the
+cross fidelity are the local values.  ``trace_subspace`` and the checks take
+any frame on any chain, and the full-chain path through them is the
+reference the minimal chain is tested against.
+
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
 stack of projected maps.
@@ -33,8 +47,9 @@ stack of projected maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,7 +154,16 @@ class HolonomyError(ValueError):
 
 @dataclass
 class HolonomyReport:
-    """All certification measurements for one pulse."""
+    """All certification measurements for one pulse, in the full chain's terms.
+
+    ``certify`` measures on the pulse's minimal chain.  The parallel-transport
+    and cyclicity residuals are the full-chain Frobenius norms, the local ones
+    times sqrt(m) (see the module docstring); the dynamical phase and the cross
+    fidelity are the local values, which the full chain shares.  The gates are
+    in the pulse's ``computational_frame`` at the requested layout: 2 x 2 for a
+    one-qubit pulse, and for a three-site pulse on pair l' the local 4 x 4 gate
+    embedded as 1_{2^(l'-1)} (x) g (x) 1_{2^(N-l'-1)}.
+    """
 
     parallel_transport_residual: float
     dynamical_phase: float
@@ -161,6 +185,8 @@ def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     other site in |0> (K = 2), built as those two columns alone.
     Three-site pulse: the full logical basis (K = 2^N), i.e. the direct sum
     of all the invariant computational blocks the pulse touches.
+    ``certify`` takes it on the pulse's minimal chain; on the full chain it
+    is the frame of the reference path that ``certify`` is tested against.
     """
     if not isinstance(pulse, Pulse):
         raise TypeError(f"not a pulse: {pulse!r}")
@@ -193,13 +219,25 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     terms[0] = F0
     terms[1] = apply_local(site, block, F0)
     terms[2] = apply_local(site, block, terms[1])
-    areas = cumulative_area(pulse.envelope, pulse.area, np.linspace(0.0, 1.0, samples))
+    areas = pulse.area * _area_fractions(pulse.envelope, samples)
     coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
     path = SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
     defect = np.linalg.norm(path.gram[0, 0] - np.eye(K))  # F_0^dag F_0 - 1
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
     return path
+
+
+@lru_cache(maxsize=8)
+def _area_fractions(envelope: str, samples: int) -> np.ndarray:
+    """The envelope's area fraction at ``samples`` evenly spaced scaled times, computed once and read-only.
+
+    ``area *`` it equals ``cumulative_area(envelope, area, np.linspace(0, 1, samples))`` bit for bit:
+    the fraction is that area-1 curve, and multiplying by 1.0 is exact.
+    """
+    fractions = cumulative_area(envelope, 1.0, np.linspace(0.0, 1.0, samples))
+    fractions.flags.writeable = False
+    return fractions
 
 
 def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
@@ -254,12 +292,38 @@ def wilson_loop(path: SubspacePath) -> np.ndarray:
 
 
 def _ordered_product(M: np.ndarray) -> np.ndarray:
-    """M[n-1] ... M[1] M[0] by pairwise batched products, about log2(n) of them."""
-    while len(M) > 1:
-        if len(M) % 2:
-            M = np.concatenate([M, np.eye(M.shape[1])[None]])
-        M = M[1::2] @ M[0::2]
-    return M[0]
+    """M[n-1] ... M[1] M[0] by pairwise batched products, about log2(n) of them.
+
+    For 2 x 2 blocks (a one-qubit pulse's frame) the stack is held as (K, K, n) and each level
+    is K elementwise multiply-adds over the pairs: a batched matmul pays one BLAS call per pair,
+    about four times as long there.  Larger blocks keep the matmul; at K = 4 (a three-site
+    pulse's minimal chain) the elementwise passes were no faster.
+    """
+    K = M.shape[-1]
+    if K > 2:
+        while len(M) > 1:
+            if len(M) % 2:
+                M = np.concatenate([M, np.eye(K)[None]])
+            M = M[1::2] @ M[0::2]
+        return M[0]
+    T = np.ascontiguousarray(np.moveaxis(M, 0, -1))  # the pairs innermost
+    while T.shape[-1] > 1:
+        if T.shape[-1] % 2:
+            T = np.concatenate([T, np.eye(K)[..., None]], axis=-1)
+        A, B = T[..., 1::2], T[..., 0::2]
+        T = A[:, 0, None] * B[None, 0]
+        for j in range(1, K):
+            T += A[:, j, None] * B[None, j]
+    return T[..., 0]
+
+
+def _embed(gate: np.ndarray, left: int, right: int) -> np.ndarray:
+    """1_left (x) gate (x) 1_right, written into zeros: no products, and signed zeros stay as they are."""
+    d = gate.shape[-1]
+    out = np.zeros((left, d, right, left, d, right), dtype=complex)
+    i, r = np.arange(left)[:, None], np.arange(right)
+    out[i, :, r, i, :, r] = gate
+    return out.reshape(left * d * right, -1)
 
 
 def certify(
@@ -272,19 +336,33 @@ def certify(
 
     Checks parallel transport, vanishing dynamical phase, cyclicity, and
     agreement between the Wilson-loop gate and the projected propagator.
-    With ``strict`` (default) a HolonomyError naming every violated
-    condition is raised; otherwise the report carries the failure list.
+    The path is traced on the pulse's minimal chain, so the cost does not
+    grow with N; the residuals are reported as full-chain norms (local times
+    sqrt(m)) and the gates embedded into the pulse's frame at ``layout`` (see
+    ``HolonomyReport``), after the two embedded gates are budgeted.  Every
+    bound applies to the full-chain values.  With ``strict`` (default) a
+    HolonomyError naming every violated condition is raised; otherwise the
+    report carries the failure list.
     """
-    path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
+    if not isinstance(pulse, Pulse):
+        raise TypeError(f"not a pulse: {pulse!r}")
+    local, chain, (left, right) = pulse.minimal_chain(layout)
+    size = left * chain.logical_dim * right
+    check_memory(f"the two certified gates at N={layout.n_logical}", 2 * 16 * size * size)
+    path = trace_subspace(local, computational_frame(local, chain), samples, chain)
 
+    # every K x K block of the full-chain path is the local block (x) 1_m up to a fixed
+    # permutation, m = left * right: its Frobenius norms are sqrt(m) times the local ones
+    scale = math.sqrt(left * right)
     pt_residual, eps = check_parallel_transport(path)
+    pt_residual *= scale
     # eps is energy per unit envelope; integrating over accumulated area
     # (da = envelope dt) gives the dynamical phase integral.
     dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
-    cyc_residual = path.cyclicity_residual
+    cyc_residual = scale * path.cyclicity_residual
 
     G = path.gram
-    projected = closed_form(G[0, 0], G[0, 1], G[1, 1], pulse.area)  # F_0^dag F_0, F_0^dag A, A^dag A
+    projected = closed_form(G[0, 0], G[0, 1], G[1, 1], local.area)  # F_0^dag F_0, F_0^dag A, A^dag A
 
     bounds = (("parallel transport residual", pt_residual, CERTIFY_PARALLEL_TRANSPORT),
               ("dynamical phase", dyn_phase, CERTIFY_DYNAMICAL_PHASE),
@@ -303,13 +381,14 @@ def certify(
             failures.append(
                 f"wilson cross fidelity {cross:.12f} < {CERTIFY_CROSS_FIDELITY:.12f}"
             )
+        wilson = _embed(wilson, left, right)
 
     report = HolonomyReport(
         parallel_transport_residual=pt_residual,
         dynamical_phase=dyn_phase,
         cyclicity_residual=cyc_residual,
         wilson_gate=wilson,
-        propagator_gate=propagator_gate,
+        propagator_gate=_embed(propagator_gate, left, right),
         cross_fidelity=cross,
         failures=tuple(failures),
     )

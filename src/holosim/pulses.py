@@ -11,7 +11,9 @@ Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
 3.  Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H +
 (cos(a) - 1) H^2 exactly, and ``closed_form`` alone evaluates it; propagation
 applies it to a state or to operator columns by reshape and contraction,
-and embeds it only for dense propagators.
+and embeds it only for dense propagators.  Each pulse class also says how it
+moves to its minimal chain, one qubit or one pair (``minimal_chain``), and
+which identities embed the gate found there; ``holonomy.certify`` works there.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -138,6 +140,12 @@ class OneQubitPulse:
         frame[[0, 3 ** (layout.n_sites - site)], [0, 1]] = 1.0
         return frame
 
+    def minimal_chain(self, layout: ChainLayout) -> tuple[OneQubitPulse, ChainLayout, tuple[int, int]]:
+        """This pulse moved to qubit 1 of a one-qubit chain, and the identity sizes (1, 1): its
+        2 x 2 gate there is already the gate in the two columns of ``computational_frame`` at ``layout``."""
+        layout.site_of_qubit(self.qubit)  # validate index
+        return replace(self, qubit=1), ChainLayout(1), (1, 1)
+
 
 @dataclass(frozen=True)
 class ThreeSitePulse:
@@ -164,6 +172,14 @@ class ThreeSitePulse:
         """The full logical basis (K = 2^N): the direct sum of every computational block the pulse touches."""
         layout.sites_of_pair(self.pair)  # validate index
         return logical_frame(layout)
+
+    def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
+        """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =
+        (2^(pair-1), 2^(N-pair-1)) that embed its 4 x 4 gate there as 1_left (x) g (x) 1_right
+        in the logical frame at ``layout``."""
+        layout.sites_of_pair(self.pair)  # validate index
+        identities = (2 ** (self.pair - 1), 2 ** (layout.n_logical - self.pair - 1))
+        return replace(self, pair=1), ChainLayout(2), identities
 
 
 Pulse = OneQubitPulse | ThreeSitePulse

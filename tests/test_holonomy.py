@@ -1,8 +1,11 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosim import holonomy
 from holosim.chain import ChainLayout, logical_frame
@@ -163,16 +166,27 @@ class TestCertify:
         with pytest.raises(MemoryError, match="physical memory"):
             certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
 
-    @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
-    def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
-        # the dim x 2^12 logical frame is about 5.5 PiB, the dim x 2 frame at N = 16 about 18 PiB
+    def test_embedded_gates_are_budgeted_before_they_are_built(self):
+        # the two 2^20 x 2^20 gates are 16 TiB each; nothing chain- or gate-sized comes first
         tracemalloc.start()
         try:
-            with pytest.raises(MemoryError, match="physical memory"):
-                certify(pulse, ChainLayout(qubits))
+            with pytest.raises(MemoryError, match=r"^the two certified gates at N=20 needs about .* physical memory"):
+                certify(ThreeSitePulse(10, 0.5), ChainLayout(20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_one_qubit_pulse_at_sixteen_qubits(self):
+        # a dim x 2 frame at N = 16 would be about 18 PiB; the minimal chain has three rows
+        tracemalloc.start()
+        try:
+            report = certify(OneQubitPulse(9, 0.5, 0.0), ChainLayout(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert gate_fidelity(report.propagator_gate, one_qubit_gate(bloch_vector(0.5, 0.0))) >= 1.0 - 1e-10
         assert peak < 2**20
 
     def test_failure_messages(self, monkeypatch):
@@ -368,6 +382,12 @@ class TestPulseClassForms:
             computational_frame(ThreeSitePulse(2, 0.3), LAYOUT)
         with pytest.raises(TypeError, match="not a pulse"):
             computational_frame(np.eye(3), LAYOUT)
+        with pytest.raises(ValueError, match="qubit 3 out of range"):
+            certify(OneQubitPulse(3, 0.3, 0.1), LAYOUT)
+        with pytest.raises(ValueError, match="pair 2 out of range"):
+            certify(ThreeSitePulse(2, 0.3), LAYOUT)
+        with pytest.raises(TypeError, match="not a pulse"):
+            certify(np.eye(3), LAYOUT)
 
     def test_batched_projected_propagator_equals_single_pulses(self):
         layout = ChainLayout(3)
@@ -401,10 +421,10 @@ class TestCertifyAtFourQubits:
 
 
 class TestCertifyReach:
-    """The path keeps three dim x K terms, not one dim x K frame per sample."""
+    """certify traces the minimal chain, so only the two embedded gates grow with N."""
 
     def test_three_site_pulse_at_five_qubits(self):
-        # dimension 3**9 and K = 32: 1024 sampled frames would be about 10 GiB
+        # the full chain's path would be 3**9 x 32 terms; the minimal chain's is 27 x 4
         report = certify(ThreeSitePulse(3, 0.9, envelope="sin2"), ChainLayout(5), samples=1024)
         gate = np.kron(np.kron(np.eye(4), two_qubit_gate(0.9)), np.eye(2))
         assert report.passed
@@ -412,8 +432,8 @@ class TestCertifyReach:
         assert gate_fidelity(report.wilson_gate, gate) >= 1.0 - 1e-10
 
     def test_traced_peak_of_a_one_qubit_certify_at_six_qubits(self):
-        # the K = 2 frame is 5.4 MiB and the three terms 16.2 MiB; the whole
-        # dim x 2^N logical frame, sliced to two columns, would be 173 MiB
+        # the full chain's K = 2 frame would be 5.4 MiB and its three terms 16.2 MiB;
+        # the minimal chain's frame has three rows
         layout = ChainLayout(6)
         tracemalloc.start()
         try:
@@ -424,7 +444,7 @@ class TestCertifyReach:
         assert peak < 32 * 2**20
 
     def test_traced_peak_of_a_three_site_certify_at_four_qubits(self):
-        # 1024 sampled frames would be 547 MiB; the three terms are 1.6 MiB
+        # the full chain's three terms would be 1.6 MiB; the two embedded 16 x 16 gates are 8 KiB
         layout = ChainLayout(4)
         pulse = ThreeSitePulse(2, 0.9, envelope="gaussian")
         tracemalloc.start()
@@ -434,6 +454,21 @@ class TestCertifyReach:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_traced_peak_of_a_three_site_certify_at_ten_qubits(self):
+        # the two embedded 2^10 x 2^10 gates are 16 MiB each, and nothing else is chain-sized
+        pulse = ThreeSitePulse(5, 0.9)
+        tracemalloc.start()
+        try:
+            report = certify(pulse, ChainLayout(10), samples=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        gate = np.kron(np.kron(np.eye(16), two_qubit_gate(0.9)), np.eye(16))
+        assert report.passed
+        assert np.max(np.abs(report.propagator_gate - gate)) <= 1e-12
+        assert np.max(np.abs(report.wilson_gate - gate)) <= 1e-12
 
 
 def _separate_measurements(pulse, layout, samples):
@@ -519,22 +554,135 @@ class TestOneTermGram:
         assert path.cyclicity_residual is path.cyclicity_residual
 
     def test_measurements_equal_separately_computed_ones(self):
+        # the separate measurements run on the same minimal chain, and are scaled and embedded
+        # here: by sqrt(m) for the norms, by np.kron for the gates (equal values; only the sign of
+        # a zero may differ)
         cases = _seeded_pulses()
         assert len(cases) >= 40
         for n_logical, pulse in cases:
             layout = ChainLayout(n_logical)
             report = certify(pulse, layout, samples=256, strict=False)
-            residual, phase, cyclicity, gate, wilson, cross = _separate_measurements(pulse, layout, 256)
+            local, chain, (left, right) = pulse.minimal_chain(layout)
+            residual, phase, cyclicity, gate, wilson, cross = _separate_measurements(local, chain, 256)
+            scale = math.sqrt(left * right)
             # the residual's norms now come from the real view: equal but for the last ulp
-            assert abs(report.parallel_transport_residual - residual) <= 1e-15
+            assert abs(report.parallel_transport_residual - scale * residual) <= 1e-15
             assert report.dynamical_phase == phase
-            assert report.cyclicity_residual == cyclicity
-            assert report.propagator_gate.tobytes() == gate.tobytes()
+            assert report.cyclicity_residual == scale * cyclicity
+            assert np.array_equal(report.propagator_gate, _kron_embed(gate, left, right))
             cyclic = pulse.area == np.pi
             assert (report.wilson_gate is not None) == (wilson is not None) == cyclic
             if cyclic:
-                assert report.wilson_gate.tobytes() == wilson.tobytes()
+                assert np.array_equal(report.wilson_gate, _kron_embed(wilson, left, right))
                 assert report.cross_fidelity == cross
+            if left * right == 1:
+                assert report.propagator_gate.tobytes() == gate.tobytes()
+                assert not cyclic or report.wilson_gate.tobytes() == wilson.tobytes()
+
+
+def _kron_embed(gate, left, right):
+    return np.kron(np.kron(np.eye(left), gate), np.eye(right))
+
+
+class TestMinimalChain:
+    """certify traces each pulse on its minimal chain; the full-chain path is the reference."""
+
+    # the full chain sums the same nonzero terms as the minimal chain, in other orders: measured
+    # at most 4.6e-16 apart on the seeded pulses (the Wilson gate of a moved one-qubit pulse)
+    ROUNDOFF = 1e-15
+
+    def test_certify_equals_the_full_chain_path(self):
+        cases = _seeded_pulses()
+        assert len(cases) == 48
+        for n_logical, pulse in cases:
+            layout = ChainLayout(n_logical)
+            report = certify(pulse, layout, samples=256, strict=False)
+            # the whole chain: the frame of computational_frame(pulse, layout), nothing embedded
+            residual, phase, cyclicity, gate, wilson, cross = _separate_measurements(pulse, layout, 256)
+            assert report.propagator_gate.shape == gate.shape
+            assert abs(report.parallel_transport_residual - residual) <= self.ROUNDOFF
+            assert abs(report.dynamical_phase - phase) <= self.ROUNDOFF
+            assert abs(report.cyclicity_residual - cyclicity) <= self.ROUNDOFF
+            assert np.max(np.abs(report.propagator_gate - gate)) <= self.ROUNDOFF
+            assert (report.wilson_gate is None) == (wilson is None)
+            if wilson is not None:
+                assert np.max(np.abs(report.wilson_gate - wilson)) <= self.ROUNDOFF
+                assert abs(report.cross_fidelity - cross) <= self.ROUNDOFF
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n_logical=st.integers(1, 4), three_site=st.booleans(),
+           envelope=st.sampled_from(ENVELOPES), k=st.integers(-3, 3))
+    def test_odd_pi_areas_certify_to_the_embedded_closed_form(self, data, n_logical, three_site, envelope, k):
+        layout = ChainLayout(n_logical)
+        angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+        area = (2 * k + 1) * np.pi
+        if three_site and n_logical > 1:
+            pair, vartheta = data.draw(st.integers(1, n_logical - 1)), data.draw(angle)
+            pulse = ThreeSitePulse(pair, vartheta, area=area, envelope=envelope)
+            gate = _kron_embed(two_qubit_gate(vartheta), 2 ** (pair - 1), 2 ** (n_logical - pair - 1))
+        else:
+            qubit, theta, phi = data.draw(st.integers(1, n_logical)), data.draw(angle), data.draw(angle)
+            pulse = OneQubitPulse(qubit, theta, phi, area=area, envelope=envelope)
+            gate = one_qubit_gate(bloch_vector(theta, phi))
+        report = certify(pulse, layout, samples=128)
+        assert report.passed
+        assert np.max(np.abs(report.propagator_gate - gate)) <= 1e-12
+        assert np.max(np.abs(report.wilson_gate - gate)) <= 1e-12
+
+    def test_each_kind_moves_to_its_minimal_chain(self):
+        layout = ChainLayout(5)
+        pulse = OneQubitPulse(4, 0.3, 0.1, area=2.0, envelope="sin2", duration=3.0)
+        assert pulse.minimal_chain(layout) == (replace(pulse, qubit=1), ChainLayout(1), (1, 1))
+        pulse = ThreeSitePulse(3, 0.3, area=-1.0, envelope="gaussian", duration=2.0)
+        assert pulse.minimal_chain(layout) == (replace(pulse, pair=1), ChainLayout(2), (4, 2))
+        with pytest.raises(ValueError, match="qubit 6 out of range"):
+            OneQubitPulse(6, 0.3, 0.1).minimal_chain(layout)
+        with pytest.raises(ValueError, match="pair 5 out of range"):
+            ThreeSitePulse(5, 0.3).minimal_chain(layout)
+
+    def test_embedding_equals_kronecker_products(self):
+        gate = haar_unitary(4, np.random.default_rng(3))
+        for left, right in ((1, 1), (1, 4), (8, 1), (2, 4)):
+            assert np.array_equal(holonomy._embed(gate, left, right), _kron_embed(gate, left, right))
+        assert holonomy._embed(gate, 1, 1).tobytes() == gate.tobytes()
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 8])
+    def test_equals_the_sequential_product(self, K):
+        # 2 x 2 blocks and smaller take the elementwise pairwise product, larger ones batched matmul;
+        # both sum in another order than the sequential loop: 1023 unitary factors of size K give
+        # at most about 1023 * K * 2.2e-16, under 1e-12
+        rng = np.random.default_rng(K)
+        for n in (1, 2, 3, 7, 1023, 1024):
+            M = np.array([haar_unitary(K, rng) for _ in range(n)])
+            want = np.eye(K)
+            for step in M:
+                want = step @ want
+            assert np.max(np.abs(_ordered_product(M) - want)) <= 1e-12
+
+
+class TestAreaFractions:
+    """trace_subspace reads each (envelope, samples) area fraction from a small cache."""
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    @pytest.mark.parametrize("samples", [2, 3, 33, 256, 1024, 1025])
+    def test_bit_identical_to_cumulative_area(self, envelope, samples):
+        fractions = holonomy._area_fractions(envelope, samples)
+        for area in (np.pi, -1.7, 5 * np.pi):
+            want = cumulative_area(envelope, area, np.linspace(0.0, 1.0, samples))
+            assert (area * fractions).tobytes() == want.tobytes()
+        pulse = ThreeSitePulse(1, 0.9, area=-1.7, envelope=envelope)
+        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
+        assert path.areas.tobytes() == cumulative_area(envelope, -1.7, np.linspace(0.0, 1.0, samples)).tobytes()
+
+    def test_computed_once_and_read_only(self):
+        fractions = holonomy._area_fractions("gaussian", 513)
+        assert holonomy._area_fractions("gaussian", 513) is fractions
+        assert not fractions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fractions[0] = 1.0
+        assert holonomy._area_fractions.cache_info().maxsize == 8
 
 
 class TestCyclicityResidual:
