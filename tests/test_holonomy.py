@@ -166,6 +166,19 @@ class TestCertify:
         with pytest.raises(MemoryError, match="physical memory"):
             certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
 
+    @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
+    def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
+        # the dim x 2^12 logical frame is about 5.5 PiB, the dim x 2 frame at N = 16 about 18 PiB;
+        # certify no longer builds them, but computational_frame still takes any layout
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                computational_frame(pulse, ChainLayout(qubits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_embedded_gates_are_budgeted_before_they_are_built(self):
         # the two 2^20 x 2^20 gates are 16 TiB each; nothing chain- or gate-sized comes first
         tracemalloc.start()
@@ -555,8 +568,7 @@ class TestOneTermGram:
 
     def test_measurements_equal_separately_computed_ones(self):
         # the separate measurements run on the same minimal chain, and are scaled and embedded
-        # here: by sqrt(m) for the norms, by np.kron for the gates (equal values; only the sign of
-        # a zero may differ)
+        # here as certify does: by sqrt(m) for the norms, by the same Kronecker products for the gates
         cases = _seeded_pulses()
         assert len(cases) >= 40
         for n_logical, pulse in cases:
@@ -569,15 +581,12 @@ class TestOneTermGram:
             assert abs(report.parallel_transport_residual - scale * residual) <= 1e-15
             assert report.dynamical_phase == phase
             assert report.cyclicity_residual == scale * cyclicity
-            assert np.array_equal(report.propagator_gate, _kron_embed(gate, left, right))
+            assert report.propagator_gate.tobytes() == _kron_embed(gate, left, right).tobytes()
             cyclic = pulse.area == np.pi
             assert (report.wilson_gate is not None) == (wilson is not None) == cyclic
             if cyclic:
-                assert np.array_equal(report.wilson_gate, _kron_embed(wilson, left, right))
+                assert report.wilson_gate.tobytes() == _kron_embed(wilson, left, right).tobytes()
                 assert report.cross_fidelity == cross
-            if left * right == 1:
-                assert report.propagator_gate.tobytes() == gate.tobytes()
-                assert not cyclic or report.wilson_gate.tobytes() == wilson.tobytes()
 
 
 def _kron_embed(gate, left, right):
@@ -640,19 +649,13 @@ class TestMinimalChain:
         with pytest.raises(ValueError, match="pair 5 out of range"):
             ThreeSitePulse(5, 0.3).minimal_chain(layout)
 
-    def test_embedding_equals_kronecker_products(self):
-        gate = haar_unitary(4, np.random.default_rng(3))
-        for left, right in ((1, 1), (1, 4), (8, 1), (2, 4)):
-            assert np.array_equal(holonomy._embed(gate, left, right), _kron_embed(gate, left, right))
-        assert holonomy._embed(gate, 1, 1).tobytes() == gate.tobytes()
-
 
 class TestOrderedProduct:
-    @pytest.mark.parametrize("K", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("K", [2, 4, 8])
     def test_equals_the_sequential_product(self, K):
-        # 2 x 2 blocks and smaller take the elementwise pairwise product, larger ones batched matmul;
-        # both sum in another order than the sequential loop: 1023 unitary factors of size K give
-        # at most about 1023 * K * 2.2e-16, under 1e-12
+        # the blocks of a one-qubit pulse, of a three-site pulse's minimal chain and of a full-chain
+        # frame; the pairwise product sums in another order than the sequential loop: 1023 unitary
+        # factors of size K give at most about 1023 * K * 2.2e-16, under 1e-12
         rng = np.random.default_rng(K)
         for n in (1, 2, 3, 7, 1023, 1024):
             M = np.array([haar_unitary(K, rng) for _ in range(n)])
