@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_memory
+from .linalg import check_memory, finite
 
 __all__ = [
     "SIGMA_Z3",
@@ -145,11 +145,12 @@ def lambda_coupling(theta, phi) -> np.ndarray:
     vector has unit norm.  Array angles broadcast: the result is a stack of
     shape (..., 3, 3), and numbers give one 3x3 block.
     """
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+    if not (finite(theta) and finite(phi)):
         raise ValueError("theta and phi must be finite")
-    half = 0.5 * theta[..., None, None]
-    phi = phi[..., None, None]
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    half = 0.5 * theta
+    if theta.ndim or phi.ndim:  # arrays of angles index the stack axes, ahead of the matrix axes
+        half, phi = half[..., None, None], phi[..., None, None]
     return (
         np.sin(half) * (np.cos(phi) * _GELL_MANN[1] - np.sin(phi) * _GELL_MANN[2])
         - np.cos(half) * _GELL_MANN[4]
@@ -188,10 +189,11 @@ def xy_coupling(vartheta) -> np.ndarray:
     has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
     a stack of shape (..., 27, 27).
     """
-    vartheta = np.asarray(vartheta, dtype=float)
-    if not np.isfinite(vartheta).all():
+    if not finite(vartheta):
         raise ValueError("vartheta must be finite")
-    half = 0.5 * vartheta[..., None, None]
+    half = 0.5 * np.asarray(vartheta, dtype=float)
+    if half.ndim:  # an array of angles indexes the stack axes, ahead of the matrix axes
+        half = half[..., None, None]
     return -np.cos(half) * _LEFT_BOND + np.sin(half) * _RIGHT_BOND
 
 

@@ -150,9 +150,9 @@ def suite_twoqubit() -> list[CheckResult]:
     ent_0, power_0 = entangling_verdict(two_qubit_gate(0.0))
     ent_pi, power_pi = entangling_verdict(two_qubit_gate(np.pi))
     results.append(_check("entangling verdict at vartheta=pi/2 (1=true)", float(ent_pi2), 1.0, ">="))
-    results.append(_check("max product-state output entropy at vartheta=0",
+    results.append(_check("entangling power e_p at vartheta=0",
                           0.0 if not ent_0 else power_0, 1e-8))
-    results.append(_check("max product-state output entropy at vartheta=pi",
+    results.append(_check("entangling power e_p at vartheta=pi",
                           0.0 if not ent_pi else power_pi, 1e-8))
     return results
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
-from .linalg import cross, dot, normalize
+from .linalg import any_true, cross, dot, finite, finite_vectors, float_array, normalize
 from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal, fields_hash
 
 __all__ = [
@@ -46,13 +46,13 @@ _BASIS_AXES = np.eye(3)
 
 
 def _checked_axis(axis) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
+    a = float_array(axis)
     if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():  # NaN would pass the comparison below
+    if not finite_vectors(a):  # NaN would pass the comparison below
         raise ValueError(f"rotation axis must be finite, got {a.tolist()}")
     unit, norm = normalize(a)
-    if (norm < 1e-12).any():
+    if any_true(norm < 1e-12):
         raise ValueError("rotation axis must be nonzero")
     return unit
 
@@ -67,13 +67,18 @@ def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:
     matching angles give (..., 3) pairs.
     """
     a = _checked_axis(axis)
-    angle = np.asarray(angle, dtype=float)
-    if not np.isfinite(angle).all():
+    if not finite(angle):
         raise ValueError("rotation angle must be finite")
-    sides = cross(a[..., None, :], _BASIS_AXES)  # axis x e for e = x, y, z
+    angle = np.asarray(angle, dtype=float)
     # some |axis x e| >= sqrt(2/3) for a unit axis, as the three squares sum to 2
-    transverse = np.sqrt(dot(sides, sides)) > 1e-6
-    e = _BASIS_AXES[np.argmax(transverse, axis=-1)]
+    if a.ndim == 1:  # one axis: try x, y, z in turn
+        for e in _BASIS_AXES:
+            side = cross(a, e)
+            if np.sqrt(dot(side, side)) > 1e-6:
+                break
+    else:
+        sides = cross(a[..., None, :], _BASIS_AXES)  # axis x e for e = x, y, z
+        e = _BASIS_AXES[np.argmax(np.sqrt(dot(sides, sides)) > 1e-6, axis=-1)]
     n = e - dot(e, a)[..., None] * a
     n = n / np.sqrt(dot(n, n))[..., None]
     half = 0.5 * angle[..., None]
@@ -101,10 +106,12 @@ class Rotation:
 
     def logical(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         layout.site_of_qubit(self.qubit)
-        angle = np.asarray(self.angle, dtype=float)
-        if not np.isfinite(angle).all():
+        if not finite(self.angle):
             raise ValueError("rotation angle must be finite")
-        half = 0.5 * angle[..., None, None]
+        angle = np.asarray(self.angle, dtype=float)
+        half = 0.5 * angle
+        if angle.ndim:  # an array of angles indexes the stack axes, ahead of the matrix axes
+            half = half[..., None, None]
         sigma = one_qubit_gate(_checked_axis(self.axis))
         return self.qubit, np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * sigma
 

@@ -5,7 +5,8 @@ pairs; matrices as nested lists of those pairs.  Report writing goes
 through a deterministic emitter (fixed key order, floats rendered with 17
 significant digits) so identical inputs produce byte-identical files.  It
 renders each leaf from a table keyed by its exact type (float, int, bool,
-str, None), with an isinstance chain only for NumPy scalars and subclasses.
+str, None), with an isinstance chain only for NumPy scalars and subclasses,
+and each [re, im] pair of finite floats with one format operation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .compiler import Gate
+from .linalg import float_or_inf
 from .pulses import Pulse
 
 __all__ = [
@@ -49,49 +51,35 @@ class FormatError(ValueError):
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(x, ".17g")
+    return "%.17g" % x
 
 
 def dumps(value) -> str:
     """Render ``value`` as JSON with fixed key order and float formatting, indented by two spaces."""
-    pieces = []
-    _emit(value, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _render(value, "") + "\n"
 
 
-def _emit(value, out, level):
-    text = _leaf(value)
-    if text is not None:
-        out.append(text)
-        return
+def _render(value, margin: str) -> str:
+    """The JSON text of ``value``, with ``margin`` before each of its lines after the first."""
+    render = _LEAVES.get(type(value))
+    if render is not None:
+        return render(value)
+    if type(value) is list and len(value) == 2:  # an [re, im] pair of finite floats in one operation
+        re, im = value
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return "[%.17g, %.17g]" % (re, im)
+    if not isinstance(value, (dict, list, tuple)):
+        return _leaf(value)
     if not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-        return
-    pad = "  " * (level + 1)
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = margin + "  "
     if isinstance(value, dict):
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}{encode_basestring_ascii(str(key))}: ")
-            _emit(item, out, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append("  " * level + "}")
-        return
-    texts = []
-    for item in value:  # on one line while every item is a leaf
-        text = _leaf(item)
-        if text is None:
-            break
-        texts.append(text)
-    else:
-        out.append("[" + ", ".join(texts) + "]")
-        return
-    out.append("[\n")
-    for i, item in enumerate(value):
-        out.append(pad)
-        _emit(item, out, level + 1)
-        out.append(",\n" if i < len(value) - 1 else "\n")
-    out.append("  " * level + "]")
+        items = [f"{encode_basestring_ascii(str(key))}: {_render(item, inner)}" for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "}"
+    items = [_render(item, inner) for item in value]
+    if not any(isinstance(item, (dict, list, tuple)) for item in value):  # every item a leaf: one line
+        return "[" + ", ".join(items) + "]"
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
 
 
 # The renderer of each exact leaf type; json.dumps(str) is encode_basestring_ascii
@@ -99,14 +87,9 @@ _LEAVES = {float: _fmt_float, int: str, bool: lambda value: "true" if value else
            str: encode_basestring_ascii, type(None): lambda value: "null"}
 
 
-def _leaf(value) -> str | None:
-    """The JSON text of a leaf value, or None for a dict, list or tuple."""
-    render = _LEAVES.get(type(value))
-    if render is not None:
-        return render(value)
-    if isinstance(value, (dict, list, tuple)):
-        return None
-    # NumPy scalars and subclasses of the leaf types
+def _leaf(value) -> str:
+    """The JSON text of a leaf whose type is not a key of ``_LEAVES``: a NumPy scalar or a
+    subclass of a leaf type."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
@@ -125,7 +108,7 @@ def complex_pair(z) -> list[float]:
 
 def matrix_pairs(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[complex_pair(z) for z in row] for row in M]
+    return [[[re, im] for re, im in zip(*rows)] for rows in zip(M.real.tolist(), M.imag.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +122,6 @@ _VECTOR3 = tuple[float, float, float]
 _SHAPES = {float: (), _VECTOR3: (3,)}
 
 
-def _float(value) -> float:
-    """float(value), with an int beyond the float range mapped to +-inf instead of raising."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _field(obj: dict, name: str, where: str, expected=None, default=MISSING):
     """``obj[name]`` checked against the type ``expected``; a field with a default is optional."""
     if name not in obj:
@@ -158,18 +133,20 @@ def _field(obj: dict, name: str, where: str, expected=None, default=MISSING):
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormatError(f"{where}.{name}: expected an integer, got {value!r}")
     elif expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"{where}.{name}: expected a number, got {value!r}")
-        value = _float(value)
+        if type(value) is not float:  # JSON gives a float or an int
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"{where}.{name}: expected a number, got {value!r}")
+            value = float_or_inf(value)
         if not math.isfinite(value):
             raise FormatError(f"{where}.{name}: value must be finite")
-    elif expected is str and not isinstance(value, str):
-        raise FormatError(f"{where}.{name}: expected a string, got {value!r}")
+    elif expected is str:
+        if not isinstance(value, str):
+            raise FormatError(f"{where}.{name}: expected a string, got {value!r}")
     elif expected == _VECTOR3:
         if (not isinstance(value, list) or len(value) != 3
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
             raise FormatError(f"{where}.{name}: expected a 3-vector of numbers")
-        value = tuple(_float(v) for v in value)
+        value = tuple(float_or_inf(v) for v in value)
     return value
 
 
@@ -186,6 +163,9 @@ def _to_dict(obj, tag: str, noun: str, union) -> dict:
     doc = {tag: obj.kind}
     for name, (annotation, _) in _FIELDS[type(obj)].items():
         value = getattr(obj, name)
+        if annotation is float and type(value) is float:  # one number, written as it is
+            doc[name] = value
+            continue
         shape = _SHAPES.get(annotation)
         if shape is not None and np.shape(value) != shape:
             raise ValueError(f"{noun} field {name!r} has shape {np.shape(value)}, expected {shape}: "

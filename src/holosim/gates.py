@@ -14,7 +14,9 @@ The closed forms, ``extract_logical_gate`` and the Schmidt and entropy
 diagnostics take a leading batch axis (or several): arrays of angles,
 (..., 3) vectors, (..., 4) states or columns (..., dim, 2^N) give stacked
 results, and a single input is a batch with no leading axes that gives the
-single result through the same code.
+single result.  ``bloch_angles`` and ``one_qubit_gate`` work on the three
+numbers of a single vector, with the operations a batch gets, so both give
+the same bits; a single vector is selected by ``ndim``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import cross, dot, gate_fidelity, inner, normalize, polar_unitary, unitarity_defect, unstack
+from .linalg import (any_true, cross, dot, finite, finite_vectors, float_array, gate_fidelity, inner, normalize,
+                     polar_unitary, unitarity_defect, unstack)
 
 __all__ = [
     "SIGMA_X",
@@ -67,27 +70,35 @@ def bloch_vector(theta, phi) -> np.ndarray:
 def bloch_angles(n):
     """Angles (theta, phi) of a unit vector, or arrays of them for (..., 3); phi fixed to 0 at the poles."""
     n = _unit_vector(n)
+    if n.ndim == 1:  # one vector: the same ufuncs on its three numbers
+        x, y, z = n.tolist()
+        theta = np.arctan2(np.hypot(x, y), z)
+        return float(theta), 0.0 if np.sin(theta) < 1e-12 else float(np.arctan2(y, x) % (2.0 * math.pi))
     theta = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
     azimuth = np.arctan2(n[..., 1], n[..., 0]) % (2.0 * math.pi)
-    return unstack(theta), unstack(np.where(np.sin(theta) < 1e-12, 0.0, azimuth))
+    return theta, np.where(np.sin(theta) < 1e-12, 0.0, azimuth)
 
 
 def _unit_vector(n) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
+    n = float_array(n)
     if n.ndim < 1 or n.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    if not np.isfinite(n).all():  # NaN would pass the comparison below
+    if not finite_vectors(n):  # NaN would pass the comparison below
         raise ValueError(f"unit vector must be finite, got {n.tolist()}")
     unit, norm = normalize(n)
     off = np.abs(norm - 1.0)
-    if (off > 1e-9).any():
+    if any_true(off > 1e-9):
         raise ValueError(f"expected a unit vector, got norm {np.ravel(norm)[np.argmax(off)]:.6g}")
     return unit
 
 
 def one_qubit_gate(n) -> np.ndarray:
     """Reflection n . sigma implemented by one pi-area drive along n, shape (..., 2, 2)."""
-    n = _unit_vector(n)[..., None, None]
+    n = _unit_vector(n)
+    if n.ndim == 1:  # one vector: its three numbers scale the Pauli matrices
+        x, y, z = n.tolist()
+        return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+    n = n[..., None, None]
     return n[..., 0, :, :] * SIGMA_X + n[..., 1, :, :] * SIGMA_Y + n[..., 2, :, :] * SIGMA_Z
 
 
@@ -113,9 +124,9 @@ def two_qubit_gate(vartheta) -> np.ndarray:
     to sigma_z x 1 at vartheta = 0 and 1 x sigma_z at vartheta = pi).  An
     array of angles gives a (..., 4, 4) stack.
     """
-    vartheta = np.asarray(vartheta, dtype=float)
-    if not np.isfinite(vartheta).all():
+    if not finite(vartheta):
         raise ValueError("vartheta must be finite")
+    vartheta = np.asarray(vartheta, dtype=float)
     c, s = np.cos(vartheta), np.sin(vartheta)
     out = np.zeros(vartheta.shape + (4, 4), dtype=complex)
     out[..., 0, 0], out[..., 3, 3] = 1.0, -1.0

@@ -311,6 +311,15 @@ def _ordered_product(M: np.ndarray) -> np.ndarray:
     return T[..., 0]
 
 
+def _embed(gate: np.ndarray, left: int, right: int) -> np.ndarray:
+    """1_left (x) gate (x) 1_right, with no Kronecker product by an identity of size 1."""
+    if left > 1:
+        gate = np.kron(np.eye(left), gate)
+    if right > 1:
+        gate = np.kron(gate, np.eye(right))
+    return gate
+
+
 def certify(
     pulse: Pulse,
     layout: ChainLayout,
@@ -366,14 +375,14 @@ def certify(
             failures.append(
                 f"wilson cross fidelity {cross:.12f} < {CERTIFY_CROSS_FIDELITY:.12f}"
             )
-        wilson = np.kron(np.kron(np.eye(left), wilson), np.eye(right))
+        wilson = _embed(wilson, left, right)
 
     report = HolonomyReport(
         parallel_transport_residual=pt_residual,
         dynamical_phase=dyn_phase,
         cyclicity_residual=cyc_residual,
         wilson_gate=wilson,
-        propagator_gate=np.kron(np.kron(np.eye(left), propagator_gate), np.eye(right)),
+        propagator_gate=_embed(propagator_gate, left, right),
         cross_fidelity=cross,
         failures=tuple(failures),
     )

@@ -11,7 +11,9 @@ Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
 dense reference for any Hermitian matrix.  ``check_memory`` is the memory
 budget the commands, the frame builders and ``holonomy.trace_subspace`` check
-before they allocate.
+before they allocate.  ``float_array``, ``float_or_inf`` and ``finite`` read an
+int beyond the float range as infinite, so a check refuses it as it refuses inf;
+``finite`` takes a Python number without making an array.
 """
 
 from __future__ import annotations
@@ -58,6 +60,40 @@ def frobenius(D):
     return unstack(np.sqrt(dot(x, x)))
 
 
+def float_or_inf(value) -> float:
+    """float(value), with an int beyond the float range read as +-inf instead of raising."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def float_array(value) -> np.ndarray:
+    """np.asarray(value, dtype=float), with an int beyond the float range read as +-inf instead of
+    raising, so that a finiteness check refuses it as it refuses an infinite value."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.vectorize(float_or_inf, otypes=[float])(np.asarray(value, dtype=object))
+
+
+def finite(value) -> bool:
+    """Every element of a number or an array is finite; an int beyond the float range is not."""
+    if isinstance(value, (int, float)):  # a Python number, checked without an array
+        return math.isfinite(float_or_inf(value))
+    return bool(np.isfinite(float_array(value)).all())
+
+
+def finite_vectors(a: np.ndarray) -> bool:
+    """Every entry of a (..., 3) float array is finite; one vector is checked on its numbers."""
+    return all(map(math.isfinite, a.tolist())) if a.ndim == 1 else bool(np.isfinite(a).all())
+
+
+def any_true(mask) -> bool:
+    """Whether some element of a boolean result is true; a single (0-d) one is read directly."""
+    return bool(mask.any()) if mask.ndim else bool(mask)
+
+
 def hermiticity_defect(H):
     """Frobenius norm of H - H^dagger (per matrix of a stack)."""
     H = np.asarray(H, dtype=complex)
@@ -72,6 +108,8 @@ def unitarity_defect(U):
 
 def dot(a, b) -> np.ndarray:
     """a . b for (..., n) real vectors, each pair reduced by np.dot's kernel (so also np.linalg.norm's)."""
+    if a.ndim == b.ndim == 1:  # one pair, with no stack axes to add
+        return np.dot(a, b)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -82,20 +120,30 @@ def normalize(a) -> tuple[np.ndarray, np.ndarray]:
     exact.  A norm past the largest float is inf; a zero norm, also from squares that underflow,
     gives a non-finite direction for the caller to refuse.
     """
+    scaled = np.abs(a).max(initial=0.0) >= 2.0**511
     shift = 0
-    if np.abs(a).max(initial=0.0) >= 2.0**511:
+    if scaled:
         shift = np.maximum(np.frexp(np.abs(a).max(axis=-1))[1] - 511, 0)
         a = np.ldexp(a, -shift[..., None])
     norm = np.sqrt(dot(a, a))
+    if not scaled and (norm.all() if norm.ndim else norm):  # no division can warn
+        return a / norm[..., None], norm
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return a / norm[..., None], np.ldexp(norm, shift)
 
 
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # the axes k + 1 and k + 2 (mod 3) of each k
+
+
 def cross(a, b) -> np.ndarray:
-    """a x b for (..., 3) vectors: np.cross's products and differences, without its axis handling."""
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+    """a x b for (..., 3) vectors: np.cross's products and differences, without its axis handling.
+
+    Component k is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3, for all three at once.
+    """
+    if a.ndim == b.ndim == 1:  # one pair: the same products and differences on its numbers
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
 def _real_view(X) -> np.ndarray:

@@ -19,8 +19,9 @@ A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
 ``closed_form``, ``apply_local`` and ``run_schedule`` carry the batch as
 leading axes of the blocks and of the columns (..., dim, K); a pulse with
-number fields is a batch with no leading axes and runs through the same
-code.  The dense builders ``block_hamiltonian``, ``propagate_exact`` and
+number fields is a batch with no leading axes.  Its blocks get no stack axes
+(numbers multiply the matrices directly) and its fields are checked with
+``math.isfinite``, with the arithmetic of a batch.  The dense builders ``block_hamiltonian``, ``propagate_exact`` and
 ``schedule_propagator`` give stacks (..., dim, dim) for a batch;
 ``propagate_stepped`` takes a single pulse.
 
@@ -38,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
-from .linalg import check_memory
+from .linalg import check_memory, finite
 
 __all__ = [
     "ENVELOPES",
@@ -78,16 +79,11 @@ def _envelope(envelope: str):
     return _ENVELOPES[envelope]
 
 
-def _finite(value) -> bool:
-    """Every element of a number or an array is finite."""
-    return bool(np.isfinite(np.asarray(value, dtype=float)).all())
-
-
 def _check_pulse_fields(area, envelope, duration):
-    if not _finite(area):
+    if not finite(area):
         raise ValueError("pulse area must be finite")
     _envelope(envelope)
-    if not (np.isfinite(duration) and duration > 0):
+    if not (finite(duration) and duration > 0):
         raise ValueError(f"pulse duration must be positive, got {duration}")
 
 
@@ -125,7 +121,7 @@ class OneQubitPulse:
     duration: float = 1.0
 
     def __post_init__(self):
-        if not (_finite(self.theta) and _finite(self.phi)):
+        if not (finite(self.theta) and finite(self.phi)):
             raise ValueError("theta and phi must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
 
@@ -161,7 +157,7 @@ class ThreeSitePulse:
     duration: float = 1.0
 
     def __post_init__(self):
-        if not _finite(self.vartheta):
+        if not finite(self.vartheta):
             raise ValueError("vartheta must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
 
@@ -225,7 +221,8 @@ def closed_form(T0, T1, T2, area) -> np.ndarray:
 
     Stacks of terms and arrays of areas broadcast against each other.
     """
-    area = np.asarray(area, dtype=float)[..., None, None]
+    if np.ndim(area):  # an array of areas indexes the stack axes, ahead of the matrix axes
+        area = np.asarray(area, dtype=float)[..., None, None]
     return T0 - 1j * np.sin(area) * T1 + (np.cos(area) - 1.0) * T2
 
 

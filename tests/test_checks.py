@@ -37,8 +37,8 @@ EXPECTED_CHECKS = [
     ("XY propagator commutes with block S_z: max commutator norm", "<=", 1e-10),
     ("XY propagator fixes every |e>-carrying basis state: max deviation", "<=", 1e-12),
     ("entangling verdict at vartheta=pi/2 (1=true)", ">=", 1.0),
-    ("max product-state output entropy at vartheta=0", "<=", 1e-8),
-    ("max product-state output entropy at vartheta=pi", "<=", 1e-8),
+    ("entangling power e_p at vartheta=0", "<=", 1e-8),
+    ("entangling power e_p at vartheta=pi", "<=", 1e-8),
     ("one-qubit pi pulse (theta=pi/4): parallel-transport residual", "<=", 1e-9),
     ("one-qubit pi pulse (theta=pi/4): |dynamical phase|", "<=", 1e-9),
     ("one-qubit pi pulse (theta=pi/4): cyclicity residual", "<=", 1e-8),

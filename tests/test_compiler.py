@@ -156,6 +156,26 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match=message):
             circuit_unitary([gate], layout)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda big: OneQubitPulse(1, big, 0.0), r"theta and phi must be finite"),
+        (lambda big: OneQubitPulse(1, 0.1, 0.0, duration=big), r"pulse duration must be positive"),
+        (lambda big: ThreeSitePulse(1, 0.3, area=big), r"pulse area must be finite"),
+        (lambda big: XYGate(1, big).pulses(ChainLayout(2)), r"vartheta must be finite"),
+        (lambda big: XYGate(1, big).logical(ChainLayout(2)), r"vartheta must be finite"),
+        (lambda big: Reflection(1, (big, 0, 0)).pulses(ChainLayout(1)),
+         r"unit vector must be finite, got \[-?inf, 0\.0, 0\.0\]"),
+        (lambda big: Rotation(1, (0, 0, 1), big).pulses(ChainLayout(1)), r"rotation angle must be finite"),
+        (lambda big: Rotation(1, (0, 0, 1), big).logical(ChainLayout(1)), r"rotation angle must be finite"),
+        (lambda big: Rotation(1, (big, 0, 1), 0.5).logical(ChainLayout(1)),
+         r"rotation axis must be finite, got \[-?inf, 0\.0, 1\.0\]"),
+    ], ids=["theta", "duration", "area", "xy-pulses", "xy-logical", "reflection", "rotation-pulses",
+            "rotation-logical", "rotation-axis"])
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), np.inf, -np.inf], ids=["int", "-int", "inf", "-inf"])
+    def test_int_beyond_float_range_is_refused_as_infinity_is(self, make, message, big):
+        # float() of such an int raises OverflowError, and numpy's isfinite a TypeError
+        with pytest.raises(ValueError, match=message):
+            make(big)
+
 
 class TestHugeVectors:
     """Finite vectors whose squares overflow a float: an axis counts by its direction, and a

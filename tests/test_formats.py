@@ -308,6 +308,10 @@ def _nested(leaves, keys, tuples):
 _documents = _nested(_leaves, _texts | st.integers(), tuples=True)
 _json_documents = _nested(_python_leaves, _texts, tuples=False)  # json.loads reads them back as they are
 _bad_leaves = st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"), 1j, {1}, object()])
+# [re, im] pairs as matrix_pairs and complex_pair write them, and pairs with a NumPy float in them
+_pair_floats = _finite | _edge_floats | st.just(1.0)
+_pairs = st.lists(_pair_floats | _pair_floats.map(np.float64), min_size=2, max_size=2)
+_pair_documents = _nested(_pairs | _leaves, _texts, tuples=True)
 
 
 class TestEmitterAgainstReference:
@@ -320,6 +324,25 @@ class TestEmitterAgainstReference:
     @example(doc={'k"\\\n\u00e9\U0001f600': 'v"\\\x00\u2028', "\x7f": [np.int64(-1), True, 0]})
     def test_same_text_as_reference(self, doc):
         assert dumps(doc) == reference_dumps(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_pair_documents)
+    @example(doc=[[[-0.0, 5e-324], [1e300, 1.0]], [[1.0, -0.0], [np.float64(0.1), 1e300]]])
+    @example(doc={"g1": [0.5, -0.0], "m": [[[1.0, 0.0]]], "mixed": [[5e-324, -1e300], 3, "s", [1.0, 1.0, 1.0],
+                                                                      {"p": [np.float64(-0.0), 1.0]}]})
+    def test_pair_documents_same_text_as_reference(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("pair", [[float("nan"), 0.0], [0.5, float("inf")], [-float("inf"), -float("inf")],
+                                      [np.float64("nan"), 1.0]], ids=["nan-re", "inf-im", "both", "f64-nan"])
+    @pytest.mark.parametrize("place", [lambda p: p, lambda p: [[p, [0.0, 1.0]]], lambda p: {"g": p, "x": 1.0},
+                                       lambda p: [[1.0, 2.0], p, {"y": [p]}]], ids=["bare", "matrix", "dict", "mixed"])
+    def test_non_finite_pair_raises_the_reference_error(self, pair, place):
+        with pytest.raises(ValueError) as expected:
+            reference_dumps(place(pair))
+        with pytest.raises(ValueError) as got:
+            dumps(place(pair))
+        assert str(got.value) == str(expected.value)
 
     @settings(max_examples=100, deadline=None)
     @given(doc=_json_documents)
