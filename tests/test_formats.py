@@ -325,7 +325,7 @@ class TestEmitterAgainstReference:
     def test_same_text_as_reference(self, doc):
         assert dumps(doc) == reference_dumps(doc)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(doc=_pair_documents)
     @example(doc=[[[-0.0, 5e-324], [1e300, 1.0]], [[1.0, -0.0], [np.float64(0.1), 1e300]]])
     @example(doc={"g1": [0.5, -0.0], "m": [[[1.0, 0.0]]], "mixed": [[5e-324, -1e300], 3, "s", [1.0, 1.0, 1.0],
