@@ -19,9 +19,10 @@ A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
 ``closed_form``, ``apply_local`` and ``run_schedule`` carry the batch as
 leading axes of the blocks and of the columns (..., dim, K); a pulse with
-number fields is a batch with no leading axes.  Its blocks get no stack axes
-(numbers multiply the matrices directly) and its fields are checked with
-``math.isfinite``, with the arithmetic of a batch.  The dense builders ``block_hamiltonian``, ``propagate_exact`` and
+number fields is a batch with no leading axes.  Its blocks get no stack axes,
+as its numbers multiply the matrices directly with the arithmetic of a
+batch, and its fields are checked with ``math.isfinite``.  The dense
+builders ``block_hamiltonian``, ``propagate_exact`` and
 ``schedule_propagator`` give stacks (..., dim, dim) for a batch;
 ``propagate_stepped`` takes a single pulse.
 
