@@ -26,6 +26,19 @@ A^dag A.  One term Gram serves the frame's orthonormality check, the
 parallel-transport check, the Wilson steps and the projected propagator.
 Both projected maps are evaluated by ``pulses.closed_form``.
 
+Everything about a path that does not depend on the pulse's angles or sites
+is one read-only *path table*, keyed by (envelope, samples, area): the
+accumulated areas, the coefficient rows, the parallel-transport weights
+conj(C_jx) C_jy, the Wilson weights conj(C_{j+1,x}) C_jy and the trapezoid
+area steps, about 360 bytes per sample.  ``trace_subspace`` takes each table
+from one cache, least recently used first out, that retains at most
+``_TABLE_CAP`` = 4 MiB whatever the sample count (eleven tables of 1024
+samples); a larger table is built for the call and not kept.  A table with
+the same envelope and samples lends a new one its area fractions.  A
+``certify`` then computes only what depends on the pulse: two local block
+applications, one term Gram, two nine-row products of weights and blocks,
+the ordered product and two polar factors.
+
 ``certify`` works on the pulse's minimal chain: a one-qubit pulse moves to
 qubit 1 of a one-qubit chain and a three-site pulse to pair 1 of a two-qubit
 chain (each pulse class's ``minimal_chain``).  Every other qubit is a
@@ -48,8 +61,12 @@ stack of projected maps.
 from __future__ import annotations
 
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +101,47 @@ CERTIFY_CROSS_FIDELITY = 1.0 - 1e-6
 _WILSON_CYCLICITY = 1e-6
 
 
+class _PathTable(NamedTuple):
+    """A path's areas and coefficients and what is computed from them alone, read-only in the cache.
+
+    ``transport`` and ``wilson`` hold conj(C_jx) C_jy and conj(C_{j+1,x}) C_jy (the last row paired
+    with row 0) for the nine (x, y), shape (9, samples) with the samples contiguous: ``_overlaps``
+    contracts them with the nine blocks T_x^dag X T_y into F_j^dag X F_j and F_{j+1}^dag X F_j.
+    ``area_steps`` are the trapezoid steps a_{j+1} - a_j.  ``fractions``, the envelope's area
+    fraction per sample, is kept by the tables of ``trace_subspace`` only, to lend to a new area.
+    """
+
+    areas: np.ndarray
+    coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
+    area_steps: np.ndarray
+    transport: np.ndarray
+    wilson: np.ndarray
+    fractions: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, areas: np.ndarray, coefficients: np.ndarray, fractions: np.ndarray | None = None) -> _PathTable:
+        C = coefficients
+        return cls(areas, C, np.diff(areas), _pair_weights(C, C), _pair_weights(np.roll(C, -1, axis=0), C), fractions)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self if array is not None)
+
+
+def _pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """conj(left[j, x]) right[j, y] for the nine (x, y), shape (9, rows), with the rows innermost and contiguous."""
+    left, right = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
+    return (left.conj()[:, None, :] * right[None, :, :]).reshape(9, -1)
+
+
+def _overlaps(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_xy weights[3x + y, j] blocks[x, y] for each row j of (9, rows) weights: F_j^dag X F_k for the
+    coefficient rows (j, k) the weights pair, from ``blocks`` T_x^dag X T_y, shape (3, 3, K, K).
+    Returns a (rows, K, K) array."""
+    K = blocks.shape[-1]
+    return (weights.T @ blocks.reshape(9, K * K)).reshape(-1, K, K)
+
+
 @dataclass
 class SubspacePath:
     """Sampled trajectory of a K-dimensional subspace under a pulse, in closed form.
@@ -97,12 +155,15 @@ class SubspacePath:
     the nine K x K blocks T_x^dag X T_y between terms, so nothing
     samples x dim is built.  Projectors are frame-gauge free:
     P_j = F_j F_j^dag.  The term Gram and the cyclicity residual are
-    computed on first use and kept.
+    computed on first use and kept; the weights and area steps the checks
+    contract are in ``table``.
     """
 
     areas: np.ndarray
     terms: np.ndarray  # shape (3, dim, K): F_0, A, B
     coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
+    # not an init field, so dataclasses.replace does not copy it: a replaced path measures its own coefficients
+    _table: _PathTable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def samples(self) -> int:
@@ -112,6 +173,14 @@ class SubspacePath:
     def subspace_dim(self) -> int:
         return self.terms.shape[2]
 
+    @property
+    def table(self) -> _PathTable:
+        """The weights and area steps of this path's areas and coefficients: the cached table that
+        ``trace_subspace`` traced the path from, or, for a path built by hand, one computed on first use."""
+        if self._table is None:
+            self._table = _PathTable.of(self.areas, self.coefficients)
+        return self._table
+
     def frame(self, j: int) -> np.ndarray:
         """The dim x K frame F_j."""
         return np.einsum("x,xdk->dk", self.coefficients[j], self.terms)
@@ -120,20 +189,6 @@ class SubspacePath:
     def gram(self) -> np.ndarray:
         """The term Gram T_x^dag T_y for the terms (F_0, A, B), shape (3, 3, K, K)."""
         return inner(self.terms[:, None], self.terms[None, :])
-
-    def _overlaps(self, left: np.ndarray, right: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
-        """F_j^dag X F_k for each row pair (j, k) of the coefficient tables ``left`` and ``right``.
-
-        ``blocks`` holds T_x^dag X T_y for the terms T, shape (3, 3, K, K)
-        (default: X = 1, the term Gram).  Returns a (rows, K, K) array.
-        """
-        K = self.subspace_dim
-        if blocks is None:
-            blocks = self.gram
-        # conj(left[j, x]) right[j, y] for the nine (x, y), with the rows innermost and contiguous
-        left, right = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
-        weights = (left.conj()[:, None, :] * right[None, :, :]).reshape(9, -1)
-        return (weights.T @ blocks.reshape(9, K * K)).reshape(-1, K, K)
 
     @cached_property
     def cyclicity_residual(self) -> float:
@@ -199,45 +254,76 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     Each sample's area follows the pulse envelope; its frame is the closed
     form F_j = U(a_j) F_0 = F_0 + s_j A + c_j B (see ``SubspacePath``), so
     roundoff does not drift along the path and only the three dim x K terms
-    and one coefficient row per sample are stored.
+    and one coefficient row per sample are stored.  The areas, coefficients
+    and weights come from the cached path table of (envelope, samples, area).
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     F0 = np.asarray(initial_frame, dtype=complex)
     if F0.ndim != 2 or F0.shape[0] != layout.dim:
         raise ValueError(f"frame must have shape ({layout.dim}, K), got {F0.shape}")
     K = F0.shape[1]
-    # the three terms, their 3 x 3 Gram of K x K blocks, and per sample an area and a
-    # coefficient row (within four complex numbers) and the K x K overlap the consumers build
+    # the three terms, their 3 x 3 Gram of K x K blocks, per sample the K x K overlap the consumers
+    # build, and the path table: per sample a fraction, an area and an area step (8 bytes each), a
+    # coefficient row and the two nine-weight columns (21 complex numbers), 360 bytes
     check_memory(f"a subspace path of {samples} samples",
-                 16 * (3 * layout.dim * K + 9 * K * K + samples * (K * K + 4)))
+                 16 * (3 * layout.dim * K + 9 * K * K + samples * K * K) + 360 * samples)
 
     site, block = local_form(pulse, layout)
-    if block.ndim > 2:
-        raise ValueError(f"a subspace path takes one pulse, not a batch of shape {block.shape[:-2]}")
+    batch = block.shape[:-2] or np.shape(pulse.area)
+    if batch:
+        raise ValueError(f"a subspace path takes one pulse, not a batch of shape {batch}")
     terms = np.empty((3, layout.dim, K), dtype=complex)
     terms[0] = F0
     terms[1] = apply_local(site, block, F0)
     terms[2] = apply_local(site, block, terms[1])
-    areas = pulse.area * _area_fractions(pulse.envelope, samples)
-    coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
-    path = SubspacePath(areas=areas, terms=terms, coefficients=coefficients)
+    table = _path_table(pulse.envelope, samples, float(pulse.area))
+    path = SubspacePath(areas=table.areas, terms=terms, coefficients=table.coefficients)
+    path._table = table
     defect = np.linalg.norm(path.gram[0, 0] - np.eye(K))  # F_0^dag F_0 - 1
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
     return path
 
 
-@lru_cache(maxsize=8)
-def _area_fractions(envelope: str, samples: int) -> np.ndarray:
-    """The envelope's area fraction at ``samples`` evenly spaced scaled times, computed once and read-only.
+# The path tables of trace_subspace, least recently used first, and the most bytes they retain
+_TABLE_CAP = 4 * 2**20
+_tables: OrderedDict[tuple[str, int, str], _PathTable] = OrderedDict()
+_tables_lock = threading.Lock()
 
-    ``area *`` it equals ``cumulative_area(envelope, area, np.linspace(0, 1, samples))`` bit for bit:
-    the fraction is that area-1 curve, and multiplying by 1.0 is exact.
+
+def _path_table(envelope: str, samples: int, area: float) -> _PathTable:
+    """The read-only path table of ``samples`` evenly spaced scaled times of a pulse, from the cache.
+
+    ``areas`` is ``area`` times the envelope's area fraction, which equals
+    ``cumulative_area(envelope, area, np.linspace(0, 1, samples))`` bit for bit: the fraction is
+    that area-1 curve, and multiplying by 1.0 is exact.
     """
-    fractions = cumulative_area(envelope, 1.0, np.linspace(0.0, 1.0, samples))
-    fractions.flags.writeable = False
-    return fractions
+    key = (envelope, samples, area.hex())  # the area's bits: -0.0 gives other zeros than 0.0
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+            return table
+        fractions = next((t.fractions for (e, s, _), t in _tables.items() if e == envelope and s == samples), None)
+    if fractions is None:
+        fractions = cumulative_area(envelope, 1.0, np.linspace(0.0, 1.0, samples))
+    areas = area * fractions
+    coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
+    table = _PathTable.of(areas, coefficients, fractions)
+    for array in table:
+        array.flags.writeable = False
+    if table.nbytes <= _TABLE_CAP:
+        with _tables_lock:
+            _tables[key] = table
+            retained = sum(t.nbytes for t in _tables.values())
+            while retained > _TABLE_CAP:
+                retained -= _tables.popitem(last=False)[1].nbytes
+    return table
 
 
 def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
@@ -247,10 +333,9 @@ def check_parallel_transport(path: SubspacePath) -> tuple[float, np.ndarray]:
     is the average subspace energy per unit envelope.  Both vanish for a
     parallel-transported evolution.
     """
-    C = path.coefficients
     # F_j^dag H F_j is K x K with the same Frobenius norm as P_j H P_j.  H^3 = H maps the terms
     # (F_0, A, B) to (A, B, A), so T_x^dag H T_y is the Gram block T_x^dag T_sigma(y), sigma = (1, 2, 1)
-    PHP = path._overlaps(C, C, path.gram[:, [1, 2, 1]])
+    PHP = _overlaps(path.table.transport, path.gram[:, [1, 2, 1]])
     residual = float(np.max(frobenius(PHP)))
     eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
     return residual, eps
@@ -285,22 +370,23 @@ def wilson_loop(path: SubspacePath) -> np.ndarray:
         raise ValueError(
             f"wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = {residual:.3e} >= {_WILSON_CYCLICITY:.1e}"
         )
-    C = path.coefficients
-    # F_{j+1}^dag F_j for j < S - 1, then the closing F_0^dag F_{S-1}
-    steps = path._overlaps(np.roll(C, -1, axis=0), C)
+    # F_{j+1}^dag F_j for j < S - 1, then the closing F_0^dag F_{S-1}, moved to (K, K, S) here so
+    # that the (S, K, K) products are freed before the ordered product allocates its levels
+    steps = np.ascontiguousarray(np.moveaxis(_overlaps(path.table.wilson, path.gram), 0, -1))
     return polar_unitary(_ordered_product(steps))
 
 
-def _ordered_product(M: np.ndarray) -> np.ndarray:
-    """M[n-1] ... M[1] M[0] by pairwise products, about log2(n) levels of them.
+def _ordered_product(T: np.ndarray) -> np.ndarray:
+    """T[..., n-1] ... T[..., 1] T[..., 0] for a (K, K, n) stack, by pairwise products, about
+    log2(n) levels of them.
 
-    The stack is held as (K, K, n), the pairs innermost, and each level is K elementwise
-    multiply-adds over all pairs at once.  A batched matmul pays one BLAS call per pair: for
-    1023 steps it took about 4x as long at K = 2 and 1.2-1.5x at K = 4, the blocks ``certify``
-    builds.  Only the full-chain frames (K >= 8) are multiplied faster by BLAS.
+    The pairs are innermost (a stack that is not contiguous is copied), and each level is K
+    elementwise multiply-adds over all pairs at once.  A batched matmul pays one BLAS call per
+    pair: for 1023 steps it took about 4x as long at K = 2 and 1.2-1.5x at K = 4, the blocks
+    ``certify`` builds.  Only the full-chain frames (K >= 8) are multiplied faster by BLAS.
     """
-    K = M.shape[-1]
-    T = np.ascontiguousarray(np.moveaxis(M, 0, -1))
+    K = T.shape[0]
+    T = np.ascontiguousarray(T)
     while T.shape[-1] > 1:
         if T.shape[-1] % 2:
             T = np.concatenate([T, np.eye(K)[..., None]], axis=-1)
@@ -352,7 +438,7 @@ def certify(
     pt_residual *= scale
     # eps is energy per unit envelope; integrating over accumulated area
     # (da = envelope dt) gives the dynamical phase integral.
-    dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
+    dyn_phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * path.table.area_steps))
     cyc_residual = scale * path.cyclicity_residual
 
     G = path.gram

@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
-from .linalg import check_memory, finite
+from .linalg import check_memory, finite, float_or_inf
 
 __all__ = [
     "ENVELOPES",
@@ -85,7 +85,7 @@ def _check_pulse_fields(area, envelope, duration):
         raise ValueError("pulse area must be finite")
     _envelope(envelope)
     if not (finite(duration) and duration > 0):
-        raise ValueError(f"pulse duration must be positive, got {duration}")
+        raise ValueError(f"pulse duration must be positive, got {float_or_inf(duration)}")
 
 
 def fields_equal(a, b):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holosim import holonomy
@@ -14,6 +14,8 @@ from holosim.holonomy import (
     CERTIFY_CYCLICITY,
     HolonomyError,
     _ordered_product,
+    _overlaps,
+    _pair_weights,
     certify,
     check_parallel_transport,
     computational_frame,
@@ -161,10 +163,18 @@ class TestCertify:
         assert report.cross_fidelity >= 1.0 - 1e-6
 
     def test_memory_budget_is_checked_before_sampling(self):
-        # 10**9 samples of a 2 x 2 overlap and a coefficient row, about 0.12 TiB: refused
-        # before any samples-sized array
-        with pytest.raises(MemoryError, match="physical memory"):
-            certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
+        # 10**9 samples of a 2 x 2 overlap and a path table row, about 0.39 TiB: refused before
+        # any samples-sized array, and before the path table is looked up or built
+        cached = list(holonomy._tables)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                certify(OneQubitPulse(1, np.pi / 4, 0.0), LAYOUT, samples=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(holonomy._tables) == cached
 
     @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
     def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
@@ -226,10 +236,11 @@ class TestCertify:
         layout = ChainLayout(3)
         path = trace_subspace(ThreeSitePulse(2, 0.9), logical_frame(layout), 100, layout)
         K = 8
-        # three dim x K terms, the 3 x 3 term Gram of K x K blocks, and per sample a K x K
-        # overlap, an area and a coefficient row
-        assert asked == [16 * (3 * layout.dim * K + 9 * K * K + 100 * (K * K + 4))]
+        # three dim x K terms, the 3 x 3 term Gram of K x K blocks, per sample a K x K overlap,
+        # and the path table's 360 bytes per sample
+        assert asked == [16 * (3 * layout.dim * K + 9 * K * K + 100 * K * K) + 360 * 100]
         assert path.gram.nbytes == 16 * 9 * K * K
+        assert path.table.nbytes <= 360 * 100
 
     def test_gate_agrees_with_analytic_target(self):
         report = certify(ThreeSitePulse(1, 0.8), LAYOUT, samples=512)
@@ -387,6 +398,9 @@ class TestPulseClassForms:
     def test_a_batch_of_pulses_is_not_certified(self):
         with pytest.raises(ValueError, match=r"one pulse, not a batch of shape \(2,\)"):
             certify(OneQubitPulse(1, np.array([0.1, 0.2]), 0.0), LAYOUT)
+        # a batch of areas alone, too: the path table is one area's
+        with pytest.raises(ValueError, match=r"one pulse, not a batch of shape \(1, 3\)"):
+            certify(ThreeSitePulse(1, 0.3, area=np.full((1, 3), np.pi)), LAYOUT)
 
     def test_out_of_range_and_non_pulses_are_rejected(self):
         with pytest.raises(ValueError, match="qubit 3 out of range"):
@@ -485,18 +499,21 @@ class TestCertifyReach:
 
 
 def _separate_measurements(pulse, layout, samples):
-    """certify's five measurements, each computed on its own: the term Gram built anew for the
-    parallel-transport check and for the Wilson steps, the cyclicity residual recomputed, the
-    residual's norms from ``np.linalg.norm``, and the projected propagator from its own
-    application of the block.  Returns (residual, dynamical phase, cyclicity residual,
-    propagator gate, Wilson gate, cross fidelity); the last two are None for an open path."""
+    """certify's five measurements, each computed on its own: the areas and coefficient rows from
+    ``cumulative_area`` and the weights from them rather than from the cached path table, the term
+    Gram built anew for the parallel-transport check and for the Wilson steps, the cyclicity residual
+    recomputed, the residual's norms from ``np.linalg.norm``, and the projected propagator from its
+    own application of the block.  Returns (residual, dynamical phase, cyclicity residual, propagator
+    gate, Wilson gate, cross fidelity); the last two are None for an open path."""
     path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
-    T, C = path.terms, path.coefficients
-    PHP = path._overlaps(C, C, inner(T[:, None], T[None, :])[:, [1, 2, 1]])
+    T = path.terms
+    areas = cumulative_area(pulse.envelope, pulse.area, np.linspace(0.0, 1.0, samples))
+    C = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
+    PHP = _overlaps(_pair_weights(C, C), inner(T[:, None], T[None, :])[:, [1, 2, 1]])
     residual = float(np.max(np.linalg.norm(PHP, axis=(1, 2))))
     eps = np.trace(PHP, axis1=1, axis2=2).real / path.subspace_dim
-    phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(path.areas)))
-    F0, F1 = T[0], path.frame(-1)
+    phase = float(np.sum(0.5 * (eps[1:] + eps[:-1]) * np.diff(areas)))
+    F0, F1 = T[0], np.einsum("x,xdk->dk", C[-1], T)
     F1 -= F0 @ inner(F0, F1)
     cyclicity = float(np.sqrt(2.0) * np.linalg.norm(F1))
     site, block = local_form(pulse, layout)
@@ -506,8 +523,8 @@ def _separate_measurements(pulse, layout, samples):
     projected = G[0, 0] - 1j * np.sin(area) * G[0, 1] + (np.cos(area) - 1.0) * G[1, 1]
     if cyclicity >= CERTIFY_CYCLICITY:
         return residual, phase, cyclicity, projected, None, None
-    wilson = polar_unitary(_ordered_product(path._overlaps(np.roll(C, -1, axis=0), C,
-                                                           inner(T[:, None], T[None, :]))))
+    steps = _overlaps(_pair_weights(np.roll(C, -1, axis=0), C), inner(T[:, None], T[None, :]))
+    wilson = polar_unitary(_ordered_product(np.moveaxis(steps, 0, -1)))
     gate = polar_unitary(projected)
     return residual, phase, cyclicity, gate, wilson, gate_fidelity(wilson, gate)
 
@@ -575,18 +592,25 @@ class TestOneTermGram:
             layout = ChainLayout(n_logical)
             report = certify(pulse, layout, samples=256, strict=False)
             local, chain, (left, right) = pulse.minimal_chain(layout)
-            residual, phase, cyclicity, gate, wilson, cross = _separate_measurements(local, chain, 256)
-            scale = math.sqrt(left * right)
-            # the residual's norms now come from the real view: equal but for the last ulp
-            assert abs(report.parallel_transport_residual - scale * residual) <= 1e-15
-            assert report.dynamical_phase == phase
-            assert report.cyclicity_residual == scale * cyclicity
-            assert report.propagator_gate.tobytes() == _kron_embed(gate, left, right).tobytes()
-            cyclic = pulse.area == np.pi
-            assert (report.wilson_gate is not None) == (wilson is not None) == cyclic
-            if cyclic:
-                assert report.wilson_gate.tobytes() == _kron_embed(wilson, left, right).tobytes()
-                assert report.cross_fidelity == cross
+            separate = _separate_measurements(local, chain, 256)
+            _assert_matches_separate(report, separate, left, right)
+            assert (report.wilson_gate is not None) == (pulse.area == np.pi)
+
+
+def _assert_matches_separate(report, separate, left, right):
+    """A report equals the separate measurements on its minimal chain, scaled and embedded as certify
+    does: by sqrt(m) for the norms, by the same Kronecker products for the gates."""
+    residual, phase, cyclicity, gate, wilson, cross = separate
+    scale = math.sqrt(left * right)
+    # the residual's norms now come from the real view: equal but for the last ulp
+    assert abs(report.parallel_transport_residual - scale * residual) <= 1e-15
+    assert report.dynamical_phase == phase
+    assert report.cyclicity_residual == scale * cyclicity
+    assert report.propagator_gate.tobytes() == _kron_embed(gate, left, right).tobytes()
+    assert (report.wilson_gate is not None) == (wilson is not None)
+    if wilson is not None:
+        assert report.wilson_gate.tobytes() == _kron_embed(wilson, left, right).tobytes()
+        assert report.cross_fidelity == cross
 
 
 def _kron_embed(gate, left, right):
@@ -662,30 +686,180 @@ class TestOrderedProduct:
             want = np.eye(K)
             for step in M:
                 want = step @ want
-            assert np.max(np.abs(_ordered_product(M) - want)) <= 1e-12
+            assert np.max(np.abs(_ordered_product(np.moveaxis(M, 0, -1)) - want)) <= 1e-12
 
 
-class TestAreaFractions:
-    """trace_subspace reads each (envelope, samples) area fraction from a small cache."""
+class TestPathTables:
+    """trace_subspace reads each (envelope, samples, area) path table from one bounded, read-only cache."""
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("samples", [2, 3, 33, 256, 1024, 1025])
     def test_bit_identical_to_cumulative_area(self, envelope, samples):
-        fractions = holonomy._area_fractions(envelope, samples)
+        holonomy._tables.clear()
+        first = holonomy._path_table(envelope, samples, np.pi)
         for area in (np.pi, -1.7, 5 * np.pi):
             want = cumulative_area(envelope, area, np.linspace(0.0, 1.0, samples))
-            assert (area * fractions).tobytes() == want.tobytes()
+            table = holonomy._path_table(envelope, samples, area)
+            assert table.fractions is first.fractions  # a new area borrows the envelope's fractions
+            assert (area * table.fractions).tobytes() == table.areas.tobytes() == want.tobytes()
+            assert table.area_steps.tobytes() == np.diff(want).tobytes()
+            C = np.stack([np.ones(samples), -1j * np.sin(want), np.cos(want) - 1.0], axis=1)
+            assert table.coefficients.tobytes() == C.tobytes()
+            # (9, samples) with the samples contiguous, the layout the nine-row products read
+            assert table.transport.shape == table.wilson.shape == (9, samples)
+            assert table.transport.flags.c_contiguous and table.wilson.flags.c_contiguous
+            assert table.transport.tobytes() == _pair_weights(C, C).tobytes()
+            assert table.wilson.tobytes() == _pair_weights(np.roll(C, -1, axis=0), C).tobytes()
         pulse = ThreeSitePulse(1, 0.9, area=-1.7, envelope=envelope)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
         assert path.areas.tobytes() == cumulative_area(envelope, -1.7, np.linspace(0.0, 1.0, samples)).tobytes()
+        assert path.table is holonomy._path_table(envelope, samples, -1.7)
 
     def test_computed_once_and_read_only(self):
-        fractions = holonomy._area_fractions("gaussian", 513)
-        assert holonomy._area_fractions("gaussian", 513) is fractions
-        assert not fractions.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            fractions[0] = 1.0
-        assert holonomy._area_fractions.cache_info().maxsize == 8
+        table = holonomy._path_table("gaussian", 513, np.pi)
+        assert holonomy._path_table("gaussian", 513, np.pi) is table
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        pulse = ThreeSitePulse(1, 0.9, envelope="gaussian")
+        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 513, LAYOUT)
+        assert path.table is table and path.areas is table.areas and path.coefficients is table.coefficients
+
+    def test_keyed_on_what_the_table_depends_on(self):
+        holonomy._tables.clear()
+        pulses = (OneQubitPulse(1, 0.5, 0.0), OneQubitPulse(1, 2.0, 1.0), ThreeSitePulse(1, 0.9))
+        paths = [trace_subspace(p, computational_frame(p, LAYOUT), n, LAYOUT)
+                 for p in pulses for n in (64, np.int64(64), np.int32(64))]
+        # not the angles, the kind, the sites or the type of the sample count
+        assert len(holonomy._tables) == 1 and all(path.table is paths[0].table for path in paths)
+        # an int area and its float share a table; -0.0 is its own table, with other zero areas than 0.0
+        one = holonomy._path_table("square", 64, 1.0)
+        assert trace_subspace(OneQubitPulse(1, 0.5, 0.0, area=1), computational_frame(pulses[0], LAYOUT),
+                              64, LAYOUT).table is one
+        zero, negative_zero = holonomy._path_table("square", 64, 0.0), holonomy._path_table("square", 64, -0.0)
+        assert zero is not negative_zero
+        assert np.signbit(negative_zero.areas).all() and not np.signbit(zero.areas).any()
+
+    def test_retained_bytes_stay_under_the_cap(self):
+        # the cap is a constant: it does not grow with the sample count
+        assert holonomy._TABLE_CAP == 4 * 2**20
+        holonomy._tables.clear()
+        keys = []
+        for k, area in enumerate(np.linspace(0.1, 30.0, 40)):
+            keys.append((ENVELOPES[k % 3], (1024, 1500, 257)[k % 3], float(area).hex()))
+            pulse = OneQubitPulse(1, 0.3, 0.1, area=area, envelope=keys[-1][0])
+            certify(pulse, LAYOUT, samples=keys[-1][1], strict=False)
+            assert sum(t.nbytes for t in holonomy._tables.values()) <= holonomy._TABLE_CAP
+        # least recently used first out: the latest tables are kept, the first ones are not
+        assert list(holonomy._tables) == keys[-len(holonomy._tables):]
+        assert len(holonomy._tables) >= 8
+
+    def test_a_table_over_the_cap_is_built_and_not_kept(self):
+        samples = holonomy._TABLE_CAP // 360 + 1
+        holonomy._tables.clear()
+        holonomy._path_table("sin2", 1024, np.pi)
+        table = holonomy._path_table("sin2", samples, np.pi)
+        assert table.nbytes > holonomy._TABLE_CAP
+        assert list(holonomy._tables) == [("sin2", 1024, np.pi.hex())]
+
+    def test_a_replaced_path_measures_its_own_coefficients(self):
+        # dataclasses.replace does not copy the table: the new path's weights and area steps come
+        # from its own rescaled coefficients and uneven areas, never from the cached table
+        pulse = ThreeSitePulse(1, 2.4, area=-2 * np.pi)
+        rng = np.random.default_rng(3)
+        F0 = np.linalg.qr(rng.normal(size=(LAYOUT.dim, 3)) + 1j * rng.normal(size=(LAYOUT.dim, 3)))[0]
+        path = trace_subspace(pulse, F0, 40, LAYOUT)
+        areas = pulse.area * np.linspace(0.0, 1.0, 40) ** 2
+        C = (1.0 + 0.1 * rng.uniform(size=40))[:, None] * np.stack(
+            [np.ones(40), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
+        replaced = replace(path, areas=areas, coefficients=C)
+        assert path.table is holonomy._path_table(pulse.envelope, 40, pulse.area)
+        assert replaced.table is not path.table and replaced.table.fractions is None
+        assert replaced.table.transport.tobytes() == _pair_weights(C, C).tobytes()
+        assert replaced.table.area_steps.tobytes() == np.diff(areas).tobytes()
+        residual, eps = check_parallel_transport(replaced)
+        PHP = _overlaps(_pair_weights(C, C), path.gram[:, [1, 2, 1]])
+        assert residual == float(np.max(np.linalg.norm(PHP, axis=(1, 2)))) or abs(
+            residual - float(np.max(np.linalg.norm(PHP, axis=(1, 2))))) <= 1e-15
+        assert eps.tobytes() == (np.trace(PHP, axis1=1, axis2=2).real / 3).tobytes()
+        steps = _overlaps(_pair_weights(np.roll(C, -1, axis=0), C), path.gram)
+        assert wilson_loop(replaced).tobytes() == polar_unitary(
+            _ordered_product(np.moveaxis(steps, 0, -1))).tobytes()
+        assert np.max(np.abs(wilson_loop(replaced) - wilson_loop(path))) > 1e-3
+        # the original path still reads the cached table
+        assert path.table is holonomy._path_table(pulse.envelope, 40, pulse.area)
+
+    @pytest.mark.parametrize("samples", [1024.0, 2.5, "64", np.float64(64.0), None, [64]])
+    def test_non_integer_samples_are_refused_by_value(self, samples):
+        pulse = OneQubitPulse(1, 0.5, 0.0)
+        message = f"samples must be an integer, got {samples!r}"
+        with pytest.raises(ValueError) as err:
+            certify(pulse, LAYOUT, samples=samples)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("samples", [np.int64(257), np.int32(257), np.uint16(257)])
+    def test_numpy_integer_samples_give_the_same_report(self, samples):
+        pulse = ThreeSitePulse(1, 0.8, envelope="sin2")
+        _assert_same_report(certify(pulse, LAYOUT, samples=samples), certify(pulse, LAYOUT, samples=257))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n_logical=st.integers(1, 4), three_site=st.booleans(), site=st.integers(1, 3),
+           angles=st.tuples(*2 * [st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)]),
+           envelope=st.sampled_from(ENVELOPES), samples=st.integers(2, 1500), k=st.integers(-2, 2),
+           partial=st.none() | st.floats(0.1, 0.9))
+    # three samples of a square pi pulse: the middle step is a quarter turn
+    @example(n_logical=1, three_site=False, site=1, angles=(0.5, 0.0), envelope="square", samples=3, k=0,
+             partial=None)
+    @example(n_logical=3, three_site=True, site=2, angles=(0.9, 0.0), envelope="gaussian", samples=1001, k=1,
+             partial=0.5)
+    def test_cold_and_warm_certify_equal_the_separate_measurements(self, n_logical, three_site, site, angles,
+                                                                    envelope, samples, k, partial):
+        # (2k+1)pi closes the path; a partial area 2k pi + f pi, f in [0.1, 0.9], stays at least a
+        # tenth of pi from every multiple of pi, so the path stays open
+        area = (2 * k + 1) * np.pi if partial is None else (2 * k + partial) * np.pi
+        if three_site and n_logical > 1:
+            pulse = ThreeSitePulse(1 + (site - 1) % (n_logical - 1), angles[0], area=area, envelope=envelope)
+        else:
+            pulse = OneQubitPulse(1 + (site - 1) % n_logical, *angles, area=area, envelope=envelope)
+        layout = ChainLayout(n_logical)
+        holonomy._tables.clear()
+        cold = _outcome(lambda: certify(pulse, layout, samples=samples, strict=False))
+        assert holonomy._tables  # the cold call filled the cache, which the warm one reads
+        warm = _outcome(lambda: certify(pulse, layout, samples=samples, strict=False))
+        local, chain, (left, right) = pulse.minimal_chain(layout)
+        separate = _outcome(lambda: _separate_measurements(local, chain, samples))
+        if isinstance(cold, str):
+            # a step of a quarter turn (few samples of a large area) leaves the Wilson product singular
+            assert partial is None and "rank deficient" in cold
+            assert warm == separate == cold
+            return
+        _assert_same_report(cold, warm)
+        _assert_matches_separate(cold, separate, left, right)
+        if partial is not None:
+            assert cold.wilson_gate is None and cold.cross_fidelity is None
+            assert any(f.startswith("cyclicity residual") for f in cold.failures)
+
+
+def _outcome(call):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err)
+
+
+def _assert_same_report(a, b):
+    """Two reports equal bit for bit."""
+    for name in ("parallel_transport_residual", "dynamical_phase", "cyclicity_residual", "cross_fidelity",
+                 "failures"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("propagator_gate", "wilson_gate"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes()), name
 
 
 class TestCyclicityResidual:
