@@ -23,7 +23,7 @@ from holosim.holonomy import (
     trace_subspace,
     wilson_loop,
 )
-from holosim.linalg import expm_hermitian, gate_fidelity, inner, polar_unitary
+from holosim.linalg import expm_hermitian, frobenius, gate_fidelity, inner, polar_unitary
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, apply_local, block_hamiltonian,
                             cumulative_area, local_form, propagate_exact)
 
@@ -780,8 +780,7 @@ class TestPathTables:
         assert replaced.table.area_steps.tobytes() == np.diff(areas).tobytes()
         residual, eps = check_parallel_transport(replaced)
         PHP = _overlaps(_pair_weights(C, C), path.gram[:, [1, 2, 1]])
-        assert residual == float(np.max(np.linalg.norm(PHP, axis=(1, 2)))) or abs(
-            residual - float(np.max(np.linalg.norm(PHP, axis=(1, 2))))) <= 1e-15
+        assert residual == float(np.max(frobenius(PHP)))
         assert eps.tobytes() == (np.trace(PHP, axis1=1, axis2=2).real / 3).tobytes()
         steps = _overlaps(_pair_weights(np.roll(C, -1, axis=0), C), path.gram)
         assert wilson_loop(replaced).tobytes() == polar_unitary(
