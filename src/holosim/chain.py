@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_memory, finite
+from .linalg import check_memory, embed_factor, finite
 
 __all__ = [
     "SIGMA_Z3",
@@ -111,9 +111,9 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     """Tensor-embed ``op`` (acting on contiguous sites) into the full chain.
 
     ``op`` must act on m = log3(dim) consecutive sites beginning at
-    ``start_site`` (1-based); identities fill the remaining sites.  A stack
-    (..., 3^m, 3^m) gives the stack of embeddings (``np.kron`` broadcasts its
-    leading axes), bit for bit the per-member results.
+    ``start_site`` (1-based); identities fill the remaining sites
+    (``linalg.embed_factor``).  A stack (..., 3^m, 3^m) gives the stack of
+    embeddings, bit for bit the per-member results.
     """
     op = np.asarray(op, dtype=complex)
     if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
@@ -126,14 +126,7 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
         raise ValueError(
             f"sites {start_site}..{start_site + m - 1} out of range 1..{layout.n_sites}"
         )
-    left = 3 ** (start_site - 1)
-    right = 3 ** (layout.n_sites - (start_site + m - 1))
-    out = op
-    if left > 1:
-        out = np.kron(np.eye(left, dtype=complex), out)
-    if right > 1:
-        out = np.kron(out, np.eye(right, dtype=complex))
-    return out
+    return embed_factor(op, 3 ** (start_site - 1), 3 ** (layout.n_sites - (start_site + m - 1)))
 
 
 def lambda_coupling(theta, phi) -> np.ndarray:

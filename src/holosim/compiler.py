@@ -15,7 +15,8 @@ the gate is then a batch of gates of one kind on one qubit or pair, its
 ``pulses`` are batch pulses and its ``logical`` operator is a stack
 (..., 2^k, 2^k).  A circuit of batch gates is a batch of circuits of one
 shape: ``compile_circuit`` gives a schedule of batch pulses and
-``circuit_unitary`` a stack (..., 2^N, 2^N).
+``circuit_unitary`` a stack (..., 2^N, 2^N), applying each operator from
+qubit q with the chain's contraction, ``linalg.apply_factor``, at left = 2^(q-1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
-from .linalg import any_true, cross, dot, finite, finite_vectors, float_array, normalize
+from .linalg import any_true, apply_factor, cross, dot, finite, finite_vectors, float_array, normalize
 from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal, fields_hash
 
 __all__ = [
@@ -180,18 +181,6 @@ def compile_circuit(circuit, layout: ChainLayout) -> list:
     return schedule
 
 
-def _apply_logical(first_qubit: int, op: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """(1 (x) op (x) 1) @ U on the 2^N logical space, op acting from qubit ``first_qubit`` on.
-
-    Contracts op with the rows of U reshaped to (2^(first-1), 2^k, rest), as
-    ``pulses.apply_local`` does on the chain; stacks of op and U broadcast.
-    """
-    d = op.shape[-1]
-    Ur = U.reshape(U.shape[:-2] + (2 ** (first_qubit - 1), d, -1))
-    out = op[..., None, :, :] @ Ur
-    return out.reshape(out.shape[:-3] + U.shape[-2:])
-
-
 def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
     """Analytic 2^N x 2^N unitary of a logical circuit (first gate first), a stack for batch gates.
 
@@ -206,5 +195,5 @@ def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
             first_qubit, op = gate.logical(layout)
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from None
-        U = _apply_logical(first_qubit, op, U)
+        U = apply_factor(2 ** (first_qubit - 1), op, U)
     return U

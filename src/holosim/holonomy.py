@@ -48,10 +48,9 @@ three-site pulse, with R the logical frame of the other N - 2 qubits.  Every
 K x K block the full-chain path builds is then b (x) 1_m, with m = 1 and
 m = 2^(N-2) respectively.  ``certify`` therefore reports the full-chain norms
 as the local ones times sqrt(m), exact for this factorization, and embeds the
-local gates by identities, after budgeting them; the dynamical phase and the
-cross fidelity are the local values.  ``trace_subspace`` and the checks take
-any frame on any chain, and the full-chain path through them is the
-reference the minimal chain is tested against.
+local gates by identities (``linalg.embed_factor``) after budgeting them; the
+dynamical phase and the cross fidelity are the local values.  The checks take
+any frame on any chain; the full-chain path is the minimal chain's reference.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -71,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import check_memory, frobenius, gate_fidelity, inner, polar_unitary
+from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner, polar_unitary
 from .pulses import Pulse, apply_local, closed_form, cumulative_area, local_form
 
 __all__ = [
@@ -397,15 +396,6 @@ def _ordered_product(T: np.ndarray) -> np.ndarray:
     return T[..., 0]
 
 
-def _embed(gate: np.ndarray, left: int, right: int) -> np.ndarray:
-    """1_left (x) gate (x) 1_right, with no Kronecker product by an identity of size 1."""
-    if left > 1:
-        gate = np.kron(np.eye(left), gate)
-    if right > 1:
-        gate = np.kron(gate, np.eye(right))
-    return gate
-
-
 def certify(
     pulse: Pulse,
     layout: ChainLayout,
@@ -422,7 +412,9 @@ def certify(
     ``HolonomyReport``), after the two embedded gates are budgeted.  Every
     bound applies to the full-chain values.  With ``strict`` (default) a
     HolonomyError naming every violated condition is raised; otherwise the
-    report carries the failure list.
+    report carries the failure list.  A closed path too coarse for its Wilson
+    loop, with an area step of pi/2 or more or step cosines whose product is
+    1e-8 or less, raises a ValueError in either mode.
     """
     if not isinstance(pulse, Pulse):
         raise TypeError(f"not a pulse: {pulse!r}")
@@ -454,6 +446,12 @@ def certify(
     cross = None
     propagator_gate = projected
     if cyclic:
+        # each Wilson step is 1 + (cos da_j - 1) P on the driven states: the product keeps the holonomy's sign
+        # only if every |da_j| < pi/2, and passes polar_unitary's rank floor only if prod_j cos da_j > 1e-8
+        largest, product = np.abs(path.table.area_steps).max(), np.cos(path.table.area_steps).prod()
+        if largest >= np.pi / 2 or product <= 1e-8:
+            raise ValueError(f"{path.samples} samples undersample the Wilson loop: largest area step {largest:.3e} rad "
+                             f"(below pi/2 needed), product of step cosines {product:.3e} (above 1e-8 needed)")
         propagator_gate = polar_unitary(projected)
         wilson = wilson_loop(path)
         cross = gate_fidelity(wilson, propagator_gate)
@@ -461,14 +459,14 @@ def certify(
             failures.append(
                 f"wilson cross fidelity {cross:.12f} < {CERTIFY_CROSS_FIDELITY:.12f}"
             )
-        wilson = _embed(wilson, left, right)
+        wilson = embed_factor(wilson, left, right)
 
     report = HolonomyReport(
         parallel_transport_residual=pt_residual,
         dynamical_phase=dyn_phase,
         cyclicity_residual=cyc_residual,
         wilson_gate=wilson,
-        propagator_gate=_embed(propagator_gate, left, right),
+        propagator_gate=embed_factor(propagator_gate, left, right),
         cross_fidelity=cross,
         failures=tuple(failures),
     )

@@ -6,6 +6,9 @@ The matrix functions also take a stack (..., n, n) and work matrix by
 matrix; a single matrix is a stack with no leading axes and gives a float
 where a stack gives an array.  ``inner`` forms X^dag Y without a
 conjugated copy of X, for the Gram matrices of large column blocks.
+How an operator acts on a tensor factor, of the chain or of the qubit
+register, is decided here alone: ``apply_factor`` contracts it with the factor
+after the first ``left`` dimensions, ``embed_factor`` builds 1 (x) op (x) 1.
 ``expm_hermitian`` is the general dense exponential, through a full
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
@@ -144,6 +147,27 @@ def cross(a, b) -> np.ndarray:
         (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
         return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
+def apply_factor(left: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(1_left (x) U (x) 1) X for a d x d operator U, or a stack (..., d, d), and a state or columns
+    (..., dim, K), whose leading axes broadcast against U's.  The ``left`` dimensions move behind the
+    operator's axis, so each operator is one product with ``left`` times as many columns."""
+    d = U.shape[-1]
+    Xr = X.reshape(X.shape[:-2] + (left, d, -1))
+    out = U @ Xr.swapaxes(-3, -2).reshape(Xr.shape[:-3] + (d, -1))
+    out = out.reshape(out.shape[:-1] + (left, Xr.shape[-1])).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-3] + X.shape[-2:])
+
+
+def embed_factor(op: np.ndarray, left: int, right: int) -> np.ndarray:
+    """1_left (x) op (x) 1_right; a stack (..., d, d) gives the stack of embeddings, since
+    ``np.kron`` broadcasts its leading axes.  An identity of size 1 is not multiplied in."""
+    if left > 1:
+        op = np.kron(np.eye(left, dtype=complex), op)
+    if right > 1:
+        op = np.kron(op, np.eye(right, dtype=complex))
+    return op
 
 
 def _real_view(X) -> np.ndarray:

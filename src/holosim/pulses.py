@@ -9,11 +9,13 @@ Each envelope is one row of a table: its shape and its accumulated area.
 
 Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
 3.  Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H +
-(cos(a) - 1) H^2 exactly, and ``closed_form`` alone evaluates it; propagation
-applies it to a state or to operator columns by reshape and contraction,
-and embeds it only for dense propagators.  Each pulse class also says how it
-moves to its minimal chain, one qubit or one pair (``minimal_chain``), and
-which identities embed the gate found there; ``holonomy.certify`` works there.
+(cos(a) - 1) H^2 exactly, and ``closed_form`` alone evaluates it.
+``apply_local`` is the one place that turns a site into the number of
+dimensions before it, 3^(site-1), so that ``linalg.apply_factor`` applies
+the block to a state or to operator columns; the block is embedded only for
+dense propagators.  Each pulse class also says how it moves to its minimal
+chain, one qubit or one pair (``minimal_chain``), and which identities embed
+the gate found there; ``holonomy.certify`` works there.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
@@ -40,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
-from .linalg import check_memory, finite, float_or_inf
+from .linalg import apply_factor, check_memory, finite, float_or_inf
 
 __all__ = [
     "ENVELOPES",
@@ -230,18 +232,10 @@ def closed_form(T0, T1, T2, area) -> np.ndarray:
 def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Apply the local operator U on sites site, site+1, ... to a state or to columns (..., dim, K).
 
-    The leading axes of a stack U (..., d, d) and of the columns broadcast.
+    The sites before it are the first 3^(site-1) dimensions (``linalg.apply_factor``); the leading
+    axes of a stack U (..., d, d) and of the columns broadcast.
     """
-    d = U.shape[-1]
-    Xr = X.reshape(X.shape[:-2] + (3 ** (site - 1), d, -1))
-    if U.ndim == 2:
-        out = U[..., None, :, :] @ Xr
-    else:
-        # a stack: the sites before the block move behind its axis, so that each member is one
-        # product with 3^(site-1) times as many columns, at the cost of a copy in and out
-        out = U @ Xr.swapaxes(-3, -2).reshape(Xr.shape[:-3] + (d, -1))
-        out = out.reshape(out.shape[:-1] + (Xr.shape[-3], Xr.shape[-1])).swapaxes(-3, -2)
-    return out.reshape(out.shape[:-3] + X.shape[-2:])
+    return apply_factor(3 ** (site - 1), U, X)
 
 
 def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:

@@ -284,7 +284,7 @@ def _member(gate, k):
 class TestBatchedGates:
     COUNT = 4
 
-    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4, 5, 6])
     def test_batch_unitary_equals_member_unitaries_bit_for_bit(self, n_logical):
         layout = ChainLayout(n_logical)
         circuit = _every_gate_batch(np.random.default_rng(40 + n_logical), n_logical, self.COUNT)
@@ -293,7 +293,7 @@ class TestBatchedGates:
         for k in range(self.COUNT):
             assert np.array_equal(U[k], circuit_unitary([_member(g, k) for g in circuit], layout))
 
-    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4, 5, 6])
     def test_member_unitaries_equal_the_kron_oracle(self, n_logical):
         # every kind on every qubit and pair, alone and as one circuit
         layout = ChainLayout(n_logical)

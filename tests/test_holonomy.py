@@ -11,6 +11,7 @@ from holosim import holonomy
 from holosim.chain import ChainLayout, logical_frame
 from holosim.gates import bloch_vector, one_qubit_gate, two_qubit_gate
 from holosim.holonomy import (
+    CERTIFY_CROSS_FIDELITY,
     CERTIFY_CYCLICITY,
     HolonomyError,
     _ordered_product,
@@ -810,7 +811,7 @@ class TestPathTables:
            angles=st.tuples(*2 * [st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)]),
            envelope=st.sampled_from(ENVELOPES), samples=st.integers(2, 1500), k=st.integers(-2, 2),
            partial=st.none() | st.floats(0.1, 0.9))
-    # three samples of a square pi pulse: the middle step is a quarter turn
+    # three samples of a square pi pulse: the middle step is a quarter turn, so the loop is refused
     @example(n_logical=1, three_site=False, site=1, angles=(0.5, 0.0), envelope="square", samples=3, k=0,
              partial=None)
     @example(n_logical=3, three_site=True, site=2, angles=(0.9, 0.0), envelope="gaussian", samples=1001, k=1,
@@ -832,15 +833,50 @@ class TestPathTables:
         local, chain, (left, right) = pulse.minimal_chain(layout)
         separate = _outcome(lambda: _separate_measurements(local, chain, samples))
         if isinstance(cold, str):
-            # a step of a quarter turn (few samples of a large area) leaves the Wilson product singular
-            assert partial is None and "rank deficient" in cold
-            assert warm == separate == cold
+            # few samples of a large area: a step of a quarter turn or more, or step cosines whose
+            # product reaches polar_unitary's rank floor, read here from cumulative_area
+            assert partial is None and cold.startswith(f"{samples} samples undersample the Wilson loop")
+            assert warm == cold
+            steps = np.diff(cumulative_area(envelope, area, np.linspace(0.0, 1.0, samples)))
+            assert np.max(np.abs(steps)) >= np.pi / 2 or np.prod(np.cos(steps)) <= 1e-8
             return
         _assert_same_report(cold, warm)
         _assert_matches_separate(cold, separate, left, right)
         if partial is not None:
             assert cold.wilson_gate is None and cold.cross_fidelity is None
             assert any(f.startswith("cyclicity residual") for f in cold.failures)
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    @pytest.mark.parametrize("three_site", [False, True])
+    @pytest.mark.parametrize("samples, turns", [(samples, 1) for samples in range(2, 9)] + [(1024, 201), (1024, 301)])
+    def test_an_undersampled_wilson_loop_is_refused(self, envelope, three_site, samples, turns):
+        # a closed path either passes or is refused; a refused one, measured without the refusal,
+        # fails the cross check (a Wilson gate of the wrong sign) or has a rank-deficient Wilson product
+        pulse = (ThreeSitePulse(1, 0.9, area=turns * np.pi, envelope=envelope) if three_site
+                 else OneQubitPulse(1, 0.7, 0.3, area=turns * np.pi, envelope=envelope))
+        layout = ChainLayout(2 if three_site else 1)
+        outcome = _outcome(lambda: certify(pulse, layout, samples=samples, strict=False))
+        if isinstance(outcome, str):
+            assert outcome.startswith(f"{samples} samples undersample the Wilson loop: largest area step ")
+            separate = _outcome(lambda: _separate_measurements(pulse, layout, samples))
+            if isinstance(separate, str):
+                assert "rank deficient" in separate
+            else:
+                assert separate[-1] < CERTIFY_CROSS_FIDELITY
+        else:
+            assert outcome.passed and outcome.cross_fidelity >= CERTIFY_CROSS_FIDELITY
+        if samples in (2, 3) or turns > 1:  # the samples and areas the unchecked loop got wrong
+            assert isinstance(outcome, str)
+
+    def test_a_step_past_a_quarter_turn_is_refused_where_the_loop_aliases(self):
+        # four samples of 5 pi: each step is 5 pi / 3, whose cosine is 1/2, so the unchecked Wilson
+        # product has the holonomy's sign by aliasing, while the sampled projectors skip most of the path
+        pulse, layout = OneQubitPulse(1, 0.7, 0.3, area=5 * np.pi), ChainLayout(1)
+        assert _separate_measurements(pulse, layout, 4)[-1] >= CERTIFY_CROSS_FIDELITY
+        with pytest.raises(ValueError) as err:
+            certify(pulse, layout, samples=4)
+        assert str(err.value) == ("4 samples undersample the Wilson loop: largest area step 5.236e+00 rad "
+                                  "(below pi/2 needed), product of step cosines 1.250e-01 (above 1e-8 needed)")
 
 
 def _outcome(call):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from holosim.chain import (ChainLayout, block_sz, embed, lambda_coupling, logical_encode, logical_frame,
                            xy_coupling)
-from holosim.gates import bloch_vector, entanglement_entropy, one_qubit_gate
-from holosim.linalg import expm_hermitian, gate_fidelity, unitarity_defect
+from holosim.gates import bloch_vector, entanglement_entropy, extract_logical_gate, one_qubit_gate, two_qubit_gate
+from holosim.linalg import apply_factor, expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
     ENVELOPES,
     OneQubitPulse,
@@ -23,7 +23,7 @@ from holosim.pulses import (
     slice_areas,
 )
 
-from oracles import svd_entropy, taylor_expm
+from oracles import kron_logical, svd_entropy, taylor_expm
 
 
 class TestEnvelopes:
@@ -288,6 +288,32 @@ class TestLocalKernelAgainstDense:
         assert np.max(np.abs(schedule_propagator(schedule, layout) - want)) <= 1e-12
 
 
+class TestLocality:
+    # every qubit and every pair of N = 1-4, each with drawn angles, envelope and area (2k+1)pi
+    @pytest.mark.parametrize("n_logical, three_site, first",
+                             [(n, False, q) for n in range(1, 5) for q in range(1, n + 1)]
+                             + [(n, True, p) for n in range(2, 5) for p in range(1, n)])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(angles=st.tuples(*2 * [st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)]),
+           envelope=st.sampled_from(ENVELOPES), k=st.integers(-2, 2))
+    def test_one_pulse_gate_is_its_minimal_chain_gate_embedded(self, n_logical, three_site, first, angles,
+                                                              envelope, k):
+        # extract-gate's path (run_schedule on the logical frame, then extract_logical_gate) at N
+        # against the same pulse on its minimal chain, embedded by explicit Kronecker products;
+        # a pulse on a late qubit or pair is applied with many dimensions before it
+        area = (2 * k + 1) * np.pi
+        if three_site:
+            pulse = ThreeSitePulse(first, angles[0], area=area, envelope=envelope)
+        else:
+            pulse = OneQubitPulse(first, *angles, area=area, envelope=envelope)
+        layout = ChainLayout(n_logical)
+        local, chain, _ = pulse.minimal_chain(layout)
+        gate = extract_logical_gate(run_schedule([pulse], logical_frame(layout), layout), layout)
+        small = extract_logical_gate(run_schedule([local], logical_frame(chain), chain), chain)
+        assert gate.cyclic and small.cyclic
+        assert np.max(np.abs(gate.logical_gate - kron_logical(first, small.logical_gate, n_logical))) <= 1e-14
+
+
 _ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
 _BLOCK_SZ = block_sz(1, ChainLayout(2))  # 27 x 27: pair 1 spans all three sites of N = 2
 
@@ -341,20 +367,28 @@ class TestBatchedPulses:
 
     @pytest.mark.parametrize("site", [1, 3, 5])
     def test_apply_local_batch_equals_member_loop_bit_for_bit(self, site):
-        # a stack of blocks moves the sites before the block behind its axis, one product per
-        # member; single blocks keep one product per configuration of those sites
+        # a stack of blocks and a single block both move the dimensions before the block behind its
+        # axis, one product per member: on the chain, and on the qubit register of the site's qubit
+        # (circuit_unitary's left = 2^(q-1))
         layout = ChainLayout(3)
         rng = np.random.default_rng(30 + site)
         blocks = [lambda_coupling(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5))]
+        qubit = (site + 1) // 2
+        gates = [one_qubit_gate(bloch_vector(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5)))]
         if site + 2 <= layout.n_sites:
             blocks.append(xy_coupling(rng.uniform(0, 7, 5)))
+            gates.append(two_qubit_gate(rng.uniform(0, 7, 5)))
         X = rng.normal(size=(5, layout.dim, 8)) + 1j * rng.normal(size=(5, layout.dim, 8))
-        for block in blocks:
-            for columns in (logical_frame(layout), X):
-                got = apply_local(site, block, columns)
-                members = np.broadcast_to(columns, X.shape)
-                want = np.array([apply_local(site, block[k], members[k]) for k in range(5)])
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        R = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
+        cases = [(lambda U, Y: apply_local(site, U, Y), blocks, (logical_frame(layout), X)),
+                 (lambda U, Y: apply_factor(2 ** (qubit - 1), U, Y), gates, (np.eye(8, dtype=complex), R))]
+        for apply, operators, inputs in cases:
+            for block in operators:
+                for columns in inputs:
+                    got = apply(block, columns)
+                    members = np.broadcast_to(columns, (5,) + columns.shape[-2:])
+                    want = np.array([apply(block[k], members[k]) for k in range(5)])
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     def test_batched_schedule_matches_single_pulses(self, envelope):
