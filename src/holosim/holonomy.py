@@ -362,13 +362,19 @@ def wilson_loop(path: SubspacePath) -> np.ndarray:
     decomposition.  Interior frames enter only through their projectors, so
     the result is gauge covariant (conjugates under a rotation of the initial
     frame) and carries no dynamical phase.  The path must close to within
-    ||P(tau) - P(0)|| < 1e-6.
+    ||P(tau) - P(0)|| < 1e-6, and a path too coarse for its loop is refused.
     """
     residual = path.cyclicity_residual
     if residual >= _WILSON_CYCLICITY:
         raise ValueError(
             f"wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = {residual:.3e} >= {_WILSON_CYCLICITY:.1e}"
         )
+    # each step's Hermitian part is at least cos da_j for any frame: the product keeps the holonomy's sign
+    # only if every |da_j| < pi/2, and passes polar_unitary's rank floor only if prod_j cos da_j > 1e-8
+    largest, product = np.abs(path.table.area_steps).max(), np.cos(path.table.area_steps).prod()
+    if largest >= np.pi / 2 or product <= 1e-8:
+        raise ValueError(f"{path.samples} samples undersample the Wilson loop: largest area step {largest:.3e} rad "
+                         f"(below pi/2 needed), product of step cosines {product:.3e} (above 1e-8 needed)")
     # F_{j+1}^dag F_j for j < S - 1, then the closing F_0^dag F_{S-1}, moved to (K, K, S) here so
     # that the (S, K, K) products are freed before the ordered product allocates its levels
     steps = np.ascontiguousarray(np.moveaxis(_overlaps(path.table.wilson, path.gram), 0, -1))
@@ -446,14 +452,8 @@ def certify(
     cross = None
     propagator_gate = projected
     if cyclic:
-        # each Wilson step is 1 + (cos da_j - 1) P on the driven states: the product keeps the holonomy's sign
-        # only if every |da_j| < pi/2, and passes polar_unitary's rank floor only if prod_j cos da_j > 1e-8
-        largest, product = np.abs(path.table.area_steps).max(), np.cos(path.table.area_steps).prod()
-        if largest >= np.pi / 2 or product <= 1e-8:
-            raise ValueError(f"{path.samples} samples undersample the Wilson loop: largest area step {largest:.3e} rad "
-                             f"(below pi/2 needed), product of step cosines {product:.3e} (above 1e-8 needed)")
-        propagator_gate = polar_unitary(projected)
         wilson = wilson_loop(path)
+        propagator_gate = polar_unitary(projected)
         cross = gate_fidelity(wilson, propagator_gate)
         if cross < CERTIFY_CROSS_FIDELITY:
             failures.append(

@@ -8,7 +8,8 @@ where a stack gives an array.  ``inner`` forms X^dag Y without a
 conjugated copy of X, for the Gram matrices of large column blocks.
 How an operator acts on a tensor factor, of the chain or of the qubit
 register, is decided here alone: ``apply_factor`` contracts it with the factor
-after the first ``left`` dimensions, ``embed_factor`` builds 1 (x) op (x) 1.
+after the first ``left`` dimensions, as one product broadcast over them that
+allocates only its result; ``embed_factor`` builds 1 (x) op (x) 1.
 ``expm_hermitian`` is the general dense exponential, through a full
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
@@ -151,12 +152,10 @@ def cross(a, b) -> np.ndarray:
 
 def apply_factor(left: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(1_left (x) U (x) 1) X for a d x d operator U, or a stack (..., d, d), and a state or columns
-    (..., dim, K), whose leading axes broadcast against U's.  The ``left`` dimensions move behind the
-    operator's axis, so each operator is one product with ``left`` times as many columns."""
-    d = U.shape[-1]
-    Xr = X.reshape(X.shape[:-2] + (left, d, -1))
-    out = U @ Xr.swapaxes(-3, -2).reshape(Xr.shape[:-3] + (d, -1))
-    out = out.reshape(out.shape[:-1] + (left, Xr.shape[-1])).swapaxes(-3, -2)
+    (..., dim, K), whose leading axes broadcast against U's.  The columns are viewed as (left, d, rest)
+    and U is broadcast over the ``left`` axis, so one matmul writes the result in the columns' layout;
+    contiguous columns are not copied, and nothing but the result is allocated."""
+    out = U[..., None, :, :] @ X.reshape(X.shape[:-2] + (left, U.shape[-1], -1))
     return out.reshape(out.shape[:-3] + X.shape[-2:])
 
 
@@ -246,10 +245,10 @@ def gate_fidelity(U, V) -> float:
     return unstack(np.minimum(overlap, 1.0))
 
 
-# Peak RSS over the bytes of a request's largest array, measured on 64-bit
-# Linux with OpenBLAS: 2.2x for extract-gate at N = 6 (384 MiB for 173 MiB
-# of columns), 2.1x for simulate and 1.9x for a one-qubit certify at N = 7.
-# The budget takes 5/2, as an integer ratio so that an estimate of any size works.
+# Peak RSS above the 29 MiB of an interpreter that imported the CLI, over a request's largest array, on 64-bit
+# Linux with OpenBLAS: 2.05x for extract-gate at N = 6 (384 MiB, 173 MiB of columns), 2.1x for simulate at N = 7
+# (81 MiB, a 24 MiB state), 1.04x for a three-site certify's two gates at N = 11; a one-qubit certify at N = 7
+# adds 2.7 MiB.  The budget takes 5/2, as an integer ratio so that an estimate of any size works.
 _COPIES = (5, 2)
 
 

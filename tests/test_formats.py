@@ -179,7 +179,7 @@ def readme_entries():
 
 class TestPulseAndGateDocuments:
     @pytest.mark.parametrize("kind", _KINDS)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_round_trip(self, kind, data):
         value = data.draw(_KINDS[kind])
@@ -317,7 +317,7 @@ _pair_documents = _nested(_pairs | _leaves, _texts, tuples=True)
 class TestEmitterAgainstReference:
     """``dumps`` against ``oracles.reference_dumps``, the recursive emitter it replaced."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(doc=_documents)
     @example(doc={"": [[], {}, ()], "a": [[[]], [{}]], "b": ([],), "c": {"d": {}}})
     @example(doc=[-0.0, 5e-324, 1e300, np.float32(0.1), 2 ** 64, -(2 ** 70), np.bool_(True), None])
@@ -325,7 +325,7 @@ class TestEmitterAgainstReference:
     def test_same_text_as_reference(self, doc):
         assert dumps(doc) == reference_dumps(doc)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=_pair_documents)
     @example(doc=[[[-0.0, 5e-324], [1e300, 1.0]], [[1.0, -0.0], [np.float64(0.1), 1e300]]])
     @example(doc={"g1": [0.5, -0.0], "m": [[[1.0, 0.0]]], "mixed": [[5e-324, -1e300], 3, "s", [1.0, 1.0, 1.0],
@@ -344,7 +344,7 @@ class TestEmitterAgainstReference:
             dumps(place(pair))
         assert str(got.value) == str(expected.value)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=_json_documents)
     def test_python_documents_round_trip(self, doc):
         assert json.loads(dumps(doc)) == doc
@@ -362,7 +362,7 @@ class TestEmitterAgainstReference:
         with pytest.raises(error):
             reference_dumps(place(bad))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=_nested(_leaves | _bad_leaves, _texts, tuples=True))
     @example(doc=[[float("nan")], object()])  # a container's error comes before a later leaf's
     @example(doc={"a": [0.5, [1j], float("inf")]})

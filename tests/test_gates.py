@@ -392,7 +392,7 @@ class TestBlochAngles:
 class TestStackedExtraction:
     """A stack of column blocks is extracted member by member, in one call."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(shape=st.sampled_from([(), (1,), (5,)]), n_logical=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2**32 - 1), leaky=st.booleans())
     def test_stack_equals_per_member_results(self, shape, n_logical, seed, leaky):

@@ -143,6 +143,16 @@ class TestWilsonLoop:
         W_rot = wilson_loop(trace_subspace(pulse, frame @ V, 400, LAYOUT))
         assert gate_fidelity(W_rot, V.conj().T @ W @ V) >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("samples", [2, 3])
+    def test_an_undersampled_path_is_refused_in_any_frame(self, samples):
+        # two or three samples of a square pi pulse: without the check the loop is the identity at 2 samples
+        # and rank deficient at 3, where the gate is the reflection 1 - 2P
+        pulse, layout = OneQubitPulse(1, 0.7, 0.3), ChainLayout(1)
+        frame = computational_frame(pulse, layout)
+        for F in (frame, frame @ haar_unitary(2, np.random.default_rng(samples))):
+            with pytest.raises(ValueError, match=f"^{samples} samples undersample the Wilson loop"):
+                wilson_loop(trace_subspace(pulse, F, samples, layout))
+
     def test_non_cyclic_path_rejected_with_residual(self):
         pulse = ThreeSitePulse(1, np.pi / 2, area=np.pi / 2)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 64, LAYOUT)
