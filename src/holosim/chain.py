@@ -19,6 +19,7 @@ single full-chain operators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,10 @@ class ChainLayout:
     n_logical: int
 
     def __post_init__(self):
-        if not isinstance(self.n_logical, int) or self.n_logical < 1:
+        n = _index(self.n_logical, "n_logical")
+        if n < 1:
             raise ValueError(f"n_logical must be a positive integer, got {self.n_logical!r}")
+        object.__setattr__(self, "n_logical", n)  # a numpy integer becomes an int, so dim cannot wrap
 
     @property
     def n_sites(self) -> int:
@@ -79,12 +82,14 @@ class ChainLayout:
 
     def site_of_qubit(self, qubit: int) -> int:
         """Chain site hosting logical qubit l (1-based): site 2l-1."""
+        qubit = _index(qubit, "qubit")
         if not 1 <= qubit <= self.n_logical:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n_logical}")
         return 2 * qubit - 1
 
     def sites_of_pair(self, pair: int) -> tuple[int, int, int]:
         """The three consecutive sites driven by the coupling on pair l'."""
+        pair = _index(pair, "pair")
         if not 1 <= pair <= self.n_logical - 1:
             raise ValueError(f"pair {pair} out of range 1..{self.n_logical - 1}")
         left = 2 * pair - 1
@@ -105,6 +110,16 @@ class ChainLayout:
         shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if self.dim < 2**63 else object)
         bits = (np.arange(self.logical_dim, dtype=shifts.dtype)[:, None] >> shifts) & 1
         return (bits @ 9 ** shifts).tolist()
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int, read through ``operator.index``; a bool or a non-integer is refused by value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:

@@ -137,7 +137,9 @@ def cmd_verify(args) -> int:
 
 def cmd_compile(args) -> int:
     layout = ChainLayout(args.qubits)
-    check_memory(f"compile at N={args.qubits}", 16 * layout.logical_dim ** 2)
+    # the 2^N x 2^N unitary, 16 bytes an entry, and its JSON rendering, about 360 bytes an entry (an
+    # [re, im] list and its two floats, and the pair's text in its row's and in the document's string)
+    check_memory(f"compile at N={args.qubits}", (16 + 360) * layout.logical_dim ** 2)
     circuit = loads_circuit(_read(args.circuit))
     schedule = []
     provenance = []

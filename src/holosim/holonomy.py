@@ -30,14 +30,12 @@ Everything about a path that does not depend on the pulse's angles or sites
 is one read-only *path table*, keyed by (envelope, samples, area): the
 accumulated areas, the coefficient rows, the parallel-transport weights
 conj(C_jx) C_jy, the Wilson weights conj(C_{j+1,x}) C_jy and the trapezoid
-area steps, about 360 bytes per sample.  ``trace_subspace`` takes each table
-from one cache, least recently used first out, that retains at most
-``_TABLE_CAP`` = 4 MiB whatever the sample count (eleven tables of 1024
-samples); a larger table is built for the call and not kept.  A table with
-the same envelope and samples lends a new one its area fractions.  A
-``certify`` then computes only what depends on the pulse: two local block
-applications, one term Gram, two nine-row products of weights and blocks,
-the ordered product and two polar factors.
+area steps, 352 bytes per sample.  ``trace_subspace`` takes a table of at
+most 1024 samples (``certify``'s default) from one ``functools.lru_cache`` of
+eleven tables, under 4 MiB; a larger table is built for the call and not
+kept.  A ``certify`` then computes only what depends on the pulse: two local
+block applications, one term Gram, two nine-row products of weights and
+blocks, the ordered product and two polar factors.
 
 ``certify`` works on the pulse's minimal chain: a one-qubit pulse moves to
 qubit 1 of a one-qubit chain and a three-site pulse to pair 1 of a two-qubit
@@ -61,10 +59,8 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,8 +102,7 @@ class _PathTable(NamedTuple):
     ``transport`` and ``wilson`` hold conj(C_jx) C_jy and conj(C_{j+1,x}) C_jy (the last row paired
     with row 0) for the nine (x, y), shape (9, samples) with the samples contiguous: ``_overlaps``
     contracts them with the nine blocks T_x^dag X T_y into F_j^dag X F_j and F_{j+1}^dag X F_j.
-    ``area_steps`` are the trapezoid steps a_{j+1} - a_j.  ``fractions``, the envelope's area
-    fraction per sample, is kept by the tables of ``trace_subspace`` only, to lend to a new area.
+    ``area_steps`` are the trapezoid steps a_{j+1} - a_j.
     """
 
     areas: np.ndarray
@@ -115,16 +110,11 @@ class _PathTable(NamedTuple):
     area_steps: np.ndarray
     transport: np.ndarray
     wilson: np.ndarray
-    fractions: np.ndarray | None = None
 
     @classmethod
-    def of(cls, areas: np.ndarray, coefficients: np.ndarray, fractions: np.ndarray | None = None) -> _PathTable:
+    def of(cls, areas: np.ndarray, coefficients: np.ndarray) -> _PathTable:
         C = coefficients
-        return cls(areas, C, np.diff(areas), _pair_weights(C, C), _pair_weights(np.roll(C, -1, axis=0), C), fractions)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self if array is not None)
+        return cls(areas, C, np.diff(areas), _pair_weights(C, C), _pair_weights(np.roll(C, -1, axis=0), C))
 
 
 def _pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -161,8 +151,6 @@ class SubspacePath:
     areas: np.ndarray
     terms: np.ndarray  # shape (3, dim, K): F_0, A, B
     coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
-    # not an init field, so dataclasses.replace does not copy it: a replaced path measures its own coefficients
-    _table: _PathTable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def samples(self) -> int:
@@ -172,13 +160,12 @@ class SubspacePath:
     def subspace_dim(self) -> int:
         return self.terms.shape[2]
 
-    @property
+    @cached_property
     def table(self) -> _PathTable:
         """The weights and area steps of this path's areas and coefficients: the cached table that
-        ``trace_subspace`` traced the path from, or, for a path built by hand, one computed on first use."""
-        if self._table is None:
-            self._table = _PathTable.of(self.areas, self.coefficients)
-        return self._table
+        ``trace_subspace`` traced the path from, or, for a path built by hand or by
+        ``dataclasses.replace``, one computed from its own coefficients on first use."""
+        return _PathTable.of(self.areas, self.coefficients)
 
     def frame(self, j: int) -> np.ndarray:
         """The dim x K frame F_j."""
@@ -267,7 +254,7 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
         raise ValueError(f"frame must have shape ({layout.dim}, K), got {F0.shape}")
     K = F0.shape[1]
     # the three terms, their 3 x 3 Gram of K x K blocks, per sample the K x K overlap the consumers
-    # build, and the path table: per sample a fraction, an area and an area step (8 bytes each), a
+    # build, and the path table: per sample a scaled time, an area and an area step (8 bytes each), a
     # coefficient row and the two nine-weight columns (21 complex numbers), 360 bytes
     check_memory(f"a subspace path of {samples} samples",
                  16 * (3 * layout.dim * K + 9 * K * K + samples * K * K) + 360 * samples)
@@ -282,46 +269,36 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     terms[2] = apply_local(site, block, terms[1])
     table = _path_table(pulse.envelope, samples, float(pulse.area))
     path = SubspacePath(areas=table.areas, terms=terms, coefficients=table.coefficients)
-    path._table = table
+    path.table = table
     defect = np.linalg.norm(path.gram[0, 0] - np.eye(K))  # F_0^dag F_0 - 1
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")
     return path
 
 
-# The path tables of trace_subspace, least recently used first, and the most bytes they retain
-_TABLE_CAP = 4 * 2**20
-_tables: OrderedDict[tuple[str, int, str], _PathTable] = OrderedDict()
-_tables_lock = threading.Lock()
-
-
 def _path_table(envelope: str, samples: int, area: float) -> _PathTable:
-    """The read-only path table of ``samples`` evenly spaced scaled times of a pulse, from the cache.
+    """The read-only path table of ``samples`` evenly spaced scaled times of a pulse.
 
-    ``areas`` is ``area`` times the envelope's area fraction, which equals
-    ``cumulative_area(envelope, area, np.linspace(0, 1, samples))`` bit for bit: the fraction is
-    that area-1 curve, and multiplying by 1.0 is exact.
+    A table of at most 1024 samples, ``certify``'s default, comes from the cache: eleven of them
+    retain at most 11 x 1024 x 352 bytes, under 4 MiB.  A larger one is built for the call.
     """
-    key = (envelope, samples, area.hex())  # the area's bits: -0.0 gives other zeros than 0.0
-    with _tables_lock:
-        table = _tables.get(key)
-        if table is not None:
-            _tables.move_to_end(key)
-            return table
-        fractions = next((t.fractions for (e, s, _), t in _tables.items() if e == envelope and s == samples), None)
-    if fractions is None:
-        fractions = cumulative_area(envelope, 1.0, np.linspace(0.0, 1.0, samples))
-    areas = area * fractions
+    if samples <= 1024:
+        return _cached_table(envelope, samples, area.hex())
+    return _build_table(envelope, samples, area)
+
+
+@lru_cache(maxsize=11)
+def _cached_table(envelope: str, samples: int, area_hex: str) -> _PathTable:
+    """``_build_table``, keyed by the area's bits: -0.0 gives other zero areas than 0.0, which compares equal."""
+    return _build_table(envelope, samples, float.fromhex(area_hex))
+
+
+def _build_table(envelope: str, samples: int, area: float) -> _PathTable:
+    areas = cumulative_area(envelope, area, np.linspace(0.0, 1.0, samples))
     coefficients = np.stack([np.ones(samples), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
-    table = _PathTable.of(areas, coefficients, fractions)
+    table = _PathTable.of(areas, coefficients)
     for array in table:
         array.flags.writeable = False
-    if table.nbytes <= _TABLE_CAP:
-        with _tables_lock:
-            _tables[key] = table
-            retained = sum(t.nbytes for t in _tables.values())
-            while retained > _TABLE_CAP:
-                retained -= _tables.popitem(last=False)[1].nbytes
     return table
 
 

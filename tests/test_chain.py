@@ -12,7 +12,11 @@ from holosim.chain import (
     h3,
     lambda_coupling,
     logical_encode,
+    logical_frame,
 )
+from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circuit
+from holosim.holonomy import certify
+from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
 
 from oracles import brute_embed, kron_chain
 
@@ -98,6 +102,33 @@ class TestChainLayout:
             ChainLayout(2).logical_index([0, 2])
         with pytest.raises(ValueError):
             ChainLayout(2).logical_index([0])
+
+    def test_indices_must_be_integers(self):
+        # a bool or a non-integer qubit, pair or size is refused by value wherever it enters; a float
+        # qubit used to pass certify and fail inside numpy elsewhere, and True was one qubit
+        assert ChainLayout(np.int64(3)) == ChainLayout(3) and type(ChainLayout(np.int64(3)).n_logical) is int
+        for bad in (True, 3.0, "3"):
+            with pytest.raises(ValueError) as err:
+                ChainLayout(bad)
+            assert str(err.value) == f"n_logical must be an integer, got {bad!r}"
+        layout = ChainLayout(3)
+        assert layout.site_of_qubit(np.int64(2)) == 3 and layout.sites_of_pair(np.uint8(2)) == (3, 4, 5)
+        for bad in (1.5, np.float64(2.0), True):
+            calls = {
+                "qubit": [lambda: certify(OneQubitPulse(bad, 0.7, 0.2), layout),
+                          lambda: run_schedule([OneQubitPulse(bad, 0.7, 0.2)], logical_frame(layout), layout),
+                          lambda: compile_circuit([Reflection(bad, (1.0, 0.0, 0.0))], layout),
+                          lambda: circuit_unitary([Reflection(bad, (1.0, 0.0, 0.0))], layout)],
+                "pair": [lambda: certify(ThreeSitePulse(bad, 0.9), layout),
+                         lambda: run_schedule([ThreeSitePulse(bad, 0.9)], logical_frame(layout), layout),
+                         lambda: compile_circuit([XYGate(bad, 0.9)], layout),
+                         lambda: circuit_unitary([XYGate(bad, 0.9)], layout)],
+            }
+            for name, entries in calls.items():
+                for call in entries:
+                    with pytest.raises(ValueError) as err:
+                        call()
+                    assert str(err.value).endswith(f"{name} must be an integer, got {bad!r}"), str(err.value)
 
     def test_site_maps(self):
         layout = ChainLayout(3)

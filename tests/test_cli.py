@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,30 @@ class TestLargeChainGuard:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
+
+    def test_compile_estimate_covers_the_rendering(self, tmp_path, monkeypatch):
+        # a dense 2^7 x 2^7 unitary (a rotation on every qubit, an XY gate on every pair), whose JSON
+        # text outweighs the array about 18-fold: compile's traced peak stays within the estimate it budgets
+        n = 7
+        circ = tmp_path / "c.json"
+        write_circuit(circ, [{"kind": "rotation", "qubit": q, "axis": [0.6, 0.3, 0.74], "angle": 0.7 + 0.1 * q}
+                             for q in range(1, n + 1)] +
+                      [{"kind": "xy", "pair": p, "vartheta": 0.9 + 0.05 * p} for p in range(1, n)])
+        asked = []
+        check = cli.check_memory
+
+        def recorded(what, nbytes):
+            asked.append(nbytes)
+            check(what, nbytes)
+
+        monkeypatch.setattr(cli, "check_memory", recorded)
+        tracemalloc.start()
+        try:
+            assert main(["compile", "--circuit", str(circ), "--qubits", str(n), "--out", str(tmp_path / "o.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(asked) == 1 and peak <= asked[0] <= 2 * peak, (peak, asked)
 
     def test_simulate_reaches_seven_qubits(self, tmp_path, capsys):
         # dimension 3**13: a dense propagator would need 37 TiB, the local

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -176,7 +179,7 @@ class TestCertify:
     def test_memory_budget_is_checked_before_sampling(self):
         # 10**9 samples of a 2 x 2 overlap and a path table row, about 0.39 TiB: refused before
         # any samples-sized array, and before the path table is looked up or built
-        cached = list(holonomy._tables)
+        cached = holonomy._cached_table.cache_info()
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError, match="physical memory"):
@@ -185,7 +188,7 @@ class TestCertify:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert list(holonomy._tables) == cached
+        assert holonomy._cached_table.cache_info() == cached
 
     @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
     def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
@@ -251,7 +254,7 @@ class TestCertify:
         # and the path table's 360 bytes per sample
         assert asked == [16 * (3 * layout.dim * K + 9 * K * K + 100 * K * K) + 360 * 100]
         assert path.gram.nbytes == 16 * 9 * K * K
-        assert path.table.nbytes <= 360 * 100
+        assert sum(array.nbytes for array in path.table) <= 360 * 100
 
     def test_gate_agrees_with_analytic_target(self):
         report = certify(ThreeSitePulse(1, 0.8), LAYOUT, samples=512)
@@ -701,18 +704,17 @@ class TestOrderedProduct:
 
 
 class TestPathTables:
-    """trace_subspace reads each (envelope, samples, area) path table from one bounded, read-only cache."""
+    """trace_subspace reads each (envelope, samples, area) path table of at most 1024 samples from one
+    lru_cache of read-only tables, and builds a larger one for the call."""
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("samples", [2, 3, 33, 256, 1024, 1025])
     def test_bit_identical_to_cumulative_area(self, envelope, samples):
-        holonomy._tables.clear()
-        first = holonomy._path_table(envelope, samples, np.pi)
+        holonomy._cached_table.cache_clear()
         for area in (np.pi, -1.7, 5 * np.pi):
             want = cumulative_area(envelope, area, np.linspace(0.0, 1.0, samples))
             table = holonomy._path_table(envelope, samples, area)
-            assert table.fractions is first.fractions  # a new area borrows the envelope's fractions
-            assert (area * table.fractions).tobytes() == table.areas.tobytes() == want.tobytes()
+            assert table.areas.tobytes() == want.tobytes()
             assert table.area_steps.tobytes() == np.diff(want).tobytes()
             C = np.stack([np.ones(samples), -1j * np.sin(want), np.cos(want) - 1.0], axis=1)
             assert table.coefficients.tobytes() == C.tobytes()
@@ -721,58 +723,105 @@ class TestPathTables:
             assert table.transport.flags.c_contiguous and table.wilson.flags.c_contiguous
             assert table.transport.tobytes() == _pair_weights(C, C).tobytes()
             assert table.wilson.tobytes() == _pair_weights(np.roll(C, -1, axis=0), C).tobytes()
+            # the areas, the area steps, the coefficient rows and the two nine-weight columns
+            assert sum(array.nbytes for array in table) == 352 * samples - 8
         pulse = ThreeSitePulse(1, 0.9, area=-1.7, envelope=envelope)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
         assert path.areas.tobytes() == cumulative_area(envelope, -1.7, np.linspace(0.0, 1.0, samples)).tobytes()
-        assert path.table is holonomy._path_table(envelope, samples, -1.7)
+        # up to 1024 samples the path reads the cached table; past that its own table, built alike
+        cached = path.table is holonomy._path_table(envelope, samples, -1.7)
+        assert cached == (samples <= 1024)
+        assert holonomy._cached_table.cache_info().currsize == (3 if samples <= 1024 else 0)
+        rebuilt = holonomy._path_table(envelope, samples, -1.7)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(path.table, rebuilt, strict=True))
 
-    def test_computed_once_and_read_only(self):
-        table = holonomy._path_table("gaussian", 513, np.pi)
-        assert holonomy._path_table("gaussian", 513, np.pi) is table
+    @pytest.mark.parametrize("samples", [513, 1025])
+    def test_read_only(self, samples):
+        table = holonomy._path_table("gaussian", samples, np.pi)
         for array in table:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         pulse = ThreeSitePulse(1, 0.9, envelope="gaussian")
-        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 513, LAYOUT)
-        assert path.table is table and path.areas is table.areas and path.coefficients is table.coefficients
+        path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
+        assert path.areas is path.table.areas and path.coefficients is path.table.coefficients
+        assert not any(array.flags.writeable for array in path.table)
 
     def test_keyed_on_what_the_table_depends_on(self):
-        holonomy._tables.clear()
+        holonomy._cached_table.cache_clear()
         pulses = (OneQubitPulse(1, 0.5, 0.0), OneQubitPulse(1, 2.0, 1.0), ThreeSitePulse(1, 0.9))
         paths = [trace_subspace(p, computational_frame(p, LAYOUT), n, LAYOUT)
                  for p in pulses for n in (64, np.int64(64), np.int32(64))]
         # not the angles, the kind, the sites or the type of the sample count
-        assert len(holonomy._tables) == 1 and all(path.table is paths[0].table for path in paths)
+        info = holonomy._cached_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 8)
+        assert all(path.table is paths[0].table for path in paths)
         # an int area and its float share a table; -0.0 is its own table, with other zero areas than 0.0
         one = holonomy._path_table("square", 64, 1.0)
         assert trace_subspace(OneQubitPulse(1, 0.5, 0.0, area=1), computational_frame(pulses[0], LAYOUT),
                               64, LAYOUT).table is one
         zero, negative_zero = holonomy._path_table("square", 64, 0.0), holonomy._path_table("square", 64, -0.0)
-        assert zero is not negative_zero
+        assert zero is not negative_zero and holonomy._cached_table.cache_info().currsize == 4
         assert np.signbit(negative_zero.areas).all() and not np.signbit(zero.areas).any()
 
-    def test_retained_bytes_stay_under_the_cap(self):
-        # the cap is a constant: it does not grow with the sample count
-        assert holonomy._TABLE_CAP == 4 * 2**20
-        holonomy._tables.clear()
+    def test_at_most_eleven_tables_of_at_most_1024_samples_are_kept(self):
+        # eleven tables of 1024 samples, the most the cache retains, stay under 4 MiB
+        assert holonomy._cached_table.cache_info().maxsize == 11
+        assert 11 * sum(array.nbytes for array in holonomy._path_table("sin2", 1024, np.pi)) <= 4 * 2**20
+        holonomy._cached_table.cache_clear()
         keys = []
         for k, area in enumerate(np.linspace(0.1, 30.0, 40)):
-            keys.append((ENVELOPES[k % 3], (1024, 1500, 257)[k % 3], float(area).hex()))
-            pulse = OneQubitPulse(1, 0.3, 0.1, area=area, envelope=keys[-1][0])
-            certify(pulse, LAYOUT, samples=keys[-1][1], strict=False)
-            assert sum(t.nbytes for t in holonomy._tables.values()) <= holonomy._TABLE_CAP
-        # least recently used first out: the latest tables are kept, the first ones are not
-        assert list(holonomy._tables) == keys[-len(holonomy._tables):]
-        assert len(holonomy._tables) >= 8
+            envelope, samples = ENVELOPES[k % 3], (1024, 1500, 257)[k % 3]
+            misses = holonomy._cached_table.cache_info().misses
+            certify(OneQubitPulse(1, 0.3, 0.1, area=area, envelope=envelope), LAYOUT, samples=samples, strict=False)
+            # a table past 1024 samples never reaches the cache; every other one is a new key
+            assert holonomy._cached_table.cache_info().misses == misses + (samples <= 1024)
+            assert holonomy._cached_table.cache_info().currsize <= 11
+            if samples <= 1024:
+                keys.append((envelope, samples, float(area)))
+        assert holonomy._cached_table.cache_info().currsize == 11
+        # least recently used first out: the latest eleven tables are kept, the one before them is not
+        hits, misses = holonomy._cached_table.cache_info()[:2]
+        for key in keys[-11:]:
+            holonomy._path_table(*key)
+        assert holonomy._cached_table.cache_info()[:2] == (hits + 11, misses)
+        holonomy._path_table(*keys[-12])
+        assert holonomy._cached_table.cache_info()[:2] == (hits + 11, misses + 1)
 
-    def test_a_table_over_the_cap_is_built_and_not_kept(self):
-        samples = holonomy._TABLE_CAP // 360 + 1
-        holonomy._tables.clear()
-        holonomy._path_table("sin2", 1024, np.pi)
-        table = holonomy._path_table("sin2", samples, np.pi)
-        assert table.nbytes > holonomy._TABLE_CAP
-        assert list(holonomy._tables) == [("sin2", 1024, np.pi.hex())]
+    def test_a_table_over_1024_samples_is_built_and_not_kept(self):
+        holonomy._cached_table.cache_clear()
+        kept = holonomy._path_table("sin2", 1024, np.pi)
+        info = holonomy._cached_table.cache_info()
+        first, second = holonomy._path_table("sin2", 1025, np.pi), holonomy._path_table("sin2", 1025, np.pi)
+        assert first is not second and first.areas.tobytes() == second.areas.tobytes()
+        assert holonomy._cached_table.cache_info() == info
+        assert holonomy._path_table("sin2", 1024, np.pi) is kept
+
+    def test_threads_sharing_a_cold_cache_certify_as_one_thread_does(self):
+        # four threads start together on an empty cache and each certifies both kinds on all three
+        # envelopes at 1024 samples; with a short switch interval they interleave inside the builds
+        pulses = [pulse for envelope in ENVELOPES for pulse in
+                  (OneQubitPulse(1, 0.7, 0.3, envelope=envelope), ThreeSitePulse(1, 0.9, envelope=envelope))]
+        sequential = [certify(pulse, LAYOUT) for pulse in pulses]
+        holonomy._cached_table.cache_clear()
+        start = threading.Barrier(4)
+
+        def run():
+            start.wait(timeout=30)
+            return [certify(pulse, LAYOUT) for pulse in pulses]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run) for _ in range(4)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for reports in results:
+            for report, want in zip(reports, sequential, strict=True):
+                _assert_same_report(report, want)
+        assert holonomy._cached_table.cache_info().currsize == 3
 
     def test_a_replaced_path_measures_its_own_coefficients(self):
         # dataclasses.replace does not copy the table: the new path's weights and area steps come
@@ -786,7 +835,7 @@ class TestPathTables:
             [np.ones(40), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
         replaced = replace(path, areas=areas, coefficients=C)
         assert path.table is holonomy._path_table(pulse.envelope, 40, pulse.area)
-        assert replaced.table is not path.table and replaced.table.fractions is None
+        assert replaced.table is not path.table
         assert replaced.table.transport.tobytes() == _pair_weights(C, C).tobytes()
         assert replaced.table.area_steps.tobytes() == np.diff(areas).tobytes()
         residual, eps = check_parallel_transport(replaced)
@@ -836,9 +885,10 @@ class TestPathTables:
         else:
             pulse = OneQubitPulse(1 + (site - 1) % n_logical, *angles, area=area, envelope=envelope)
         layout = ChainLayout(n_logical)
-        holonomy._tables.clear()
+        holonomy._cached_table.cache_clear()
         cold = _outcome(lambda: certify(pulse, layout, samples=samples, strict=False))
-        assert holonomy._tables  # the cold call filled the cache, which the warm one reads
+        # the cold call filled the cache, which the warm one reads, unless the table is past 1024 samples
+        assert holonomy._cached_table.cache_info().currsize == (samples <= 1024)
         warm = _outcome(lambda: certify(pulse, layout, samples=samples, strict=False))
         local, chain, (left, right) = pulse.minimal_chain(layout)
         separate = _outcome(lambda: _separate_measurements(local, chain, samples))
