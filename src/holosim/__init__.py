@@ -58,7 +58,6 @@ from .holonomy import (
     SubspacePath,
     certify,
     check_parallel_transport,
-    computational_frame,
     trace_subspace,
     wilson_loop,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "SubspacePath",
     "certify",
     "check_parallel_transport",
-    "computational_frame",
     "trace_subspace",
     "wilson_loop",
     "Reflection",

@@ -19,12 +19,13 @@ single full-chain operators.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_memory, embed_factor, finite
+from .linalg import _COPIES, check_memory, embed_factor, finite
 
 __all__ = [
     "SIGMA_Z3",
@@ -37,6 +38,7 @@ __all__ = [
     "block_sz",
     "logical_encode",
     "logical_frame",
+    "check_columns",
 ]
 
 # The five generators actually used by the chain Hamiltonian, in the local
@@ -78,7 +80,7 @@ class ChainLayout:
 
     @property
     def logical_dim(self) -> int:
-        return 2 ** self.n_logical
+        return 1 << self.n_logical
 
     def site_of_qubit(self, qubit: int) -> int:
         """Chain site hosting logical qubit l (1-based): site 2l-1."""
@@ -96,12 +98,17 @@ class ChainLayout:
         return (left, left + 1, left + 2)
 
     def logical_index(self, bits) -> int:
-        """Global index of the chain basis state |n1 0 n2 0 ... nN>."""
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.n_logical or any(b not in (0, 1) for b in bits):
+        """Global index of the chain basis state |n1 0 n2 0 ... nN>.  Each bit is read as ``_index`` reads
+        an index, so a float or a bool is refused rather than truncated."""
+        bits = tuple(bits)
+        try:
+            digits = [_index(b, "bit") for b in bits]
+        except ValueError:
+            digits = []  # refused below, as any other bad bits are
+        if len(digits) != self.n_logical or any(d not in (0, 1) for d in digits):
             raise ValueError(f"bits must be {self.n_logical} values in {{0,1}}, got {bits}")
         # qubit q weighs 9^(N - q) (see logical_indices): the bits are the index's base-9 digits
-        return int("".join(map(str, bits)), 9)
+        return int("".join(map(str, digits)), 9)
 
     def logical_indices(self) -> list[int]:
         """Global indices of all 2^N logical states, lexicographic in n1..nN."""
@@ -226,9 +233,21 @@ def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
     return psi
 
 
+def check_columns(what: str, layout: ChainLayout, columns: int) -> None:
+    """``check_memory`` for ``columns`` complex vectors of the chain, 16 * columns * 3^n_sites bytes.
+
+    Past 630 sites that is over 2^1000 bytes, more than any memory, and the power of 3 takes seconds
+    to form from 10^7 sites on and minutes from 10^8: such a chain is refused from n_sites alone.
+    """
+    if layout.n_sites <= 630:
+        return check_memory(what, 16 * columns * layout.dim)
+    gib = math.log2(16 * _COPIES[0] / _COPIES[1]) + math.log2(columns) + layout.n_sites * math.log2(3) - 30
+    raise MemoryError(f"{what} needs about 2^{gib:.0f} GiB, more than any physical memory")
+
+
 def logical_frame(layout: ChainLayout) -> np.ndarray:
     """The dim x 2^N frame whose columns are the logical basis states, lexicographic in n1..nN."""
-    check_memory(f"the logical frame at N={layout.n_logical}", 16 * layout.dim * layout.logical_dim)
+    check_columns(f"the logical frame at N={layout.n_logical}", layout, layout.logical_dim)
     frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
     frame[layout.logical_indices(), np.arange(layout.logical_dim)] = 1.0
     return frame

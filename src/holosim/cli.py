@@ -21,19 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import ChainLayout, logical_encode, logical_frame
+from .chain import ChainLayout, check_columns, logical_encode, logical_frame
 from .checks import SUITE_NAMES, run_suite
 from .compiler import compile_gate, circuit_unitary
-from .formats import (
-    FormatError,
-    complex_pair,
-    dumps,
-    loads_circuit,
-    loads_schedule,
-    matrix_pairs,
-    pulse_to_dict,
-    schedule_to_obj,
-)
+from .formats import FormatError, dumps, loads_circuit, loads_schedule, pulse_to_dict, schedule_to_obj
 from .gates import entangling_verdict, extract_logical_gate, makhlin_invariants
 from .linalg import check_memory
 from .pulses import run_schedule
@@ -97,7 +88,7 @@ def _parse_bits(bits: str, n: int) -> list[int]:
 
 def cmd_simulate(args) -> int:
     layout = ChainLayout(args.qubits)
-    check_memory(f"simulate at N={args.qubits}", 16 * layout.dim)
+    check_columns(f"simulate at N={args.qubits}", layout, 1)
     schedule = loads_schedule(_read(args.schedule))
     bits = _parse_bits(args.initial, layout.n_logical)
     psi = run_schedule(schedule, logical_encode(bits, layout), layout)
@@ -115,7 +106,7 @@ def cmd_simulate(args) -> int:
         "qubits": layout.n_logical,
         "initial": args.initial,
         "basis": "logical, lexicographic in n1..nN",
-        "final_amplitudes": [complex_pair(a) for a in amplitudes],
+        "final_amplitudes": amplitudes.tolist(),
         "leakage": max(0.0, 1.0 - logical_population),
         "site_populations": site_populations,
         "norm": float(np.linalg.norm(psi)),
@@ -137,9 +128,9 @@ def cmd_verify(args) -> int:
 
 def cmd_compile(args) -> int:
     layout = ChainLayout(args.qubits)
-    # the 2^N x 2^N unitary, 16 bytes an entry, and its JSON rendering, about 360 bytes an entry (an
-    # [re, im] list and its two floats, and the pair's text in its row's and in the document's string)
-    check_memory(f"compile at N={args.qubits}", (16 + 360) * layout.logical_dim ** 2)
+    # the 2^N x 2^N unitary, 16 bytes an entry, and its JSON rendering, at most 252 bytes an entry at N = 8-10
+    # (the entry's complex from tolist(), and its [re, im] text in its row's and in the document's string)
+    check_memory(f"compile at N={args.qubits}", (16 + 252) * layout.logical_dim ** 2)
     circuit = loads_circuit(_read(args.circuit))
     schedule = []
     provenance = []
@@ -157,7 +148,7 @@ def cmd_compile(args) -> int:
         schedule.extend(pulses)
 
     document = schedule_to_obj(schedule)
-    document["predicted_gate"] = matrix_pairs(circuit_unitary(circuit, layout))
+    document["predicted_gate"] = circuit_unitary(circuit, layout).tolist()
     document["provenance"] = provenance
     _write_report(dumps(document), args.out)
     return 0
@@ -175,11 +166,10 @@ def cmd_extract_gate(args) -> int:
         "pulses": [pulse_to_dict(p) for p in schedule],
         "cyclic": report.cyclic,
         "leakage": report.leakage,
-        "logical_gate": matrix_pairs(report.logical_gate),
+        "logical_gate": report.logical_gate.tolist(),
     }
     if report.cyclic and layout.n_logical == 2:
-        g1, g2 = makhlin_invariants(report.logical_gate)
-        doc["makhlin_g1"], doc["makhlin_g2"] = complex_pair(g1), g2
+        doc["makhlin_g1"], doc["makhlin_g2"] = makhlin_invariants(report.logical_gate)
         doc["entangling"], doc["entangling_power"] = entangling_verdict(report.logical_gate)
     _write_report(dumps(doc), args.out)
     return 0

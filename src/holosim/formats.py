@@ -4,9 +4,11 @@ All files are plain JSON.  Complex numbers are serialized as [re, im]
 pairs; matrices as nested lists of those pairs.  Report writing goes
 through a deterministic emitter (fixed key order, floats rendered with 17
 significant digits) so identical inputs produce byte-identical files.  It
-renders each leaf from a table keyed by its exact type (float, int, bool,
-str, None), with an isinstance chain only for NumPy scalars and subclasses,
-and each [re, im] pair of finite floats with one format operation.
+renders each leaf from a table keyed by its exact type (float, complex, int,
+bool, str, None), with an isinstance chain only for NumPy scalars and
+subclasses.  A complex number is a leaf whose text is its [re, im] pair, one
+format operation for finite parts, so a matrix is written from ``tolist()``
+with no pair lists built.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .pulses import Pulse
 __all__ = [
     "FormatError",
     "dumps",
-    "complex_pair",
-    "matrix_pairs",
     "pulse_to_dict",
     "pulse_from_dict",
     "schedule_to_obj",
@@ -54,6 +54,13 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _fmt_complex(z: complex) -> str:
+    re, im = z.real, z.imag
+    if math.isfinite(re) and math.isfinite(im):
+        return "[%.17g, %.17g]" % (re, im)
+    return f"[{_fmt_float(re)}, {_fmt_float(im)}]"  # raises for the non-finite part
+
+
 def dumps(value) -> str:
     """Render ``value`` as JSON with fixed key order and float formatting, indented by two spaces."""
     return _render(value, "") + "\n"
@@ -64,10 +71,6 @@ def _render(value, margin: str) -> str:
     render = _LEAVES.get(type(value))
     if render is not None:
         return render(value)
-    if type(value) is list and len(value) == 2:  # an [re, im] pair of finite floats in one operation
-        re, im = value
-        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
-            return "[%.17g, %.17g]" % (re, im)
     if not isinstance(value, (dict, list, tuple)):
         return _leaf(value)
     if not value:
@@ -77,13 +80,15 @@ def _render(value, margin: str) -> str:
         items = [f"{encode_basestring_ascii(str(key))}: {_render(item, inner)}" for key, item in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "}"
     items = [_render(item, inner) for item in value]
-    if not any(isinstance(item, (dict, list, tuple)) for item in value):  # every item a leaf: one line
+    # every item a leaf other than a complex number: one line; a complex item, an [re, im] pair, is laid out
+    # as a list of two floats is
+    if not any(isinstance(item, (dict, list, tuple, complex, np.complexfloating)) for item in value):
         return "[" + ", ".join(items) + "]"
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
 
 
 # The renderer of each exact leaf type; json.dumps(str) is encode_basestring_ascii
-_LEAVES = {float: _fmt_float, int: str, bool: lambda value: "true" if value else "false",
+_LEAVES = {float: _fmt_float, complex: _fmt_complex, int: str, bool: lambda value: "true" if value else "false",
            str: encode_basestring_ascii, type(None): lambda value: "null"}
 
 
@@ -98,17 +103,9 @@ def _leaf(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return _fmt_complex(complex(value))
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_pairs(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[re, im] for re, im in zip(*rows)] for rows in zip(M.real.tolist(), M.imag.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,20 @@ kept.  A ``certify`` then computes only what depends on the pulse: two local
 block applications, one term Gram, two nine-row products of weights and
 blocks, the ordered product and two polar factors.
 
-``certify`` works on the pulse's minimal chain: a one-qubit pulse moves to
-qubit 1 of a one-qubit chain and a three-site pulse to pair 1 of a two-qubit
-chain (each pulse class's ``minimal_chain``).  Every other qubit is a
-spectator, so the full-chain frame factorizes: f (x) |0...0> for a one-qubit
-pulse, and f (x) R up to a fixed permutation of the logical columns for a
-three-site pulse, with R the logical frame of the other N - 2 qubits.  Every
-K x K block the full-chain path builds is then b (x) 1_m, with m = 1 and
+``certify`` traces the logical frame (``chain.logical_frame``) of the
+pulse's minimal chain: a one-qubit pulse moves to qubit 1 of a one-qubit
+chain and a three-site pulse to pair 1 of a two-qubit chain (each pulse
+class's ``minimal_chain``).  Every other qubit is a spectator, so the
+full-chain frame that path stands for factorizes: f (x) |0...0> for a
+one-qubit pulse (its qubit's |0> and |1> with every other qubit in |0>), and
+f (x) R up to a fixed permutation of the logical columns for a three-site
+pulse, with R the logical frame of the other N - 2 qubits.  Every K x K
+block the full-chain path builds is then b (x) 1_m, with m = 1 and
 m = 2^(N-2) respectively.  ``certify`` therefore reports the full-chain norms
 as the local ones times sqrt(m), exact for this factorization, and embeds the
 local gates by identities (``linalg.embed_factor``) after budgeting them; the
 dynamical phase and the cross fidelity are the local values.  The checks take
-any frame on any chain; the full-chain path is the minimal chain's reference.
+any frame on any chain.
 
 The path and ``certify`` take one pulse; ``projected_propagator`` also takes
 a batch of pulses (array angles and areas, see ``pulses``) and returns a
@@ -65,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainLayout
+from .chain import ChainLayout, logical_frame
 from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner, polar_unitary
 from .pulses import Pulse, apply_local, closed_form, cumulative_area, local_form
 
@@ -77,7 +79,6 @@ __all__ = [
     "SubspacePath",
     "HolonomyReport",
     "HolonomyError",
-    "computational_frame",
     "trace_subspace",
     "check_parallel_transport",
     "projected_propagator",
@@ -200,10 +201,11 @@ class HolonomyReport:
     ``certify`` measures on the pulse's minimal chain.  The parallel-transport
     and cyclicity residuals are the full-chain Frobenius norms, the local ones
     times sqrt(m) (see the module docstring); the dynamical phase and the cross
-    fidelity are the local values, which the full chain shares.  The gates are
-    in the pulse's ``computational_frame`` at the requested layout: 2 x 2 for a
-    one-qubit pulse, and for a three-site pulse on pair l' the local 4 x 4 gate
-    embedded as 1_{2^(l'-1)} (x) g (x) 1_{2^(N-l'-1)}.
+    fidelity are the local values, which the full chain shares.  The gates act
+    on the full chain's logical columns that the minimal chain's logical frame
+    stands for: 2 x 2 for a one-qubit pulse, on its qubit's |0> and |1> with
+    every other qubit in |0>, and for a three-site pulse on pair l' the local
+    4 x 4 gate embedded as 1_{2^(l'-1)} (x) g (x) 1_{2^(N-l'-1)}.
     """
 
     parallel_transport_residual: float
@@ -217,21 +219,6 @@ class HolonomyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def computational_frame(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
-    """Canonical initial frame for certifying a gate pulse.
-
-    One-qubit pulse: the {|0>, |1>} pair of the driven qubit with every
-    other site in |0> (K = 2), built as those two columns alone.
-    Three-site pulse: the full logical basis (K = 2^N), i.e. the direct sum
-    of all the invariant computational blocks the pulse touches.
-    ``certify`` takes it on the pulse's minimal chain; on the full chain it
-    is the frame of the reference path that ``certify`` is tested against.
-    """
-    if not isinstance(pulse, Pulse):
-        raise TypeError(f"not a pulse: {pulse!r}")
-    return pulse.computational_frame(layout)
 
 
 def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayout) -> SubspacePath:
@@ -391,7 +378,7 @@ def certify(
     agreement between the Wilson-loop gate and the projected propagator.
     The path is traced on the pulse's minimal chain, so the cost does not
     grow with N; the residuals are reported as full-chain norms (local times
-    sqrt(m)) and the gates embedded into the pulse's frame at ``layout`` (see
+    sqrt(m)) and the gates embedded by identities at ``layout`` (see
     ``HolonomyReport``), after the two embedded gates are budgeted.  Every
     bound applies to the full-chain values.  With ``strict`` (default) a
     HolonomyError naming every violated condition is raised; otherwise the
@@ -404,7 +391,7 @@ def certify(
     local, chain, (left, right) = pulse.minimal_chain(layout)
     size = left * chain.logical_dim * right
     check_memory(f"the two certified gates at N={layout.n_logical}", 2 * 16 * size * size)
-    path = trace_subspace(local, computational_frame(local, chain), samples, chain)
+    path = trace_subspace(local, logical_frame(chain), samples, chain)
 
     # every K x K block of the full-chain path is the local block (x) 1_m up to a fixed
     # permutation, m = left * right: its Frobenius norms are sqrt(m) times the local ones

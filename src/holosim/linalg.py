@@ -247,7 +247,7 @@ def gate_fidelity(U, V) -> float:
 
 # Peak RSS above the 29 MiB of an interpreter that imported the CLI, over a request's estimate, on 64-bit
 # Linux with OpenBLAS: 2.05x for extract-gate at N = 6 (384 MiB, 173 MiB of columns), 2.1x for simulate at N = 7
-# (81 MiB, a 24 MiB state), 1.04x for a three-site certify's two gates at N = 11, 1.0x for compile at N = 9-10
+# (81 MiB, a 24 MiB state), 1.04x for a three-site certify's two gates at N = 11, 0.8-1.0x for compile at N = 8-10
 # (its unitary and the JSON rendering of it); a one-qubit certify at N = 7 adds 2.7 MiB.  The budget takes 5/2,
 # as an integer ratio so that an estimate of any size works.
 _COPIES = (5, 2)

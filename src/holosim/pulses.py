@@ -41,8 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, embed, lambda_coupling, logical_frame, xy_coupling
-from .linalg import apply_factor, check_memory, finite, float_or_inf
+from .chain import ChainLayout, embed, lambda_coupling, xy_coupling
+from .linalg import apply_factor, finite, float_or_inf
 
 __all__ = [
     "ENVELOPES",
@@ -131,17 +131,10 @@ class OneQubitPulse:
     def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         return layout.site_of_qubit(self.qubit), lambda_coupling(self.theta, self.phi)
 
-    def computational_frame(self, layout: ChainLayout) -> np.ndarray:
-        """The {|0>, |1>} pair of the driven qubit with every other site in |0> (K = 2)."""
-        site = layout.site_of_qubit(self.qubit)
-        check_memory(f"a one-qubit frame at N={layout.n_logical}", 32 * layout.dim)
-        frame = np.zeros((layout.dim, 2), dtype=complex)
-        frame[[0, 3 ** (layout.n_sites - site)], [0, 1]] = 1.0
-        return frame
-
     def minimal_chain(self, layout: ChainLayout) -> tuple[OneQubitPulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to qubit 1 of a one-qubit chain, and the identity sizes (1, 1): its
-        2 x 2 gate there is already the gate in the two columns of ``computational_frame`` at ``layout``."""
+        2 x 2 gate there is already the gate on this qubit's |0> and |1> at ``layout``, with every
+        other qubit in |0>."""
         layout.site_of_qubit(self.qubit)  # validate index
         return replace(self, qubit=1), ChainLayout(1), (1, 1)
 
@@ -166,11 +159,6 @@ class ThreeSitePulse:
 
     def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         return layout.sites_of_pair(self.pair)[0], xy_coupling(self.vartheta)
-
-    def computational_frame(self, layout: ChainLayout) -> np.ndarray:
-        """The full logical basis (K = 2^N): the direct sum of every computational block the pulse touches."""
-        layout.sites_of_pair(self.pair)  # validate index
-        return logical_frame(layout)
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =

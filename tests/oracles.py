@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from holosim.chain import logical_frame
+from holosim.pulses import OneQubitPulse
+
 
 def taylor_expm(H, t):
     """exp(-i t H) by direct Taylor summation to machine convergence."""
@@ -78,6 +81,16 @@ def svd_entropy(state4):
     return float(-np.sum(p * np.log(p)))
 
 
+def computational_frame(pulse, layout):
+    """The full-chain frame that ``certify``'s path on the pulse's minimal chain stands for: the
+    logical columns of the qubit's |0> and |1> with every other qubit in |0> for a one-qubit pulse,
+    and the whole logical basis for a three-site pulse."""
+    frame = logical_frame(layout)
+    if isinstance(pulse, OneQubitPulse):
+        return frame[:, [0, 2 ** (layout.n_logical - pulse.qubit)]]
+    return frame
+
+
 def eigh_frames(H, F0, areas):
     """Frames exp(-i a H) F0 at each area, through a dense eigendecomposition of H."""
     w, V = np.linalg.eigh(H)
@@ -135,8 +148,9 @@ def scan_entangling_witness(U):
 
 
 def reference_dumps(value) -> str:
-    """The report emitter as first written, a recursive isinstance chain: the slow reference for
-    ``holosim.formats.dumps``, which must render every document to the same text."""
+    """The report emitter as first written, a recursive isinstance chain, with a complex number
+    written and laid out as its [re, im] pair: the slow reference for ``holosim.formats.dumps``,
+    which must render every document to the same text."""
     pieces = []
     _emit(value, pieces, 0)
     pieces.append("\n")
@@ -161,7 +175,8 @@ def _emit(value, out, level):
         if not seq:
             out.append("[]")
             return
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        # a complex number is written as its [re, im] pair, and laid out as one
+        scalars = all(not isinstance(v, (dict, list, tuple, complex, np.complexfloating)) for v in seq)
         if scalars:
             out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
             return
@@ -186,6 +201,8 @@ def _scalar(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return f"[{_fmt_float(float(value.real))}, {_fmt_float(float(value.imag))}]"
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 

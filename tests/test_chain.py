@@ -103,6 +103,18 @@ class TestChainLayout:
         with pytest.raises(ValueError):
             ChainLayout(2).logical_index([0])
 
+    def test_bits_must_be_integers(self):
+        # each bit is read as an index is: a float used to be truncated, so [1.7, 0] encoded |1 0 0> and
+        # [0.5, 1] encoded |0 0 1>; a bool is refused as it is for an index
+        layout = ChainLayout(2)
+        for bad in ([1.7, 0], [0.5, 1], [1.0, 0], [np.float64(1.0), 0], [True, 0], [0, np.bool_(False)], ["1", 0]):
+            with pytest.raises(ValueError, match=r"^bits must be 2 values in \{0,1\}, got \("):
+                layout.logical_index(bad)
+            with pytest.raises(ValueError, match="bits must be 2 values"):
+                logical_encode(bad, layout)
+        assert layout.logical_index([np.int64(1), np.uint8(1)]) == 10
+        assert layout.logical_index(np.array([1, 0])) == 9
+
     def test_indices_must_be_integers(self):
         # a bool or a non-integer qubit, pair or size is refused by value wherever it enters; a float
         # qubit used to pass certify and fail inside numpy elsewhere, and True was one qubit

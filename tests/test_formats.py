@@ -10,13 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from holosim.compiler import Reflection, Rotation, XYGate
 from holosim.formats import (
     FormatError,
-    complex_pair,
     dumps,
     gate_from_dict,
     gate_to_dict,
     loads_circuit,
     loads_schedule,
-    matrix_pairs,
     pulse_from_dict,
     pulse_to_dict,
     schedule_to_obj,
@@ -235,15 +233,15 @@ class TestDeterministicEmission:
 
     def test_byte_identical_runs(self):
         obj = {
-            "m": matrix_pairs(np.array([[1 + 2j, 0], [0.25, -1j]])),
-            "z": complex_pair(0.1 + 0.2j),
+            "m": np.array([[1 + 2j, 0], [0.25, -1j]]).tolist(),
+            "z": 0.1 + 0.2j,
             "flag": True,
             "nothing": None,
         }
         assert dumps(obj) == dumps(obj)
 
     def test_emitted_text_is_valid_json(self):
-        obj = {"xs": [1, 2.5, -3], "nested": {"m": matrix_pairs(np.eye(2))}, "s": "q"}
+        obj = {"xs": [1, 2.5, -3], "nested": {"m": np.eye(2, dtype=complex).tolist()}, "s": "q"}
         parsed = json.loads(dumps(obj))
         assert parsed["xs"] == [1, 2.5, -3]
         assert parsed["nested"]["m"][0][0] == [1, 0]
@@ -252,6 +250,13 @@ class TestDeterministicEmission:
         values = [np.pi, 1 / 3, 1e-300, 123456789.123456789, 2**-52]
         parsed = json.loads(dumps({"v": values}))
         assert parsed["v"] == values
+
+    def test_a_complex_number_is_written_as_its_pair(self):
+        assert dumps(1 + 2j) == "[1, 2]\n"
+        matrix = np.array([[1 + 2j, 0], [0.25, -1j]])
+        pairs = [[[1.0, 2.0], [0.0, 0.0]], [[0.25, 0.0], [-0.0, -1.0]]]
+        assert dumps({"m": matrix.tolist(), "z": matrix[0, 0]}) == dumps({"m": pairs, "z": [1.0, 2.0]})
+        assert dumps([np.complex64(0.1 + 0.5j)]) == "[\n  [0.10000000149011612, 0.5]\n]\n"
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -288,6 +293,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
                                 1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53 + 1])
 _big_ints = st.integers(2 ** 64, 2 ** 200) | st.integers(-(2 ** 200), -(2 ** 64))
+_complex = st.builds(complex, _finite | _edge_floats, _finite | _edge_floats)
 _python_leaves = (st.none() | st.booleans() | st.integers() | _big_ints | _finite | _edge_floats | _texts)
 _leaves = (_python_leaves
            | st.booleans().map(np.bool_)
@@ -295,7 +301,8 @@ _leaves = (_python_leaves
            | (_finite | _edge_floats).map(np.float64)
            | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
            | st.integers().map(_Int) | _finite.map(_Float) | _texts.map(_Str) | _texts.map(np.str_)
-           | st.just(_Color.RED))
+           | st.just(_Color.RED) | _complex | _complex.map(np.complex128)
+           | st.complex_numbers(width=64, allow_nan=False, allow_infinity=False).map(np.complex64))
 
 
 def _nested(leaves, keys, tuples):
@@ -307,11 +314,23 @@ def _nested(leaves, keys, tuples):
 
 _documents = _nested(_leaves, _texts | st.integers(), tuples=True)
 _json_documents = _nested(_python_leaves, _texts, tuples=False)  # json.loads reads them back as they are
-_bad_leaves = st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"), 1j, {1}, object()])
-# [re, im] pairs as matrix_pairs and complex_pair write them, and pairs with a NumPy float in them
+_bad_leaves = st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"), complex(0.5, float("inf")),
+                                {1}, object()])
+# [re, im] pairs of floats, the text of a complex number, and pairs with a NumPy float in them
 _pair_floats = _finite | _edge_floats | st.just(1.0)
 _pairs = st.lists(_pair_floats | _pair_floats.map(np.float64), min_size=2, max_size=2)
 _pair_documents = _nested(_pairs | _leaves, _texts, tuples=True)
+
+
+def _as_pairs(value):
+    """``value`` with each complex number replaced by the list of its real and imaginary parts."""
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, dict):
+        return {key: _as_pairs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_as_pairs(item) for item in value)
+    return value
 
 
 class TestEmitterAgainstReference:
@@ -333,6 +352,13 @@ class TestEmitterAgainstReference:
     def test_pair_documents_same_text_as_reference(self, doc):
         assert dumps(doc) == reference_dumps(doc)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc=_documents)
+    @example(doc=[[1 + 2j, -0.0j], (np.complex128(5e-324 - 1e300j),), {"z": [complex(-0.0, 1.0), 0.5]}])
+    def test_complex_leaves_same_text_as_their_pairs(self, doc):
+        # a complex number and the list of its two parts are one text, in every layout
+        assert dumps(doc) == dumps(_as_pairs(doc))
+
     @pytest.mark.parametrize("pair", [[float("nan"), 0.0], [0.5, float("inf")], [-float("inf"), -float("inf")],
                                       [np.float64("nan"), 1.0]], ids=["nan-re", "inf-im", "both", "f64-nan"])
     @pytest.mark.parametrize("place", [lambda p: p, lambda p: [[p, [0.0, 1.0]]], lambda p: {"g": p, "x": 1.0},
@@ -352,7 +378,7 @@ class TestEmitterAgainstReference:
     @pytest.mark.parametrize("bad,error", [
         (float("nan"), ValueError), (float("inf"), ValueError), (-float("inf"), ValueError),
         (np.float32("nan"), ValueError), (np.float64("-inf"), ValueError),
-        (1 + 2j, TypeError), ({1, 2}, TypeError), (object(), TypeError),
+        (complex(1.0, float("nan")), ValueError), ({1, 2}, TypeError), (object(), TypeError),
     ], ids=["nan", "inf", "-inf", "f32-nan", "f64-inf", "complex", "set", "object"])
     @pytest.mark.parametrize("place", [lambda v: v, lambda v: [v], lambda v: {"a": [1.0, v]},
                                        lambda v: [[0.5], {"b": v}]], ids=["bare", "list", "pair", "nested"])
@@ -365,7 +391,7 @@ class TestEmitterAgainstReference:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=_nested(_leaves | _bad_leaves, _texts, tuples=True))
     @example(doc=[[float("nan")], object()])  # a container's error comes before a later leaf's
-    @example(doc={"a": [0.5, [1j], float("inf")]})
+    @example(doc={"a": [0.5, [complex(float("nan"), 1.0)], float("inf")]})
     def test_same_error_as_reference(self, doc):
         # the first unserializable value in document order decides the exception, as in the reference
         try:

@@ -22,7 +22,6 @@ from holosim.holonomy import (
     _pair_weights,
     certify,
     check_parallel_transport,
-    computational_frame,
     projected_propagator,
     trace_subspace,
     wilson_loop,
@@ -31,7 +30,7 @@ from holosim.linalg import expm_hermitian, frobenius, gate_fidelity, inner, pola
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, apply_local, block_hamiltonian,
                             cumulative_area, local_form, propagate_exact)
 
-from oracles import eigh_frames, haar_unitary, subspace_energies, wilson_product
+from oracles import computational_frame, eigh_frames, haar_unitary, subspace_energies, wilson_product
 
 LAYOUT = ChainLayout(2)
 
@@ -190,14 +189,13 @@ class TestCertify:
         assert peak < 2**20
         assert holonomy._cached_table.cache_info() == cached
 
-    @pytest.mark.parametrize("pulse,qubits", [(ThreeSitePulse(1, 0.5), 12), (OneQubitPulse(1, 0.5, 0.0), 16)])
-    def test_frame_is_budgeted_before_it_is_built(self, pulse, qubits):
-        # the dim x 2^12 logical frame is about 5.5 PiB, the dim x 2 frame at N = 16 about 18 PiB;
-        # certify no longer builds them, but computational_frame still takes any layout
+    def test_frame_is_budgeted_before_it_is_built(self):
+        # the dim x 2^12 logical frame, a three-site pulse's full-chain frame, is about 5.5 PiB;
+        # certify builds only the minimal chain's
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError, match="physical memory"):
-                computational_frame(pulse, ChainLayout(qubits))
+                logical_frame(ChainLayout(12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,7 +231,7 @@ class TestCertify:
             monkeypatch.setattr(holonomy, name, 0.0)
         layout, pulse = ChainLayout(1), OneQubitPulse(1, 0.7, 0.3)
         eigenvector = np.linalg.eigh(local_form(pulse, layout)[1])[1][:, :1]  # eigenvalue -1
-        monkeypatch.setattr(holonomy, "computational_frame", lambda pulse, layout: eigenvector)
+        monkeypatch.setattr(holonomy, "logical_frame", lambda layout: eigenvector)
         report = certify(pulse, layout, samples=64, strict=False)
         assert report.dynamical_phase == pytest.approx(-np.pi, abs=1e-12)
         assert report.failures == (
@@ -399,16 +397,6 @@ class TestAgainstDenseOracle:
 
 
 class TestPulseClassForms:
-    @pytest.mark.parametrize("n_logical", [1, 2, 3])
-    def test_one_qubit_frame_is_two_logical_columns(self, n_logical):
-        layout = ChainLayout(n_logical)
-        full = logical_frame(layout)
-        for qubit in range(1, n_logical + 1):
-            frame = computational_frame(OneQubitPulse(qubit, 0.3, 0.1), layout)
-            assert np.array_equal(frame, full[:, [0, 2 ** (n_logical - qubit)]])
-        for pair in range(1, n_logical):
-            assert np.array_equal(computational_frame(ThreeSitePulse(pair, 0.3), layout), full)
-
     def test_a_batch_of_pulses_is_not_certified(self):
         with pytest.raises(ValueError, match=r"one pulse, not a batch of shape \(2,\)"):
             certify(OneQubitPulse(1, np.array([0.1, 0.2]), 0.0), LAYOUT)
@@ -417,12 +405,6 @@ class TestPulseClassForms:
             certify(ThreeSitePulse(1, 0.3, area=np.full((1, 3), np.pi)), LAYOUT)
 
     def test_out_of_range_and_non_pulses_are_rejected(self):
-        with pytest.raises(ValueError, match="qubit 3 out of range"):
-            computational_frame(OneQubitPulse(3, 0.3, 0.1), LAYOUT)
-        with pytest.raises(ValueError, match="pair 2 out of range"):
-            computational_frame(ThreeSitePulse(2, 0.3), LAYOUT)
-        with pytest.raises(TypeError, match="not a pulse"):
-            computational_frame(np.eye(3), LAYOUT)
         with pytest.raises(ValueError, match="qubit 3 out of range"):
             certify(OneQubitPulse(3, 0.3, 0.1), LAYOUT)
         with pytest.raises(ValueError, match="pair 2 out of range"):
