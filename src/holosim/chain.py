@@ -19,13 +19,12 @@ single full-chain operators.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _COPIES, check_memory, embed_factor, finite
+from .linalg import check_memory, embed_factor, finite, power_bytes
 
 __all__ = [
     "SIGMA_Z3",
@@ -234,15 +233,9 @@ def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
 
 
 def check_columns(what: str, layout: ChainLayout, columns: int) -> None:
-    """``check_memory`` for ``columns`` complex vectors of the chain, 16 * columns * 3^n_sites bytes.
-
-    Past 630 sites that is over 2^1000 bytes, more than any memory, and the power of 3 takes seconds
-    to form from 10^7 sites on and minutes from 10^8: such a chain is refused from n_sites alone.
-    """
-    if layout.n_sites <= 630:
-        return check_memory(what, 16 * columns * layout.dim)
-    gib = math.log2(16 * _COPIES[0] / _COPIES[1]) + math.log2(columns) + layout.n_sites * math.log2(3) - 30
-    raise MemoryError(f"{what} needs about 2^{gib:.0f} GiB, more than any physical memory")
+    """``check_memory`` for ``columns`` complex vectors of the chain, 16 * columns * 3^n_sites bytes; a
+    chain past any memory is refused from n_sites alone (``power_bytes``)."""
+    check_memory(what, power_bytes(what, 16 * columns, 3, layout.n_sites))
 
 
 def logical_frame(layout: ChainLayout) -> np.ndarray:

@@ -26,7 +26,7 @@ from .checks import SUITE_NAMES, run_suite
 from .compiler import compile_gate, circuit_unitary
 from .formats import FormatError, dumps, loads_circuit, loads_schedule, pulse_to_dict, schedule_to_obj
 from .gates import entangling_verdict, extract_logical_gate, makhlin_invariants
-from .linalg import check_memory
+from .linalg import check_memory, power_bytes
 from .pulses import run_schedule
 
 __all__ = ["main", "build_parser"]
@@ -130,7 +130,8 @@ def cmd_compile(args) -> int:
     layout = ChainLayout(args.qubits)
     # the 2^N x 2^N unitary, 16 bytes an entry, and its JSON rendering, at most 252 bytes an entry at N = 8-10
     # (the entry's complex from tolist(), and its [re, im] text in its row's and in the document's string)
-    check_memory(f"compile at N={args.qubits}", (16 + 252) * layout.logical_dim ** 2)
+    what = f"compile at N={args.qubits}"
+    check_memory(what, power_bytes(what, 16 + 252, 4, layout.n_logical))
     circuit = loads_circuit(_read(args.circuit))
     schedule = []
     provenance = []

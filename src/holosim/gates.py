@@ -174,11 +174,20 @@ def _leakage(columns: np.ndarray, idx: list[int]) -> np.ndarray:
     The square root of the largest eigenvalue of their 2^N x 2^N Gram matrix,
     summed over the runs of rows between consecutive logical indices; the
     runs are views and ``inner`` conjugates nothing, so no row is copied.
+    At N = 1 the Gram [[p, q*], [q, r]] has the closed-form largest eigenvalue
+    (p + r)/2 + hypot((p - r)/2, |q|), with q read from the lower triangle as
+    ``eigvalsh`` reads it; ``hypot`` squares nothing, so Grams down to 1e-300
+    keep their precision.  Larger Grams take ``eigvalsh``.
     """
     edges = [-1, *idx, columns.shape[-2]]
     gram = sum(inner(columns[..., a + 1:b, :], columns[..., a + 1:b, :])
                for a, b in zip(edges, edges[1:]) if b > a + 1)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    if gram.shape[-1] == 2:
+        p, q, r = gram[..., 0, 0].real, gram[..., 1, 0], gram[..., 1, 1].real
+        largest = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.hypot(q.real, q.imag))
+    else:
+        largest = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(np.maximum(largest, 0.0))
 
 
 def extract_logical_gate(

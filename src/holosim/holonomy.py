@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainLayout, logical_frame
-from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner, polar_unitary
+from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner, polar_unitary, power_bytes
 from .pulses import Pulse, apply_local, closed_form, cumulative_area, local_form
 
 __all__ = [
@@ -390,7 +390,8 @@ def certify(
         raise TypeError(f"not a pulse: {pulse!r}")
     local, chain, (left, right) = pulse.minimal_chain(layout)
     size = left * chain.logical_dim * right
-    check_memory(f"the two certified gates at N={layout.n_logical}", 2 * 16 * size * size)
+    what = f"the two certified gates at N={layout.n_logical}"
+    check_memory(what, power_bytes(what, 2 * 16, size, 2))
     path = trace_subspace(local, logical_frame(chain), samples, chain)
 
     # every K x K block of the full-chain path is the local block (x) 1_m up to a fixed

@@ -13,11 +13,16 @@ allocates only its result; ``embed_factor`` builds 1 (x) op (x) 1.
 ``expm_hermitian`` is the general dense exponential, through a full
 Hermitian eigendecomposition; pulse propagation does not use it (the local
 blocks have a closed-form exponential, see ``pulses``), so it serves as the
-dense reference for any Hermitian matrix.  ``check_memory`` is the memory
-budget the commands, the frame builders and ``holonomy.trace_subspace`` check
-before they allocate.  ``float_array``, ``float_or_inf`` and ``finite`` read an
-int beyond the float range as infinite, so a check refuses it as it refuses inf;
-``finite`` takes a Python number without making an array.
+dense reference for any Hermitian matrix.  ``polar_unitary`` unitarizes
+through one SVD per matrix, except a 2 x 2 matrix, whose polar factor and
+singular values have a closed form (see ``_polar_2x2``), so a stack of them
+costs a few array operations and no LAPACK call.  ``check_memory`` is the
+memory budget the commands, the frame builders and ``holonomy.trace_subspace``
+check before they allocate; ``power_bytes`` sizes a request that grows as a
+power of the chain, and refuses one past any memory from its logarithm.
+``float_array``, ``float_or_inf`` and ``finite`` read an int beyond the float
+range as infinite, so a check refuses it as it refuses inf; ``finite`` takes a
+Python number without making an array.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "polar_unitary",
     "gate_fidelity",
     "check_memory",
+    "power_bytes",
 ]
 
 
@@ -210,16 +216,78 @@ def polar_unitary(M) -> np.ndarray:
 
     Every matrix must be numerically full rank (smallest singular value above
     1e-8); otherwise the polar factor is not well defined and a ValueError
-    names the smallest singular value.
+    names the smallest singular value.  A 2 x 2 matrix takes the closed form
+    of ``_polar_2x2``; any other size is W = U V^dag from one SVD per matrix.
     """
     M = _as_square_matrix(M, "M")
+    if M.shape[-1] == 2:
+        return _polar_2x2(M)
     U, s, Vh = np.linalg.svd(M)
-    smallest = s[..., -1].min(initial=np.inf)
+    _check_rank(s[..., -1].min(initial=np.inf))
+    return U @ Vh
+
+
+def _check_rank(smallest) -> None:
     if smallest <= 1e-8:
         raise ValueError(
             f"polar_unitary: matrix is rank deficient, smallest singular value {smallest:.3e}"
         )
-    return U @ Vh
+
+
+def _scalar_hypot(y, x) -> float:
+    return float(np.hypot(y, x))  # numpy's hypot for a single matrix too: math.hypot can differ by an ulp
+
+
+_ADJ_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])  # adj(M)^dag = [[d*, -c*], [-b*, a*]]
+
+
+def _polar_2x2(M) -> np.ndarray:
+    """Polar factor of each 2 x 2 matrix, W = (M + e^{i arg det M} adj(M)^dag) / (s1 + s2), with no SVD.
+
+    With M = U diag(s1, s2) V^dag, e^{i arg det M} adj(M)^dag = |det M| M^{-dag} = U diag(s2, s1) V^dag, so
+    the sum is (s1 + s2) U V^dag.  s1 + s2 = sqrt(||M||_F^2 + 2 |det M|), s1 - s2 = sqrt(||M||_F^2 - 2 |det M|),
+    and the smallest singular value s2 = |det M| / s1 is checked against the rank floor before anything
+    is divided by |det M|.  Each matrix is first scaled by the power of two that puts its largest real or
+    imaginary part in [1/2, 1): W does not change, no square overflows, and s2 is scaled back exactly.
+    The arithmetic is real.  A single matrix runs it on its eight numbers and a stack on eight rows of
+    numbers, with the same roundings (a sign is an exact product), so a matrix gives the same bits alone
+    and in a stack.
+    """
+    single = M.ndim == 2
+    if single:  # one matrix: Python floats, with none of numpy's per-call cost
+        x = _real_view(M).ravel().tolist()
+        shift = math.frexp(max(map(abs, x)))[1]
+        x = [math.ldexp(v, -shift) for v in x]
+        sq = [v * v for v in x]
+        sqrt, maximum, hypot, ldexp = math.sqrt, max, _scalar_hypot, math.ldexp
+    else:  # a stack: eight contiguous rows, one number of every matrix each
+        x = _real_view(M).reshape(-1, 8).T.copy()
+        shift = np.frexp(np.abs(x).max(axis=0))[1]
+        x = np.ldexp(x, -shift)
+        sq = x * x
+        sqrt, maximum, hypot, ldexp = np.sqrt, np.maximum, np.hypot, np.ldexp
+    ar, ai, br, bi, cr, ci, dr, di = x
+    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+    abs_det = hypot(det_re, det_im)
+    frob2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))
+    total = sqrt(frob2 + 2.0 * abs_det)  # s1 + s2
+    s_max = 0.5 * (total + sqrt(maximum(frob2 - 2.0 * abs_det, 0.0)))
+    s_min = ldexp(abs_det / (s_max + (s_max == 0.0)), shift)  # a zero matrix has s_max = 0 and s2 = 0 / 1
+    _check_rank(s_min if single else s_min.min(initial=math.inf))
+    # entry k of the phase times adj(M)^dag is sign_k * phase * conj(entry 3 - k), for the entries a, b, c, d
+    pr, pi = det_re / abs_det, det_im / abs_det
+    if single:
+        W = [(ar + (pr * dr + pi * di)) / total, (ai + (pi * dr - pr * di)) / total,
+             (br - (pr * cr + pi * ci)) / total, (bi - (pi * cr - pr * ci)) / total,
+             (cr - (pr * br + pi * bi)) / total, (ci - (pi * br - pr * bi)) / total,
+             (dr + (pr * ar + pi * ai)) / total, (di + (pi * ar - pr * ai)) / total]
+        return np.array(W).view(complex).reshape(2, 2)
+    re, im = x[0::2], x[1::2]
+    W = np.empty_like(x)
+    np.divide(re + _ADJ_SIGNS * (pr * re[::-1] + pi * im[::-1]), total, out=W[0::2])
+    np.divide(im + _ADJ_SIGNS * (pi * re[::-1] - pr * im[::-1]), total, out=W[1::2])
+    return W.T.copy().view(complex).reshape(M.shape)
 
 
 def gate_fidelity(U, V) -> float:
@@ -265,3 +333,16 @@ def check_memory(what: str, nbytes: int) -> None:
     if need > have:
         raise MemoryError(f"{what} needs about {_gib(need)}, "
                           f"more than the {_gib(have)} of physical memory")
+
+
+def power_bytes(what: str, nbytes: int, base: int, exponent: int) -> int:
+    """``nbytes * base**exponent``, the size of a request that grows as a power of the chain, for ``check_memory``.
+
+    Past 2^1000 bytes, more than any memory, the request is refused here, from the logarithm of its size:
+    at 10^8 qubits the power itself takes a second to form, and 3^(2N - 1) minutes.
+    """
+    log2 = math.log2(nbytes) + exponent * math.log2(base)
+    if log2 <= 1000:
+        return nbytes * base ** exponent
+    gib = math.log2(_COPIES[0] / _COPIES[1]) + log2 - 30
+    raise MemoryError(f"{what} needs about 2^{gib:.0f} GiB, more than any physical memory")

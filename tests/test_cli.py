@@ -302,13 +302,14 @@ class TestLargeChainGuard:
         assert "physical memory" in err and "Traceback" not in err
 
     def test_a_huge_chain_is_refused_promptly(self):
-        # 3^(2N - 1) at N = 10^8 has over 3 * 10^8 bits, and forming it took minutes: the chain-sized budgets
-        # of simulate and extract-gate refuse such a chain from its number of sites.  One fresh interpreter
-        # times each command
+        # 3^(2N - 1) at N = 10^8 has over 3 * 10^8 bits, and forming it took minutes; compile's 4^N took
+        # a second.  The chain- and register-sized budgets of simulate, extract-gate and compile refuse
+        # such a chain from the logarithm of its size.  One fresh interpreter times each command
         script = ("import contextlib, io, json, time\n"
                   "from holosim.cli import main\n"
                   "for argv in (['simulate', '--schedule', 'x', '--qubits', '100000000', '--initial', '0'],\n"
-                  "             ['extract-gate', '--schedule', 'x', '--qubits', '100000000']):\n"
+                  "             ['extract-gate', '--schedule', 'x', '--qubits', '100000000'],\n"
+                  "             ['compile', '--circuit', 'x', '--qubits', '100000000']):\n"
                   "    err, start = io.StringIO(), time.perf_counter()\n"
                   "    with contextlib.redirect_stderr(err):\n"
                   "        code = main(argv)\n"
@@ -316,10 +317,11 @@ class TestLargeChainGuard:
         result = TestInProcessReuse.fresh_python("-c", script)
         assert result.returncode == 0, result.stderr
         runs = [json.loads(line) for line in result.stdout.splitlines()]
-        assert len(runs) == 2
-        for (code, seconds, err), what in zip(runs, ("simulate", "the logical frame")):
-            assert code == 2 and seconds < 2.0, (code, seconds, err)
-            assert err.startswith(f"error: {what} at N=100000000 needs about 2^") and "physical memory" in err, err
+        assert len(runs) == 3
+        for (code, seconds, err), what in zip(runs, ("simulate", "the logical frame", "compile")):
+            assert code == 2 and seconds < 0.5, (code, seconds, err)
+            assert err.startswith(f"error: {what} at N=100000000 needs about 2^")
+            assert err.endswith(" GiB, more than any physical memory\n"), err
 
     def test_compile_estimate_covers_the_rendering(self, tmp_path, monkeypatch):
         # a dense 2^7 x 2^7 unitary (a rotation on every qubit, an XY gate on every pair), whose JSON

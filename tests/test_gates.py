@@ -21,6 +21,7 @@ from holosim.gates import (
     projected_block_maps,
     schmidt_coefficients,
     two_qubit_gate,
+    _leakage,
 )
 from holosim.linalg import expm_hermitian, polar_unitary, unitarity_defect
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
@@ -176,6 +177,62 @@ class TestExtractLogicalGate:
     def test_full_propagator_is_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             extract_logical_gate(np.eye(27), ChainLayout(2))
+
+
+class TestTwoByTwoLeakage:
+    """At N = 1 the leakage is read from the closed-form largest eigenvalue of a 2 x 2 Gram,
+    checked here against ``eigvalsh`` on the same Gram."""
+
+    @staticmethod
+    def _oracle(columns, idx):
+        rest = np.delete(columns, idx, axis=-2)
+        gram = rest.conj().swapaxes(-1, -2) @ rest
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+    def _check(self, columns, idx):
+        got = _leakage(columns, idx)
+        want = self._oracle(columns, idx)
+        assert np.shape(got) == columns.shape[:-2]
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        for point in np.ndindex(columns.shape[:-2]):  # a member alone gives the same bits as in its stack
+            assert _leakage(columns[point], idx) == np.asarray(got)[point]
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-150])
+    def test_rank_one_gram_of_the_one_qubit_chain(self, shape, scale):
+        # an N = 1 chain has three rows and one of them is not logical; scale 1e-150 makes Grams near 1e-300
+        rng = np.random.default_rng([41, len(shape), int(-np.log10(scale))])
+        columns = rng.normal(size=shape + (3, 2)) + 1j * rng.normal(size=shape + (3, 2))
+        columns[..., 2, :] *= scale
+        self._check(columns, [0, 1])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150])
+    def test_full_rank_grams(self, shape, scale):
+        rng = np.random.default_rng([42, len(shape), int(-np.log10(scale))])
+        columns = scale * (rng.normal(size=shape + (6, 2)) + 1j * rng.normal(size=shape + (6, 2)))
+        self._check(columns, [0, 4])
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-500])
+    def test_equal_diagonal(self, scale):
+        # p == r exactly: the second column permutes the first's small-integer entries and multiplies
+        # them by powers of i, and the power-of-two scale (2^-500 gives Grams near 1e-301) is exact
+        rng = np.random.default_rng(43)
+        first = rng.integers(-3, 4, size=(6, 3)) + 1j * rng.integers(-3, 4, size=(6, 3))
+        second = np.array([row[rng.permutation(3)] * 1j ** rng.integers(0, 4, size=3) for row in first])
+        rest = scale * np.stack([first, second], axis=-1)
+        columns = np.concatenate([np.eye(2)[None].repeat(6, axis=0), rest], axis=-2)
+        gram = rest.conj().swapaxes(-1, -2) @ rest
+        assert np.array_equal(gram[:, 0, 0], gram[:, 1, 1])
+        self._check(columns, [0, 1])
+        want = np.sqrt(gram[:, 0, 0].real + np.abs(gram[:, 1, 0]))
+        assert np.all(np.abs(_leakage(columns, [0, 1]) - want) <= 1e-14 * want)
+
+    def test_known_values(self):
+        assert _leakage(np.eye(3)[:, :2], [0, 1]) == 0.0  # no leakage
+        columns = np.zeros((3, 2), dtype=complex)
+        columns[2] = [1.0, 1j]  # the Gram [[1, 1j], [-1j, 1]] has eigenvalues 0 and 2
+        assert _leakage(columns, [0, 1]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def _random_schedule(layout, rng, cyclic):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -211,6 +212,15 @@ class TestCertify:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_huge_chain_is_refused_promptly(self):
+        # the two embedded gates at N = 10^8 hold 4^N entries: refused from the logarithm of their
+        # size, before any 4^N-sized int is formed (squaring the 2^N-sized one took over a second)
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match=r"^the two certified gates at N=100000000 needs about "
+                                              r"2\^199999976 GiB, more than any physical memory$"):
+            certify(ThreeSitePulse(1, 0.5), ChainLayout(10**8))
+        assert time.perf_counter() - start < 0.5
 
     def test_one_qubit_pulse_at_sixteen_qubits(self):
         # a dim x 2 frame at N = 16 would be about 18 PiB; the minimal chain has three rows

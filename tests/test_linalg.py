@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,93 @@ class TestPolarUnitary:
         assert np.array_equal(polar_unitary(np.diag([1.0, 2e-8])), np.eye(2))
         with pytest.raises(ValueError, match="singular value 1.000e-08"):
             polar_unitary(np.diag([1.0, 1e-8]))
+
+    # A 2 x 2 matrix takes the closed form, checked against the SVD polar factor U V^dag.  The
+    # polar factor of a complex matrix is as sensitive as the matrix is ill-conditioned, so the
+    # two may differ by 1e-15 times its condition number.
+    STACKS = [(), (0,), (7,), (3, 4)]
+
+    @staticmethod
+    def _svd_oracle(M):
+        U, s, Vh = np.linalg.svd(M)
+        return U @ Vh, s[..., 0] / s[..., -1]
+
+    def _assert_matches_oracle(self, M):
+        W = polar_unitary(M)
+        want, cond = self._svd_oracle(M)
+        assert W.shape == M.shape and W.dtype == complex
+        assert np.all(np.abs(W - want).max(axis=(-2, -1), initial=0.0) <= 1e-15 * cond)
+        if M.ndim > 2:  # each member alone gives the same bits as in its stack
+            for point in np.ndindex(M.shape[:-2]):
+                assert np.array_equal(polar_unitary(M[point]), W[point])
+
+    @pytest.mark.parametrize("shape", STACKS)
+    def test_two_by_two_random_matrices(self, shape):
+        rng = np.random.default_rng([31, len(shape)])
+        size = int(np.prod(shape, dtype=int))
+        # condition numbers from 1 to about 3e7, between the two singular values' scales
+        left = np.array([haar_unitary(2, rng) for _ in range(size)]).reshape(shape + (2, 2))
+        right = np.array([haar_unitary(2, rng) for _ in range(size)]).reshape(shape + (2, 2))
+        s = np.stack(np.broadcast_arrays(1.0, 10.0 ** -rng.uniform(0.0, 7.5, size=shape)), axis=-1)
+        self._assert_matches_oracle((left * s[..., None, :]) @ right)
+        self._assert_matches_oracle(rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2)))
+
+    @pytest.mark.parametrize("shape", STACKS)
+    def test_two_by_two_near_unitary_blocks(self, shape):
+        # the logical blocks extract_logical_gate unitarizes: unitary up to a leakage below 1e-8
+        rng = np.random.default_rng([32, len(shape)])
+        size = int(np.prod(shape, dtype=int))
+        U = np.array([haar_unitary(2, rng) for _ in range(size)]).reshape(shape + (2, 2))
+        E = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+        M = U + 1e-9 * E
+        self._assert_matches_oracle(M)
+        assert np.abs(polar_unitary(M) - U).max(initial=0.0) <= 1e-8
+
+    @pytest.mark.parametrize("shape", STACKS)
+    @pytest.mark.parametrize("exponent", [200, 300])
+    def test_two_by_two_huge_entries(self, shape, exponent):
+        # each member is scaled by a power of two before any square: no overflow and no warning
+        rng = np.random.default_rng([33, len(shape), exponent])
+        M = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+        self._assert_matches_oracle(10.0 ** exponent * M)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_two_by_two_tiny_entries_are_refused_with_their_value(self, shape):
+        # entries near 1e-200 are far below the rank floor; their squares would underflow unscaled
+        rng = np.random.default_rng([35, len(shape)])
+        M = 1e-200 * (rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2)))
+        with pytest.raises(ValueError, match="rank deficient") as refused:
+            polar_unitary(M)
+        smallest = float(str(refused.value).rsplit(" ", 1)[1])
+        assert smallest == pytest.approx(np.linalg.svd(M, compute_uv=False)[..., -1].min(), rel=1e-3)
+
+    def test_two_by_two_singular_values_far_apart(self):
+        # the largest entry near 1e200 and the smallest singular value 1e-5: |det M| = 1e195 is far
+        # below the squares of the entries, and still above the rank floor
+        M = np.array([[3e200, 0.0], [0.0, -1e-5j]])
+        assert np.array_equal(polar_unitary(M), np.diag([1.0, -1j]))
+        with pytest.raises(ValueError, match=r"singular value 1\.000e-09$"):
+            polar_unitary(np.array([[3e200, 0.0], [0.0, 1e-9]]))
+
+    @pytest.mark.parametrize("M, smallest", [
+        (np.zeros((2, 2)), "0.000e+00"),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), "0.000e+00"),  # singular: det M = 0 exactly
+        (np.array([[1.0, 1j], [1j, -1.0]]), "0.000e+00"),
+        (1e-200 * np.array([[1.0, 0.0], [0.0, 0.3]]), "3.000e-201"),  # tiny entries keep their value
+        (np.array([np.eye(2), np.zeros((2, 2))]), "0.000e+00"),  # a zero member of a stack
+    ])
+    def test_two_by_two_refusals_name_the_smallest_singular_value(self, M, smallest):
+        with pytest.raises(ValueError, match=rf"^polar_unitary: matrix is rank deficient, smallest singular value "
+                                             rf"{re.escape(smallest)}$"):
+            polar_unitary(M)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_other_sizes_keep_the_svd(self, n):
+        rng = np.random.default_rng(34 + n)
+        for shape in ((), (5,)):
+            M = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+            U, _, Vh = np.linalg.svd(M)
+            assert np.array_equal(polar_unitary(M), U @ Vh)
 
 
 class TestGateFidelity:
