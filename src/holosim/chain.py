@@ -12,15 +12,23 @@ Basis conventions (fixed once, everything downstream depends on them):
 
 The local blocks ``lambda_coupling`` and ``xy_coupling`` take arrays of
 angles and return stacks (..., 3^k, 3^k) with the angles' leading axes; a
-number is a batch with no leading axes and gives one block.  ``embed``
-takes a stack of operators too; ``h1``, ``h3`` and ``block_sz`` build
-single full-chain operators.
+number is a batch with no leading axes and gives one block.  Both blocks
+satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2, and
+``lambda_propagator`` and ``xy_propagator`` write that exponential entry by
+entry from the same few numbers the blocks are written from: the drive's
+bright state for the 3 x 3 block, and five constant 8 x 8 tables on the
+qubit sector for the 27 x 27 one.  No block, separate identity or matrix
+product is formed on the way, and a batch runs the same element-wise
+operations as a single pulse, so each member has the single pulse's bits.
+``embed`` takes a stack of operators too; ``h1``, ``h3`` and ``block_sz``
+build single full-chain operators.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +39,9 @@ __all__ = [
     "ChainLayout",
     "embed",
     "lambda_coupling",
+    "lambda_propagator",
     "xy_coupling",
+    "xy_propagator",
     "h1",
     "h3",
     "block_sz",
@@ -73,7 +83,7 @@ class ChainLayout:
     def n_sites(self) -> int:
         return 2 * self.n_logical - 1
 
-    @property
+    @cached_property  # formed once: 3^n_sites takes seconds at 10^7 qubits; eq, hash and replace read fields only
     def dim(self) -> int:
         return 3 ** self.n_sites
 
@@ -150,6 +160,26 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     return embed_factor(op, 3 ** (start_site - 1), 3 ** (layout.n_sites - (start_site + m - 1)))
 
 
+def _bright(theta, phi):
+    """(s, c, x, y) = (sin(t/2), cos(t/2), s cos(p), s sin(p)) for angle numbers or arrays.
+
+    The drive couples |e> to the bright state |w> = (x - i y)|0> - c|1> alone: its block is
+    |e><w| + |w><e|, whose square is |e><e| + |w><w|.
+    """
+    half = 0.5 * theta
+    s = np.sin(half)
+    return s, np.cos(half), s * np.cos(phi), s * np.sin(phi)
+
+
+def _written(shape: tuple, size: int, entries) -> np.ndarray:
+    """The complex stack ``shape`` + (size, size) that is zero but for ``entries``, (row, column, part, value) with
+    part 0 the real and 1 the imaginary part; each value broadcasts over the stack axes."""
+    out = np.zeros(shape + (size, size, 2))
+    for row, col, part, value in entries:
+        out[..., row, col, part] = value
+    return out.view(complex)[..., 0]
+
+
 def lambda_coupling(theta, phi) -> np.ndarray:
     """Local 3x3 two-field coupling sin(t/2)e^{i p}|e><0| - cos(t/2)|e><1| + h.c.
 
@@ -157,18 +187,34 @@ def lambda_coupling(theta, phi) -> np.ndarray:
     and relative phase phi; the {|0>,|1>} block is exactly zero, and the
     nonzero spectrum is {+1, -1} for every (theta, phi) since the coupling
     vector has unit norm.  Array angles broadcast: the result is a stack of
-    shape (..., 3, 3), and numbers give one 3x3 block.
+    shape (..., 3, 3), and numbers give one 3x3 block.  Its four nonzero
+    entries are the bright state's amplitudes (``_bright``).
     """
     if not (finite(theta) and finite(phi)):
         raise ValueError("theta and phi must be finite")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    half = 0.5 * theta
-    if theta.ndim or phi.ndim:  # arrays of angles index the stack axes, ahead of the matrix axes
-        half, phi = half[..., None, None], phi[..., None, None]
-    return (
-        np.sin(half) * (np.cos(phi) * _GELL_MANN[1] - np.sin(phi) * _GELL_MANN[2])
-        - np.cos(half) * _GELL_MANN[4]
-    )
+    _, c, x, y = _bright(theta, phi)
+    return _written(np.broadcast_shapes(theta.shape, phi.shape), 3,
+                    [(0, 2, 0, x), (0, 2, 1, -y), (2, 0, 0, x), (2, 0, 1, y), (1, 2, 0, -c), (2, 1, 0, -c)])
+
+
+def lambda_propagator(theta, phi, area) -> np.ndarray:
+    """exp(-i a H) of ``lambda_coupling(theta, phi)`` at area a, written entry by entry.
+
+    It is 1 - i sin(a) H + (cos(a) - 1) H^2 with H = |e><w| + |w><e| and
+    H^2 = |e><e| + |w><w| (``_bright``).  Angles and areas broadcast into a
+    stack (..., 3, 3) as in ``lambda_coupling``; they are taken as checked.
+    """
+    theta, phi, area = (np.asarray(v, dtype=float) for v in (theta, phi, area))
+    s, c, x, y = _bright(theta, phi)
+    sin_a, cos_a = np.sin(area), np.cos(area)
+    cos_m1 = cos_a - 1.0
+    k = cos_m1 * c  # (cos(a) - 1) times the |1> amplitude of |w>, whose sign the entries carry
+    kx, ky, sx, sy, sc = k * x, k * y, sin_a * x, sin_a * y, sin_a * c
+    return _written(np.broadcast_shapes(theta.shape, phi.shape, area.shape), 3, [
+        (0, 0, 0, 1.0 + cos_m1 * (s * s)), (1, 1, 0, 1.0 + cos_m1 * (c * c)), (2, 2, 0, cos_a),
+        (0, 1, 0, -kx), (0, 1, 1, ky), (1, 0, 0, -kx), (1, 0, 1, -ky),
+        (0, 2, 0, -sy), (0, 2, 1, -sx), (2, 0, 0, sy), (2, 0, 1, -sx), (1, 2, 1, sc), (2, 1, 1, sc)])
 
 
 def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
@@ -186,13 +232,23 @@ _HOP = 0.5 * (
     np.kron(_GELL_MANN[6], _GELL_MANN[6]) + np.kron(_GELL_MANN[7], _GELL_MANN[7])
 )
 
-# Qubit-sector projector of one qutrit.  The three-site coupling carries it
-# on the bystander site of each bond so that every |e>-carrying
-# configuration of the block is annihilated, not merely decoupled from the
-# computational states; the action on the qubit sector is unchanged.
-_QUBIT = np.diag([1.0, 1.0, 0.0]).astype(complex)
-_LEFT_BOND = np.kron(_HOP, _QUBIT)
-_RIGHT_BOND = np.kron(_QUBIT, _HOP)
+# The three-site coupling is zero off its qubit sector, the 8 states with every site in |0> or |1>: so
+# every |e>-carrying configuration of the block is annihilated, not merely decoupled from the
+# computational states.  Sector state 4a + 2b + c, for site values (a, b, c), is state 9a + 3b + c of
+# the 27.  On the sector the left bond L is the hop on sites 1 and 2 and the right bond R the hop on
+# sites 2 and 3.  The tables are formed in integers, exactly, and with no BLAS call: (L, R, L^2, R^2,
+# LR + RL), as H = -cos(v/2) L + sin(v/2) R squares to cos^2 L^2 + sin^2 R^2 - cos sin (LR + RL).
+_HOP2 = _HOP.real[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])].astype(np.int64)
+_L, _R = np.kron(_HOP2, np.eye(2, dtype=np.int64)), np.kron(np.eye(2, dtype=np.int64), _HOP2)
+_XY_TABLES = tuple(t.astype(float) for t in (_L, _R, _L @ _L, _R @ _R, _L @ _R + _R @ _L))
+_EYE8 = np.eye(8)
+
+
+def _set_sector(parts: np.ndarray, part: int, block: np.ndarray) -> None:
+    """Write the (..., 8, 8) ``block`` into the qubit-sector rows and columns of the real (``part`` 0) or
+    imaginary (1) parts of a (..., 27, 27, 2) array: each index of 27 is read as three sites' values."""
+    sector = parts.reshape(parts.shape[:-3] + (3,) * 6 + (2,))[(..., *(slice(2),) * 6, part)]
+    sector[...] = block.reshape(block.shape[:-2] + (2,) * 6)
 
 
 def xy_coupling(vartheta) -> np.ndarray:
@@ -201,14 +257,44 @@ def xy_coupling(vartheta) -> np.ndarray:
     Commutes with the block pseudo-spin S_z, annihilates every basis state
     carrying |e> on any of the three sites, and, like ``lambda_coupling``,
     has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
-    a stack of shape (..., 27, 27).
+    a stack of shape (..., 27, 27).  Only its qubit sector is summed, from
+    the bond tables; every entry off it is the sector's entry at |000><000|,
+    the same sum of zeros, so each entry has the bits of the full 27 x 27 sum.
     """
     if not finite(vartheta):
         raise ValueError("vartheta must be finite")
     half = 0.5 * np.asarray(vartheta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
     if half.ndim:  # an array of angles indexes the stack axes, ahead of the matrix axes
-        half = half[..., None, None]
-    return -np.cos(half) * _LEFT_BOND + np.sin(half) * _RIGHT_BOND
+        c, s = c[..., None, None], s[..., None, None]
+    block = -c * _XY_TABLES[0] + s * _XY_TABLES[1]
+    out = np.empty(half.shape + (27, 27, 2))
+    out[..., 0], out[..., 1] = block[..., :1, :1], 0.0
+    _set_sector(out, 0, block)
+    return out.view(complex)[..., 0]
+
+
+def xy_propagator(vartheta, area) -> np.ndarray:
+    """exp(-i a H) of ``xy_coupling(vartheta)`` at area a: the 27 x 27 identity with its qubit-sector block set.
+
+    The block is 1 - i sin(a) H + (cos(a) - 1) H^2, with H and H^2 summed
+    from the bond tables element-wise in a fixed order.  Angles and areas
+    broadcast into a stack (..., 27, 27); they are taken as checked.
+    """
+    half, area = 0.5 * np.asarray(vartheta, dtype=float), np.asarray(area, dtype=float)
+    c, s, sin_a, cos_m1 = np.cos(half), np.sin(half), np.sin(area), np.cos(area) - 1.0
+    if half.ndim:  # arrays index the stack axes, ahead of the matrix axes
+        c, s = c[..., None, None], s[..., None, None]
+    if area.ndim:
+        sin_a, cos_m1 = sin_a[..., None, None], cos_m1[..., None, None]
+    L, R, L2, R2, LR = _XY_TABLES
+    square = (c * c) * L2 + (s * s) * R2 - (c * s) * LR
+    shape = np.broadcast_shapes(half.shape, area.shape)
+    out = np.zeros(shape + (27, 27, 2))
+    out.reshape(shape + (-1,))[..., ::56] = 1.0  # the identity: a real 1 every 27 + 1 complex entries
+    _set_sector(out, 0, _EYE8 + cos_m1 * square)
+    _set_sector(out, 1, sin_a * (c * L - s * R))
+    return out.view(complex)[..., 0]
 
 
 def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:

@@ -9,11 +9,11 @@ conjugated copy of X, for the Gram matrices of large column blocks.
 How an operator acts on a tensor factor, of the chain or of the qubit
 register, is decided here alone: ``apply_factor`` contracts it with the factor
 after the first ``left`` dimensions, as one product broadcast over them that
-allocates only its result; ``embed_factor`` builds 1 (x) op (x) 1.
-``expm_hermitian`` is the general dense exponential, through a full
-Hermitian eigendecomposition; pulse propagation does not use it (the local
-blocks have a closed-form exponential, see ``pulses``), so it serves as the
-dense reference for any Hermitian matrix.  ``polar_unitary`` unitarizes
+allocates only its result; ``embed_factor`` builds 1 (x) op (x) 1 as one
+broadcast product.  ``expm_hermitian`` is the general dense exponential,
+through a full Hermitian eigendecomposition; pulse propagation does not use it
+(the local blocks have a closed-form exponential, see ``pulses``), so it
+serves as the dense reference for any Hermitian matrix.  ``polar_unitary`` unitarizes
 through one SVD per matrix, except a 2 x 2 matrix, whose polar factor and
 singular values have a closed form (see ``_polar_2x2``), so a stack of them
 costs a few array operations and no LAPACK call.  ``check_memory`` is the
@@ -166,13 +166,21 @@ def apply_factor(left: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def embed_factor(op: np.ndarray, left: int, right: int) -> np.ndarray:
-    """1_left (x) op (x) 1_right; a stack (..., d, d) gives the stack of embeddings, since
-    ``np.kron`` broadcasts its leading axes.  An identity of size 1 is not multiplied in."""
+    """1_left (x) op (x) 1_right; a stack (..., d, d) gives the stack of embeddings.
+
+    One broadcast product over the axes (left, d, right) of rows and of columns, with the
+    identities' complex 1s and 0s as factors in ``np.kron``'s order, so its bits are those of
+    ``np.kron(np.kron(1_left, op), 1_right)``.  An identity of size 1 is not multiplied in.
+    """
+    if left == right == 1:
+        return op
+    d = op.shape[-1]
+    out = op[..., None, :, None, None, :, None]
     if left > 1:
-        op = np.kron(np.eye(left, dtype=complex), op)
+        out = np.eye(left, dtype=complex)[:, None, None, :, None, None] * out
     if right > 1:
-        op = np.kron(op, np.eye(right, dtype=complex))
-    return op
+        out = out * np.eye(right, dtype=complex)[:, None, None, :]
+    return out.reshape(op.shape[:-2] + (left * d * right,) * 2)
 
 
 def _real_view(X) -> np.ndarray:

@@ -8,25 +8,31 @@ any envelope shape of equal area reproduces the single-shot propagator.
 Each envelope is one row of a table: its shape and its accumulated area.
 
 Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
-3.  Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H +
-(cos(a) - 1) H^2 exactly, and ``closed_form`` alone evaluates it.
-``apply_local`` is the one place that turns a site into the number of
-dimensions before it, 3^(site-1), so that ``linalg.apply_factor`` applies
-the block to a state or to operator columns; the block is embedded only for
-dense propagators.  Each pulse class also says how it moves to its minimal
-chain, one qubit or one pair (``minimal_chain``), and which identities embed
-the gate found there; ``holonomy.certify`` works there.
+3, and one local propagator, (first site, exp(-i a H)) at its area a.  Both
+blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2
+exactly; ``local_propagator`` has ``chain.lambda_propagator`` or
+``chain.xy_propagator`` write it entry by entry from the pulse's numbers,
+with no block, identity or block product formed.  ``closed_form`` evaluates
+the same sum on given terms: the projected maps of ``holonomy``, and the
+slices of ``propagate_stepped``, which squares the block, so that stepped
+and exact propagation are two independent constructions.  ``apply_local`` is
+the one place that turns a site into the number of dimensions before it,
+3^(site-1), so that ``linalg.apply_factor`` applies a propagator to a state
+or to operator columns; it is embedded only for dense propagators.  Each
+pulse class also says how it moves to its minimal chain, one qubit or one
+pair (``minimal_chain``), and which identities embed the gate found there;
+``holonomy.certify`` works there.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
 is then a batch of pulses of one kind on one site.  ``local_form``,
-``closed_form``, ``apply_local`` and ``run_schedule`` carry the batch as
-leading axes of the blocks and of the columns (..., dim, K); a pulse with
-number fields is a batch with no leading axes.  Its blocks get no stack axes,
-as its numbers multiply the matrices directly with the arithmetic of a
-batch, and its fields are checked with ``math.isfinite``.  The dense
-builders ``block_hamiltonian``, ``propagate_exact`` and
-``schedule_propagator`` give stacks (..., dim, dim) for a batch;
-``propagate_stepped`` takes a single pulse.
+``local_propagator``, ``closed_form``, ``apply_local`` and ``run_schedule``
+carry the batch as leading axes of the blocks and of the columns
+(..., dim, K); a pulse with number fields is a batch with no leading axes.
+Its blocks get no stack axes, as its numbers multiply the matrices directly
+with the arithmetic of a batch, and its fields are checked with
+``math.isfinite``.  The dense builders ``block_hamiltonian``,
+``propagate_exact`` and ``schedule_propagator`` give stacks (..., dim, dim)
+for a batch; ``propagate_stepped`` takes a single pulse.
 
 Schedules are plain sequences of pulses executed strictly one at a time;
 there is no way to express temporal overlap.
@@ -41,7 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, embed, lambda_coupling, xy_coupling
+from .chain import ChainLayout, embed, lambda_coupling, lambda_propagator, xy_coupling, xy_propagator
 from .linalg import apply_factor, finite, float_or_inf
 
 __all__ = [
@@ -131,6 +137,9 @@ class OneQubitPulse:
     def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         return layout.site_of_qubit(self.qubit), lambda_coupling(self.theta, self.phi)
 
+    def local_propagator(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        return layout.site_of_qubit(self.qubit), lambda_propagator(self.theta, self.phi, self.area)
+
     def minimal_chain(self, layout: ChainLayout) -> tuple[OneQubitPulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to qubit 1 of a one-qubit chain, and the identity sizes (1, 1): its
         2 x 2 gate there is already the gate on this qubit's |0> and |1> at ``layout``, with every
@@ -159,6 +168,9 @@ class ThreeSitePulse:
 
     def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
         return layout.sites_of_pair(self.pair)[0], xy_coupling(self.vartheta)
+
+    def local_propagator(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
+        return layout.sites_of_pair(self.pair)[0], xy_propagator(self.vartheta, self.area)
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =
@@ -196,14 +208,24 @@ def cumulative_area(envelope: str, area: float, s):
     return float(out) if out.ndim == 0 else out
 
 
-def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local block Hamiltonian) of ``pulse``; every propagation path starts here.
-
-    A batch of pulses gives a stack of blocks, shape (..., 3^k, 3^k).
-    """
+def _checked(pulse):
     if not isinstance(pulse, Pulse):
         raise TypeError(f"not a pulse: {pulse!r}")
-    return pulse.local_form(layout)
+    return pulse
+
+
+def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
+    """(first site, local block Hamiltonian) of ``pulse``: what the Hamiltonian, stepped propagation and
+    ``holonomy`` start from.  A batch of pulses gives a stack of blocks, shape (..., 3^k, 3^k).
+    """
+    return _checked(pulse).local_form(layout)
+
+
+def local_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
+    """(first site, local propagator exp(-i area H)) of ``pulse``: what exact propagation applies or embeds.
+    A batch of pulses gives a stack, shape (..., 3^k, 3^k), each member with its single pulse's bits.
+    """
+    return _checked(pulse).local_propagator(layout)
 
 
 def closed_form(T0, T1, T2, area) -> np.ndarray:
@@ -226,11 +248,6 @@ def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     return apply_factor(3 ** (site - 1), U, X)
 
 
-def _pulse_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    site, block = local_form(pulse, layout)
-    return site, closed_form(np.eye(block.shape[-1]), block, block @ block, pulse.area)
-
-
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """The time-independent full-chain Hamiltonian switched on by ``pulse`` (a stack for a batch)."""
     site, block = local_form(pulse, layout)
@@ -243,7 +260,7 @@ def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     The envelope shape is irrelevant here by construction: the block
     Hamiltonian is constant during the pulse, so only the area enters.
     """
-    site, U = _pulse_propagator(pulse, layout)
+    site, U = local_propagator(pulse, layout)
     return embed(U, site, layout)
 
 
@@ -252,7 +269,8 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
 
     Independent integration path used to certify envelope-shape
     independence: returns prod_j exp(-i da_j H) with slice areas from
-    midpoint sampling of the envelope (latest slice leftmost).
+    midpoint sampling of the envelope (latest slice leftmost), each slice
+    ``closed_form`` on the block and its square, not ``local_propagator``.
     """
     site, block = local_form(pulse, layout)
     if block.ndim > 2 or np.ndim(pulse.area) > 0:
@@ -282,5 +300,5 @@ def run_schedule(schedule, X, layout: ChainLayout) -> np.ndarray:
         )
     columns = X[:, None] if X.ndim == 1 else X
     for pulse in schedule:
-        columns = apply_local(*_pulse_propagator(pulse, layout), columns)
+        columns = apply_local(*local_propagator(pulse, layout), columns)
     return columns[..., 0] if X.ndim == 1 else columns

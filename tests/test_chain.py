@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from holosim.chain import (
     _GELL_MANN,
+    _HOP,
+    _XY_TABLES,
     ChainLayout,
     block_sz,
     embed,
@@ -13,12 +16,13 @@ from holosim.chain import (
     lambda_coupling,
     logical_encode,
     logical_frame,
+    xy_coupling,
 )
 from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circuit
 from holosim.holonomy import certify
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
 
-from oracles import brute_embed, kron_chain
+from oracles import brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
 
 
 def ket(i):
@@ -142,6 +146,18 @@ class TestChainLayout:
                         call()
                     assert str(err.value).endswith(f"{name} must be an integer, got {bad!r}"), str(err.value)
 
+    def test_dim_is_formed_once(self):
+        # 3^n_sites is formed on the first read and kept: the same int object comes back
+        layout = ChainLayout(200)
+        assert layout.dim is layout.dim
+        assert layout.dim == 3 ** 399
+        # the cached value is not a field: equality, hash, repr and replace read n_logical alone
+        assert layout == ChainLayout(200) and hash(layout) == hash(ChainLayout(200))
+        assert repr(layout) == "ChainLayout(n_logical=200)"
+        assert replace(layout, n_logical=3).dim == 3 ** 5 and replace(layout, n_logical=3) == ChainLayout(3)
+        with pytest.raises(FrozenInstanceError):
+            layout.n_logical = 3
+
     def test_site_maps(self):
         layout = ChainLayout(3)
         assert [layout.site_of_qubit(q) for q in (1, 2, 3)] == [1, 3, 5]
@@ -151,6 +167,45 @@ class TestChainLayout:
             layout.site_of_qubit(4)
         with pytest.raises(ValueError):
             layout.sites_of_pair(3)
+
+
+_SPECIAL = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 7.0, -7.0, 1e-300, -1e-300]
+
+
+class TestCouplingsAgainstGenerators:
+    """The blocks are written from the bright state and the bond tables; each keeps the numbers of the
+    complex broadcast of its generators (oracles.py)."""
+
+    def test_xy_coupling_has_the_bits_of_its_bonds(self):
+        # every entry, the zeros and their signs included
+        angles = np.concatenate([_SPECIAL, np.random.default_rng(60).uniform(-7, 7, 200)])
+        for vt in angles:
+            assert xy_coupling(vt).tobytes() == generator_xy_coupling(vt).tobytes()
+        for batch in (angles, angles.reshape(10, 21)[:, None, :3]):
+            assert xy_coupling(batch).tobytes() == generator_xy_coupling(batch).tobytes()
+
+    def test_lambda_coupling_has_the_values_and_nonzero_bits_of_its_generators(self):
+        # each nonzero real or imaginary part has the same bits; a zero may differ in sign, as the broadcast's
+        # products of zeros gave either sign (equal as numbers, and lost in any matrix product)
+        angles = np.concatenate([_SPECIAL, np.random.default_rng(61).uniform(-7, 7, 30)])
+        theta, phi = angles[:, None], angles
+        for got, want in ((lambda_coupling(theta, phi), generator_lambda_coupling(theta, phi)),
+                          (np.array([[lambda_coupling(t, p) for p in angles] for t in angles]),
+                           generator_lambda_coupling(theta, phi))):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            nonzero = want.view(float) != 0
+            assert got.view(float)[nonzero].tobytes() == want.view(float)[nonzero].tobytes()
+
+    def test_bond_tables_are_the_dense_bonds_on_the_qubit_sector(self):
+        # (L, R, L^2, R^2, LR + RL) against the 27 x 27 bonds' restrictions and products, which vanish off the sector
+        qubit = np.diag([1.0, 1.0, 0.0])
+        left, right = np.kron(_HOP.real, qubit), np.kron(qubit, _HOP.real)
+        sector = [9 * a + 3 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        rest = np.setdiff1d(np.arange(27), sector)
+        dense = (left, right, left @ left, right @ right, left @ right + right @ left)
+        for table, full in zip(_XY_TABLES, dense):
+            assert np.array_equal(table, full[np.ix_(sector, sector)])
+            assert not full[rest].any() and not full[:, rest].any()
 
 
 class TestEmbed:

@@ -6,6 +6,7 @@ import pytest
 from holosim.linalg import (
     cross,
     dot,
+    embed_factor,
     expm_hermitian,
     gate_fidelity,
     hermiticity_defect,
@@ -14,7 +15,7 @@ from holosim.linalg import (
     unitarity_defect,
 )
 
-from oracles import haar_unitary, random_hermitian, taylor_expm
+from oracles import brute_embed, haar_unitary, kron_logical, random_hermitian, taylor_expm
 
 
 class TestExpmHermitian:
@@ -274,3 +275,40 @@ class TestStacks:
         assert np.array_equal(cross(a, b), np.cross(a, b))
         assert np.array_equal(dot(a, b), [np.dot(x, y) for x, y in zip(a, b)])
         assert np.array_equal(np.sqrt(dot(a, a)), [np.linalg.norm(x) for x in a])
+
+
+class TestEmbedFactor:
+    """1 (x) op (x) 1 as one broadcast product has the bits of the explicit Kronecker products."""
+
+    @staticmethod
+    def _op(rng, shape, d):
+        op = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+        op[..., 0, :2], op[..., 1, 0] = [-0.0, complex(0.0, -0.0)], 0.0  # signed zeros, so the bytes show their signs
+        return op
+
+    @pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+    def test_logical_register_matches_kron_logical(self, n_logical):
+        rng = np.random.default_rng(70 + n_logical)
+        for d in (2, 4, 8):
+            span = d.bit_length() - 1
+            for first in range(1, n_logical - span + 2):
+                left, right = 2 ** (first - 1), 2 ** (n_logical - first - span + 1)
+                ops = self._op(rng, (2, 3), d)
+                got = embed_factor(ops, left, right)
+                assert got.shape == (2, 3, 2 ** n_logical, 2 ** n_logical)
+                for i, j in np.ndindex(2, 3):
+                    assert got[i, j].tobytes() == kron_logical(first, ops[i, j], n_logical).tobytes()
+
+    @pytest.mark.parametrize("site", [1, 2, 3, 4, 5])
+    def test_chain_site_matches_brute_embed(self, site):
+        # brute_embed multiplies by an identity once per site, and each complex product with 1 + 0j may turn
+        # the sign of a zero; every nonzero part has the same bits
+        op = self._op(np.random.default_rng(80 + site), (), 3)
+        got, want = embed_factor(op, 3 ** (site - 1), 3 ** (5 - site)).view(float), brute_embed(op, site, 5).view(float)
+        assert np.array_equal(got, want) and got[want != 0].tobytes() == want[want != 0].tobytes()
+
+    def test_sizes_of_one_multiply_nothing(self):
+        op = self._op(np.random.default_rng(90), (4,), 3)
+        assert embed_factor(op, 1, 1) is op
+        assert embed_factor(op, 1, 2).tobytes() == np.kron(op, np.eye(2, dtype=complex)).tobytes()
+        assert embed_factor(op, 2, 1).tobytes() == np.kron(np.eye(2, dtype=complex), op).tobytes()

@@ -18,6 +18,7 @@ from holosim.pulses import (
     apply_local,
     closed_form,
     local_form,
+    local_propagator,
     propagate_exact,
     propagate_stepped,
     run_schedule,
@@ -25,7 +26,8 @@ from holosim.pulses import (
     slice_areas,
 )
 
-from oracles import kron_logical, svd_entropy, taylor_expm
+from oracles import (generator_lambda_coupling, generator_xy_coupling, kron_logical, local_reference, svd_entropy,
+                     taylor_expm)
 
 
 class TestEnvelopes:
@@ -335,6 +337,56 @@ class TestLocalBlockProperties:
         assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
 
 
+_ANGLE7 = st.floats(-7.0, 7.0, allow_nan=False)
+_AREA7 = st.sampled_from([0.0, np.pi, -np.pi]) | _ANGLE7  # zero, +-pi, and partial areas up to |a| = 7
+_IN_SECTOR = np.isin(np.arange(27), [9 * a + 3 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+_OUTSIDE = ~(_IN_SECTOR[:, None] & _IN_SECTOR)  # the entries of a 27 x 27 block off its qubit sector
+
+
+class TestLocalPropagator:
+    """Each pulse writes its propagator entry by entry; the dense reference is a Taylor sum of its block."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_logical=st.integers(1, 3), three_site=st.booleans(), batch=st.booleans(), data=st.data())
+    def test_matches_the_taylor_reference(self, n_logical, three_site, batch, data):
+        n_logical = max(n_logical, 1 + three_site)
+        first = data.draw(st.integers(1, n_logical - three_site))
+        if batch:  # two angles (or angle pairs) against three areas: a (2, 3) batch
+            angles = [np.array(data.draw(st.lists(_ANGLE7, min_size=2, max_size=2)))[:, None]
+                      for _ in range(1 if three_site else 2)]
+            area = np.array(data.draw(st.lists(_AREA7, min_size=3, max_size=3)))
+        else:
+            angles, area = [data.draw(_ANGLE7) for _ in range(1 if three_site else 2)], data.draw(_AREA7)
+        kind = ThreeSitePulse if three_site else OneQubitPulse
+        pulse, layout = kind(first, *angles, area=area), ChainLayout(n_logical)
+        site, U = local_propagator(pulse, layout)
+        want_site, want = local_reference(pulse, layout)
+        assert site == want_site and U.shape == want.shape
+        assert np.max(np.abs(U - want)) <= 1e-14
+        assert np.max(unitarity_defect(U)) <= 1e-14
+        if three_site:  # the identity off the qubit sector, exactly: 1.0 and +0.0, with +0.0 imaginary parts
+            outside = U[..., _OUTSIDE]
+            assert outside.tobytes() == np.broadcast_to(np.eye(27, dtype=complex)[_OUTSIDE], outside.shape).tobytes()
+        if batch:
+            dense = propagate_exact(pulse, layout)
+            for i, j in np.ndindex(2, 3):
+                single = kind(first, *(a[i, 0] for a in angles), area=area[j])
+                assert U[i, j].tobytes() == local_propagator(single, layout)[1].tobytes()
+                assert dense[i, j].tobytes() == propagate_exact(single, layout).tobytes()
+        else:
+            assert np.max(np.abs(propagate_stepped(pulse, 1, layout) - propagate_exact(pulse, layout))) <= 1e-14
+
+    def test_agrees_with_the_closed_form_of_the_block_and_its_square(self):
+        # the exponential from the block and its square, closed_form(1, H, H @ H, a), as stepped propagation forms it
+        rng = np.random.default_rng(26)
+        areas = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, 7.0, -7.0], rng.uniform(-7, 7, 294)])
+        for theta, phi, vartheta, area in zip(*rng.uniform(-7, 7, (3, 300)), areas):
+            for H, pulse in ((generator_lambda_coupling(theta, phi), OneQubitPulse(1, theta, phi, area=area)),
+                             (generator_xy_coupling(vartheta), ThreeSitePulse(1, vartheta, area=area))):
+                got = local_propagator(pulse, ChainLayout(2))[1]
+                assert np.max(np.abs(got - closed_form(np.eye(len(H)), H, H @ H, area))) <= 1e-15
+
+
 class TestBatchedPulses:
     """Array angles and areas make a batch of pulses; each member equals its single pulse."""
 
@@ -453,8 +505,10 @@ class TestBatchedPulses:
             ThreeSitePulse(1, 0.3, area=np.array([1.0, -np.inf]))
 
     def test_local_form_rejects_other_objects(self):
-        with pytest.raises(TypeError, match="not a pulse"):
-            local_form("one_qubit", ChainLayout(1))
+        for call in (lambda: local_form("one_qubit", ChainLayout(1)),
+                     lambda: run_schedule(["one_qubit"], logical_frame(ChainLayout(1)), ChainLayout(1))):
+            with pytest.raises(TypeError, match="not a pulse"):
+                call()
 
 
 class TestKernelMemory:
