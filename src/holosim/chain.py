@@ -17,9 +17,10 @@ satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2, and
 ``lambda_propagator`` and ``xy_propagator`` write that exponential entry by
 entry from the same few numbers the blocks are written from: the drive's
 bright state for the 3 x 3 block, and five constant 8 x 8 tables on the
-qubit sector for the 27 x 27 one.  No block, separate identity or matrix
-product is formed on the way, and a batch runs the same element-wise
-operations as a single pulse, so each member has the single pulse's bits.
+qubit sector, from the hop's two entries, for the 27 x 27 one (no Gell-Mann
+generator is built).  No block, separate identity or matrix product is formed
+on the way, and a batch runs the same element-wise operations as a single
+pulse, so each member has the single pulse's bits.
 ``embed`` takes a stack of operators too; ``h1``, ``h3`` and ``block_sz``
 build single full-chain operators.
 """
@@ -49,19 +50,6 @@ __all__ = [
     "logical_frame",
     "check_columns",
 ]
-
-# The five generators actually used by the chain Hamiltonian, in the local
-# basis order (|0>, |1>, |e>).  Indices 3, 5, 8 are deliberately absent:
-# nothing in the model drives them, and omitting them prevents silent misuse.
-_KET0, _KET1, _KETE = np.eye(3, dtype=complex)
-
-_GELL_MANN = {
-    1: np.outer(_KETE, _KET0) + np.outer(_KET0, _KETE),
-    2: -1j * np.outer(_KETE, _KET0) + 1j * np.outer(_KET0, _KETE),
-    4: np.outer(_KETE, _KET1) + np.outer(_KET1, _KETE),
-    6: np.outer(_KET0, _KET1) + np.outer(_KET1, _KET0),
-    7: -1j * np.outer(_KET0, _KET1) + 1j * np.outer(_KET1, _KET0),
-}
 
 # Pseudo-spin z on the qubit subspace of one qutrit: |0><0| - |1><1|.
 SIGMA_Z3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
@@ -226,11 +214,9 @@ def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
     return embed(lambda_coupling(theta, phi), site, layout)
 
 
-# Qubit-subspace hopping between two neighboring qutrits:
-# (lam6 lam6 + lam7 lam7)/2 = |01><10| + |10><01|, zero on any |e| component.
-_HOP = 0.5 * (
-    np.kron(_GELL_MANN[6], _GELL_MANN[6]) + np.kron(_GELL_MANN[7], _GELL_MANN[7])
-)
+# Qubit-subspace hopping between two neighboring qutrits, (lam6 lam6 + lam7 lam7)/2 = |01><10| + |10><01|,
+# zero on any |e> component: on their qubit sector {|00>, |01>, |10>, |11>} it has these two entries.
+_HOP2 = np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int64)
 
 # The three-site coupling is zero off its qubit sector, the 8 states with every site in |0> or |1>: so
 # every |e>-carrying configuration of the block is annihilated, not merely decoupled from the
@@ -238,7 +224,6 @@ _HOP = 0.5 * (
 # the 27.  On the sector the left bond L is the hop on sites 1 and 2 and the right bond R the hop on
 # sites 2 and 3.  The tables are formed in integers, exactly, and with no BLAS call: (L, R, L^2, R^2,
 # LR + RL), as H = -cos(v/2) L + sin(v/2) R squares to cos^2 L^2 + sin^2 R^2 - cos sin (LR + RL).
-_HOP2 = _HOP.real[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])].astype(np.int64)
 _L, _R = np.kron(_HOP2, np.eye(2, dtype=np.int64)), np.kron(np.eye(2, dtype=np.int64), _HOP2)
 _XY_TABLES = tuple(t.astype(float) for t in (_L, _R, _L @ _L, _R @ _R, _L @ _R + _R @ _L))
 _EYE8 = np.eye(8)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import ChainLayout
 from .gates import bloch_angles, one_qubit_gate, two_qubit_gate
-from .linalg import any_true, apply_factor, cross, dot, finite, finite_vectors, float_array, normalize
+from .linalg import any_true, apply_factor, cross, dot, finite, three_vectors
 from .pulses import OneQubitPulse, ThreeSitePulse, fields_equal, fields_hash
 
 __all__ = [
@@ -47,12 +47,7 @@ _BASIS_AXES = np.eye(3)
 
 
 def _checked_axis(axis) -> np.ndarray:
-    a = float_array(axis)
-    if a.ndim < 1 or a.shape[-1] != 3:
-        raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
-    if not finite_vectors(a):  # NaN would pass the comparison below
-        raise ValueError(f"rotation axis must be finite, got {a.tolist()}")
-    unit, norm = normalize(a)
+    unit, norm = three_vectors(axis, "rotation axis")
     if any_true(norm < 1e-12):
         raise ValueError("rotation axis must be nonzero")
     return unit

@@ -216,13 +216,18 @@ def schedule_to_obj(schedule) -> dict:
     return {"pulses": [pulse_to_dict(p) for p in schedule]}
 
 
+def _items(obj, noun: str, key: str, read) -> list:
+    """The items of a document's ``key`` array, item i read as ``read(item, "key[i]")``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{noun} document must be an object with a '{key}' array")
+    items = obj[key]
+    if not isinstance(items, list):
+        raise FormatError(f"'{key}' must be an array")
+    return [read(item, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
 def schedule_from_obj(obj) -> list:
-    if not isinstance(obj, dict) or "pulses" not in obj:
-        raise FormatError("schedule document must be an object with a 'pulses' array")
-    pulses = obj["pulses"]
-    if not isinstance(pulses, list):
-        raise FormatError("'pulses' must be an array")
-    return [pulse_from_dict(p, f"pulses[{i}]") for i, p in enumerate(pulses)]
+    return _items(obj, "schedule", "pulses", pulse_from_dict)
 
 
 def _parse(text: str):
@@ -240,12 +245,7 @@ def loads_schedule(text: str) -> list:
 
 
 def circuit_from_obj(obj) -> list:
-    if not isinstance(obj, dict) or "gates" not in obj:
-        raise FormatError("circuit document must be an object with a 'gates' array")
-    gates = obj["gates"]
-    if not isinstance(gates, list):
-        raise FormatError("'gates' must be an array")
-    return [gate_from_dict(g, f"gates[{i}]") for i, g in enumerate(gates)]
+    return _items(obj, "circuit", "gates", gate_from_dict)
 
 
 def loads_circuit(text: str) -> list:

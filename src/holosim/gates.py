@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainLayout
-from .linalg import (any_true, cross, dot, finite, finite_vectors, float_array, gate_fidelity, inner, normalize,
-                     polar_unitary, unitarity_defect, unstack)
+from .linalg import (any_true, cross, dot, finite, gate_fidelity, inner, polar_unitary, three_vectors,
+                     unitarity_defect, unstack)
 
 __all__ = [
     "SIGMA_X",
@@ -80,12 +80,7 @@ def bloch_angles(n):
 
 
 def _unit_vector(n) -> np.ndarray:
-    n = float_array(n)
-    if n.ndim < 1 or n.shape[-1] != 3:
-        raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    if not finite_vectors(n):  # NaN would pass the comparison below
-        raise ValueError(f"unit vector must be finite, got {n.tolist()}")
-    unit, norm = normalize(n)
+    unit, norm = three_vectors(n, "unit vector")
     off = np.abs(norm - 1.0)
     if any_true(off > 1e-9):
         raise ValueError(f"expected a unit vector, got norm {np.ravel(norm)[np.argmax(off)]:.6g}")

@@ -60,16 +60,15 @@ stack of projected maps.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainLayout, logical_frame
+from .chain import ChainLayout, _index, logical_frame
 from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner, polar_unitary, power_bytes
-from .pulses import Pulse, apply_local, closed_form, cumulative_area, local_form
+from .pulses import Pulse, _checked, apply_local, closed_form, cumulative_area, local_form
 
 __all__ = [
     "CERTIFY_PARALLEL_TRANSPORT",
@@ -230,10 +229,7 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     and one coefficient row per sample are stored.  The areas, coefficients
     and weights come from the cached path table of (envelope, samples, area).
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
+    samples = _index(samples, "samples")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     F0 = np.asarray(initial_frame, dtype=complex)
@@ -386,9 +382,7 @@ def certify(
     loop, with an area step of pi/2 or more or step cosines whose product is
     1e-8 or less, raises a ValueError in either mode.
     """
-    if not isinstance(pulse, Pulse):
-        raise TypeError(f"not a pulse: {pulse!r}")
-    local, chain, (left, right) = pulse.minimal_chain(layout)
+    local, chain, (left, right) = _checked(pulse).minimal_chain(layout)
     size = left * chain.logical_dim * right
     what = f"the two certified gates at N={layout.n_logical}"
     check_memory(what, power_bytes(what, 2 * 16, size, 2))

@@ -22,7 +22,8 @@ check before they allocate; ``power_bytes`` sizes a request that grows as a
 power of the chain, and refuses one past any memory from its logarithm.
 ``float_array``, ``float_or_inf`` and ``finite`` read an int beyond the float
 range as infinite, so a check refuses it as it refuses inf; ``finite`` takes a
-Python number without making an array.
+Python number without making an array.  ``three_vectors`` is the one reader of
+3-vectors (shape, finiteness, a norm that cannot overflow) for every caller.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ def finite(value) -> bool:
     return bool(np.isfinite(float_array(value)).all())
 
 
-def finite_vectors(a: np.ndarray) -> bool:
-    """Every entry of a (..., 3) float array is finite; one vector is checked on its numbers."""
-    return all(map(math.isfinite, a.tolist())) if a.ndim == 1 else bool(np.isfinite(a).all())
-
-
 def any_true(mask) -> bool:
     """Whether some element of a boolean result is true; a single (0-d) one is read directly."""
     return bool(mask.any()) if mask.ndim else bool(mask)
@@ -123,13 +119,20 @@ def dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def normalize(a) -> tuple[np.ndarray, np.ndarray]:
-    """(a / |a|, |a|) for (..., n) finite real vectors, with no square overflowing and no warning.
+def three_vectors(value, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(a / |a|, |a|) for ``value`` read as a 3-vector of floats or a stack (..., 3), with no square overflowing.
 
-    Where an entry reaches 2^511, each vector is scaled down first by a power of two, which is
-    exact.  A norm past the largest float is inf; a zero norm, also from squares that underflow,
-    gives a non-finite direction for the caller to refuse.
+    A wrong shape or a non-finite entry (an int beyond the float range too) raises a ValueError naming
+    ``name``.  Where an entry reaches 2^511, each vector is scaled down first by a power of two, which is
+    exact.  A norm past the largest float is inf; a zero norm, also from squares that underflow, gives a
+    non-finite direction for the caller to refuse.  Nothing warns.
     """
+    a = float_array(value)
+    if a.ndim < 1 or a.shape[-1] != 3:
+        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
+    # one vector is checked on its numbers; a NaN would pass any bound a caller puts on the norm
+    if not (all(map(math.isfinite, a.tolist())) if a.ndim == 1 else np.isfinite(a).all()):
+        raise ValueError(f"{name} must be finite, got {a.tolist()}")
     scaled = np.abs(a).max(initial=0.0) >= 2.0**511
     shift = 0
     if scaled:

@@ -41,7 +41,6 @@ there is no way to express temporal overlap.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
@@ -55,7 +54,6 @@ __all__ = [
     "OneQubitPulse",
     "ThreeSitePulse",
     "Pulse",
-    "PulseSchedule",
     "slice_areas",
     "cumulative_area",
     "block_hamiltonian",
@@ -182,7 +180,6 @@ class ThreeSitePulse:
 
 
 Pulse = OneQubitPulse | ThreeSitePulse
-PulseSchedule = Sequence[Pulse]
 
 
 def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:

@@ -10,8 +10,27 @@ import math
 
 import numpy as np
 
-from holosim.chain import _GELL_MANN, _HOP, logical_frame
+from holosim.chain import logical_frame
 from holosim.pulses import OneQubitPulse
+
+# The five generators used by the chain Hamiltonian, in the local basis order
+# (|0>, |1>, |e>).  Indices 3, 5, 8 are deliberately absent: nothing in the
+# model drives them, and omitting them prevents silent misuse.
+_KET0, _KET1, _KETE = np.eye(3, dtype=complex)
+
+_GELL_MANN = {
+    1: np.outer(_KETE, _KET0) + np.outer(_KET0, _KETE),
+    2: -1j * np.outer(_KETE, _KET0) + 1j * np.outer(_KET0, _KETE),
+    4: np.outer(_KETE, _KET1) + np.outer(_KET1, _KETE),
+    6: np.outer(_KET0, _KET1) + np.outer(_KET1, _KET0),
+    7: -1j * np.outer(_KET0, _KET1) + 1j * np.outer(_KET1, _KET0),
+}
+
+# Qubit-subspace hopping between two neighboring qutrits:
+# (lam6 lam6 + lam7 lam7)/2 = |01><10| + |10><01|, zero on any |e> component.
+_HOP = 0.5 * (
+    np.kron(_GELL_MANN[6], _GELL_MANN[6]) + np.kron(_GELL_MANN[7], _GELL_MANN[7])
+)
 
 
 def taylor_expm(H, t):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from holosim.chain import (
-    _GELL_MANN,
-    _HOP,
     _XY_TABLES,
     ChainLayout,
     block_sz,
@@ -22,7 +20,7 @@ from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circui
 from holosim.holonomy import certify
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
 
-from oracles import brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
+from oracles import _GELL_MANN, _HOP, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
 
 
 def ket(i):

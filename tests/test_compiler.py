@@ -177,6 +177,20 @@ class TestNonFiniteParameters:
             make(big)
 
 
+class TestVectorShapes:
+    @pytest.mark.parametrize("gate,message", [
+        (Reflection(1, (1.0, 0.0)), "unit vector must be a 3-vector, got shape (2,)"),
+        (Reflection(1, 1.0), "unit vector must be a 3-vector, got shape ()"),
+        (Rotation(1, (0.0, 0.0, 1.0, 0.0), 1.0), "rotation axis must be a 3-vector, got shape (4,)"),
+        (Rotation(1, [[0.0, 1.0]], 1.0), "rotation axis must be a 3-vector, got shape (1, 2)"),
+    ], ids=["reflection-2", "reflection-number", "rotation-4", "rotation-batch-2"])
+    def test_shape_is_refused_by_name_in_compiler_and_closed_form(self, gate, message):
+        for route in (compile_circuit, circuit_unitary):
+            with pytest.raises(ValueError) as err:
+                route([gate], ChainLayout(1))
+            assert str(err.value) == f"gate 0: {message}"
+
+
 class TestHugeVectors:
     """Finite vectors whose squares overflow a float: an axis counts by its direction, and a
     reflection vector is not a unit vector; neither is refused as non-finite, nor warns."""

@@ -175,6 +175,23 @@ def readme_entries():
     return entries
 
 
+class TestDocumentArrays:
+    @pytest.mark.parametrize("loads,noun,key,item", [
+        (loads_schedule, "schedule", "pulses", {"type": "three_site", "pair": 1, "vartheta": 0}),
+        (loads_circuit, "circuit", "gates", {"kind": "xy", "pair": 1, "vartheta": 0}),
+    ], ids=["schedule", "circuit"])
+    @pytest.mark.parametrize("build,message", [
+        (lambda key, item: [item], "{noun} document must be an object with a '{key}' array"),
+        (lambda key, item: {"items": [item]}, "{noun} document must be an object with a '{key}' array"),
+        (lambda key, item: {key: item}, "'{key}' must be an array"),
+        (lambda key, item: {key: [item, item, "x"]}, "{key}[2]: expected an object, got str"),
+    ], ids=["not-an-object", "key-missing", "not-an-array", "item-context"])
+    def test_shape_messages(self, loads, noun, key, item, build, message):
+        with pytest.raises(FormatError) as err:
+            loads(json.dumps(build(key, item)))
+        assert str(err.value) == message.format(noun=noun, key=key)
+
+
 class TestPulseAndGateDocuments:
     @pytest.mark.parametrize("kind", _KINDS)
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -841,7 +841,7 @@ class TestPathTables:
         # the original path still reads the cached table
         assert path.table is holonomy._path_table(pulse.envelope, 40, pulse.area)
 
-    @pytest.mark.parametrize("samples", [1024.0, 2.5, "64", np.float64(64.0), None, [64]])
+    @pytest.mark.parametrize("samples", [1024.0, 2.5, "64", np.float64(64.0), None, [64], True, np.True_])
     def test_non_integer_samples_are_refused_by_value(self, samples):
         pulse = OneQubitPulse(1, 0.5, 0.0)
         message = f"samples must be an integer, got {samples!r}"
