@@ -16,9 +16,10 @@ number is a batch with no leading axes and gives one block.  Both blocks
 satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2, and
 ``lambda_propagator`` and ``xy_propagator`` write that exponential entry by
 entry from the same few numbers the blocks are written from: the drive's
-bright state for the 3 x 3 block, and five constant 8 x 8 tables on the
-qubit sector, from the hop's two entries, for the 27 x 27 one (no Gell-Mann
-generator is built).  No block, separate identity or matrix product is formed
+bright state for the 3 x 3 block, and cos(v/2) and sin(v/2) for the
+27 x 27 one, which its propagator spreads over five constant 8 x 8 tables
+on the qubit sector, from the hop's two entries (no Gell-Mann generator is
+built).  No block, separate identity or matrix product is formed
 on the way, and a batch runs the same element-wise operations as a single
 pulse, so each member has the single pulse's bits.
 ``embed`` takes a stack of operators too; ``h1``, ``h3`` and ``block_sz``
@@ -242,20 +243,23 @@ def xy_coupling(vartheta) -> np.ndarray:
     Commutes with the block pseudo-spin S_z, annihilates every basis state
     carrying |e> on any of the three sites, and, like ``lambda_coupling``,
     has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
-    a stack of shape (..., 27, 27).  Only its qubit sector is summed, from
-    the bond tables; every entry off it is the sector's entry at |000><000|,
-    the same sum of zeros, so each entry has the bits of the full 27 x 27 sum.
+    a stack of shape (..., 27, 27).  Its eight nonzero entries, -cos(v/2) on
+    the left bond's and sin(v/2) on the right bond's, are written by index
+    into a fill of (-cos(v/2)) * 0.0 + sin(v/2) * 0.0, the zero whose sign
+    the sum of the bonds gives every other entry, so each entry has the bits
+    of the full 27 x 27 sum.
     """
     if not finite(vartheta):
         raise ValueError("vartheta must be finite")
     half = 0.5 * np.asarray(vartheta, dtype=float)
     c, s = np.cos(half), np.sin(half)
-    if half.ndim:  # an array of angles indexes the stack axes, ahead of the matrix axes
-        c, s = c[..., None, None], s[..., None, None]
-    block = -c * _XY_TABLES[0] + s * _XY_TABLES[1]
     out = np.empty(half.shape + (27, 27, 2))
-    out[..., 0], out[..., 1] = block[..., :1, :1], 0.0
-    _set_sector(out, 0, block)
+    out[..., 0], out[..., 1] = ((-c) * 0.0 + s * 0.0)[..., None, None], 0.0
+    # the left bond swaps site 1 and 2 values 01 <-> 10, the right bond sites 2 and 3 (index 9a + 3b + c)
+    for row, col in ((3, 9), (9, 3), (4, 10), (10, 4)):
+        out[..., row, col, 0] = -c
+    for row, col in ((1, 3), (3, 1), (10, 12), (12, 10)):
+        out[..., row, col, 0] = s
     return out.view(complex)[..., 0]
 
 

@@ -13,11 +13,12 @@ ingredient separately and cross-validates the gate two independent ways:
 Agreement of the two, together with a vanishing subspace energy, certifies
 the geometric nature of the gate.
 
-A sampled path is held in closed form, as three dim x K terms and one
-coefficient row per sample (see ``SubspacePath``).  Each check contracts
-the nine K x K blocks between the terms with the coefficient table, at a
-cost of O(dim K^2) plus O(samples K^2), with no per-sample loop.  The
-blocks form the path's term Gram, built once with ``linalg.inner`` and kept.
+A sampled path is held in closed form, as three dim x K terms and its
+path table, which holds one coefficient row per sample (see
+``SubspacePath``).  Each check contracts the nine K x K blocks between the
+terms with the table's weights, at a cost of O(dim K^2) plus
+O(samples K^2), with no per-sample loop.  The blocks form the path's term
+Gram, built once with ``linalg.inner`` and kept.
 ``certify`` applies the local block twice, to trace the path (A = H F_0,
 B = H A), and never again: H maps the terms (F_0, A, B) to (A, B, A), so
 every block T_x^dag H T_y is a Gram block, and so are the projected
@@ -137,39 +138,31 @@ class SubspacePath:
 
     The pulse's local block satisfies H^3 = H, so the frame at sample j is
     F_j = U(a_j) F_0 = F_0 + s_j A + c_j B with A = H F_0, B = H A,
-    s_j = -i sin a_j and c_j = cos a_j - 1, where ``areas[j]`` is the pulse
-    area accumulated by sample j.  The path holds the three dim x K terms
-    (F_0, A, B), stacked as (3, dim, K), and the samples x 3 coefficient
-    table (1, s_j, c_j); every overlap F_j^dag X F_k is a weighted sum of
-    the nine K x K blocks T_x^dag X T_y between terms, so nothing
-    samples x dim is built.  Projectors are frame-gauge free:
-    P_j = F_j F_j^dag.  The term Gram and the cyclicity residual are
-    computed on first use and kept; the weights and area steps the checks
-    contract are in ``table``.
+    s_j = -i sin a_j and c_j = cos a_j - 1, where ``table.areas[j]`` is the
+    pulse area accumulated by sample j.  The path holds the three dim x K
+    terms (F_0, A, B), stacked as (3, dim, K), and its path table, whose
+    samples x 3 coefficient rows (1, s_j, c_j) weigh them; every overlap
+    F_j^dag X F_k is a weighted sum of the nine K x K blocks T_x^dag X T_y
+    between terms, so nothing samples x dim is built.  Projectors are
+    frame-gauge free: P_j = F_j F_j^dag.  The term Gram and the cyclicity
+    residual are computed on first use and kept; a path made by
+    ``dataclasses.replace`` computes its own.
     """
 
-    areas: np.ndarray
     terms: np.ndarray  # shape (3, dim, K): F_0, A, B
-    coefficients: np.ndarray  # shape (samples, 3): 1, s_j, c_j
+    table: _PathTable
 
     @property
     def samples(self) -> int:
-        return self.coefficients.shape[0]
+        return self.table.coefficients.shape[0]
 
     @property
     def subspace_dim(self) -> int:
         return self.terms.shape[2]
 
-    @cached_property
-    def table(self) -> _PathTable:
-        """The weights and area steps of this path's areas and coefficients: the cached table that
-        ``trace_subspace`` traced the path from, or, for a path built by hand or by
-        ``dataclasses.replace``, one computed from its own coefficients on first use."""
-        return _PathTable.of(self.areas, self.coefficients)
-
     def frame(self, j: int) -> np.ndarray:
         """The dim x K frame F_j."""
-        return np.einsum("x,xdk->dk", self.coefficients[j], self.terms)
+        return np.einsum("x,xdk->dk", self.table.coefficients[j], self.terms)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -226,8 +219,8 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     Each sample's area follows the pulse envelope; its frame is the closed
     form F_j = U(a_j) F_0 = F_0 + s_j A + c_j B (see ``SubspacePath``), so
     roundoff does not drift along the path and only the three dim x K terms
-    and one coefficient row per sample are stored.  The areas, coefficients
-    and weights come from the cached path table of (envelope, samples, area).
+    are stored with the path table of (envelope, samples, area), which holds
+    the areas, the coefficient rows and the weights.
     """
     samples = _index(samples, "samples")
     if samples < 2:
@@ -250,9 +243,7 @@ def trace_subspace(pulse: Pulse, initial_frame, samples: int, layout: ChainLayou
     terms[0] = F0
     terms[1] = apply_local(site, block, F0)
     terms[2] = apply_local(site, block, terms[1])
-    table = _path_table(pulse.envelope, samples, float(pulse.area))
-    path = SubspacePath(areas=table.areas, terms=terms, coefficients=table.coefficients)
-    path.table = table
+    path = SubspacePath(terms, _path_table(pulse.envelope, samples, float(pulse.area)))
     defect = np.linalg.norm(path.gram[0, 0] - np.eye(K))  # F_0^dag F_0 - 1
     if defect > 1e-10:
         raise ValueError(f"initial frame is not orthonormal: defect {defect:.3e}")

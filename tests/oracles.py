@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own code paths: the matrix
 exponential is a Taylor sum, embeddings are brute-force Kronecker products,
-the local blocks are complex broadcasts of their generators, and entropies come straight from an SVD of the amplitude matrix.
+the local blocks are complex broadcasts of their generators, the reference
+frames are Kronecker products of basis kets, and entropies come straight from
+an SVD of the amplitude matrix.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from holosim.chain import logical_frame
 from holosim.pulses import OneQubitPulse
 
 # The five generators used by the chain Hamiltonian, in the local basis order
@@ -152,13 +154,22 @@ def svd_entropy(state4):
 
 
 def computational_frame(pulse, layout):
-    """The full-chain frame that ``certify``'s path on the pulse's minimal chain stands for: the
-    logical columns of the qubit's |0> and |1> with every other qubit in |0> for a one-qubit pulse,
-    and the whole logical basis for a three-site pulse."""
-    frame = logical_frame(layout)
+    """The full-chain frame that ``certify``'s path on the pulse's minimal chain stands for, one Kronecker
+    product of basis kets per column (auxiliary sites in |0>): the qubit's |0> and |1> with every other
+    qubit in |0> for a one-qubit pulse, and the whole logical basis, lexicographic in n1..nN, for a
+    three-site pulse."""
+    n = layout.n_logical
     if isinstance(pulse, OneQubitPulse):
-        return frame[:, [0, 2 ** (layout.n_logical - pulse.qubit)]]
-    return frame
+        columns = [(0,) * n, tuple(int(q == pulse.qubit) for q in range(1, n + 1))]
+    else:
+        columns = itertools.product((0, 1), repeat=n)
+
+    def column(bits):
+        sites = [_KET0] * (2 * n - 1)
+        sites[::2] = [(_KET0, _KET1)[bit] for bit in bits]
+        return kron_chain(sites)
+
+    return np.stack([column(bits) for bits in columns], axis=1)
 
 
 def eigh_frames(H, F0, areas):

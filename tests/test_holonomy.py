@@ -18,6 +18,7 @@ from holosim.holonomy import (
     CERTIFY_CROSS_FIDELITY,
     CERTIFY_CYCLICITY,
     HolonomyError,
+    _PathTable,
     _ordered_product,
     _overlaps,
     _pair_weights,
@@ -75,8 +76,9 @@ class TestTraceSubspace:
         pulse = ThreeSitePulse(1, 0.9, area=1.3, envelope=envelope)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 33, LAYOUT)
         s = np.arange(33) / 32
-        assert np.allclose(path.areas, [cumulative_area(envelope, 1.3, x) for x in s], rtol=0, atol=1e-15)
-        assert path.areas[0] == 0.0 and path.areas[-1] == pytest.approx(1.3, abs=1e-15)
+        areas = path.table.areas
+        assert np.allclose(areas, [cumulative_area(envelope, 1.3, x) for x in s], rtol=0, atol=1e-15)
+        assert areas[0] == 0.0 and areas[-1] == pytest.approx(1.3, abs=1e-15)
 
     def test_rejects_bad_frames_and_sample_counts(self):
         pulse = OneQubitPulse(1, 0.5, 0.0)
@@ -325,7 +327,7 @@ class TestAgainstDenseOracle:
         F0 = computational_frame(pulse, layout)
         path = trace_subspace(pulse, F0, 33, layout)
         H = block_hamiltonian(pulse, layout)
-        for j, area in enumerate(path.areas):
+        for j, area in enumerate(path.table.areas):
             assert np.max(np.abs(path.frame(j) - expm_hermitian(H, area) @ F0)) <= 1e-12
 
     @pytest.mark.parametrize("n_logical", [2, 3])
@@ -339,7 +341,7 @@ class TestAgainstDenseOracle:
         report = certify(pulse, layout, samples=samples)
         F0 = computational_frame(pulse, layout)
         H = block_hamiltonian(pulse, layout)
-        frames = eigh_frames(H, F0, trace_subspace(pulse, F0, samples, layout).areas)
+        frames = eigh_frames(H, F0, trace_subspace(pulse, F0, samples, layout).table.areas)
         U = eigh_frames(H, np.eye(layout.dim), [pulse.area])[0]
         assert np.max(np.abs(report.wilson_gate - wilson_product(frames))) <= 1e-12
         assert np.max(np.abs(report.propagator_gate - polar_unitary(F0.conj().T @ U @ F0))) <= 1e-12
@@ -361,7 +363,7 @@ class TestAgainstDenseOracle:
             Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
             for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
                 path = trace_subspace(pulse, F0, 33, layout)
-                frames = eigh_frames(H, F0, path.areas)
+                frames = eigh_frames(H, F0, path.table.areas)
                 PHP = subspace_energies(frames, H)
                 residual, eps = check_parallel_transport(path)
                 assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
@@ -373,7 +375,7 @@ class TestAgainstDenseOracle:
                     assert np.max(np.abs(wilson_loop(path) - wilson_product(frames))) <= 1e-12
 
     def test_contractions_on_an_uneven_rescaled_path(self):
-        # the consumers are exact in the coefficient table: uneven areas make the
+        # the consumers are exact in the path table: uneven areas make the
         # overlaps non-palindromic, so their order shows, and per-sample scale
         # factors make the subspace energy differ sample to sample
         layout = ChainLayout(2)
@@ -385,8 +387,8 @@ class TestAgainstDenseOracle:
         grid = np.linspace(0.0, 1.0, 40)
         areas = pulse.area * grid**2
         scale = 1.0 + 0.1 * np.sin(np.pi * grid) * rng.uniform(-1.0, 1.0, grid.size)
-        path = replace(trace_subspace(pulse, F0, grid.size, layout), areas=areas, coefficients=scale[:, None]
-                       * np.stack([np.ones_like(areas), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1))
+        C = scale[:, None] * np.stack([np.ones_like(areas), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
+        path = replace(trace_subspace(pulse, F0, grid.size, layout), table=_PathTable.of(areas, C))
         frames = scale[:, None, None] * eigh_frames(H, F0, areas)
         PHP = subspace_energies(frames, H)
         residual, eps = check_parallel_transport(path)
@@ -719,7 +721,7 @@ class TestPathTables:
             assert sum(array.nbytes for array in table) == 352 * samples - 8
         pulse = ThreeSitePulse(1, 0.9, area=-1.7, envelope=envelope)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
-        assert path.areas.tobytes() == cumulative_area(envelope, -1.7, np.linspace(0.0, 1.0, samples)).tobytes()
+        assert path.table.areas.tobytes() == cumulative_area(envelope, -1.7, np.linspace(0.0, 1.0, samples)).tobytes()
         # up to 1024 samples the path reads the cached table; past that its own table, built alike
         cached = path.table is holonomy._path_table(envelope, samples, -1.7)
         assert cached == (samples <= 1024)
@@ -736,7 +738,6 @@ class TestPathTables:
                 array[0] = 1.0
         pulse = ThreeSitePulse(1, 0.9, envelope="gaussian")
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), samples, LAYOUT)
-        assert path.areas is path.table.areas and path.coefficients is path.table.coefficients
         assert not any(array.flags.writeable for array in path.table)
 
     def test_keyed_on_what_the_table_depends_on(self):
@@ -816,8 +817,8 @@ class TestPathTables:
         assert holonomy._cached_table.cache_info().currsize == 3
 
     def test_a_replaced_path_measures_its_own_coefficients(self):
-        # dataclasses.replace does not copy the table: the new path's weights and area steps come
-        # from its own rescaled coefficients and uneven areas, never from the cached table
+        # a path replaced with a table of rescaled coefficients and uneven areas measures with that
+        # table's weights and area steps, never with the cached table's
         pulse = ThreeSitePulse(1, 2.4, area=-2 * np.pi)
         rng = np.random.default_rng(3)
         F0 = np.linalg.qr(rng.normal(size=(LAYOUT.dim, 3)) + 1j * rng.normal(size=(LAYOUT.dim, 3)))[0]
@@ -825,7 +826,7 @@ class TestPathTables:
         areas = pulse.area * np.linspace(0.0, 1.0, 40) ** 2
         C = (1.0 + 0.1 * rng.uniform(size=40))[:, None] * np.stack(
             [np.ones(40), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
-        replaced = replace(path, areas=areas, coefficients=C)
+        replaced = replace(path, table=_PathTable.of(areas, C))
         assert path.table is holonomy._path_table(pulse.envelope, 40, pulse.area)
         assert replaced.table is not path.table
         assert replaced.table.transport.tobytes() == _pair_weights(C, C).tobytes()
