@@ -12,16 +12,17 @@ Basis conventions (fixed once, everything downstream depends on them):
 
 The local blocks ``lambda_coupling`` and ``xy_coupling`` take arrays of
 angles and return stacks (..., 3^k, 3^k) with the angles' leading axes; a
-number is a batch with no leading axes and gives one block.  Both blocks
-satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2, and
+number is a batch with no leading axes and gives one block.  Both are built
+from one three-level loop, the Λ block H = |e><w| + |w><e| on levels
+(e, i, j) with a unit |w> = w_i|i> + w_j|j>: the drive is one, on
+(|e>, |0>, |1>) over its bright state, and the coupling two, on its qubit
+sector (``_XY_LEVELS``) over w = (-cos(v/2), sin(v/2)).  H^3 = H, so
+exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)(|e><e| + |w><w|), and
 ``lambda_propagator`` and ``xy_propagator`` write that exponential entry by
-entry from the same few numbers the blocks are written from: the drive's
-bright state for the 3 x 3 block, and cos(v/2) and sin(v/2) for the
-27 x 27 one, which its propagator spreads over five constant 8 x 8 tables
-on the qubit sector, from the hop's two entries (no Gell-Mann generator is
-built).  No block, separate identity or matrix product is formed
-on the way, and a batch runs the same element-wise operations as a single
-pulse, so each member has the single pulse's bits.
+entry from w, as the blocks are written (``_lambda``; no Gell-Mann
+generator is built).  No block, separate identity or matrix product is
+formed on the way, and a batch runs the same element-wise operations as a
+single pulse, so each member has the single pulse's bits.
 ``embed`` takes a stack of operators too; ``h1``, ``h3`` and ``block_sz``
 build single full-chain operators.
 """
@@ -142,6 +143,7 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     m = round(np.log(size) / np.log(3))
     if 3 ** m != size:
         raise ValueError(f"operator dimension {size} is not a power of 3")
+    start_site = _index(start_site, "start_site")
     if start_site < 1 or start_site + m - 1 > layout.n_sites:
         raise ValueError(
             f"sites {start_site}..{start_site + m - 1} out of range 1..{layout.n_sites}"
@@ -150,20 +152,53 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
 
 
 def _bright(theta, phi):
-    """(s, c, x, y) = (sin(t/2), cos(t/2), s cos(p), s sin(p)) for angle numbers or arrays.
+    """The drive's bright state w = (w_0, w_1) = (sin(t/2) e^{-i p}, -cos(t/2)), as ``_lambda`` takes it: w_0 as
+    (|w_0|, Re w_0, Im w_0), for angle numbers or arrays.
 
-    The drive couples |e> to the bright state |w> = (x - i y)|0> - c|1> alone: its block is
-    |e><w| + |w><e|, whose square is |e><e| + |w><w|.
+    The drive couples |e> to |w> = w_0|0> + w_1|1> alone: its block is the Λ block |e><w| + |w><e|.
     """
     half = 0.5 * theta
     s = np.sin(half)
-    return s, np.cos(half), s * np.cos(phi), s * np.sin(phi)
+    return (s, s * np.cos(phi), -(s * np.sin(phi))), -np.cos(half)
 
 
-def _written(shape: tuple, size: int, entries) -> np.ndarray:
-    """The complex stack ``shape`` + (size, size) that is zero but for ``entries``, (row, column, part, value) with
-    part 0 the real and 1 the imaginary part; each value broadcasts over the stack axes."""
+def _lambda(levels, w, trig=None) -> list:
+    """The (row, column, part, value) entries of a Λ block on the levels (e, i, j), as ``_written`` takes them.
+
+    Without ``trig`` they are those of H = |e><w| + |w><e| for the unit |w> = w_i|i> + w_j|j>; with ``trig`` =
+    (sin(a), cos(a)) those of exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)(|e><e| + |w><w|), as H^2 = |e><e| +
+    |w><w|.  ``w`` = (w_i, w_j) with w_j real; w_i is real too or, if complex, the triple (|w_i|, Re w_i, Im w_i),
+    so that |w_i|^2 is the square of the modulus it was formed from.  Values are numbers or arrays over the stack
+    axes; an entry not listed is zero.
+    """
+    e, i, j = levels
+    w_i, w_j = w
+    mod, re, im = w_i if isinstance(w_i, tuple) else (w_i, w_i, None)
+    if trig is None:
+        entries = [(i, e, 0, re), (e, i, 0, re), (j, e, 0, w_j), (e, j, 0, w_j)]
+        if im is not None:
+            entries += [(i, e, 1, im), (e, i, 1, -im)]
+        return entries
+    sin_a, cos_a = trig
+    cos_m1 = cos_a - 1.0
+    k = cos_m1 * w_j  # the |w><w| entries (i, j) and (j, i) are k w_i and its conjugate
+    k_re, sin_re, sin_j = k * re, -(sin_a * re), -(sin_a * w_j)
+    entries = [(e, e, 0, cos_a), (i, i, 0, 1.0 + cos_m1 * (mod * mod)), (j, j, 0, 1.0 + cos_m1 * (w_j * w_j)),
+               (i, j, 0, k_re), (j, i, 0, k_re), (i, e, 1, sin_re), (e, i, 1, sin_re), (j, e, 1, sin_j),
+               (e, j, 1, sin_j)]
+    if im is not None:
+        k_im, sin_im = k * im, sin_a * im
+        entries += [(i, e, 0, sin_im), (e, i, 0, -sin_im), (i, j, 1, k_im), (j, i, 1, -k_im)]
+    return entries
+
+
+def _written(shape: tuple, size: int, entries, base=None) -> np.ndarray:
+    """The complex stack ``shape`` + (size, size) that is zero, or has the real part ``base`` (an array broadcasting
+    to the stack), but for ``entries``, (row, column, part, value) with part 0 the real and 1 the imaginary part;
+    each value broadcasts over the stack axes."""
     out = np.zeros(shape + (size, size, 2))
+    if base is not None:
+        out[..., 0] = base
     for row, col, part, value in entries:
         out[..., row, col, part] = value
     return out.view(complex)[..., 0]
@@ -176,38 +211,29 @@ def lambda_coupling(theta, phi) -> np.ndarray:
     and relative phase phi; the {|0>,|1>} block is exactly zero, and the
     nonzero spectrum is {+1, -1} for every (theta, phi) since the coupling
     vector has unit norm.  Array angles broadcast: the result is a stack of
-    shape (..., 3, 3), and numbers give one 3x3 block.  Its four nonzero
-    entries are the bright state's amplitudes (``_bright``).
+    shape (..., 3, 3), and numbers give one 3x3 block.  It is the Λ block on
+    the levels (|e>, |0>, |1>) of the bright state (``_bright``).
     """
     if not (finite(theta) and finite(phi)):
         raise ValueError("theta and phi must be finite")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    _, c, x, y = _bright(theta, phi)
-    return _written(np.broadcast_shapes(theta.shape, phi.shape), 3,
-                    [(0, 2, 0, x), (0, 2, 1, -y), (2, 0, 0, x), (2, 0, 1, y), (1, 2, 0, -c), (2, 1, 0, -c)])
+    return _written(np.broadcast(theta, phi).shape, 3, _lambda((2, 0, 1), _bright(theta, phi)))
 
 
 def lambda_propagator(theta, phi, area) -> np.ndarray:
-    """exp(-i a H) of ``lambda_coupling(theta, phi)`` at area a, written entry by entry.
+    """exp(-i a H) of ``lambda_coupling(theta, phi)`` at area a, written entry by entry (``_lambda``).
 
-    It is 1 - i sin(a) H + (cos(a) - 1) H^2 with H = |e><w| + |w><e| and
-    H^2 = |e><e| + |w><w| (``_bright``).  Angles and areas broadcast into a
-    stack (..., 3, 3) as in ``lambda_coupling``; they are taken as checked.
+    Angles and areas broadcast into a stack (..., 3, 3) as in
+    ``lambda_coupling``; they are taken as checked.
     """
     theta, phi, area = (np.asarray(v, dtype=float) for v in (theta, phi, area))
-    s, c, x, y = _bright(theta, phi)
-    sin_a, cos_a = np.sin(area), np.cos(area)
-    cos_m1 = cos_a - 1.0
-    k = cos_m1 * c  # (cos(a) - 1) times the |1> amplitude of |w>, whose sign the entries carry
-    kx, ky, sx, sy, sc = k * x, k * y, sin_a * x, sin_a * y, sin_a * c
-    return _written(np.broadcast_shapes(theta.shape, phi.shape, area.shape), 3, [
-        (0, 0, 0, 1.0 + cos_m1 * (s * s)), (1, 1, 0, 1.0 + cos_m1 * (c * c)), (2, 2, 0, cos_a),
-        (0, 1, 0, -kx), (0, 1, 1, ky), (1, 0, 0, -kx), (1, 0, 1, -ky),
-        (0, 2, 0, -sy), (0, 2, 1, -sx), (2, 0, 0, sy), (2, 0, 1, -sx), (1, 2, 1, sc), (2, 1, 1, sc)])
+    return _written(np.broadcast(theta, phi, area).shape, 3,
+                    _lambda((2, 0, 1), _bright(theta, phi), (np.sin(area), np.cos(area))))
 
 
 def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
     """Full-chain one-qubit drive Hamiltonian at an odd (logical) site."""
+    site = _index(site, "site")
     if not 1 <= site <= layout.n_sites:
         raise ValueError(f"site {site} out of range 1..{layout.n_sites}")
     if site % 2 == 0:
@@ -215,26 +241,12 @@ def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
     return embed(lambda_coupling(theta, phi), site, layout)
 
 
-# Qubit-subspace hopping between two neighboring qutrits, (lam6 lam6 + lam7 lam7)/2 = |01><10| + |10><01|,
-# zero on any |e> component: on their qubit sector {|00>, |01>, |10>, |11>} it has these two entries.
-_HOP2 = np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int64)
-
-# The three-site coupling is zero off its qubit sector, the 8 states with every site in |0> or |1>: so
-# every |e>-carrying configuration of the block is annihilated, not merely decoupled from the
-# computational states.  Sector state 4a + 2b + c, for site values (a, b, c), is state 9a + 3b + c of
-# the 27.  On the sector the left bond L is the hop on sites 1 and 2 and the right bond R the hop on
-# sites 2 and 3.  The tables are formed in integers, exactly, and with no BLAS call: (L, R, L^2, R^2,
-# LR + RL), as H = -cos(v/2) L + sin(v/2) R squares to cos^2 L^2 + sin^2 R^2 - cos sin (LR + RL).
-_L, _R = np.kron(_HOP2, np.eye(2, dtype=np.int64)), np.kron(np.eye(2, dtype=np.int64), _HOP2)
-_XY_TABLES = tuple(t.astype(float) for t in (_L, _R, _L @ _L, _R @ _R, _L @ _R + _R @ _L))
-_EYE8 = np.eye(8)
-
-
-def _set_sector(parts: np.ndarray, part: int, block: np.ndarray) -> None:
-    """Write the (..., 8, 8) ``block`` into the qubit-sector rows and columns of the real (``part`` 0) or
-    imaginary (1) parts of a (..., 27, 27, 2) array: each index of 27 is read as three sites' values."""
-    sector = parts.reshape(parts.shape[:-3] + (3,) * 6 + (2,))[(..., *(slice(2),) * 6, part)]
-    sector[...] = block.reshape(block.shape[:-2] + (2,) * 6)
+# The three-site coupling H = -cos(v/2) L + sin(v/2) R, L and R the qubit-subspace hops |01><10| + |10><01| of
+# sites (1, 2) and (2, 3), is zero off its qubit sector, the 8 states with every site in |0> or |1>: every
+# |e>-carrying configuration is annihilated.  On the sector it is two Λ blocks over w = (-cos(v/2), sin(v/2)),
+# one per sector of one or two |1>s: apex |010> over |100> and |001>, and apex |101> over |011> and |110>.  State
+# (a, b, c) of the three sites is index 9a + 3b + c of the 27.
+_XY_LEVELS = ((3, 9, 1), (10, 4, 12))
 
 
 def xy_coupling(vartheta) -> np.ndarray:
@@ -243,47 +255,31 @@ def xy_coupling(vartheta) -> np.ndarray:
     Commutes with the block pseudo-spin S_z, annihilates every basis state
     carrying |e> on any of the three sites, and, like ``lambda_coupling``,
     has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
-    a stack of shape (..., 27, 27).  Its eight nonzero entries, -cos(v/2) on
-    the left bond's and sin(v/2) on the right bond's, are written by index
-    into a fill of (-cos(v/2)) * 0.0 + sin(v/2) * 0.0, the zero whose sign
-    the sum of the bonds gives every other entry, so each entry has the bits
-    of the full 27 x 27 sum.
+    a stack of shape (..., 27, 27).  It is the two Λ blocks on the level
+    triples ``_XY_LEVELS``, written over a real fill of (-cos(v/2)) * 0.0 +
+    sin(v/2) * 0.0, the zero whose sign the sum of the bonds gives every
+    other entry, so each entry has the bits of the full 27 x 27 sum.
     """
     if not finite(vartheta):
         raise ValueError("vartheta must be finite")
     half = 0.5 * np.asarray(vartheta, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    out = np.empty(half.shape + (27, 27, 2))
-    out[..., 0], out[..., 1] = ((-c) * 0.0 + s * 0.0)[..., None, None], 0.0
-    # the left bond swaps site 1 and 2 values 01 <-> 10, the right bond sites 2 and 3 (index 9a + 3b + c)
-    for row, col in ((3, 9), (9, 3), (4, 10), (10, 4)):
-        out[..., row, col, 0] = -c
-    for row, col in ((1, 3), (3, 1), (10, 12), (12, 10)):
-        out[..., row, col, 0] = s
-    return out.view(complex)[..., 0]
+    minus_c, s = -np.cos(half), np.sin(half)
+    return _written(half.shape, 27, [entry for levels in _XY_LEVELS for entry in _lambda(levels, (minus_c, s))],
+                    (minus_c * 0.0 + s * 0.0)[..., None, None])
 
 
 def xy_propagator(vartheta, area) -> np.ndarray:
-    """exp(-i a H) of ``xy_coupling(vartheta)`` at area a: the 27 x 27 identity with its qubit-sector block set.
+    """exp(-i a H) of ``xy_coupling(vartheta)`` at area a: the 27 x 27 identity with its two Λ blocks' exponentials.
 
-    The block is 1 - i sin(a) H + (cos(a) - 1) H^2, with H and H^2 summed
-    from the bond tables element-wise in a fixed order.  Angles and areas
-    broadcast into a stack (..., 27, 27); they are taken as checked.
+    Each block is written entry by entry (``_lambda``) on its level triple
+    (``_XY_LEVELS``), and the identity stands everywhere else, on |000>,
+    |111> and every |e>-carrying state.  Angles and areas broadcast into a
+    stack (..., 27, 27); they are taken as checked.
     """
     half, area = 0.5 * np.asarray(vartheta, dtype=float), np.asarray(area, dtype=float)
-    c, s, sin_a, cos_m1 = np.cos(half), np.sin(half), np.sin(area), np.cos(area) - 1.0
-    if half.ndim:  # arrays index the stack axes, ahead of the matrix axes
-        c, s = c[..., None, None], s[..., None, None]
-    if area.ndim:
-        sin_a, cos_m1 = sin_a[..., None, None], cos_m1[..., None, None]
-    L, R, L2, R2, LR = _XY_TABLES
-    square = (c * c) * L2 + (s * s) * R2 - (c * s) * LR
-    shape = np.broadcast_shapes(half.shape, area.shape)
-    out = np.zeros(shape + (27, 27, 2))
-    out.reshape(shape + (-1,))[..., ::56] = 1.0  # the identity: a real 1 every 27 + 1 complex entries
-    _set_sector(out, 0, _EYE8 + cos_m1 * square)
-    _set_sector(out, 1, sin_a * (c * L - s * R))
-    return out.view(complex)[..., 0]
+    w, trig = (-np.cos(half), np.sin(half)), (np.sin(area), np.cos(area))
+    return _written(np.broadcast(half, area).shape, 27,
+                    [entry for levels in _XY_LEVELS for entry in _lambda(levels, w, trig)], np.eye(27))
 
 
 def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:

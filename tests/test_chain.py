@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from holosim.chain import (
-    _XY_TABLES,
     ChainLayout,
     block_sz,
     embed,
@@ -20,7 +19,7 @@ from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circui
 from holosim.holonomy import certify
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
 
-from oracles import _GELL_MANN, _HOP, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
+from oracles import _GELL_MANN, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
 
 
 def ket(i):
@@ -127,6 +126,7 @@ class TestChainLayout:
             assert str(err.value) == f"n_logical must be an integer, got {bad!r}"
         layout = ChainLayout(3)
         assert layout.site_of_qubit(np.int64(2)) == 3 and layout.sites_of_pair(np.uint8(2)) == (3, 4, 5)
+        assert np.array_equal(h1(np.int64(3), 0.7, 0.2, layout), h1(3, 0.7, 0.2, layout))
         for bad in (1.5, np.float64(2.0), True):
             calls = {
                 "qubit": [lambda: certify(OneQubitPulse(bad, 0.7, 0.2), layout),
@@ -137,6 +137,8 @@ class TestChainLayout:
                          lambda: run_schedule([ThreeSitePulse(bad, 0.9)], logical_frame(layout), layout),
                          lambda: compile_circuit([XYGate(bad, 0.9)], layout),
                          lambda: circuit_unitary([XYGate(bad, 0.9)], layout)],
+                "site": [lambda: h1(bad, 0.7, 0.2, layout)],  # a float failed inside numpy, and True was site 1
+                "start_site": [lambda: embed(np.eye(3), bad, layout)],
             }
             for name, entries in calls.items():
                 for call in entries:
@@ -171,8 +173,8 @@ _SPECIAL = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 7.0, -7.0, 1e-300, 
 
 
 class TestCouplingsAgainstGenerators:
-    """The blocks are written from the bright state and the bond tables; each keeps the numbers of the
-    complex broadcast of its generators (oracles.py)."""
+    """The blocks are Λ blocks, the drive's on (|e>, |0>, |1>) over its bright state and the coupling's two on
+    its qubit sector; each keeps the numbers of the complex broadcast of its generators (oracles.py)."""
 
     def test_xy_coupling_has_the_bits_of_its_bonds(self):
         # every entry, the zeros and their signs included
@@ -193,17 +195,6 @@ class TestCouplingsAgainstGenerators:
             assert got.shape == want.shape and np.array_equal(got, want)
             nonzero = want.view(float) != 0
             assert got.view(float)[nonzero].tobytes() == want.view(float)[nonzero].tobytes()
-
-    def test_bond_tables_are_the_dense_bonds_on_the_qubit_sector(self):
-        # (L, R, L^2, R^2, LR + RL) against the 27 x 27 bonds' restrictions and products, which vanish off the sector
-        qubit = np.diag([1.0, 1.0, 0.0])
-        left, right = np.kron(_HOP.real, qubit), np.kron(qubit, _HOP.real)
-        sector = [9 * a + 3 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        rest = np.setdiff1d(np.arange(27), sector)
-        dense = (left, right, left @ left, right @ right, left @ right + right @ left)
-        for table, full in zip(_XY_TABLES, dense):
-            assert np.array_equal(table, full[np.ix_(sector, sector)])
-            assert not full[rest].any() and not full[:, rest].any()
 
 
 class TestEmbed:
