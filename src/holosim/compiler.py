@@ -56,25 +56,20 @@ def _checked_axis(axis) -> np.ndarray:
 def compile_rotation(axis, angle) -> tuple[np.ndarray, np.ndarray]:
     """Split a rotation into two reflection axes (n, m).
 
-    n is the first of (x, y, z) not parallel to the rotation axis,
-    orthogonalized against it; m = cos(angle/2) n + sin(angle/2) (axis x n).
+    n is the first of (x, y, z) with axis component squared <= 0.99,
+    orthogonalized against the axis; m = cos(angle/2) n + sin(angle/2) (axis x n).
     Then n.m = cos(angle/2) and n x m = sin(angle/2) axis, so the two
     reflections compose to the requested rotation.  (..., 3) axes and
-    matching angles give (..., 3) pairs.
+    matching angles give (..., 3) pairs, bit for bit the per-member results.
     """
     a = _checked_axis(axis)
     if not finite(angle):
         raise ValueError("rotation angle must be finite")
     angle = np.asarray(angle, dtype=float)
-    # some |axis x e| >= sqrt(2/3) for a unit axis, as the three squares sum to 2
-    if a.ndim == 1:  # one axis: try x, y, z in turn
-        for e in _BASIS_AXES:
-            side = cross(a, e)
-            if np.sqrt(dot(side, side)) > 1e-6:
-                break
-    else:
-        sides = cross(a[..., None, :], _BASIS_AXES)  # axis x e for e = x, y, z
-        e = _BASIS_AXES[np.argmax(np.sqrt(dot(sides, sides)) > 1e-6, axis=-1)]
+    # at most one a_e^2 of a unit axis exceeds 1/2, so such an e exists; |axis x e| >= 0.1 then,
+    # and n = e - (e.a) a loses at most one digit to cancellation; a bound of 1/2 would hold
+    # (-1, 0, 1)/sqrt(2), whose huge and unit forms round to opposite sides of it and take different e
+    e = _BASIS_AXES[np.argmax(a * a <= 0.99, axis=-1)]
     n = e - dot(e, a)[..., None] * a
     n = n / np.sqrt(dot(n, n))[..., None]
     half = 0.5 * angle[..., None]

@@ -209,8 +209,10 @@ def expm_hermitian(H, t: float) -> np.ndarray:
     """Return exp(-i t H) for Hermitian H via eigendecomposition.
 
     Raises ValueError if ||H - H^dag||_F exceeds 1e-12 (the message reports
-    the measured value).
+    the measured value), or if t is not finite.
     """
+    if not finite(t):
+        raise ValueError(f"expm_hermitian requires a finite t, got {float_or_inf(t)}")
     H = _as_square_matrix(H, "H")
     defect = np.max(hermiticity_defect(H))
     if defect > 1e-12:

@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, embed, lambda_coupling, lambda_propagator, xy_coupling, xy_propagator
+from .chain import ChainLayout, _index, embed, lambda_coupling, lambda_propagator, xy_coupling, xy_propagator
 from .linalg import apply_factor, finite, float_or_inf
 
 __all__ = [
@@ -188,6 +188,7 @@ def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:
     Midpoint sampling is second-order accurate per slice; the rescaling pins
     the discretized total area to the requested one at any step count.
     """
+    steps = _index(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     mids = (np.arange(steps) + 0.5) / steps

@@ -80,6 +80,60 @@ class TestCompileRotation:
             compile_rotation([X_AXIS, Y_AXIS], [1.0, np.nan])
 
 
+# distances from a basis axis around the old 1e-6 near-parallel tolerance, where the split lost digits
+_NEAR_OFFSETS = (1e-9, 1e-7, 1.0001e-6, 1.1e-6, 1.5e-6, 1e-5, 1e-3)
+
+
+def _near_basis_axes():
+    """Unit axes at each offset from +-x, +-y and +-z along two sides, and on both sides of a_x^2 = 0.99."""
+    eye, axes = np.eye(3), []
+    for k in range(3):
+        for sign in (1.0, -1.0):
+            for side in (eye[(k + 1) % 3], eye[(k + 2) % 3] - eye[(k + 1) % 3]):
+                axes += [sign * eye[k] + d * side for d in _NEAR_OFFSETS]
+    axes += [(np.sqrt(s), np.sqrt(1.0 - s), 0.0) for s in (0.99 - 1e-6, 0.99 + 1e-6)]
+    axes = np.array(axes)
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+class TestNearBasisAxes:
+    ANGLES = np.linspace(-6.0, 6.0, 13)
+
+    def test_split_invariants_are_exact_next_to_every_basis_axis(self):
+        base = _near_basis_axes()
+        axes, angles = np.repeat(base, len(self.ANGLES), axis=0), np.tile(self.ANGLES, len(base))
+        n, m = compile_rotation(axes, angles)
+        assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 1e-13
+        assert np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)) <= 1e-13
+        assert np.max(np.abs(np.einsum("ij,ij->i", n, m) - np.cos(angles / 2))) <= 1e-13
+        assert np.max(np.linalg.norm(np.cross(n, m) - np.sin(angles / 2)[:, None] * axes, axis=1)) <= 1e-13
+        for k in range(len(axes)):
+            n_k, m_k = compile_rotation(axes[k], angles[k])
+            assert n[k].tobytes() == n_k.tobytes() and m[k].tobytes() == m_k.tobytes()
+
+    def test_compiled_circuits_extract_their_analytic_unitary(self):
+        # rotations next to basis axes, mixed with reflections and XY gates; compare up to one global phase
+        rng, near = np.random.default_rng(30), _near_basis_axes()
+        for _ in range(40):
+            n_logical = int(rng.integers(1, 4))
+            layout = ChainLayout(n_logical)
+            circuit = []
+            for _ in range(int(rng.integers(2, 7))):
+                kind, qubit = rng.integers(3), int(rng.integers(1, n_logical + 1))
+                if kind == 0 or (kind == 2 and n_logical == 1):
+                    angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+                    circuit.append(Rotation(qubit, tuple(near[rng.integers(len(near))]), angle))
+                elif kind == 1:
+                    circuit.append(Reflection(qubit, tuple(random_unit_vector(rng))))
+                else:
+                    circuit.append(XYGate(int(rng.integers(1, n_logical)), float(rng.uniform(0, 2 * np.pi))))
+            columns = run_schedule(compile_circuit(circuit, layout), logical_frame(layout), layout)
+            got = extract_logical_gate(columns, layout).logical_gate
+            want = circuit_unitary(circuit, layout)
+            overlap = np.vdot(want, got)
+            assert np.max(np.abs(got * (abs(overlap) / overlap) - want)) <= 1e-13
+
+
 class TestCompileCircuit:
     def test_empty_circuit(self):
         assert compile_circuit([], ChainLayout(2)) == []

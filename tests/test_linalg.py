@@ -71,6 +71,15 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="finite"):
             expm_hermitian(H, 1.0)
 
+    @pytest.mark.parametrize("t,shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+                                         (10**400, "inf"), (np.float64(np.nan), "nan")],
+                             ids=["nan", "inf", "-inf", "int-beyond-float", "float64-nan"])
+    def test_nonfinite_time_rejected(self, t, shown):
+        # refused by value, with no NaN result, overflow error or runtime warning
+        with pytest.raises(ValueError) as err:
+            expm_hermitian(np.eye(2), t)
+        assert str(err.value) == f"expm_hermitian requires a finite t, got {shown}"
+
 
 class TestPolarUnitary:
     def test_unitary_is_fixed_point(self):

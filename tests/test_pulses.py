@@ -79,6 +79,14 @@ class TestEnvelopes:
             assert str(err.value) == message
         with pytest.raises(ValueError, match="steps"):
             slice_areas("square", np.pi, 0)
+        # steps is read as an integer, as a site or qubit index is: no rounding, no bool, no string
+        for steps in (2.5, True, np.float64(3.0), "3"):
+            for make in (lambda: slice_areas("square", np.pi, steps),
+                         lambda: propagate_stepped(OneQubitPulse(1, 0.3, 0.2), steps, ChainLayout(1))):
+                with pytest.raises(ValueError) as err:
+                    make()
+                assert str(err.value) == f"steps must be an integer, got {steps!r}"
+        assert np.array_equal(slice_areas("sin2", np.pi, np.int64(3)), slice_areas("sin2", np.pi, 3))
         with pytest.raises(ValueError, match="duration"):
             OneQubitPulse(1, 0.0, 0.0, duration=0.0)
 
