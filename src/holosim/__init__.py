@@ -22,7 +22,6 @@ from .chain import (
     embed,
     h1,
     h3,
-    lambda_coupling,
     logical_encode,
     logical_frame,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "embed",
     "h1",
     "h3",
-    "lambda_coupling",
     "logical_encode",
     "logical_frame",
     "ENVELOPES",

@@ -10,21 +10,21 @@ Basis conventions (fixed once, everything downstream depends on them):
 * global index = sum_i code(site i) * 3**(n_sites - i), site 1 most
   significant (i.e. plain ``np.kron`` order with site 1 leftmost).
 
-The local blocks ``lambda_coupling`` and ``xy_coupling`` take arrays of
-angles and return stacks (..., 3^k, 3^k) with the angles' leading axes; a
-number is a batch with no leading axes and gives one block.  Both are built
-from one three-level loop, the Λ block H = |e><w| + |w><e| on levels
-(e, i, j) with a unit |w> = w_i|i> + w_j|j>: the drive is one, on
-(|e>, |0>, |1>) over its bright state, and the coupling two, on its qubit
-sector (``_XY_LEVELS``) over w = (-cos(v/2), sin(v/2)).  H^3 = H, so
-exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)(|e><e| + |w><w|), and
-``lambda_propagator`` and ``xy_propagator`` write that exponential entry by
-entry from w, as the blocks are written (``_lambda``; no Gell-Mann
-generator is built).  No block, separate identity or matrix product is
-formed on the way, and a batch runs the same element-wise operations as a
-single pulse, so each member has the single pulse's bits.
-``embed`` takes a stack of operators too; ``h1``, ``h3`` and ``block_sz``
-build single full-chain operators.
+A pulse's local block is made of Λ systems, three-level loops in which |e>
+couples to one bright state: the block H = |e><w| + |w><e| on levels
+(e, i, j) with a unit |w> = w_i|i> + w_j|j>.  The drive is one, on
+(|e>, |0>, |1>) over its bright state (``_drive_lambdas``), and the coupling
+two, on its qubit sector (``_XY_LEVELS``) over w = (-cos(v/2), sin(v/2))
+(``_xy_lambdas``).  One writer, ``_written``, turns a pulse's systems into
+its block, a stack (..., 3^k, 3^k) with the angles' leading axes (a number
+is a batch with no leading axes and gives one block), or into its
+propagator: H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)(|e><e|
++ |w><w|), written entry by entry from w (``_lambda``; no Gell-Mann
+generator is built), with the identity off the systems' levels.  No block,
+separate identity or matrix product is formed on the way, and a batch runs
+the same element-wise operations as a single pulse, so each member has the
+single pulse's bits.  ``embed`` takes a stack of operators too; ``h1``,
+``h3`` and ``block_sz`` build single full-chain operators.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ __all__ = [
     "SIGMA_Z3",
     "ChainLayout",
     "embed",
-    "lambda_coupling",
-    "lambda_propagator",
-    "xy_coupling",
-    "xy_propagator",
     "h1",
     "h3",
     "block_sz",
@@ -151,15 +147,35 @@ def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
     return embed_factor(op, 3 ** (start_site - 1), 3 ** (layout.n_sites - (start_site + m - 1)))
 
 
-def _bright(theta, phi):
-    """The drive's bright state w = (w_0, w_1) = (sin(t/2) e^{-i p}, -cos(t/2)), as ``_lambda`` takes it: w_0 as
-    (|w_0|, Re w_0, Im w_0), for angle numbers or arrays.
+def _drive_lambdas(theta, phi) -> tuple:
+    """The drive's one Λ system: levels (|e>, |0>, |1>) over its bright state w = (w_0, w_1) = (sin(t/2) e^{-i p},
+    -cos(t/2)), w_0 as (|w_0|, Re w_0, Im w_0) (``_lambda``), for angle numbers or arrays.
 
-    The drive couples |e> to |w> = w_0|0> + w_1|1> alone: its block is the Λ block |e><w| + |w><e|.
+    The drive sin(t/2) e^{i p}|e><0| - cos(t/2)|e><1| + h.c. couples |e> to |w> = w_0|0> + w_1|1> alone, with
+    relative amplitude -tan(t/2) and relative phase p: its {|0>, |1>} block is exactly zero.
     """
-    half = 0.5 * theta
-    s = np.sin(half)
-    return (s, s * np.cos(phi), -(s * np.sin(phi))), -np.cos(half)
+    half = 0.5 * np.asarray(theta, dtype=float)
+    s, phi = np.sin(half), np.asarray(phi, dtype=float)
+    return (((2, 0, 1), ((s, s * np.cos(phi), -(s * np.sin(phi))), -np.cos(half))),)
+
+
+# The three-site coupling H = -cos(v/2) L + sin(v/2) R, L and R the qubit-subspace hops |01><10| + |10><01| of
+# sites (1, 2) and (2, 3), is zero off its qubit sector, the 8 states with every site in |0> or |1>: every
+# |e>-carrying configuration is annihilated.  On the sector it is two Λ blocks over w = (-cos(v/2), sin(v/2)),
+# one per sector of one or two |1>s: apex |010> over |100> and |001>, and apex |101> over |011> and |110>.  State
+# (a, b, c) of the three sites is index 9a + 3b + c of the 27.
+_XY_LEVELS = ((3, 9, 1), (10, 4, 12))
+
+
+def _xy_lambdas(vartheta) -> tuple:
+    """The XY coupling's two Λ systems, one per level triple of ``_XY_LEVELS``, over w = (-cos(v/2), sin(v/2)).
+
+    The coupling commutes with the block pseudo-spin S_z and annihilates every basis state carrying |e> on any
+    of its three sites.
+    """
+    half = 0.5 * np.asarray(vartheta, dtype=float)
+    w = -np.cos(half), np.sin(half)
+    return tuple((levels, w) for levels in _XY_LEVELS)
 
 
 def _lambda(levels, w, trig=None) -> list:
@@ -192,99 +208,48 @@ def _lambda(levels, w, trig=None) -> list:
     return entries
 
 
-def _written(shape: tuple, size: int, entries, base=None) -> np.ndarray:
-    """The complex stack ``shape`` + (size, size) that is zero, or has the real part ``base`` (an array broadcasting
-    to the stack), but for ``entries``, (row, column, part, value) with part 0 the real and 1 the imaginary part;
-    each value broadcasts over the stack axes."""
+def _written(size: int, systems, area=None) -> np.ndarray:
+    """The block H of the Λ ``systems``, (levels, w) pairs as ``_lambda`` takes them: a complex stack (..., size,
+    size) that is zero off their entries.  With an ``area`` a it is exp(-i a H) instead, the identity off their
+    levels.  The stack axes are those of the first system's Re w_i, which carries the axes of every w of the
+    systems, and of the area, broadcast together; each member has the bits of its single block, as a batch runs
+    the same element-wise operations.
+    """
+    w_i = systems[0][1][0]
+    re = w_i[1] if isinstance(w_i, tuple) else w_i
+    trig = None
+    if area is None:
+        shape = np.shape(re)
+    else:
+        area = np.asarray(area, dtype=float)
+        trig, shape = (np.sin(area), np.cos(area)), np.broadcast(re, area).shape
     out = np.zeros(shape + (size, size, 2))
-    if base is not None:
-        out[..., 0] = base
-    for row, col, part, value in entries:
-        out[..., row, col, part] = value
+    if trig is not None and 3 * len(systems) < size:
+        # the identity on the levels that no system lists (the triples are disjoint; each rewrites its own diagonal)
+        out.reshape(shape + (-1,))[..., ::2 * size + 2] = 1.0  # the real part of every diagonal entry
+    for levels, w in systems:
+        for row, col, part, value in _lambda(levels, w, trig):
+            out[..., row, col, part] = value
     return out.view(complex)[..., 0]
 
 
-def lambda_coupling(theta, phi) -> np.ndarray:
-    """Local 3x3 two-field coupling sin(t/2)e^{i p}|e><0| - cos(t/2)|e><1| + h.c.
-
-    The two lower levels couple to |e> with relative amplitude -tan(theta/2)
-    and relative phase phi; the {|0>,|1>} block is exactly zero, and the
-    nonzero spectrum is {+1, -1} for every (theta, phi) since the coupling
-    vector has unit norm.  Array angles broadcast: the result is a stack of
-    shape (..., 3, 3), and numbers give one 3x3 block.  It is the Λ block on
-    the levels (|e>, |0>, |1>) of the bright state (``_bright``).
-    """
-    if not (finite(theta) and finite(phi)):
-        raise ValueError("theta and phi must be finite")
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    return _written(np.broadcast(theta, phi).shape, 3, _lambda((2, 0, 1), _bright(theta, phi)))
-
-
-def lambda_propagator(theta, phi, area) -> np.ndarray:
-    """exp(-i a H) of ``lambda_coupling(theta, phi)`` at area a, written entry by entry (``_lambda``).
-
-    Angles and areas broadcast into a stack (..., 3, 3) as in
-    ``lambda_coupling``; they are taken as checked.
-    """
-    theta, phi, area = (np.asarray(v, dtype=float) for v in (theta, phi, area))
-    return _written(np.broadcast(theta, phi, area).shape, 3,
-                    _lambda((2, 0, 1), _bright(theta, phi), (np.sin(area), np.cos(area))))
-
-
 def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
-    """Full-chain one-qubit drive Hamiltonian at an odd (logical) site."""
+    """Full-chain one-qubit drive Hamiltonian at an odd (logical) site: the drive's Λ block, embedded."""
     site = _index(site, "site")
     if not 1 <= site <= layout.n_sites:
         raise ValueError(f"site {site} out of range 1..{layout.n_sites}")
     if site % 2 == 0:
         raise ValueError(f"site {site} is auxiliary; one-qubit drives address odd sites only")
-    return embed(lambda_coupling(theta, phi), site, layout)
-
-
-# The three-site coupling H = -cos(v/2) L + sin(v/2) R, L and R the qubit-subspace hops |01><10| + |10><01| of
-# sites (1, 2) and (2, 3), is zero off its qubit sector, the 8 states with every site in |0> or |1>: every
-# |e>-carrying configuration is annihilated.  On the sector it is two Λ blocks over w = (-cos(v/2), sin(v/2)),
-# one per sector of one or two |1>s: apex |010> over |100> and |001>, and apex |101> over |011> and |110>.  State
-# (a, b, c) of the three sites is index 9a + 3b + c of the 27.
-_XY_LEVELS = ((3, 9, 1), (10, 4, 12))
-
-
-def xy_coupling(vartheta) -> np.ndarray:
-    """Local 27x27 three-site XY coupling: -cos(v/2) left bond + sin(v/2) right bond.
-
-    Commutes with the block pseudo-spin S_z, annihilates every basis state
-    carrying |e> on any of the three sites, and, like ``lambda_coupling``,
-    has spectrum in {-1, 0, +1} for every vartheta.  An array of angles gives
-    a stack of shape (..., 27, 27).  It is the two Λ blocks on the level
-    triples ``_XY_LEVELS``, written over a real fill of (-cos(v/2)) * 0.0 +
-    sin(v/2) * 0.0, the zero whose sign the sum of the bonds gives every
-    other entry, so each entry has the bits of the full 27 x 27 sum.
-    """
-    if not finite(vartheta):
-        raise ValueError("vartheta must be finite")
-    half = 0.5 * np.asarray(vartheta, dtype=float)
-    minus_c, s = -np.cos(half), np.sin(half)
-    return _written(half.shape, 27, [entry for levels in _XY_LEVELS for entry in _lambda(levels, (minus_c, s))],
-                    (minus_c * 0.0 + s * 0.0)[..., None, None])
-
-
-def xy_propagator(vartheta, area) -> np.ndarray:
-    """exp(-i a H) of ``xy_coupling(vartheta)`` at area a: the 27 x 27 identity with its two Λ blocks' exponentials.
-
-    Each block is written entry by entry (``_lambda``) on its level triple
-    (``_XY_LEVELS``), and the identity stands everywhere else, on |000>,
-    |111> and every |e>-carrying state.  Angles and areas broadcast into a
-    stack (..., 27, 27); they are taken as checked.
-    """
-    half, area = 0.5 * np.asarray(vartheta, dtype=float), np.asarray(area, dtype=float)
-    w, trig = (-np.cos(half), np.sin(half)), (np.sin(area), np.cos(area))
-    return _written(np.broadcast(half, area).shape, 27,
-                    [entry for levels in _XY_LEVELS for entry in _lambda(levels, w, trig)], np.eye(27))
+    if not (finite(theta) and finite(phi)):
+        raise ValueError("theta and phi must be finite")
+    return embed(_written(3, _drive_lambdas(theta, phi)), site, layout)
 
 
 def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:
-    """Full-chain XY Hamiltonian of pair l': ``xy_coupling`` on sites 2l'-1, 2l', 2l'+1."""
-    return embed(xy_coupling(vartheta), layout.sites_of_pair(pair)[0], layout)
+    """Full-chain XY Hamiltonian of pair l': its two Λ blocks on sites 2l'-1, 2l', 2l'+1, embedded."""
+    if not finite(vartheta):
+        raise ValueError("vartheta must be finite")
+    return embed(_written(27, _xy_lambdas(vartheta)), layout.sites_of_pair(pair)[0], layout)
 
 
 def block_sz(pair: int, layout: ChainLayout) -> np.ndarray:

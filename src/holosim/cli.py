@@ -86,10 +86,22 @@ def _parse_bits(bits: str, n: int) -> list[int]:
     return [int(c) for c in bits]
 
 
+def _read_schedule(path: str, layout: ChainLayout) -> list:
+    """The schedule document at ``path``, each pulse placed on the chain before any is applied: a pulse that
+    does not fit is named by its index, as a parse error names it."""
+    schedule = loads_schedule(_read(path))
+    for i, pulse in enumerate(schedule):
+        try:
+            pulse.lambdas(layout)
+        except ValueError as exc:
+            raise FormatError(f"pulses[{i}]: {exc}") from None
+    return schedule
+
+
 def cmd_simulate(args) -> int:
     layout = ChainLayout(args.qubits)
     check_columns(f"simulate at N={args.qubits}", layout, 1)
-    schedule = loads_schedule(_read(args.schedule))
+    schedule = _read_schedule(args.schedule, layout)
     bits = _parse_bits(args.initial, layout.n_logical)
     psi = run_schedule(schedule, logical_encode(bits, layout), layout)
 
@@ -158,7 +170,7 @@ def cmd_compile(args) -> int:
 def cmd_extract_gate(args) -> int:
     layout = ChainLayout(args.qubits)
     frame = logical_frame(layout)  # budgeted where it is built, before the schedule is read
-    schedule = loads_schedule(_read(args.schedule))
+    schedule = _read_schedule(args.schedule, layout)
     columns = run_schedule(schedule, frame, layout)
     report = extract_logical_gate(columns, layout)
 

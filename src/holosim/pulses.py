@@ -7,20 +7,24 @@ stepped integrator exists to certify exactly that: sliced propagation with
 any envelope shape of equal area reproduces the single-shot propagator.
 Each envelope is one row of a table: its shape and its accumulated area.
 
-Every pulse has one local form, (first site, 3^k x 3^k block) with k = 1 or
-3, and one local propagator, (first site, exp(-i a H)) at its area a.  Both
-blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1) H^2
-exactly; ``local_propagator`` has ``chain.lambda_propagator`` or
-``chain.xy_propagator`` write it entry by entry from the pulse's numbers,
-with no block, identity or block product formed.  ``closed_form`` evaluates
-the same sum on given terms: the projected maps of ``holonomy``, and the
-slices of ``propagate_stepped``, which squares the block, so that stepped
-and exact propagation are two independent constructions.  ``apply_local`` is
-the one place that turns a site into the number of dimensions before it,
-3^(site-1), so that ``linalg.apply_factor`` applies a propagator to a state
-or to operator columns; it is embedded only for dense propagators.  Each
-pulse class also says how it moves to its minimal chain, one qubit or one
-pair (``minimal_chain``), and which identities embed the gate found there;
+Every pulse is its Λ systems (``lambdas``): its first site, its local size
+3^k with k = 1 or 3, and the three-level loops (levels, w) in which |e>
+couples to one bright state |w>, one for the drive and two for the XY
+coupling (see ``chain``).  ``local_form`` and ``local_propagator`` both
+read ``lambdas``, and have one writer, ``chain._written``, write the block,
+(first site, 3^k x 3^k block), or the propagator, (first site, exp(-i a H))
+at the pulse's area a, entry by entry from the pulse's numbers, with no
+block, identity or block product formed.
+Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)
+H^2 exactly; ``closed_form`` evaluates the same sum on given terms: the
+projected maps of ``holonomy``, and the slices of ``propagate_stepped``,
+which squares the block, so that stepped and exact propagation are two
+independent constructions.  ``apply_local`` is the one place that turns a
+site into the number of dimensions before it, 3^(site-1), so that
+``linalg.apply_factor`` applies a propagator to a state or to operator
+columns; it is embedded only for dense propagators.  Each pulse class also
+says how it moves to its minimal chain, one qubit or one pair
+(``minimal_chain``), and which identities embed the gate found there;
 ``holonomy.certify`` works there.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
@@ -46,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, _index, embed, lambda_coupling, lambda_propagator, xy_coupling, xy_propagator
+from .chain import ChainLayout, _drive_lambdas, _index, _written, _xy_lambdas, embed
 from .linalg import apply_factor, finite, float_or_inf
 
 __all__ = [
@@ -132,11 +136,9 @@ class OneQubitPulse:
             raise ValueError("theta and phi must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
 
-    def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
-        return layout.site_of_qubit(self.qubit), lambda_coupling(self.theta, self.phi)
-
-    def local_propagator(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
-        return layout.site_of_qubit(self.qubit), lambda_propagator(self.theta, self.phi, self.area)
+    def lambdas(self, layout: ChainLayout) -> tuple[int, int, tuple]:
+        """(first site, local size, Λ systems): the drive is one Λ system, on (|e>, |0>, |1>) of its site."""
+        return layout.site_of_qubit(self.qubit), 3, _drive_lambdas(self.theta, self.phi)
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[OneQubitPulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to qubit 1 of a one-qubit chain, and the identity sizes (1, 1): its
@@ -164,11 +166,10 @@ class ThreeSitePulse:
             raise ValueError("vartheta must be finite")
         _check_pulse_fields(self.area, self.envelope, self.duration)
 
-    def local_form(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
-        return layout.sites_of_pair(self.pair)[0], xy_coupling(self.vartheta)
-
-    def local_propagator(self, layout: ChainLayout) -> tuple[int, np.ndarray]:
-        return layout.sites_of_pair(self.pair)[0], xy_propagator(self.vartheta, self.area)
+    def lambdas(self, layout: ChainLayout) -> tuple[int, int, tuple]:
+        """(first site, local size, Λ systems): the coupling is two Λ systems, on the qubit sector of its three
+        sites."""
+        return layout.sites_of_pair(self.pair)[0], 27, _xy_lambdas(self.vartheta)
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =
@@ -213,17 +214,21 @@ def _checked(pulse):
 
 
 def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local block Hamiltonian) of ``pulse``: what the Hamiltonian, stepped propagation and
-    ``holonomy`` start from.  A batch of pulses gives a stack of blocks, shape (..., 3^k, 3^k).
+    """(first site, local block Hamiltonian) of ``pulse``, written from its Λ systems: what the Hamiltonian,
+    stepped propagation and ``holonomy`` start from.  A batch of pulses gives a stack of blocks, shape
+    (..., 3^k, 3^k).
     """
-    return _checked(pulse).local_form(layout)
+    site, size, systems = _checked(pulse).lambdas(layout)
+    return site, _written(size, systems)
 
 
 def local_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local propagator exp(-i area H)) of ``pulse``: what exact propagation applies or embeds.
-    A batch of pulses gives a stack, shape (..., 3^k, 3^k), each member with its single pulse's bits.
+    """(first site, local propagator exp(-i area H)) of ``pulse``, written from its Λ systems: what exact
+    propagation applies or embeds.  A batch of pulses gives a stack, shape (..., 3^k, 3^k), each member with
+    its single pulse's bits.
     """
-    return _checked(pulse).local_propagator(layout)
+    site, size, systems = _checked(pulse).lambdas(layout)
+    return site, _written(size, systems, pulse.area)
 
 
 def closed_form(T0, T1, T2, area) -> np.ndarray:

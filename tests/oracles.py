@@ -85,7 +85,7 @@ def generator_xy_coupling(vartheta):
 
 
 def local_reference(pulse, layout):
-    """The dense reference of ``pulse.local_propagator``: its first site and ``taylor_propagator`` of its block
+    """The dense reference of ``pulses.local_propagator``: its first site and ``taylor_propagator`` of its block
     from the generators at its area, member by member for a batch, as a stack with the batch's axes."""
     if isinstance(pulse, OneQubitPulse):
         site, block = layout.site_of_qubit(pulse.qubit), generator_lambda_coupling(pulse.theta, pulse.phi)

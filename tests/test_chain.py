@@ -10,14 +10,12 @@ from holosim.chain import (
     embed,
     h1,
     h3,
-    lambda_coupling,
     logical_encode,
     logical_frame,
-    xy_coupling,
 )
 from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circuit
 from holosim.holonomy import certify
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, run_schedule
+from holosim.pulses import OneQubitPulse, ThreeSitePulse, local_form, run_schedule
 
 from oracles import _GELL_MANN, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
 
@@ -31,8 +29,18 @@ def ket(i):
 KET0, KET1, KETE = ket(0), ket(1), ket(2)
 
 
+def drive_block(theta, phi):
+    """The drive's 3 x 3 block (a stack for array angles), read through ``local_form``."""
+    return local_form(OneQubitPulse(1, theta, phi), ChainLayout(1))[1]
+
+
+def xy_block(vartheta):
+    """The XY coupling's 27 x 27 block (a stack for array angles), read through ``local_form``."""
+    return local_form(ThreeSitePulse(1, vartheta), ChainLayout(2))[1]
+
+
 class TestGenerators:
-    # the Gell-Mann table that lambda_coupling and the XY hop are built from
+    # the Gell-Mann table that the oracles build the drive and the XY hop from
     def test_explicit_matrices(self):
         expected = {
             1: np.outer(KETE, KET0) + np.outer(KET0, KETE),
@@ -176,21 +184,23 @@ class TestCouplingsAgainstGenerators:
     """The blocks are Λ blocks, the drive's on (|e>, |0>, |1>) over its bright state and the coupling's two on
     its qubit sector; each keeps the numbers of the complex broadcast of its generators (oracles.py)."""
 
-    def test_xy_coupling_has_the_bits_of_its_bonds(self):
-        # every entry, the zeros and their signs included
+    def test_xy_block_has_the_values_and_nonzero_bits_of_its_bonds(self):
+        # each nonzero real or imaginary part has the same bits; a zero may differ in sign, as the bond sum's
+        # products of zeros gave either sign (equal as numbers, and lost in any matrix product)
         angles = np.concatenate([_SPECIAL, np.random.default_rng(60).uniform(-7, 7, 200)])
-        for vt in angles:
-            assert xy_coupling(vt).tobytes() == generator_xy_coupling(vt).tobytes()
-        for batch in (angles, angles.reshape(10, 21)[:, None, :3]):
-            assert xy_coupling(batch).tobytes() == generator_xy_coupling(batch).tobytes()
+        for vt in [*angles, angles, angles.reshape(10, 21)[:, None, :3]]:
+            got, want = xy_block(vt), generator_xy_coupling(vt)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            nonzero = want.view(float) != 0
+            assert got.view(float)[nonzero].tobytes() == want.view(float)[nonzero].tobytes()
 
-    def test_lambda_coupling_has_the_values_and_nonzero_bits_of_its_generators(self):
+    def test_drive_block_has_the_values_and_nonzero_bits_of_its_generators(self):
         # each nonzero real or imaginary part has the same bits; a zero may differ in sign, as the broadcast's
         # products of zeros gave either sign (equal as numbers, and lost in any matrix product)
         angles = np.concatenate([_SPECIAL, np.random.default_rng(61).uniform(-7, 7, 30)])
         theta, phi = angles[:, None], angles
-        for got, want in ((lambda_coupling(theta, phi), generator_lambda_coupling(theta, phi)),
-                          (np.array([[lambda_coupling(t, p) for p in angles] for t in angles]),
+        for got, want in ((drive_block(theta, phi), generator_lambda_coupling(theta, phi)),
+                          (np.array([[drive_block(t, p) for p in angles] for t in angles]),
                            generator_lambda_coupling(theta, phi))):
             assert got.shape == want.shape and np.array_equal(got, want)
             nonzero = want.view(float) != 0
@@ -261,16 +271,16 @@ class TestEmbed:
 class TestOneQubitHamiltonian:
     def test_theta_zero_drives_only_level_one(self):
         want = -(np.outer(KETE, KET1) + np.outer(KET1, KETE))
-        assert np.allclose(lambda_coupling(0.0, 0.0), want, atol=1e-16)
+        assert np.allclose(drive_block(0.0, 0.0), want, atol=1e-16)
 
     def test_theta_pi_drives_only_level_zero(self):
         want = np.outer(KETE, KET0) + np.outer(KET0, KETE)
-        assert np.allclose(lambda_coupling(np.pi, 0.0), want, atol=1e-15)
+        assert np.allclose(drive_block(np.pi, 0.0), want, atol=1e-15)
 
     @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 5))
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * np.pi, 4, endpoint=False))
     def test_spectrum_is_unit_lambda_system(self, theta, phi):
-        evals = np.linalg.eigvalsh(lambda_coupling(theta, phi))
+        evals = np.linalg.eigvalsh(drive_block(theta, phi))
         assert np.allclose(evals, [-1.0, 0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("theta,phi", [(0.83, 2.1), (2.4, -0.7), (1.3, 4.4)])
@@ -279,10 +289,10 @@ class TestOneQubitHamiltonian:
         upper = (np.sin(theta / 2) * np.exp(1j * phi) * np.outer(KETE, KET0)
                  - np.cos(theta / 2) * np.outer(KETE, KET1))
         want = upper + upper.conj().T
-        assert np.max(np.abs(lambda_coupling(theta, phi) - want)) <= 1e-15
+        assert np.max(np.abs(drive_block(theta, phi) - want)) <= 1e-15
 
     def test_qubit_block_exactly_zero(self):
-        H = lambda_coupling(0.83, 2.1)
+        H = drive_block(0.83, 2.1)
         assert np.all(H[:2, :2] == 0)
 
     def test_full_chain_vanishes_on_logical_states(self):

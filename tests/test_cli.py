@@ -563,6 +563,18 @@ class TestBadInput:
         assert main([command, flag, str(path), "--qubits", "2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, extra", [("simulate", ["--initial", "00"]), ("extract-gate", [])])
+    def test_a_pulse_off_the_chain_is_named(self, command, extra, tmp_path, capsys, monkeypatch):
+        # the second pulse addresses pair 2 of a two-qubit chain: it is named by its index, and refused before
+        # any pulse is applied
+        sched = tmp_path / "s.json"
+        write_schedule(sched, [OneQubitPulse(1, 0.7, 0.3), ThreeSitePulse(2, 0.9), OneQubitPulse(2, 0.1, 0.2)])
+        applied = []
+        monkeypatch.setattr(cli, "run_schedule", lambda *args: applied.append(args))
+        assert main([command, "--schedule", str(sched), "--qubits", "2", *extra]) == 2
+        assert capsys.readouterr() == ("", "error: pulses[1]: pair 2 out of range 1..1\n")
+        assert applied == []
+
     def test_compile_output_keeps_its_top_level_keys_readable(self, tmp_path, capsys):
         # predicted_gate and provenance sit beside "pulses": document keys stay open
         circ, sched = tmp_path / "c.json", tmp_path / "s.json"

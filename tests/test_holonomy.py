@@ -158,6 +158,22 @@ class TestWilsonLoop:
             with pytest.raises(ValueError, match=f"^{samples} samples undersample the Wilson loop"):
                 wilson_loop(trace_subspace(pulse, F, samples, layout))
 
+    @pytest.mark.parametrize("area, envelope, samples, steps", [
+        # every step below a quarter turn, but their cosines multiply past the rank floor: only the product
+        # bound refuses this path
+        (5 * np.pi, "square", 12, "1.428e+00 rad (below pi/2 needed), product of step cosines 4.850e-10"),
+        # a step past a quarter turn, with the product of cosines far above the floor: only the step bound
+        # refuses this path
+        (2 * np.pi, "gaussian", 5, "2.729e+00 rad (below pi/2 needed), product of step cosines 7.045e-01"),
+    ], ids=["product-bound", "step-bound"])
+    def test_each_undersampling_bound_refuses_on_its_own(self, area, envelope, samples, steps):
+        pulse, layout = OneQubitPulse(1, 0.7, 0.3, area=area, envelope=envelope), ChainLayout(1)
+        path = trace_subspace(pulse, computational_frame(pulse, layout), samples, layout)
+        with pytest.raises(ValueError) as err:
+            wilson_loop(path)
+        assert str(err.value) == (f"{samples} samples undersample the Wilson loop: largest area step {steps} "
+                                  "(above 1e-8 needed)")
+
     def test_non_cyclic_path_rejected_with_residual(self):
         pulse = ThreeSitePulse(1, np.pi / 2, area=np.pi / 2)
         path = trace_subspace(pulse, computational_frame(pulse, LAYOUT), 64, LAYOUT)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim.chain import (ChainLayout, block_sz, embed, lambda_coupling, logical_encode, logical_frame,
-                           xy_coupling)
+from holosim.chain import ChainLayout, block_sz, embed, logical_encode, logical_frame
 from holosim.gates import bloch_vector, entanglement_entropy, extract_logical_gate, one_qubit_gate, two_qubit_gate
 from holosim.linalg import apply_factor, expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
@@ -326,6 +325,16 @@ class TestLocality:
         assert np.max(np.abs(gate.logical_gate - kron_logical(first, small.logical_gate, n_logical))) <= 1e-14
 
 
+def drive_block(theta, phi):
+    """The drive's 3 x 3 block (a stack for array angles), read through ``local_form``."""
+    return local_form(OneQubitPulse(1, theta, phi), ChainLayout(1))[1]
+
+
+def xy_block(vartheta):
+    """The XY coupling's 27 x 27 block (a stack for array angles), read through ``local_form``."""
+    return local_form(ThreeSitePulse(1, vartheta), ChainLayout(2))[1]
+
+
 _ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
 _BLOCK_SZ = block_sz(1, ChainLayout(2))  # 27 x 27: pair 1 spans all three sites of N = 2
 
@@ -334,12 +343,12 @@ class TestLocalBlockProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(theta=_ANGLE, phi=_ANGLE, vartheta=_ANGLE, area=_ANGLE)
     def test_blocks_cube_to_themselves_and_propagate_unitarily(self, theta, phi, vartheta, area):
-        for block in (lambda_coupling(theta, phi), xy_coupling(vartheta)):
+        for block in (drive_block(theta, phi), xy_block(vartheta)):
             block_sq = block @ block
             assert np.max(np.abs(block_sq @ block - block)) <= 1e-14
             assert unitarity_defect(closed_form(np.eye(len(block)), block, block_sq, area)) <= 1e-13
         # the XY block and its propagator conserve the three sites' pseudo-spin S_z
-        xy = xy_coupling(vartheta)
+        xy = xy_block(vartheta)
         U = closed_form(np.eye(27), xy, xy @ xy, area)
         assert np.max(np.abs(xy @ _BLOCK_SZ - _BLOCK_SZ @ xy)) <= 1e-14
         assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
@@ -384,6 +393,27 @@ class TestLocalPropagator:
         else:
             assert np.max(np.abs(propagate_stepped(pulse, 1, layout) - propagate_exact(pulse, layout))) <= 1e-14
 
+    def test_identity_and_zero_off_the_lambda_levels(self):
+        # off the level triples its Λ systems list (read from lambdas), the propagator is exactly the identity,
+        # 1.0 and +0.0 with +0.0 imaginary parts, and the block exactly +0.0, for single pulses and batches;
+        # the triples are disjoint, so the drive's one system covers its three levels
+        rng = np.random.default_rng(27)
+        angles, areas = rng.uniform(-7, 7, (4, 1)), rng.uniform(-7, 7, 3)
+        layout = ChainLayout(2)
+        for pulse, stack in ((OneQubitPulse(2, 0.7, -2.1, area=1.3), ()),
+                             (OneQubitPulse(1, angles, areas, area=areas), (4, 3)),
+                             (ThreeSitePulse(1, -0.4, area=2.2), ()), (ThreeSitePulse(1, angles, area=areas), (4, 3))):
+            _, size, systems = pulse.lambdas(layout)
+            inside = np.zeros((size, size), dtype=bool)
+            for levels, _ in systems:
+                inside[np.ix_(levels, levels)] = True
+            assert np.count_nonzero(inside) == 9 * len(systems)
+            U, H = local_propagator(pulse, layout)[1], local_form(pulse, layout)[1]
+            assert U.shape == stack + (size, size)
+            U_off, H_off = U[..., ~inside], H[..., ~inside]
+            assert U_off.tobytes() == np.broadcast_to(np.eye(size, dtype=complex)[~inside], U_off.shape).tobytes()
+            assert H_off.tobytes() == np.zeros(H_off.shape, dtype=complex).tobytes()
+
     def test_agrees_with_the_closed_form_of_the_block_and_its_square(self):
         # the exponential from the block and its square, closed_form(1, H, H @ H, a), as stepped propagation forms it
         rng = np.random.default_rng(26)
@@ -400,28 +430,28 @@ class TestBatchedPulses:
 
     def test_couplings_and_block_exponential_broadcast(self):
         theta, phi = np.array([[0.3], [2.9]]), np.array([-1.0, 0.5, 4.0])
-        blocks = lambda_coupling(theta, phi)
+        blocks = drive_block(theta, phi)
         assert blocks.shape == (2, 3, 3, 3)
         for i, j in np.ndindex(2, 3):
-            assert np.array_equal(blocks[i, j], lambda_coupling(theta[i, 0], phi[j]))
+            assert np.array_equal(blocks[i, j], drive_block(theta[i, 0], phi[j]))
         vt = np.array([0.0, 1.1, -7.5])
-        xy = xy_coupling(vt)
-        assert np.array_equal(xy, [xy_coupling(v) for v in vt])
+        xy = xy_block(vt)
+        assert np.array_equal(xy, [xy_block(v) for v in vt])
         areas = np.array([0.4, np.pi, -3.0, 9.0])
         U = closed_form(np.eye(27), xy[:, None], (xy @ xy)[:, None], areas)
         assert U.shape == (3, 4, 27, 27)
         for i, j in np.ndindex(3, 4):
             assert np.array_equal(U[i, j], closed_form(np.eye(27), xy[i], xy[i] @ xy[i], areas[j]))
         with pytest.raises(ValueError, match="finite"):
-            lambda_coupling(np.array([0.1, np.nan]), 0.0)
+            OneQubitPulse(1, np.array([0.1, np.nan]), 0.0)
         with pytest.raises(ValueError, match="finite"):
-            xy_coupling([0.0, np.inf])
+            ThreeSitePulse(1, [0.0, np.inf])
 
     def test_apply_local_broadcasts_blocks_against_columns(self):
         layout = ChainLayout(2)
         rng = np.random.default_rng(21)
         X = rng.normal(size=(4, layout.dim, 3)) + 1j * rng.normal(size=(4, layout.dim, 3))
-        site, block = 3, lambda_coupling(rng.uniform(0, 3, (5, 1)), 0.7)  # (5, 1, 3, 3) against (4, dim, 3)
+        site, block = 3, drive_block(rng.uniform(0, 3, (5, 1)), 0.7)  # (5, 1, 3, 3) against (4, dim, 3)
         got = apply_local(site, block, X)
         assert got.shape == (5, 4, layout.dim, 3)
         for i, j in np.ndindex(5, 4):
@@ -434,11 +464,11 @@ class TestBatchedPulses:
         # (circuit_unitary's left = 2^(q-1))
         layout = ChainLayout(3)
         rng = np.random.default_rng(30 + site)
-        blocks = [lambda_coupling(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5))]
+        blocks = [drive_block(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5))]
         qubit = (site + 1) // 2
         gates = [one_qubit_gate(bloch_vector(rng.uniform(0, 7, 5), rng.uniform(0, 7, 5)))]
         if site + 2 <= layout.n_sites:
-            blocks.append(xy_coupling(rng.uniform(0, 7, 5)))
+            blocks.append(xy_block(rng.uniform(0, 7, 5)))
             gates.append(two_qubit_gate(rng.uniform(0, 7, 5)))
         X = rng.normal(size=(5, layout.dim, 8)) + 1j * rng.normal(size=(5, layout.dim, 8))
         R = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
@@ -538,7 +568,7 @@ class TestKernelMemory:
     # 3^7 x 16 columns: the most dimensions precede the block at the last sites
     @pytest.mark.parametrize("site, d", [(site, 3) for site in range(1, 8)] + [(site, 27) for site in range(1, 6)])
     def test_traced_peak_is_the_result(self, site, d):
-        block = lambda_coupling(0.4, 0.9) if d == 3 else xy_coupling(0.7)
+        block = drive_block(0.4, 0.9) if d == 3 else xy_block(0.7)
         rng = np.random.default_rng(site)
         X = rng.normal(size=(3 ** 7, 16)) + 1j * rng.normal(size=(3 ** 7, 16))
         assert self._peak_over_result(site, block, X) <= 1.05
@@ -547,7 +577,7 @@ class TestKernelMemory:
     def test_traced_peak_of_a_stack_is_the_result(self, site):
         # a stack (5, 3, 3) on one column block, and (5, 1, 3, 3) broadcast against a stack (4, dim, K)
         rng = np.random.default_rng(40 + site)
-        blocks = lambda_coupling(rng.uniform(0, 3, (5, 1)), 0.7)
+        blocks = drive_block(rng.uniform(0, 3, (5, 1)), 0.7)
         X = rng.normal(size=(4, 3 ** 7, 4)) + 1j * rng.normal(size=(4, 3 ** 7, 4))
         assert self._peak_over_result(site, blocks[:, 0], X[0]) <= 1.05
         assert self._peak_over_result(site, blocks, X) <= 1.05
