@@ -168,6 +168,8 @@ def compile_circuit(circuit, layout: ChainLayout) -> list:
             schedule.extend(compile_gate(gate, layout))
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from None
+        except TypeError as exc:
+            raise TypeError(f"gate {i}: {exc}") from None
     return schedule
 
 

@@ -1,10 +1,11 @@
 """Pulses, envelopes and propagation.
 
-A pulse switches exactly one Hamiltonian block on for a duration tau with a
-real envelope; only the pulse area (the envelope's time integral) enters the
-propagator, because the block Hamiltonian is constant while it is on.  The
-stepped integrator exists to certify exactly that: sliced propagation with
-any envelope shape of equal area reproduces the single-shot propagator.
+A pulse switches exactly one Hamiltonian block on with a real envelope over
+scaled time s = t/tau in [0, 1]; only the pulse area (the envelope's integral
+over s) enters the propagator, because the block Hamiltonian is constant while
+it is on, so a pulse carries no tau.  The stepped integrator exists to certify
+exactly that: sliced propagation with any envelope shape of equal area
+reproduces the single-shot propagator.
 Each envelope is one row of a table: its shape and its accumulated area.
 
 Every pulse is its Λ systems (``lambdas``): its first site, its local size
@@ -51,7 +52,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import ChainLayout, _drive_lambdas, _index, _written, _xy_lambdas, embed
-from .linalg import apply_factor, finite, float_or_inf
+from .linalg import apply_factor, finite
 
 __all__ = [
     "ENVELOPES",
@@ -67,7 +68,7 @@ __all__ = [
     "run_schedule",
 ]
 
-# Gaussian envelope: centered, truncated at +-3 sigma, so sigma = tau/6.
+# Gaussian envelope: centered, truncated at +-3 sigma, so sigma = 1/6 in scaled time.
 _GAUSS_SIGMA = 1.0 / 6.0
 _GAUSS_SCALE = _GAUSS_SIGMA * math.sqrt(2.0)
 _GAUSS_LO, _GAUSS_HI = math.erf(-0.5 / _GAUSS_SCALE), math.erf(0.5 / _GAUSS_SCALE)
@@ -90,12 +91,10 @@ def _envelope(envelope: str):
     return _ENVELOPES[envelope]
 
 
-def _check_pulse_fields(area, envelope, duration):
+def _check_pulse_fields(area, envelope):
     if not finite(area):
         raise ValueError("pulse area must be finite")
     _envelope(envelope)
-    if not (finite(duration) and duration > 0):
-        raise ValueError(f"pulse duration must be positive, got {float_or_inf(duration)}")
 
 
 def fields_equal(a, b):
@@ -129,12 +128,11 @@ class OneQubitPulse:
     phi: float
     area: float = math.pi
     envelope: str = "square"
-    duration: float = 1.0
 
     def __post_init__(self):
         if not (finite(self.theta) and finite(self.phi)):
             raise ValueError("theta and phi must be finite")
-        _check_pulse_fields(self.area, self.envelope, self.duration)
+        _check_pulse_fields(self.area, self.envelope)
 
     def lambdas(self, layout: ChainLayout) -> tuple[int, int, tuple]:
         """(first site, local size, Λ systems): the drive is one Λ system, on (|e>, |0>, |1>) of its site."""
@@ -159,12 +157,11 @@ class ThreeSitePulse:
     vartheta: float
     area: float = math.pi
     envelope: str = "square"
-    duration: float = 1.0
 
     def __post_init__(self):
         if not finite(self.vartheta):
             raise ValueError("vartheta must be finite")
-        _check_pulse_fields(self.area, self.envelope, self.duration)
+        _check_pulse_fields(self.area, self.envelope)
 
     def lambdas(self, layout: ChainLayout) -> tuple[int, int, tuple]:
         """(first site, local size, Λ systems): the coupling is two Λ systems, on the qubit sector of its three

@@ -552,6 +552,9 @@ class TestBadInput:
                                     "envelop": "gaussian", "aera": 1.0}]}, "pulses[0]: unknown field 'envelop'"),
         ("--schedule", {"pulses": [{"type": "three_site", "pair": 1, "vartheta": 0.3, "kind": "xy"}]},
          "pulses[0]: unknown field 'kind'"),
+        # a pulse carries no duration: a document that sets one is refused by name, not run as if it were read
+        ("--schedule", {"pulses": [{"type": "one_qubit", "qubit": 1, "theta": 0.3, "phi": 0.0, "duration": 1.0}]},
+         "pulses[0]: unknown field 'duration'"),
         ("--circuit", {"gates": [{"kind": "xy", "pair": 1, "vartheta": 0.3},
                                  {"kind": "reflection", "qubit": 1, "n": [0, 0, 1], "angle": 1.0}]},
          "gates[1]: unknown field 'angle'"),

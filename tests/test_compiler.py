@@ -190,8 +190,10 @@ class TestCompileCircuit:
                 route(circuit, layout)
 
     def test_unknown_gate_type(self):
-        with pytest.raises(TypeError, match="unknown gate"):
+        with pytest.raises(TypeError, match="^gate 0: unknown gate type"):
             compile_circuit([object()], ChainLayout(1))
+        with pytest.raises(TypeError, match="^gate 1: unknown gate type"):
+            compile_circuit([XYGate(1, 0.1), object()], ChainLayout(2))
 
 
 class TestNonFiniteParameters:
@@ -212,7 +214,6 @@ class TestNonFiniteParameters:
 
     @pytest.mark.parametrize("make,message", [
         (lambda big: OneQubitPulse(1, big, 0.0), r"theta and phi must be finite"),
-        (lambda big: OneQubitPulse(1, 0.1, 0.0, duration=big), r"pulse duration must be positive"),
         (lambda big: ThreeSitePulse(1, 0.3, area=big), r"pulse area must be finite"),
         (lambda big: XYGate(1, big).pulses(ChainLayout(2)), r"vartheta must be finite"),
         (lambda big: XYGate(1, big).logical(ChainLayout(2)), r"vartheta must be finite"),
@@ -222,7 +223,7 @@ class TestNonFiniteParameters:
         (lambda big: Rotation(1, (0, 0, 1), big).logical(ChainLayout(1)), r"rotation angle must be finite"),
         (lambda big: Rotation(1, (big, 0, 1), 0.5).logical(ChainLayout(1)),
          r"rotation axis must be finite, got \[-?inf, 0\.0, 1\.0\]"),
-    ], ids=["theta", "duration", "area", "xy-pulses", "xy-logical", "reflection", "rotation-pulses",
+    ], ids=["theta", "area", "xy-pulses", "xy-logical", "reflection", "rotation-pulses",
             "rotation-logical", "rotation-axis"])
     @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), np.inf, -np.inf], ids=["int", "-int", "inf", "-inf"])
     def test_int_beyond_float_range_is_refused_as_infinity_is(self, make, message, big):

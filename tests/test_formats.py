@@ -27,9 +27,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SCHEDULE_TEXT = """
 {"pulses":[
   {"type":"one_qubit","qubit":1,"theta":0.785398,"phi":0.0,
-   "area":3.141592653589793,"envelope":"square","duration":1.0},
+   "area":3.141592653589793,"envelope":"square"},
   {"type":"three_site","pair":1,"vartheta":1.570796,
-   "area":3.141592653589793,"envelope":"square","duration":1.0}
+   "area":3.141592653589793,"envelope":"square"}
 ]}
 """
 
@@ -46,8 +46,8 @@ class TestScheduleFormat:
     def test_parse(self):
         schedule = loads_schedule(SCHEDULE_TEXT)
         assert schedule == [
-            OneQubitPulse(1, 0.785398, 0.0, 3.141592653589793, "square", 1.0),
-            ThreeSitePulse(1, 1.570796, 3.141592653589793, "square", 1.0),
+            OneQubitPulse(1, 0.785398, 0.0, 3.141592653589793, "square"),
+            ThreeSitePulse(1, 1.570796, 3.141592653589793, "square"),
         ]
 
     def test_round_trip(self):
@@ -59,7 +59,6 @@ class TestScheduleFormat:
         schedule = loads_schedule('{"pulses":[{"type":"one_qubit","qubit":2,"theta":0,"phi":0}]}')
         assert schedule[0].area == pytest.approx(np.pi)
         assert schedule[0].envelope == "square"
-        assert schedule[0].duration == 1.0
 
     def test_missing_field_diagnostic(self):
         with pytest.raises(FormatError, match=r"pulses\[0\]: missing field 'theta'"):
@@ -90,7 +89,6 @@ class TestScheduleFormat:
         [
             ("area", "null", r"^pulses\[0\]\.area: expected a number, got None$"),
             ("area", "true", r"^pulses\[0\]\.area: expected a number, got True$"),
-            ("duration", '"2"', r"^pulses\[0\]\.duration: expected a number, got '2'$"),
             ("envelope", "3", r"^pulses\[0\]\.envelope: expected a string, got 3$"),
         ],
     )
@@ -106,8 +104,8 @@ class TestScheduleFormat:
         assert str(err.value) == "pulses[0].theta: expected a number, got 'x'"
 
     def test_pulse_validation_errors_keep_their_context(self):
-        with pytest.raises(FormatError, match=r"^pulses\[0\]: pulse duration must be positive"):
-            loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1,"theta":0,"phi":0,"duration":0}]}')
+        with pytest.raises(FormatError, match=r"^pulses\[0\]: unknown envelope 'saw'"):
+            loads_schedule('{"pulses":[{"type":"one_qubit","qubit":1,"theta":0,"phi":0,"envelope":"saw"}]}')
 
     def test_missing_pulses_key(self):
         with pytest.raises(FormatError, match="pulses"):
@@ -154,8 +152,7 @@ class TestCircuitFormat:
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _vectors = st.tuples(_finite, _finite, _finite)
-_pulse_tail = dict(area=_finite, envelope=st.sampled_from(ENVELOPES),
-                   duration=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_pulse_tail = dict(area=_finite, envelope=st.sampled_from(ENVELOPES))
 _KINDS = {
     "one_qubit": st.builds(OneQubitPulse, qubit=st.integers(), theta=_finite, phi=_finite, **_pulse_tail),
     "three_site": st.builds(ThreeSitePulse, pair=st.integers(), vartheta=_finite, **_pulse_tail),

@@ -688,9 +688,9 @@ class TestMinimalChain:
 
     def test_each_kind_moves_to_its_minimal_chain(self):
         layout = ChainLayout(5)
-        pulse = OneQubitPulse(4, 0.3, 0.1, area=2.0, envelope="sin2", duration=3.0)
+        pulse = OneQubitPulse(4, 0.3, 0.1, area=2.0, envelope="sin2")
         assert pulse.minimal_chain(layout) == (replace(pulse, qubit=1), ChainLayout(1), (1, 1))
-        pulse = ThreeSitePulse(3, 0.3, area=-1.0, envelope="gaussian", duration=2.0)
+        pulse = ThreeSitePulse(3, 0.3, area=-1.0, envelope="gaussian")
         assert pulse.minimal_chain(layout) == (replace(pulse, pair=1), ChainLayout(2), (4, 2))
         with pytest.raises(ValueError, match="qubit 6 out of range"):
             OneQubitPulse(6, 0.3, 0.1).minimal_chain(layout)
