@@ -27,7 +27,8 @@ from holosim.formats import dumps, schedule_to_obj
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
 layout = ChainLayout(3)
-print("chain: 3 logical qubits on", layout.n_sites, "sites, Hilbert dimension", layout.dim)
+print("chain: 3 logical qubits on", layout.n_sites, "sites, Hilbert dimension", layout.full_dim,
+      "of which", layout.dim, "are reachable (no auxiliary |e>)")
 
 circuit = [
     Rotation(qubit=1, axis=(0.0, 0.0, 1.0), angle=np.pi / 2),
@@ -46,7 +47,7 @@ print("\nschedule as a JSON document (the CLI file format):")
 print(dumps(schedule_to_obj(schedule[:2])))
 
 # --- the compiled schedule reproduces the analytic product -----------------
-# only the 2^N logical columns of the propagator are needed, not all 243
+# only the 2^N logical columns of the propagator are needed, not all 108 reachable ones
 columns = run_schedule(schedule, logical_frame(layout), layout)
 target = circuit_unitary(circuit, layout)
 report = extract_logical_gate(columns, layout, target=target)
@@ -56,7 +57,7 @@ print("  leakage: ", report.leakage)
 
 # --- state-level run --------------------------------------------------------
 psi = run_schedule(schedule, logical_encode([0, 0, 0], layout), layout)
-amps = psi[layout.logical_indices()]
+amps = psi[layout.logical_rows()]
 print("\nfinal logical amplitudes from |000>:")
 for bits, amp in zip(range(8), amps):
     if abs(amp) > 1e-12:

@@ -27,7 +27,8 @@ from holosim import (
 np.set_printoptions(precision=6, suppress=True, linewidth=100)
 
 layout = ChainLayout(1)  # a single qutrit
-print("chain: 1 logical qubit on", layout.n_sites, "site(s), Hilbert dimension", layout.dim)
+print("chain: 1 logical qubit on", layout.n_sites, "site(s), Hilbert dimension", layout.full_dim,
+      "of which", layout.dim, "are reachable (no auxiliary |e>)")
 
 # --- a Hadamard from one pulse ------------------------------------------
 theta, phi = np.pi / 4, 0.0

@@ -29,7 +29,8 @@ from holosim import (
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
 layout = ChainLayout(2)
-print("chain: 2 logical qubits on", layout.n_sites, "sites, Hilbert dimension", layout.dim)
+print("chain: 2 logical qubits on", layout.n_sites, "sites, Hilbert dimension", layout.full_dim,
+      "of which", layout.dim, "are reachable (no auxiliary |e>)")
 
 # --- the pi-area gate matches its closed form -----------------------------
 vt = np.pi / 2
@@ -69,6 +70,6 @@ schedule = [
     ThreeSitePulse(1, np.pi / 2),
 ]
 psi = run_schedule(schedule, logical_encode([0, 0], layout), layout)
-amps = psi[idx]
+amps = psi[layout.logical_rows()]
 print("\n|00> -> H x H -> exchange pulse gives logical amplitudes", np.round(amps.real, 4))
 print("entanglement entropy:", entanglement_entropy(amps), "(ln 2 =", float(np.log(2)), ")")

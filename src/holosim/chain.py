@@ -4,22 +4,38 @@ The register is a linear chain of 2N-1 three-level systems.  Odd sites
 1, 3, ..., 2N-1 carry the N logical qubits in their {|0>, |1>} subspaces;
 even sites are auxiliary and idle in |0> between two-qubit operations.
 
+An auxiliary site is driven only by the XY coupling, which acts only on its
+qubit sector, so no schedule ever populates an auxiliary |e>: the reachable
+states have every auxiliary site in |0> or |1>, and span 3^N 2^(N-1) of the
+chain's 3^(2N-1) dimensions (3.4x fewer at N = 4, 11.4x at N = 7).  States
+and columns are propagated in that reachable space alone.
+
 Basis conventions (fixed once, everything downstream depends on them):
 
 * local codes |0> -> 0, |1> -> 1, |e> -> 2;
-* global index = sum_i code(site i) * 3**(n_sites - i), site 1 most
-  significant (i.e. plain ``np.kron`` order with site 1 leftmost).
+* the reachable space is mixed radix: site i has ``site_dims[i - 1]`` = 3
+  levels on a logical site and 2 on an auxiliary one, and the index is
+  sum_i code(site i) * (product of the dimensions of the sites after i),
+  site 1 most significant, so logical qubit q weighs 6^(N - q)
+  (``ChainLayout.logical_rows``);
+* the full three-level chain, which the dense references ``embed``, ``h1``,
+  ``h3`` and ``block_sz`` build, has the index sum_i code(site i) *
+  3**(n_sites - i) (plain ``np.kron`` order with site 1 leftmost), in which
+  qubit q weighs 9^(N - q) (``ChainLayout.logical_indices``);
+* one isometry connects them: ``full_chain_rows`` gives the full-chain
+  index of each reachable state, and ``lifted`` takes a local block of the
+  reachable space to the three-level states of its sites.
 
 A pulse's local block is made of Λ systems, three-level loops in which |e>
 couples to one bright state: the block H = |e><w| + |w><e| on levels
 (e, i, j) with a unit |w> = w_i|i> + w_j|j>.  The drive is one, on
 (|e>, |0>, |1>) over its bright state (``_drive_lambdas``), and the coupling
-two, on its qubit sector (``_XY_LEVELS``) over w = (-cos(v/2), sin(v/2))
-(``_xy_lambdas``).  One writer, ``_written``, turns a pulse's systems into
-its block, a stack (..., 3^k, 3^k) with the angles' leading axes (a number
-is a batch with no leading axes and gives one block), or into its
-propagator: H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)(|e><e|
-+ |w><w|), written entry by entry from w (``_lambda``; no Gell-Mann
+two, on its qubit sector (``_XY_LEVELS``, levels of its 18 reachable states)
+over w = (-cos(v/2), sin(v/2)) (``_xy_lambdas``).  One writer, ``_written``,
+turns a pulse's systems into its block, a stack (..., d, d) with the angles'
+leading axes (a number is a batch with no leading axes and gives one block),
+or into its propagator: H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) -
+1)(|e><e| + |w><w|), written entry by entry from w (``_lambda``; no Gell-Mann
 generator is built), with the identity off the systems' levels.  No block,
 separate identity or matrix product is formed on the way, and a batch runs
 the same element-wise operations as a single pulse, so each member has the
@@ -47,6 +63,8 @@ __all__ = [
     "logical_encode",
     "logical_frame",
     "check_columns",
+    "full_chain_rows",
+    "lifted",
 ]
 
 # Pseudo-spin z on the qubit subspace of one qutrit: |0><0| - |1><1|.
@@ -69,8 +87,20 @@ class ChainLayout:
     def n_sites(self) -> int:
         return 2 * self.n_logical - 1
 
-    @cached_property  # formed once: 3^n_sites takes seconds at 10^7 qubits; eq, hash and replace read fields only
+    @property
+    def site_dims(self) -> tuple[int, ...]:
+        """The local dimension of each site of the reachable space, site 1 first: 3 on a logical site, 2 on an
+        auxiliary one, whose |e> no schedule populates."""
+        return (3, 2) * (self.n_logical - 1) + (3,)
+
+    @cached_property  # formed once: 6^(N-1) takes seconds at 10^7 qubits; eq, hash and replace read fields only
     def dim(self) -> int:
+        """The dimension 3^N 2^(N-1) of the reachable space, the rows of every propagated state and column."""
+        return 3 * 6 ** (self.n_logical - 1)
+
+    @cached_property
+    def full_dim(self) -> int:
+        """The dimension 3^(2N-1) of the full three-level chain, the size of the dense references."""
         return 3 ** self.n_sites
 
     @property
@@ -93,8 +123,17 @@ class ChainLayout:
         return (left, left + 1, left + 2)
 
     def logical_index(self, bits) -> int:
-        """Global index of the chain basis state |n1 0 n2 0 ... nN>.  Each bit is read as ``_index`` reads
-        an index, so a float or a bool is refused rather than truncated."""
+        """Full-chain index of the basis state |n1 0 n2 0 ... nN>: its bits read in base 9 (see
+        ``logical_indices``).  Each bit is read as ``_index`` reads an index, so a float or a bool is refused
+        rather than truncated."""
+        return int(self._digits(bits), 9)
+
+    def logical_row(self, bits) -> int:
+        """Reachable-space index of the basis state |n1 0 n2 0 ... nN>: its bits read in base 6 (see
+        ``logical_rows``), refused as ``logical_index`` refuses them."""
+        return int(self._digits(bits), 6)
+
+    def _digits(self, bits) -> str:
         bits = tuple(bits)
         try:
             digits = [_index(b, "bit") for b in bits]
@@ -102,16 +141,25 @@ class ChainLayout:
             digits = []  # refused below, as any other bad bits are
         if len(digits) != self.n_logical or any(d not in (0, 1) for d in digits):
             raise ValueError(f"bits must be {self.n_logical} values in {{0,1}}, got {bits}")
-        # qubit q weighs 9^(N - q) (see logical_indices): the bits are the index's base-9 digits
-        return int("".join(map(str, digits)), 9)
+        return "".join(map(str, digits))
 
     def logical_indices(self) -> list[int]:
-        """Global indices of all 2^N logical states, lexicographic in n1..nN."""
-        # qubit q is bit N - q of the state's number and weighs 3^(n_sites - site) = 9^(N - q);
-        # indices past int64 (N > 20) stay exact as Python ints
-        shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if self.dim < 2**63 else object)
+        """Full-chain indices of all 2^N logical states, lexicographic in n1..nN: qubit q weighs
+        3^(n_sites - site) = 9^(N - q).  The rows of the logical states in a dense reference."""
+        return self._logical_numbers(9, self.full_dim)
+
+    def logical_rows(self) -> list[int]:
+        """Reachable-space indices of all 2^N logical states, lexicographic in n1..nN: qubit q weighs the
+        dimensions of the 2(N - q) sites after it, 6^(N - q).  The rows of the logical states in propagated
+        columns."""
+        return self._logical_numbers(6, self.dim)
+
+    def _logical_numbers(self, base: int, dim: int) -> list[int]:
+        # qubit q is bit N - q of the state's number and weighs base^(N - q); indices past int64 stay exact
+        # as Python ints
+        shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if dim < 2**63 else object)
         bits = (np.arange(self.logical_dim, dtype=shifts.dtype)[:, None] >> shifts) & 1
-        return (bits @ 9 ** shifts).tolist()
+        return (bits @ base ** shifts).tolist()
 
 
 def _index(value, name: str) -> int:
@@ -162,9 +210,10 @@ def _drive_lambdas(theta, phi) -> tuple:
 # The three-site coupling H = -cos(v/2) L + sin(v/2) R, L and R the qubit-subspace hops |01><10| + |10><01| of
 # sites (1, 2) and (2, 3), is zero off its qubit sector, the 8 states with every site in |0> or |1>: every
 # |e>-carrying configuration is annihilated.  On the sector it is two Λ blocks over w = (-cos(v/2), sin(v/2)),
-# one per sector of one or two |1>s: apex |010> over |100> and |001>, and apex |101> over |011> and |110>.  State
-# (a, b, c) of the three sites is index 9a + 3b + c of the 27.
-_XY_LEVELS = ((3, 9, 1), (10, 4, 12))
+# one per sector of one or two |1>s: apex |010> over |100> and |001>, and apex |101> over |011> and |110>.  The
+# block is written on the 18 reachable states of the three sites (logical, auxiliary, logical), in which state
+# (a, b, c) is index 6a + 3b + c.
+_XY_LEVELS = ((3, 6, 1), (7, 4, 9))
 
 
 def _xy_lambdas(vartheta) -> tuple:
@@ -249,34 +298,59 @@ def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:
     """Full-chain XY Hamiltonian of pair l': its two Λ blocks on sites 2l'-1, 2l', 2l'+1, embedded."""
     if not finite(vartheta):
         raise ValueError("vartheta must be finite")
-    return embed(_written(27, _xy_lambdas(vartheta)), layout.sites_of_pair(pair)[0], layout)
+    return embed(lifted(_written(18, _xy_lambdas(vartheta))), layout.sites_of_pair(pair)[0], layout)
 
 
 def block_sz(pair: int, layout: ChainLayout) -> np.ndarray:
     """Embedded total pseudo-spin S_z = (sz + sz + sz)/2 over a pair's three sites."""
     sites = layout.sites_of_pair(pair)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out = np.zeros((layout.full_dim, layout.full_dim), dtype=complex)
     for site in sites:
         out += 0.5 * embed(SIGMA_Z3, site, layout)
     return out
 
 
 def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
-    """Chain basis state with qubit values on odd sites and |0> elsewhere."""
+    """Reachable-space basis state with qubit values on odd sites and |0> elsewhere."""
     psi = np.zeros(layout.dim, dtype=complex)
-    psi[layout.logical_index(bits)] = 1.0
+    psi[layout.logical_row(bits)] = 1.0
     return psi
 
 
 def check_columns(what: str, layout: ChainLayout, columns: int) -> None:
-    """``check_memory`` for ``columns`` complex vectors of the chain, 16 * columns * 3^n_sites bytes; a
-    chain past any memory is refused from n_sites alone (``power_bytes``)."""
-    check_memory(what, power_bytes(what, 16 * columns, 3, layout.n_sites))
+    """``check_memory`` for ``columns`` complex vectors of the reachable space, 16 * columns * 3^N 2^(N-1) =
+    48 * columns * 6^(N-1) bytes; a chain past any memory is refused from N alone (``power_bytes``)."""
+    check_memory(what, power_bytes(what, 48 * columns, 6, layout.n_logical - 1))
 
 
 def logical_frame(layout: ChainLayout) -> np.ndarray:
-    """The dim x 2^N frame whose columns are the logical basis states, lexicographic in n1..nN."""
+    """The dim x 2^N frame of the reachable space whose columns are the logical basis states, lexicographic in
+    n1..nN."""
     check_columns(f"the logical frame at N={layout.n_logical}", layout, layout.logical_dim)
     frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
-    frame[layout.logical_indices(), np.arange(layout.logical_dim)] = 1.0
+    frame[layout.logical_rows(), np.arange(layout.logical_dim)] = 1.0
     return frame
+
+
+def full_chain_rows(layout: ChainLayout) -> np.ndarray:
+    """The isometry from the reachable space into the full three-level chain: the full-chain index of each
+    reachable basis state, in reachable order.  ``full[..., rows, :] = columns`` scatters reachable columns into
+    the full chain, whose other rows, the states with an auxiliary |e>, they leave empty."""
+    rows = np.zeros(1, dtype=np.int64)
+    for d in layout.site_dims:
+        rows = (3 * rows[:, None] + np.arange(d)).ravel()
+    return rows
+
+
+def lifted(block, fill: float = 0.0) -> np.ndarray:
+    """A pulse's local block (..., d, d) on all three-level states of its sites: a one-site block as it is, and
+    the XY block's 18 reachable states (``full_chain_rows`` of one pair) among the 27 of its three sites, with
+    ``fill`` times the identity on the 9 that carry an auxiliary |e>: 0 for a Hamiltonian, which annihilates
+    them, and 1 for a propagator, which fixes them."""
+    if block.shape[-1] == 3:
+        return block
+    rows = full_chain_rows(ChainLayout(2))
+    out = np.zeros(block.shape[:-2] + (27, 27), dtype=complex)
+    out[..., np.arange(27), np.arange(27)] = fill
+    out[..., rows[:, None], rows] = block
+    return out

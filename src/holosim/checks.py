@@ -8,7 +8,7 @@ Each sweep is one batched call: the 16x16 gate-law grid, the 1000
 composition pairs, the 32x16 block-map grid, the 32-angle XY sweep and the
 8x3 grid of dense XY propagators pass their angles and areas as arrays to
 one pulse (see ``pulses``); the block maps come from
-``projected_propagator``, whose three-term form needs no 27 x 27
+``projected_propagator``, whose three-term form needs no 18 x 18
 propagator per grid point.  The compiler suite draws circuit shapes, not
 circuits: at each chain size, one shape holds every gate kind on every
 qubit and pair in a random order and one is a random draw.  Each shape is a
@@ -33,6 +33,7 @@ from .gates import (
     compose_rule,
     entangling_verdict,
     extract_logical_gate,
+    logical_rows_of,
     projected_block_maps,
     two_qubit_gate,
 )
@@ -158,15 +159,17 @@ def suite_twoqubit() -> list[CheckResult]:
 
 
 def _aux_population(columns, layout: ChainLayout) -> float:
-    """Worst-case population left outside the logical block by logical inputs (over a stack too)."""
-    outside = np.delete(columns, layout.logical_indices(), axis=-2)
+    """Worst-case population left outside the logical block by logical inputs (over a stack too), from columns
+    of the reachable space or of the full chain (``gates.logical_rows_of``)."""
+    outside = np.delete(columns, logical_rows_of(columns, layout), axis=-2)
     return float(np.max(np.sum(np.abs(outside) ** 2, axis=-2)))
 
 
 def _excited_fixity(U, layout: ChainLayout) -> float:
-    """Largest ||U e_j - e_j|| over the basis states e_j carrying |e> on some site (over a stack too)."""
-    excited = [j for j in range(layout.dim) if "2" in np.base_repr(j, base=3)]
-    return float(np.max(np.linalg.norm(U[..., excited] - np.eye(layout.dim)[:, excited], axis=-2)))
+    """Largest ||U e_j - e_j|| over the full-chain basis states e_j carrying |e> on some site, auxiliary sites
+    included (over a stack of dense propagators too)."""
+    excited = [j for j in range(layout.full_dim) if "2" in np.base_repr(j, base=3)]
+    return float(np.max(np.linalg.norm(U[..., excited] - np.eye(layout.full_dim)[:, excited], axis=-2)))
 
 
 # ---------------------------------------------------------------------------

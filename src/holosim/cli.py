@@ -105,14 +105,15 @@ def cmd_simulate(args) -> int:
     bits = _parse_bits(args.initial, layout.n_logical)
     psi = run_schedule(schedule, logical_encode(bits, layout), layout)
 
-    idx = layout.logical_indices()
-    amplitudes = psi[idx]
+    amplitudes = psi[layout.logical_rows()]
     logical_population = float(np.sum(np.abs(amplitudes) ** 2))
-    marg = np.abs(psi.reshape((3,) * layout.n_sites)) ** 2
+    marg = np.abs(psi.reshape(layout.site_dims)) ** 2
     site_populations = []
     for site in range(layout.n_sites):
         axes = tuple(i for i in range(layout.n_sites) if i != site)
-        site_populations.append([float(v) for v in marg.sum(axis=axes)])
+        populations = [float(v) for v in marg.sum(axis=axes)]
+        # an auxiliary site has no |e> in the reachable space: its population there is 0
+        site_populations.append(populations + [0.0] * (3 - len(populations)))
 
     report = {
         "qubits": layout.n_logical,

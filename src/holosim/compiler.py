@@ -153,24 +153,33 @@ class XYGate:
 Gate = Rotation | Reflection | XYGate
 
 
-def compile_gate(gate: Gate, layout: ChainLayout) -> list:
-    """Pulses implementing one logical gate, in execution order."""
+def _checked(gate) -> Gate:
     if not isinstance(gate, Gate):
         raise TypeError(f"unknown gate type: {gate!r}")
-    return gate.pulses(layout)
+    return gate
 
 
-def compile_circuit(circuit, layout: ChainLayout) -> list:
-    """Compile an ordered gate list into a pulse schedule (order preserved)."""
-    schedule = []
+def compile_gate(gate: Gate, layout: ChainLayout) -> list:
+    """Pulses implementing one logical gate, in execution order."""
+    return _checked(gate).pulses(layout)
+
+
+def _per_gate(circuit, layout: ChainLayout, method: str):
+    """Each gate's ``method`` (``pulses`` or ``logical``) at ``layout``, in circuit order; an item that is not a
+    gate, or a gate that the method refuses, is named by its index, in the same words on both routes."""
     for i, gate in enumerate(circuit):
         try:
-            schedule.extend(compile_gate(gate, layout))
+            result = getattr(_checked(gate), method)(layout)
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from None
         except TypeError as exc:
             raise TypeError(f"gate {i}: {exc}") from None
-    return schedule
+        yield result
+
+
+def compile_circuit(circuit, layout: ChainLayout) -> list:
+    """Compile an ordered gate list into a pulse schedule (order preserved)."""
+    return [pulse for pulses in _per_gate(circuit, layout, "pulses") for pulse in pulses]
 
 
 def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
@@ -180,12 +189,6 @@ def circuit_unitary(circuit, layout: ChainLayout) -> np.ndarray:
     the reference the compiled pulse schedule is verified against.
     """
     U = np.eye(layout.logical_dim, dtype=complex)
-    for i, gate in enumerate(circuit):
-        if not isinstance(gate, Gate):
-            raise TypeError(f"gate {i}: unknown gate type {gate!r}")
-        try:
-            first_qubit, op = gate.logical(layout)
-        except ValueError as exc:
-            raise ValueError(f"gate {i}: {exc}") from None
+    for first_qubit, op in _per_gate(circuit, layout, "logical"):
         U = apply_factor(2 ** (first_qubit - 1), op, U)
     return U

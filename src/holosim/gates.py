@@ -42,6 +42,7 @@ __all__ = [
     "two_qubit_gate",
     "projected_block_maps",
     "GateReport",
+    "logical_rows_of",
     "extract_logical_gate",
     "schmidt_coefficients",
     "entanglement_entropy",
@@ -185,27 +186,38 @@ def _leakage(columns: np.ndarray, idx: list[int]) -> np.ndarray:
     return np.sqrt(np.maximum(largest, 0.0))
 
 
+def logical_rows_of(columns, layout: ChainLayout) -> list[int]:
+    """The rows of the logical states in ``columns`` (..., rows, 2^N) of the reachable space (``layout.dim``
+    rows, ``layout.logical_rows()``) or of the full three-level chain (``layout.full_dim`` rows,
+    ``layout.logical_indices()``); any other shape is refused."""
+    shape = np.shape(columns)
+    if len(shape) >= 2 and shape[-1] == layout.logical_dim:
+        if shape[-2] == layout.dim:
+            return layout.logical_rows()
+        if shape[-2] == layout.full_dim:
+            return layout.logical_indices()
+    raise ValueError(f"logical columns shape {shape} is not ({layout.dim}, {layout.logical_dim}) "
+                     f"or ({layout.full_dim}, {layout.logical_dim})")
+
+
 def extract_logical_gate(
     columns,
     layout: ChainLayout,
     target=None,
 ) -> GateReport:
-    """Logical gate of a propagator U from its logical columns U[:, layout.logical_indices()].
+    """Logical gate of a propagator U from its logical columns.
 
-    ``columns`` (dim x 2^N, e.g. ``run_schedule(schedule, logical_frame(layout), layout)``,
-    or a stack (..., dim, 2^N) of them) is the only accepted shape.  leakage is the
-    operator 2-norm of its non-logical rows.  If it is below ``CYCLIC_LEAKAGE`` the
-    evolution was cyclic: the logical rows are unitarized by polar decomposition and
+    ``columns`` are those of the reachable space (dim x 2^N, e.g. ``run_schedule(schedule,
+    logical_frame(layout), layout)``, or a stack (..., dim, 2^N) of them) or a dense reference's
+    logical columns U[:, layout.logical_indices()] of the full chain (``logical_rows_of``); no
+    other shape is accepted.  leakage is the operator 2-norm of its non-logical rows.  If it is
+    below ``CYCLIC_LEAKAGE`` the evolution was cyclic: the logical rows are unitarized by polar decomposition and
     reported as the gate.  Otherwise the raw (contractive) block is returned and the
     report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
     member cyclic.
     """
     columns = np.asarray(columns, dtype=complex)
-    if columns.shape[-2:] != (layout.dim, layout.logical_dim):
-        raise ValueError(
-            f"logical columns shape {columns.shape} is not ({layout.dim}, {layout.logical_dim})"
-        )
-    idx = layout.logical_indices()
+    idx = logical_rows_of(columns, layout)
     block = columns[..., idx, :]
     leakage = _leakage(columns, idx)
 

@@ -51,7 +51,7 @@ def _as_square_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M.view(float)).all():
+    if not np.isfinite(_real_view(M)).all():  # any layout: a last axis that is not contiguous is copied
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -327,10 +327,12 @@ def gate_fidelity(U, V) -> float:
 
 
 # Peak RSS above the 29 MiB of an interpreter that imported the CLI, over a request's estimate, on 64-bit
-# Linux with OpenBLAS: 2.05x for extract-gate at N = 6 (384 MiB, 173 MiB of columns), 2.1x for simulate at N = 7
-# (81 MiB, a 24 MiB state), 1.04x for a three-site certify's two gates at N = 11, 0.8-1.0x for compile at N = 8-10
-# (its unitary and the JSON rendering of it); a one-qubit certify at N = 7 adds 2.7 MiB.  The budget takes 5/2,
-# as an integer ratio so that an estimate of any size works.
+# Linux with OpenBLAS: 2.07x for extract-gate at N = 7 (595 MiB, 273 MiB of columns of the reachable 3^N 2^(N-1)
+# states), 2.02x for simulate at N = 10 (961 MiB, a 461 MiB state), 1.03x for a three-site certify's two gates at
+# N = 11, 0.77x for compile at N = 9 (its unitary and the JSON rendering of it).  Smaller requests pay more for
+# fixed costs: 2.3x for extract-gate at N = 6 (83 MiB, 23 MiB of columns) and 2.7x for simulate at N = 7 (35 MiB,
+# a 2.1 MiB state); a one-qubit certify at N = 7 adds 2.7 MiB.  The budget takes 5/2, as an integer ratio so that
+# an estimate of any size works.
 _COPIES = (5, 2)
 
 

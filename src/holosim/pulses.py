@@ -9,21 +9,27 @@ reproduces the single-shot propagator.
 Each envelope is one row of a table: its shape and its accumulated area.
 
 Every pulse is its Λ systems (``lambdas``): its first site, its local size
-3^k with k = 1 or 3, and the three-level loops (levels, w) in which |e>
-couples to one bright state |w>, one for the drive and two for the XY
-coupling (see ``chain``).  ``local_form`` and ``local_propagator`` both
-read ``lambdas``, and have one writer, ``chain._written``, write the block,
-(first site, 3^k x 3^k block), or the propagator, (first site, exp(-i a H))
-at the pulse's area a, entry by entry from the pulse's numbers, with no
-block, identity or block product formed.
+on the reachable space (see ``chain``), 3 for the drive on one logical site
+and 18 = 3 * 2 * 3 for the XY coupling on a logical, an auxiliary and a
+logical site, and the three-level loops (levels, w) in which |e> couples to
+one bright state |w>, one for the drive and two for the XY coupling.
+``local_form`` and ``local_propagator`` both read ``lambdas``, and have one
+writer, ``chain._written``, write the block, (first site, d x d block), or
+the propagator, (first site, exp(-i a H)) at the pulse's area a, entry by
+entry from the pulse's numbers, with no block, identity or block product
+formed.
 Both blocks satisfy H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) - 1)
 H^2 exactly; ``closed_form`` evaluates the same sum on given terms: the
 projected maps of ``holonomy``, and the slices of ``propagate_stepped``,
 which squares the block, so that stepped and exact propagation are two
 independent constructions.  ``apply_local`` is the one place that turns a
-site into the number of dimensions before it, 3^(site-1), so that
-``linalg.apply_factor`` applies a propagator to a state or to operator
-columns; it is embedded only for dense propagators.  Each pulse class also
+site into the number of reachable dimensions before it, 6^(q-1) before
+logical qubit q, so that ``linalg.apply_factor`` applies a propagator to a
+state or to operator columns of the reachable space.  The dense references
+``block_hamiltonian``, ``propagate_exact``, ``propagate_stepped`` and
+``schedule_propagator`` act on the full three-level chain: they lift the
+local block to all three-level states of its sites (``chain.lifted``, which
+fixes or annihilates every auxiliary |e>) and embed it.  Each pulse class also
 says how it moves to its minimal chain, one qubit or one pair
 (``minimal_chain``), and which identities embed the gate found there;
 ``holonomy.certify`` works there.
@@ -36,8 +42,8 @@ carry the batch as leading axes of the blocks and of the columns
 Its blocks get no stack axes, as its numbers multiply the matrices directly
 with the arithmetic of a batch, and its fields are checked with
 ``math.isfinite``.  The dense builders ``block_hamiltonian``,
-``propagate_exact`` and ``schedule_propagator`` give stacks (..., dim, dim)
-for a batch; ``propagate_stepped`` takes a single pulse.
+``propagate_exact`` and ``schedule_propagator`` give stacks (..., 3^(2N-1),
+3^(2N-1)) for a batch; ``propagate_stepped`` takes a single pulse.
 
 Schedules are plain sequences of pulses executed strictly one at a time;
 there is no way to express temporal overlap.
@@ -51,7 +57,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, _drive_lambdas, _index, _written, _xy_lambdas, embed
+from .chain import ChainLayout, _drive_lambdas, _index, _written, _xy_lambdas, embed, lifted
 from .linalg import apply_factor, finite
 
 __all__ = [
@@ -165,8 +171,8 @@ class ThreeSitePulse:
 
     def lambdas(self, layout: ChainLayout) -> tuple[int, int, tuple]:
         """(first site, local size, Λ systems): the coupling is two Λ systems, on the qubit sector of its three
-        sites."""
-        return layout.sites_of_pair(self.pair)[0], 27, _xy_lambdas(self.vartheta)
+        sites, within their 18 reachable states."""
+        return layout.sites_of_pair(self.pair)[0], 18, _xy_lambdas(self.vartheta)
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =
@@ -211,18 +217,18 @@ def _checked(pulse):
 
 
 def local_form(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local block Hamiltonian) of ``pulse``, written from its Λ systems: what the Hamiltonian,
-    stepped propagation and ``holonomy`` start from.  A batch of pulses gives a stack of blocks, shape
-    (..., 3^k, 3^k).
+    """(first site, local block Hamiltonian) of ``pulse`` on the reachable space, written from its Λ systems:
+    what the Hamiltonian, stepped propagation and ``holonomy`` start from.  A batch of pulses gives a stack of
+    blocks, shape (..., d, d).
     """
     site, size, systems = _checked(pulse).lambdas(layout)
     return site, _written(size, systems)
 
 
 def local_propagator(pulse: Pulse, layout: ChainLayout) -> tuple[int, np.ndarray]:
-    """(first site, local propagator exp(-i area H)) of ``pulse``, written from its Λ systems: what exact
-    propagation applies or embeds.  A batch of pulses gives a stack, shape (..., 3^k, 3^k), each member with
-    its single pulse's bits.
+    """(first site, local propagator exp(-i area H)) of ``pulse`` on the reachable space, written from its Λ
+    systems: what exact propagation applies or embeds.  A batch of pulses gives a stack, shape (..., d, d), each
+    member with its single pulse's bits.
     """
     site, size, systems = _checked(pulse).lambdas(layout)
     return site, _written(size, systems, pulse.area)
@@ -240,18 +246,19 @@ def closed_form(T0, T1, T2, area) -> np.ndarray:
 
 
 def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Apply the local operator U on sites site, site+1, ... to a state or to columns (..., dim, K).
+    """Apply the local operator U on sites site, site+1, ... to a state or to reachable columns (..., dim, K).
 
-    The sites before it are the first 3^(site-1) dimensions (``linalg.apply_factor``); the leading
-    axes of a stack U (..., d, d) and of the columns broadcast.
+    The sites before it are the first dimensions of the mixed radix (``ChainLayout.site_dims``), 3 for
+    each logical site and 2 for each auxiliary one (``linalg.apply_factor``); the leading axes of a stack
+    U (..., d, d) and of the columns broadcast.
     """
-    return apply_factor(3 ** (site - 1), U, X)
+    return apply_factor(3 ** (site // 2) * 2 ** ((site - 1) // 2), U, X)
 
 
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """The time-independent full-chain Hamiltonian switched on by ``pulse`` (a stack for a batch)."""
     site, block = local_form(pulse, layout)
-    return embed(block, site, layout)
+    return embed(lifted(block), site, layout)
 
 
 def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
@@ -261,7 +268,7 @@ def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     Hamiltonian is constant during the pulse, so only the area enters.
     """
     site, U = local_propagator(pulse, layout)
-    return embed(U, site, layout)
+    return embed(lifted(U, 1.0), site, layout)
 
 
 def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarray:
@@ -279,16 +286,23 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     U = np.eye(len(block), dtype=complex)
     for da in slice_areas(pulse.envelope, pulse.area, steps):
         U = closed_form(eye, block, block_sq, da) @ U
-    return embed(U, site, layout)
+    return embed(lifted(U, 1.0), site, layout)
 
 
 def schedule_propagator(schedule, layout: ChainLayout) -> np.ndarray:
-    """Full-chain unitary of a pulse schedule (first pulse acts first)."""
-    return run_schedule(schedule, np.eye(layout.dim, dtype=complex), layout)
+    """Full-chain unitary of a pulse schedule (first pulse acts first), the dense reference of ``run_schedule``:
+    each lifted local propagator applied to the full three-level chain's identity, 3^(site-1) dimensions
+    before it."""
+    U = np.eye(layout.full_dim, dtype=complex)
+    for pulse in schedule:
+        site, local = local_propagator(pulse, layout)
+        U = apply_factor(3 ** (site - 1), lifted(local, 1.0), U)
+    return U
 
 
 def run_schedule(schedule, X, layout: ChainLayout) -> np.ndarray:
-    """Apply a schedule to a state or to columns (..., dim, K), one local pulse propagator at a time.
+    """Apply a schedule to a state or to columns (..., dim, K) of the reachable space, one local pulse
+    propagator at a time.
 
     A batch of pulses in the schedule and leading axes of the columns
     broadcast; the result carries the broadcast leading axes, also for a state.
@@ -296,7 +310,7 @@ def run_schedule(schedule, X, layout: ChainLayout) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.ndim == 0 or X.shape[0 if X.ndim == 1 else -2] != layout.dim:
         raise ValueError(
-            f"state dimension {X.shape} does not match chain dimension ({layout.dim},)"
+            f"state dimension {X.shape} does not match the reachable dimension ({layout.dim},)"
         )
     columns = X[:, None] if X.ndim == 1 else X
     for pulse in schedule:

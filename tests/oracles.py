@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: the matrix
 exponential is a Taylor sum, embeddings are brute-force Kronecker products,
-the local blocks are complex broadcasts of their generators, the reference
-frames are Kronecker products of basis kets, and entropies come straight from
-an SVD of the amplitude matrix.
+the reachable states' place in the full chain is read from their enumerated
+site codes, the local blocks are complex broadcasts of their generators, the
+reference frames are Kronecker products of basis kets, and entropies come
+straight from an SVD of the amplitude matrix.
 """
 
 import itertools
@@ -100,6 +101,51 @@ def local_reference(pulse, layout):
     return site, U
 
 
+def reachable_states(layout):
+    """The full-chain index of each reachable basis state, in reachable order, by enumerating the site codes:
+    0-2 on a logical (odd) site and 0-1 on an auxiliary one, site 1 most significant, read in base 3."""
+    codes = itertools.product(*[range(3 if site % 2 else 2) for site in range(1, layout.n_sites + 1)])
+    return np.array([int("".join(map(str, code)), 3) for code in codes])
+
+
+def to_full_chain(columns, layout):
+    """Reachable columns (..., dim, K), or a state (dim,), scattered into the full chain: zero rows for the states
+    with an auxiliary |e>."""
+    columns = np.asarray(columns)
+    state = columns.ndim == 1
+    columns = columns[:, None] if state else columns
+    out = np.zeros(columns.shape[:-2] + (layout.full_dim, columns.shape[-1]), dtype=complex)
+    out[..., reachable_states(layout), :] = columns
+    return out[..., 0] if state else out
+
+
+def restricted(U, layout):
+    """A dense full-chain operator (..., 3^(2N-1), 3^(2N-1)) between the reachable states: rows and columns."""
+    rows = reachable_states(layout)
+    return np.ascontiguousarray(U[..., rows[:, None], rows])
+
+
+def dense_propagator(pulse, layout):
+    """The full three-level chain's propagator of ``pulse``: ``local_reference``'s Taylor propagator of the
+    generators' block, embedded by Kronecker products with identities, member by member for a batch (a stack
+    with the batch's axes).  It acts on every state of the chain, auxiliary |e> included."""
+    site, local = local_reference(pulse, layout)
+    left = 3 ** (site - 1)
+    right = layout.full_dim // (left * local.shape[-1])
+    out = np.empty(local.shape[:-2] + (layout.full_dim,) * 2, dtype=complex)
+    for index in np.ndindex(local.shape[:-2]):
+        out[index] = np.kron(np.kron(np.eye(left), local[index]), np.eye(right))
+    return out
+
+
+def dense_run(schedule, columns, layout):
+    """A schedule on full-chain columns (..., 3^(2N-1), K), one ``dense_propagator`` product per pulse; batch axes
+    broadcast as in ``pulses.run_schedule``."""
+    for pulse in schedule:
+        columns = dense_propagator(pulse, layout) @ columns
+    return columns
+
+
 def kron_chain(site_ops):
     """Kronecker product of per-site operators, site 1 leftmost."""
     out = np.asarray(site_ops[0], dtype=complex)
@@ -154,10 +200,11 @@ def svd_entropy(state4):
 
 
 def computational_frame(pulse, layout):
-    """The full-chain frame that ``certify``'s path on the pulse's minimal chain stands for, one Kronecker
-    product of basis kets per column (auxiliary sites in |0>): the qubit's |0> and |1> with every other
-    qubit in |0> for a one-qubit pulse, and the whole logical basis, lexicographic in n1..nN, for a
-    three-site pulse."""
+    """The frame of the reachable space that ``certify``'s path on the pulse's minimal chain stands for, one
+    Kronecker product of basis kets per column, of three levels on a logical site and two on an auxiliary
+    one, which is in |0>: the qubit's |0> and |1> with every other qubit in |0> for a one-qubit pulse, and
+    the whole logical basis, lexicographic in n1..nN, for a three-site pulse.  ``to_full_chain`` gives the
+    full-chain frame."""
     n = layout.n_logical
     if isinstance(pulse, OneQubitPulse):
         columns = [(0,) * n, tuple(int(q == pulse.qubit) for q in range(1, n + 1))]
@@ -165,7 +212,7 @@ def computational_frame(pulse, layout):
         columns = itertools.product((0, 1), repeat=n)
 
     def column(bits):
-        sites = [_KET0] * (2 * n - 1)
+        sites = [_KET0[:2]] * (2 * n - 1)
         sites[::2] = [(_KET0, _KET1)[bit] for bit in bits]
         return kron_chain(sites)
 

@@ -10,6 +10,8 @@ from holosim.chain import (
     embed,
     h1,
     h3,
+    full_chain_rows,
+    lifted,
     logical_encode,
     logical_frame,
 )
@@ -17,7 +19,8 @@ from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circui
 from holosim.holonomy import certify
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, local_form, run_schedule
 
-from oracles import _GELL_MANN, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain
+from oracles import (_GELL_MANN, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain,
+                     reachable_states, restricted)
 
 
 def ket(i):
@@ -35,7 +38,8 @@ def drive_block(theta, phi):
 
 
 def xy_block(vartheta):
-    """The XY coupling's 27 x 27 block (a stack for array angles), read through ``local_form``."""
+    """The XY coupling's 18 x 18 block on the reachable states of its sites (a stack for array angles), read
+    through ``local_form``."""
     return local_form(ThreeSitePulse(1, vartheta), ChainLayout(2))[1]
 
 
@@ -68,7 +72,9 @@ class TestChainLayout:
         for n in (1, 2, 3, 4):
             layout = ChainLayout(n)
             assert layout.n_sites == 2 * n - 1
-            assert layout.dim == 3 ** (2 * n - 1)
+            assert layout.site_dims == (3, 2) * (n - 1) + (3,)
+            assert layout.dim == 3 ** n * 2 ** (n - 1) == int(np.prod(layout.site_dims))
+            assert layout.full_dim == 3 ** (2 * n - 1)
 
     def test_invalid_sizes(self):
         for bad in (0, -1, 1.5):
@@ -82,29 +88,47 @@ class TestChainLayout:
         # |0,0,1,0,0> -> 3**2
         assert ChainLayout(3).logical_index([0, 1, 0]) == 9
 
+    def test_logical_row_examples(self):
+        # the mixed radix (3, 2, 3, ...): a site weighs the product of the dimensions after it
+        assert ChainLayout(2).logical_row([0, 0]) == 0
+        # |1,0,1> -> 1*6 + 0*3 + 1
+        assert ChainLayout(2).logical_row([1, 1]) == 7
+        # |0,0,1,0,0> -> 3*2
+        assert ChainLayout(3).logical_row([0, 1, 0]) == 6
+        with pytest.raises(ValueError, match="bits must be 2 values"):
+            ChainLayout(2).logical_row([0, 2])
+
     def test_logical_indices_injective(self):
         layout = ChainLayout(3)
-        idx = layout.logical_indices()
-        assert len(idx) == 8
-        assert len(set(idx)) == 8
-        assert all(0 <= i < layout.dim for i in idx)
+        for idx, dim in ((layout.logical_indices(), layout.full_dim), (layout.logical_rows(), layout.dim)):
+            assert len(idx) == 8
+            assert len(set(idx)) == 8
+            assert all(0 <= i < dim for i in idx)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_the_isometry_maps_logical_rows_to_logical_indices(self, n):
+        layout = ChainLayout(n)
+        rows = full_chain_rows(layout)
+        assert np.array_equal(rows, reachable_states(layout))
+        assert rows[layout.logical_rows()].tolist() == layout.logical_indices()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_logical_indices_equal_the_per_state_indices(self, n):
         layout = ChainLayout(n)
-        idx = layout.logical_indices()
-        assert idx == [layout.logical_index(bits) for bits in product((0, 1), repeat=n)]
-        assert all(type(i) is int for i in idx)
+        for idx, index in ((layout.logical_indices(), layout.logical_index), (layout.logical_rows(), layout.logical_row)):
+            assert idx == [index(bits) for bits in product((0, 1), repeat=n)]
+            assert all(type(i) is int for i in idx)
 
     def test_logical_indices_past_int64_are_python_ints(self):
-        # from N = 21 on the chain dimension passes 2^63; that route, taken here at N = 3
+        # from N = 21 on the chain dimension passes 2^63, and from N = 25 the reachable one; that route,
+        # taken here at N = 3
         class Wide(ChainLayout):
-            dim = 2**63
+            dim = full_dim = 2**63
 
         layout = Wide(3)
-        idx = layout.logical_indices()
-        assert idx == [layout.logical_index(bits) for bits in product((0, 1), repeat=3)]
-        assert all(type(i) is int for i in idx)
+        for idx, index in ((layout.logical_indices(), layout.logical_index), (layout.logical_rows(), layout.logical_row)):
+            assert idx == [index(bits) for bits in product((0, 1), repeat=3)]
+            assert all(type(i) is int for i in idx)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
@@ -155,14 +179,14 @@ class TestChainLayout:
                     assert str(err.value).endswith(f"{name} must be an integer, got {bad!r}"), str(err.value)
 
     def test_dim_is_formed_once(self):
-        # 3^n_sites is formed on the first read and kept: the same int object comes back
+        # 3 * 6^(N-1) is formed on the first read and kept: the same int object comes back
         layout = ChainLayout(200)
         assert layout.dim is layout.dim
-        assert layout.dim == 3 ** 399
+        assert layout.dim == 3 ** 200 * 2 ** 199
         # the cached value is not a field: equality, hash, repr and replace read n_logical alone
         assert layout == ChainLayout(200) and hash(layout) == hash(ChainLayout(200))
         assert repr(layout) == "ChainLayout(n_logical=200)"
-        assert replace(layout, n_logical=3).dim == 3 ** 5 and replace(layout, n_logical=3) == ChainLayout(3)
+        assert replace(layout, n_logical=3).dim == 108 and replace(layout, n_logical=3) == ChainLayout(3)
         with pytest.raises(FrozenInstanceError):
             layout.n_logical = 3
 
@@ -188,11 +212,16 @@ class TestCouplingsAgainstGenerators:
         # each nonzero real or imaginary part has the same bits; a zero may differ in sign, as the bond sum's
         # products of zeros gave either sign (equal as numbers, and lost in any matrix product)
         angles = np.concatenate([_SPECIAL, np.random.default_rng(60).uniform(-7, 7, 200)])
+        # on the 18 reachable states of its sites; the bonds annihilate the 9 states with an auxiliary |e>
+        rows = reachable_states(ChainLayout(2))
         for vt in [*angles, angles, angles.reshape(10, 21)[:, None, :3]]:
-            got, want = xy_block(vt), generator_xy_coupling(vt)
+            bonds = generator_xy_coupling(vt)
+            got, want = xy_block(vt), restricted(bonds, ChainLayout(2))
             assert got.shape == want.shape and np.array_equal(got, want)
             nonzero = want.view(float) != 0
             assert got.view(float)[nonzero].tobytes() == want.view(float)[nonzero].tobytes()
+            assert np.array_equal(lifted(got), bonds)
+            assert not np.delete(bonds, rows, axis=-1).any()
 
     def test_drive_block_has_the_values_and_nonzero_bits_of_its_generators(self):
         # each nonzero real or imaginary part has the same bits; a zero may differ in sign, as the broadcast's
@@ -248,7 +277,7 @@ class TestEmbed:
         last = layout.n_sites - (1 if size == 3 else 3) + 1
         for site in range(1, last + 1):
             stacked = embed(ops, site, layout)
-            assert stacked.shape == (2, 3, layout.dim, layout.dim)
+            assert stacked.shape == (2, 3, layout.full_dim, layout.full_dim)
             for point in np.ndindex(2, 3):
                 assert np.array_equal(stacked[point], embed(ops[point], site, layout))
 
@@ -393,8 +422,8 @@ class TestLogicalEncode:
     def test_examples(self):
         layout = ChainLayout(2)
         assert np.argmax(np.abs(logical_encode([0, 0], layout))) == 0
-        assert np.argmax(np.abs(logical_encode([1, 1], layout))) == 10
-        assert np.argmax(np.abs(logical_encode([0, 1, 0], ChainLayout(3)))) == 9
+        assert np.argmax(np.abs(logical_encode([1, 1], layout))) == 7
+        assert np.argmax(np.abs(logical_encode([0, 1, 0], ChainLayout(3)))) == 6
 
     def test_orthonormal_family(self):
         layout = ChainLayout(3)

@@ -4,7 +4,9 @@ Every sweep in ``holosim.checks`` is one batched call.  The tests below make
 the same call on the same grid and compare a seeded subsample of its points
 with an independent dense computation: ``expm_hermitian`` of the embedded
 full-chain Hamiltonian (``h1``/``h3``) or ``oracles.taylor_expm``, then an
-``np.ix_`` extraction of the logical rows and columns.
+``np.ix_`` extraction of the logical rows and columns.  The sweeps' columns
+of the reachable space are compared in the full chain, scattered there by
+``oracles.to_full_chain``.
 """
 
 from dataclasses import fields
@@ -21,7 +23,7 @@ from holosim.holonomy import projected_propagator
 from holosim.linalg import expm_hermitian, polar_unitary
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
 
-from oracles import taylor_expm
+from oracles import taylor_expm, to_full_chain
 
 TOL = 1e-12
 
@@ -158,10 +160,13 @@ def test_twoqubit_suite_makes_one_dense_call_over_its_grid(monkeypatch):
 
 def test_excited_fixity_takes_the_worst_column_over_a_stack():
     layout = ChainLayout(2)
-    moved = np.eye(layout.dim, dtype=complex)
+    moved = np.eye(layout.full_dim, dtype=complex)
     moved[:, [0, 2]] = moved[:, [2, 0]]  # |002> -> |000>: one |e>-carrying column moves by sqrt 2
-    assert _excited_fixity(np.eye(layout.dim), layout) == 0.0
-    assert _excited_fixity(np.stack([np.eye(layout.dim), moved]), layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert _excited_fixity(np.eye(layout.full_dim), layout) == 0.0
+    assert _excited_fixity(np.stack([np.eye(layout.full_dim), moved]), layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    aux = np.eye(layout.full_dim, dtype=complex)
+    aux[:, [0, 6]] = aux[:, [6, 0]]  # |020> -> |000>: an auxiliary |e> counts as any other
+    assert _excited_fixity(aux, layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def _subsample(shape, count, seed):
@@ -171,12 +176,12 @@ def _subsample(shape, count, seed):
 
 
 def _dense_columns(U, layout):
-    return U[np.ix_(np.arange(layout.dim), layout.logical_indices())]
+    return U[np.ix_(np.arange(layout.full_dim), layout.logical_indices())]
 
 
 def _dense_gate_and_leakage(U, layout):
     idx = layout.logical_indices()
-    rest = np.setdiff1d(np.arange(layout.dim), idx)
+    rest = np.setdiff1d(np.arange(layout.full_dim), idx)
     leak = np.linalg.svd(U[np.ix_(rest, idx)], compute_uv=False)[0]
     return U[np.ix_(idx, idx)], leak
 
@@ -192,7 +197,7 @@ class TestSweepsAgainstDense:
         for point in _subsample(thetas.shape, 24, seed=1):
             U = expm_hermitian(h1(1, thetas[point], phis[point], layout), np.pi)
             gate, leak = _dense_gate_and_leakage(U, layout)
-            assert np.max(np.abs(columns[point] - _dense_columns(U, layout))) <= TOL
+            assert np.max(np.abs(to_full_chain(columns[point], layout) - _dense_columns(U, layout))) <= TOL
             assert np.max(np.abs(report.logical_gate[point] - gate)) <= TOL
             assert abs(report.leakage[point] - leak) <= TOL and report.cyclic[point]
             want = np.kron(one_qubit_gate(bloch_vector(thetas[point], phis[point])), np.eye(2))
@@ -212,7 +217,7 @@ class TestSweepsAgainstDense:
             U = (taylor_expm(h1(1, tm[k], pm[k], layout), np.pi)
                  @ taylor_expm(h1(1, tn[k], pn[k], layout), np.pi))
             gate, _ = _dense_gate_and_leakage(U, layout)
-            assert np.max(np.abs(columns[k] - _dense_columns(U, layout))) <= TOL
+            assert np.max(np.abs(to_full_chain(columns[k], layout) - _dense_columns(U, layout))) <= TOL
             assert np.max(np.abs(got[k] - gate)) <= TOL
             assert np.max(np.abs(rules[k] - compose_rule(n[k], m[k]))) == 0.0
             # the pulses realize m.sigma n.sigma up to a global phase
@@ -242,7 +247,7 @@ class TestSweepsAgainstDense:
         for (k,) in _subsample((32,), 12, seed=4):
             U = taylor_expm(h3(1, thetas[k], layout), np.pi)
             gate, leak = _dense_gate_and_leakage(U, layout)
-            assert np.max(np.abs(columns[k] - _dense_columns(U, layout))) <= TOL
+            assert np.max(np.abs(to_full_chain(columns[k], layout) - _dense_columns(U, layout))) <= TOL
             assert np.max(np.abs(report.logical_gate[k] - polar_unitary(gate))) <= TOL
             assert abs(report.leakage[k] - leak) <= TOL
             assert np.max(np.abs(gate - two_qubit_gate(thetas[k]))) <= TOL
@@ -253,7 +258,7 @@ class TestSweepsAgainstDense:
         thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)[::4]
         areas = np.array([0.37, np.pi, 5.1])
         U = propagate_exact(ThreeSitePulse(1, thetas[:, None], area=areas), layout)
-        assert U.shape == (8, 3, layout.dim, layout.dim)
+        assert U.shape == (8, 3, layout.full_dim, layout.full_dim)
         sz = block_sz(1, layout)
         for i, j in np.ndindex(8, 3):
             dense = taylor_expm(h3(1, thetas[i], layout), areas[j])

@@ -285,12 +285,12 @@ class TestLargeChainGuard:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 3**23 amplitudes, 1.4 TiB
-            ["simulate", "--schedule", MISSING, "--qubits", "12", "--initial", "0" * 12],
+            # 3**14 2**13 reachable amplitudes, 584 GiB
+            ["simulate", "--schedule", MISSING, "--qubits", "14", "--initial", "0" * 14],
             # an estimate beyond the float range
             ["simulate", "--schedule", MISSING, "--qubits", "400", "--initial", "0" * 400],
-            # 3**17 x 2**9 logical columns, 0.96 PiB
-            ["extract-gate", "--schedule", MISSING, "--qubits", "9"],
+            # 3**11 2**10 x 2**11 reachable logical columns, 5.4 TiB
+            ["extract-gate", "--schedule", MISSING, "--qubits", "11"],
             # a 2**40 x 2**40 circuit unitary
             ["compile", "--circuit", MISSING, "--qubits", "40"],
         ],
@@ -348,8 +348,8 @@ class TestLargeChainGuard:
         assert len(asked) == 1 and peak <= asked[0] <= 2 * peak, (peak, asked)
 
     def test_simulate_reaches_seven_qubits(self, tmp_path, capsys):
-        # dimension 3**13: a dense propagator would need 37 TiB, the local
-        # kernel only touches the state
+        # 3**7 2**6 reachable states of the chain's 3**13: a dense propagator of the chain would need
+        # 37 TiB, the local kernel only touches the 2.1 MiB state
         sched = tmp_path / "s.json"
         write_schedule(sched, [OneQubitPulse(7, np.pi / 4, 0.0), ThreeSitePulse(6, 1.1),
                                OneQubitPulse(1, 2.0, 0.5), ThreeSitePulse(1, np.pi / 2)])
@@ -360,7 +360,7 @@ class TestLargeChainGuard:
         assert report["leakage"] <= 1e-10
 
     def test_allocation_failure_is_a_resource_error(self, tmp_path, capsys):
-        # the 3**23 x 2**12 logical columns (about 5.5 PiB) exceed any host's memory
+        # the 3**12 2**11 x 2**12 reachable logical columns (about 65 TiB) exceed any host's memory
         sched = tmp_path / "s.json"
         write_schedule(sched, [])
         assert main(["extract-gate", "--schedule", str(sched), "--qubits", "12"]) == 2
@@ -368,7 +368,7 @@ class TestLargeChainGuard:
         assert "error:" in err and "Traceback" not in err
 
     def test_extract_gate_at_five_qubits(self, tmp_path, capsys):
-        # 3**9 x 32 logical columns, about 10 MiB; the full propagator would need 5.8 GiB
+        # 3**5 2**4 x 32 reachable logical columns, about 1.9 MiB; the full chain's propagator would need 5.8 GiB
         circ, compiled = tmp_path / "c.json", tmp_path / "compiled.json"
         write_circuit(circ, [{"kind": "xy", "pair": 4, "vartheta": 0.7},
                              {"kind": "rotation", "qubit": 5, "axis": [0.6, 0.0, 0.8], "angle": 1.3},

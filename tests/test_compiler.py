@@ -195,6 +195,15 @@ class TestCompileCircuit:
         with pytest.raises(TypeError, match="^gate 1: unknown gate type"):
             compile_circuit([XYGate(1, 0.1), object()], ChainLayout(2))
 
+    def test_unknown_gate_type_is_refused_in_the_same_words_by_both_routes(self):
+        layout = ChainLayout(2)
+        messages = []
+        for route in (compile_circuit, circuit_unitary):
+            with pytest.raises(TypeError) as info:
+                route([XYGate(1, 0.1), 3], layout)
+            messages.append(str(info.value))
+        assert messages == ["gate 1: unknown gate type: 3"] * 2
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("gate,message", [

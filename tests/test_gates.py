@@ -27,7 +27,7 @@ from holosim.linalg import expm_hermitian, polar_unitary, unitarity_defect
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
                             run_schedule, schedule_propagator)
 
-from oracles import haar_unitary, random_unit_vector, scan_entangling_witness, svd_entropy
+from oracles import haar_unitary, random_unit_vector, scan_entangling_witness, svd_entropy, to_full_chain
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -134,10 +134,11 @@ class TestProjectedBlockMaps:
 class TestExtractLogicalGate:
     def test_identity_chain(self):
         layout = ChainLayout(2)
-        report = extract_logical_gate(np.eye(layout.dim)[:, layout.logical_indices()], layout)
-        assert report.leakage == 0.0
-        assert report.cyclic
-        assert np.allclose(report.logical_gate, np.eye(4), atol=1e-14)
+        for columns in (logical_frame(layout), np.eye(layout.full_dim)[:, layout.logical_indices()]):
+            report = extract_logical_gate(columns, layout)
+            assert report.leakage == 0.0
+            assert report.cyclic
+            assert np.allclose(report.logical_gate, np.eye(4), atol=1e-14)
 
     def test_one_qubit_pulse_extends_by_identity(self):
         layout = ChainLayout(2)
@@ -177,6 +178,24 @@ class TestExtractLogicalGate:
     def test_full_propagator_is_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             extract_logical_gate(np.eye(27), ChainLayout(2))
+        with pytest.raises(ValueError, match=r"^logical columns shape \(20, 4\) is not \(18, 4\) or \(27, 4\)$"):
+            extract_logical_gate(np.zeros((20, 4)), ChainLayout(2))
+
+    def test_either_space_gives_the_same_report(self):
+        # the reachable columns and their image in the full chain: the rows the isometry adds are zero
+        layout = ChainLayout(3)
+        schedule = [ThreeSitePulse(1, 0.9, area=1.3), OneQubitPulse(3, 0.4, 1.1), ThreeSitePulse(2, 2.2)]
+        columns = run_schedule(schedule, logical_frame(layout), layout)
+        reachable, full = (extract_logical_gate(c, layout) for c in (columns, to_full_chain(columns, layout)))
+        assert np.max(np.abs(reachable.logical_gate - full.logical_gate)) <= 1e-15
+        assert abs(reachable.leakage - full.leakage) <= 1e-15 and reachable.cyclic == full.cyclic is False
+
+    def test_any_memory_layout_of_a_stack(self):
+        # a Fortran-ordered stack unitarizes copies whose last axis is not contiguous; they are read as any other
+        layout = ChainLayout(2)
+        F = logical_frame(layout)
+        report = extract_logical_gate(np.asfortranarray(np.stack([F, F])), layout)
+        assert np.array_equal(report.logical_gate, np.stack([np.eye(4)] * 2)) and report.cyclic.all()
 
 
 class TestTwoByTwoLeakage:
@@ -253,7 +272,7 @@ def _random_schedule(layout, rng, cyclic):
 def _dense_extraction(U, layout):
     """(gate, leakage) from a full propagator by index blocks, independent of the column path."""
     idx = layout.logical_indices()
-    comp = np.setdiff1d(np.arange(layout.dim), idx)
+    comp = np.setdiff1d(np.arange(layout.full_dim), idx)
     leakage = float(np.linalg.svd(U[np.ix_(comp, idx)], compute_uv=False)[0])
     block = U[np.ix_(idx, idx)]
     return (polar_unitary(block) if leakage < CYCLIC_LEAKAGE else block), leakage
@@ -271,7 +290,7 @@ class TestColumnExtractionAgainstDense:
 
         sliced = extract_logical_gate(schedule_propagator(schedule, layout)[:, layout.logical_indices()],
                                       layout)
-        dense = np.eye(layout.dim)
+        dense = np.eye(layout.full_dim)
         for pulse in schedule:
             dense = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ dense
         gate, leakage = _dense_extraction(dense, layout)

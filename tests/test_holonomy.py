@@ -32,7 +32,7 @@ from holosim.linalg import expm_hermitian, frobenius, gate_fidelity, inner, pola
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, apply_local, block_hamiltonian,
                             cumulative_area, local_form, propagate_exact)
 
-from oracles import computational_frame, eigh_frames, haar_unitary, subspace_energies, wilson_product
+from oracles import computational_frame, eigh_frames, haar_unitary, subspace_energies, to_full_chain, wilson_product
 
 LAYOUT = ChainLayout(2)
 
@@ -324,13 +324,17 @@ class TestWilsonConvergence:
         frame = computational_frame(pulse, LAYOUT)
         path = trace_subspace(pulse, frame, 64, LAYOUT)
         W = wilson_loop(path)
-        U = propagate_exact(pulse, LAYOUT)
-        G = polar_unitary(frame.conj().T @ U @ frame)
+        U, full = propagate_exact(pulse, LAYOUT), to_full_chain(frame, LAYOUT)
+        G = polar_unitary(full.conj().T @ U @ full)
         assert np.max(np.abs(W - G)) < 1e-12
 
 
 class TestAgainstDenseOracle:
-    """Closed-form frames and certification against dense eigh exponentials."""
+    """Closed-form frames and certification against dense eigh exponentials.
+
+    The paths run in the reachable space and the oracles in the full three-level chain; frames of the
+    reachable space, computational or random, enter the oracles through ``oracles.to_full_chain``.
+    """
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("pulse_kind", ["one_qubit", "three_site"])
@@ -344,7 +348,8 @@ class TestAgainstDenseOracle:
         path = trace_subspace(pulse, F0, 33, layout)
         H = block_hamiltonian(pulse, layout)
         for j, area in enumerate(path.table.areas):
-            assert np.max(np.abs(path.frame(j) - expm_hermitian(H, area) @ F0)) <= 1e-12
+            want = expm_hermitian(H, area) @ to_full_chain(F0, layout)
+            assert np.max(np.abs(to_full_chain(path.frame(j), layout) - want)) <= 1e-12
 
     @pytest.mark.parametrize("n_logical", [2, 3])
     @pytest.mark.parametrize(
@@ -356,11 +361,11 @@ class TestAgainstDenseOracle:
         samples = 256
         report = certify(pulse, layout, samples=samples)
         F0 = computational_frame(pulse, layout)
-        H = block_hamiltonian(pulse, layout)
-        frames = eigh_frames(H, F0, trace_subspace(pulse, F0, samples, layout).table.areas)
-        U = eigh_frames(H, np.eye(layout.dim), [pulse.area])[0]
+        H, full = block_hamiltonian(pulse, layout), to_full_chain(F0, layout)
+        frames = eigh_frames(H, full, trace_subspace(pulse, F0, samples, layout).table.areas)
+        U = eigh_frames(H, np.eye(layout.full_dim), [pulse.area])[0]
         assert np.max(np.abs(report.wilson_gate - wilson_product(frames))) <= 1e-12
-        assert np.max(np.abs(report.propagator_gate - polar_unitary(F0.conj().T @ U @ F0))) <= 1e-12
+        assert np.max(np.abs(report.propagator_gate - polar_unitary(full.conj().T @ U @ full))) <= 1e-12
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("n_logical", [2, 3])
@@ -379,7 +384,7 @@ class TestAgainstDenseOracle:
             Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
             for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
                 path = trace_subspace(pulse, F0, 33, layout)
-                frames = eigh_frames(H, F0, path.table.areas)
+                frames = eigh_frames(H, to_full_chain(F0, layout), path.table.areas)
                 PHP = subspace_energies(frames, H)
                 residual, eps = check_parallel_transport(path)
                 assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
@@ -405,7 +410,7 @@ class TestAgainstDenseOracle:
         scale = 1.0 + 0.1 * np.sin(np.pi * grid) * rng.uniform(-1.0, 1.0, grid.size)
         C = scale[:, None] * np.stack([np.ones_like(areas), -1j * np.sin(areas), np.cos(areas) - 1.0], axis=1)
         path = replace(trace_subspace(pulse, F0, grid.size, layout), table=_PathTable.of(areas, C))
-        frames = scale[:, None, None] * eigh_frames(H, F0, areas)
+        frames = scale[:, None, None] * eigh_frames(H, to_full_chain(F0, layout), areas)
         PHP = subspace_energies(frames, H)
         residual, eps = check_parallel_transport(path)
         assert abs(residual - np.max(np.linalg.norm(PHP, axis=(1, 2)))) <= 1e-12
@@ -420,8 +425,8 @@ class TestAgainstDenseOracle:
             U = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area)
             Z = rng.normal(size=(layout.dim, 3)) + 1j * rng.normal(size=(layout.dim, 3))
             for F0 in (computational_frame(pulse, layout), np.linalg.qr(Z)[0]):
-                got = projected_propagator(pulse, F0, layout)
-                assert np.max(np.abs(got - F0.conj().T @ U @ F0)) <= 1e-12
+                got, full = projected_propagator(pulse, F0, layout), to_full_chain(F0, layout)
+                assert np.max(np.abs(got - full.conj().T @ U @ full)) <= 1e-12
 
 
 class TestPulseClassForms:
@@ -443,18 +448,19 @@ class TestPulseClassForms:
     def test_batched_projected_propagator_equals_single_pulses(self):
         layout = ChainLayout(3)
         frame = logical_frame(layout)
+        full = to_full_chain(frame, layout)
         vt, area = np.array([[0.2], [1.7], [-4.0]]), np.array([0.5, np.pi, -2.2, 6.0])
         stack = projected_propagator(ThreeSitePulse(2, vt, area=area), frame, layout)
         assert stack.shape == (3, 4, 8, 8)
         for i, j in np.ndindex(3, 4):
             pulse = ThreeSitePulse(2, vt[i, 0], area=area[j])
-            dense = frame.conj().T @ expm_hermitian(block_hamiltonian(pulse, layout), area[j]) @ frame
+            dense = full.conj().T @ expm_hermitian(block_hamiltonian(pulse, layout), area[j]) @ full
             assert np.max(np.abs(stack[i, j] - dense)) <= 1e-12
             assert np.max(np.abs(stack[i, j] - projected_propagator(pulse, frame, layout))) <= 1e-15
 
 
 class TestCertifyAtFourQubits:
-    """Dimension 3**7 = 2187: certify works on the local form, no dense operator."""
+    """Dimension 3**4 * 2**3 = 648: certify works on the local form, no dense operator."""
 
     @pytest.mark.parametrize(
         "pulse,gate",

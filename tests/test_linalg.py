@@ -268,6 +268,22 @@ class TestStacks:
         with pytest.raises(ValueError, match="not unitary"):
             gate_fidelity(stack, np.eye(2))
 
+    def test_any_memory_layout_is_read(self):
+        # a last axis that is not contiguous (Fortran order, a transpose, a reversed view) cannot be viewed
+        # as floats in place; each function reads it as the contiguous copy of the same matrix
+        rng = np.random.default_rng(15)
+        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        H = random_hermitian(3, rng)
+        U = haar_unitary(4, rng)
+        for layout in (np.asfortranarray, lambda A: A.T.copy().T, lambda A: A[:, ::-1].copy()[:, ::-1]):
+            assert np.array_equal(polar_unitary(layout(M)), polar_unitary(M))
+            assert np.array_equal(expm_hermitian(layout(H), 0.7), expm_hermitian(H, 0.7))
+            assert gate_fidelity(layout(U), layout(U)) == gate_fidelity(U, U)
+        assert gate_fidelity(np.eye(3).T.astype(complex), np.eye(3)) == 1.0
+        assert np.array_equal(polar_unitary(np.eye(4, dtype=complex)[:, ::-1].T), np.eye(4)[::-1])
+        with pytest.raises(ValueError, match="non-finite"):
+            polar_unitary(np.asfortranarray(np.diag([1.0, np.nan, 1.0]) + 0j))
+
     def test_inner_matches_the_conjugated_product(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(3, 40, 5)) + 1j * rng.normal(size=(3, 40, 5))

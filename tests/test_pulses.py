@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim.chain import ChainLayout, block_sz, embed, logical_encode, logical_frame
+from holosim.chain import ChainLayout, block_sz, embed, lifted, logical_encode, logical_frame
 from holosim.gates import bloch_vector, entanglement_entropy, extract_logical_gate, one_qubit_gate, two_qubit_gate
 from holosim.linalg import apply_factor, expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
@@ -25,8 +25,8 @@ from holosim.pulses import (
     slice_areas,
 )
 
-from oracles import (generator_lambda_coupling, generator_xy_coupling, kron_logical, local_reference, svd_entropy,
-                     taylor_expm)
+from oracles import (generator_lambda_coupling, generator_xy_coupling, kron_logical, local_reference, restricted,
+                     svd_entropy, taylor_expm, to_full_chain)
 
 
 class TestEnvelopes:
@@ -92,7 +92,7 @@ class TestPropagateExact:
     def test_zero_area_is_identity(self):
         layout = ChainLayout(2)
         U = propagate_exact(OneQubitPulse(1, 0.7, 0.3, area=0.0), layout)
-        assert np.allclose(U, np.eye(layout.dim), atol=1e-14)
+        assert np.allclose(U, np.eye(layout.full_dim), atol=1e-14)
 
     @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (np.pi / 4, 0.0), (1.2, 2.6)])
     def test_pi_area_restricts_to_reflection(self, theta, phi):
@@ -205,7 +205,7 @@ class TestRunSchedule:
         layout = ChainLayout(2)
         schedule = [OneQubitPulse(1, np.pi / 4, 0.0), ThreeSitePulse(1, np.pi / 2)]
         psi = run_schedule(schedule, logical_encode([0, 0], layout), layout)
-        amps = psi[layout.logical_indices()]
+        amps = psi[layout.logical_rows()]
         assert np.allclose(np.abs(amps), [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-12)
         assert abs(1.0 - np.sum(np.abs(amps) ** 2)) < 1e-12  # no leakage
         assert entanglement_entropy(amps) < 1e-12
@@ -221,7 +221,7 @@ class TestRunSchedule:
             ThreeSitePulse(1, np.pi / 2),
         ]
         psi = run_schedule(schedule, logical_encode([0, 0], layout), layout)
-        amps = psi[layout.logical_indices()]
+        amps = psi[layout.logical_rows()]
         assert np.allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
         assert abs(entanglement_entropy(amps) - np.log(2)) < 1e-9
         assert abs(svd_entropy(amps) - np.log(2)) < 1e-9
@@ -231,8 +231,8 @@ class TestRunSchedule:
         schedule = [OneQubitPulse(2, 0.8, 1.0), ThreeSitePulse(1, 1.1)]
         psi0 = logical_encode([1, 1], layout)
         assert np.allclose(
-            schedule_propagator(schedule, layout) @ psi0,
-            run_schedule(schedule, psi0, layout),
+            schedule_propagator(schedule, layout) @ to_full_chain(psi0, layout),
+            to_full_chain(run_schedule(schedule, psi0, layout), layout),
             atol=1e-12,
         )
 
@@ -275,13 +275,13 @@ class TestLocalKernelAgainstDense:
         rng = np.random.default_rng(5)
         psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         psi0 /= np.linalg.norm(psi0)
-        want = schedule_propagator(schedule, layout) @ psi0
-        assert np.max(np.abs(run_schedule(schedule, psi0, layout) - want)) <= 1e-12
+        want = schedule_propagator(schedule, layout) @ to_full_chain(psi0, layout)
+        assert np.max(np.abs(to_full_chain(run_schedule(schedule, psi0, layout), layout) - want)) <= 1e-12
 
     def test_schedule_propagator_matches_dense_product(self):
         layout = ChainLayout(3)
         schedule = _raw_angle_pulses(layout, 2.2)
-        want = np.eye(layout.dim)
+        want = np.eye(layout.full_dim)
         for pulse in schedule:
             want = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ want
         assert np.max(np.abs(schedule_propagator(schedule, layout) - want)) <= 1e-12
@@ -319,12 +319,14 @@ def drive_block(theta, phi):
 
 
 def xy_block(vartheta):
-    """The XY coupling's 27 x 27 block (a stack for array angles), read through ``local_form``."""
+    """The XY coupling's 18 x 18 block on the reachable states of its sites (a stack for array angles), read
+    through ``local_form``."""
     return local_form(ThreeSitePulse(1, vartheta), ChainLayout(2))[1]
 
 
 _ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
-_BLOCK_SZ = block_sz(1, ChainLayout(2))  # 27 x 27: pair 1 spans all three sites of N = 2
+# 18 x 18: pair 1 spans all three sites of N = 2, and S_z is diagonal, so it restricts to the reachable states
+_BLOCK_SZ = restricted(block_sz(1, ChainLayout(2)), ChainLayout(2))
 
 
 class TestLocalBlockProperties:
@@ -337,15 +339,15 @@ class TestLocalBlockProperties:
             assert unitarity_defect(closed_form(np.eye(len(block)), block, block_sq, area)) <= 1e-13
         # the XY block and its propagator conserve the three sites' pseudo-spin S_z
         xy = xy_block(vartheta)
-        U = closed_form(np.eye(27), xy, xy @ xy, area)
+        U = closed_form(np.eye(18), xy, xy @ xy, area)
         assert np.max(np.abs(xy @ _BLOCK_SZ - _BLOCK_SZ @ xy)) <= 1e-14
         assert np.max(np.abs(U @ _BLOCK_SZ - _BLOCK_SZ @ U)) <= 1e-13
 
 
 _ANGLE7 = st.floats(-7.0, 7.0, allow_nan=False)
 _AREA7 = st.sampled_from([0.0, np.pi, -np.pi]) | _ANGLE7  # zero, +-pi, and partial areas up to |a| = 7
-_IN_SECTOR = np.isin(np.arange(27), [9 * a + 3 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)])
-_OUTSIDE = ~(_IN_SECTOR[:, None] & _IN_SECTOR)  # the entries of a 27 x 27 block off its qubit sector
+_IN_SECTOR = np.isin(np.arange(18), [6 * a + 3 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+_OUTSIDE = ~(_IN_SECTOR[:, None] & _IN_SECTOR)  # the entries of an 18 x 18 block off its qubit sector
 
 
 class TestLocalPropagator:
@@ -365,13 +367,14 @@ class TestLocalPropagator:
         kind = ThreeSitePulse if three_site else OneQubitPulse
         pulse, layout = kind(first, *angles, area=area), ChainLayout(n_logical)
         site, U = local_propagator(pulse, layout)
-        want_site, want = local_reference(pulse, layout)
-        assert site == want_site and U.shape == want.shape
-        assert np.max(np.abs(U - want)) <= 1e-14
+        want_site, want = local_reference(pulse, layout)  # on all 3^k three-level states of the sites
+        full = lifted(U, 1.0)  # the reference fixes every state with an auxiliary |e>, as the lift does
+        assert site == want_site and full.shape == want.shape
+        assert np.max(np.abs(full - want)) <= 1e-14
         assert np.max(unitarity_defect(U)) <= 1e-14
         if three_site:  # the identity off the qubit sector, exactly: 1.0 and +0.0, with +0.0 imaginary parts
             outside = U[..., _OUTSIDE]
-            assert outside.tobytes() == np.broadcast_to(np.eye(27, dtype=complex)[_OUTSIDE], outside.shape).tobytes()
+            assert outside.tobytes() == np.broadcast_to(np.eye(18, dtype=complex)[_OUTSIDE], outside.shape).tobytes()
         if batch:
             dense = propagate_exact(pulse, layout)
             for i, j in np.ndindex(2, 3):
@@ -409,7 +412,7 @@ class TestLocalPropagator:
         for theta, phi, vartheta, area in zip(*rng.uniform(-7, 7, (3, 300)), areas):
             for H, pulse in ((generator_lambda_coupling(theta, phi), OneQubitPulse(1, theta, phi, area=area)),
                              (generator_xy_coupling(vartheta), ThreeSitePulse(1, vartheta, area=area))):
-                got = local_propagator(pulse, ChainLayout(2))[1]
+                got = lifted(local_propagator(pulse, ChainLayout(2))[1], 1.0)
                 assert np.max(np.abs(got - closed_form(np.eye(len(H)), H, H @ H, area))) <= 1e-15
 
 
@@ -426,10 +429,10 @@ class TestBatchedPulses:
         xy = xy_block(vt)
         assert np.array_equal(xy, [xy_block(v) for v in vt])
         areas = np.array([0.4, np.pi, -3.0, 9.0])
-        U = closed_form(np.eye(27), xy[:, None], (xy @ xy)[:, None], areas)
-        assert U.shape == (3, 4, 27, 27)
+        U = closed_form(np.eye(18), xy[:, None], (xy @ xy)[:, None], areas)
+        assert U.shape == (3, 4, 18, 18)
         for i, j in np.ndindex(3, 4):
-            assert np.array_equal(U[i, j], closed_form(np.eye(27), xy[i], xy[i] @ xy[i], areas[j]))
+            assert np.array_equal(U[i, j], closed_form(np.eye(18), xy[i], xy[i] @ xy[i], areas[j]))
         with pytest.raises(ValueError, match="finite"):
             OneQubitPulse(1, np.array([0.1, np.nan]), 0.0)
         with pytest.raises(ValueError, match="finite"):
@@ -443,7 +446,8 @@ class TestBatchedPulses:
         got = apply_local(site, block, X)
         assert got.shape == (5, 4, layout.dim, 3)
         for i, j in np.ndindex(5, 4):
-            assert np.max(np.abs(got[i, j] - embed(block[i, 0], site, layout) @ X[j])) <= 1e-13
+            want = embed(block[i, 0], site, layout) @ to_full_chain(X[j], layout)
+            assert np.max(np.abs(to_full_chain(got[i, j], layout) - want)) <= 1e-13
 
     @pytest.mark.parametrize("site", [1, 3, 5])
     def test_apply_local_batch_equals_member_loop_bit_for_bit(self, site):
@@ -504,7 +508,7 @@ class TestBatchedPulses:
         batches += [ThreeSitePulse(p, vt, area=area) for p in range(1, n_logical)]
         for batch in batches:
             U = propagate_exact(batch, layout)
-            assert U.shape == (2, 3, layout.dim, layout.dim)
+            assert U.shape == (2, 3, layout.full_dim, layout.full_dim)
             H = np.broadcast_to(block_hamiltonian(batch, layout), U.shape)  # the area is not an axis of H
             for i, j in np.ndindex(2, 3):
                 if isinstance(batch, OneQubitPulse):
@@ -552,20 +556,25 @@ class TestKernelMemory:
             tracemalloc.stop()
         return (peak - base) / out.nbytes
 
-    # the 3 x 3 block at every site of N = 4 and the 27 x 27 block at every site it fits, on N = 4's
-    # 3^7 x 16 columns: the most dimensions precede the block at the last sites
-    @pytest.mark.parametrize("site, d", [(site, 3) for site in range(1, 8)] + [(site, 27) for site in range(1, 6)])
+    # a block of each site's own dimension at every site of N = 4 (the drive's 3 x 3, and a 2 x 2 on an
+    # auxiliary site), and the 18 x 18 XY block at every site it fits, on N = 4's 648 x 16 reachable columns:
+    # the most dimensions precede the block at the last sites.  An XY pulse starts on a logical site; the
+    # auxiliary ones give the contraction other (left, d, rest) splits
+    @pytest.mark.parametrize("site, d", [(site, ChainLayout(4).site_dims[site - 1]) for site in range(1, 8)]
+                             + [(site, 18) for site in range(1, 6)])
     def test_traced_peak_is_the_result(self, site, d):
-        block = drive_block(0.4, 0.9) if d == 3 else xy_block(0.7)
+        block = xy_block(0.7) if d == 18 else drive_block(0.4, 0.9)[:d, :d]
         rng = np.random.default_rng(site)
-        X = rng.normal(size=(3 ** 7, 16)) + 1j * rng.normal(size=(3 ** 7, 16))
+        X = rng.normal(size=(ChainLayout(4).dim, 16)) + 1j * rng.normal(size=(ChainLayout(4).dim, 16))
         assert self._peak_over_result(site, block, X) <= 1.05
 
     @pytest.mark.parametrize("site", [1, 4, 7])
     def test_traced_peak_of_a_stack_is_the_result(self, site):
-        # a stack (5, 3, 3) on one column block, and (5, 1, 3, 3) broadcast against a stack (4, dim, K)
+        # a stack (5, d, d) on one column block, and (5, 1, d, d) broadcast against a stack (4, dim, K), with d
+        # the site's dimension
         rng = np.random.default_rng(40 + site)
-        blocks = drive_block(rng.uniform(0, 3, (5, 1)), 0.7)
-        X = rng.normal(size=(4, 3 ** 7, 4)) + 1j * rng.normal(size=(4, 3 ** 7, 4))
+        d = ChainLayout(4).site_dims[site - 1]
+        blocks = drive_block(rng.uniform(0, 3, (5, 1)), 0.7)[..., :d, :d]
+        X = rng.normal(size=(4, ChainLayout(4).dim, 4)) + 1j * rng.normal(size=(4, ChainLayout(4).dim, 4))
         assert self._peak_over_result(site, blocks[:, 0], X[0]) <= 1.05
         assert self._peak_over_result(site, blocks, X) <= 1.05
