@@ -12,7 +12,6 @@ recovered independently from the loop geometry (a discrete Wilson loop).
 from .linalg import (
     expm_hermitian,
     gate_fidelity,
-    hermiticity_defect,
     polar_unitary,
     unitarity_defect,
 )
@@ -35,7 +34,6 @@ from .pulses import (
     propagate_stepped,
     run_schedule,
     schedule_propagator,
-    slice_areas,
 )
 from .gates import (
     GateReport,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "expm_hermitian",
     "gate_fidelity",
-    "hermiticity_defect",
     "polar_unitary",
     "unitarity_defect",
     "ChainLayout",
@@ -94,7 +91,6 @@ __all__ = [
     "propagate_stepped",
     "run_schedule",
     "schedule_propagator",
-    "slice_areas",
     "GateReport",
     "bloch_angles",
     "bloch_vector",

@@ -122,27 +122,6 @@ class ChainLayout:
         left = 2 * pair - 1
         return (left, left + 1, left + 2)
 
-    def logical_index(self, bits) -> int:
-        """Full-chain index of the basis state |n1 0 n2 0 ... nN>: its bits read in base 9 (see
-        ``logical_indices``).  Each bit is read as ``_index`` reads an index, so a float or a bool is refused
-        rather than truncated."""
-        return int(self._digits(bits), 9)
-
-    def logical_row(self, bits) -> int:
-        """Reachable-space index of the basis state |n1 0 n2 0 ... nN>: its bits read in base 6 (see
-        ``logical_rows``), refused as ``logical_index`` refuses them."""
-        return int(self._digits(bits), 6)
-
-    def _digits(self, bits) -> str:
-        bits = tuple(bits)
-        try:
-            digits = [_index(b, "bit") for b in bits]
-        except ValueError:
-            digits = []  # refused below, as any other bad bits are
-        if len(digits) != self.n_logical or any(d not in (0, 1) for d in digits):
-            raise ValueError(f"bits must be {self.n_logical} values in {{0,1}}, got {bits}")
-        return "".join(map(str, digits))
-
     def logical_indices(self) -> list[int]:
         """Full-chain indices of all 2^N logical states, lexicographic in n1..nN: qubit q weighs
         3^(n_sites - site) = 9^(N - q).  The rows of the logical states in a dense reference."""
@@ -311,9 +290,18 @@ def block_sz(pair: int, layout: ChainLayout) -> np.ndarray:
 
 
 def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
-    """Reachable-space basis state with qubit values on odd sites and |0> elsewhere."""
+    """Reachable-space basis state with qubit values on odd sites and |0> elsewhere: its row is the bits read in
+    base 6 (see ``ChainLayout.logical_rows``).  Each bit is read as ``_index`` reads an index, so a float or a
+    bool is refused rather than truncated."""
+    bits = tuple(bits)
+    try:
+        digits = [_index(b, "bit") for b in bits]
+    except ValueError:
+        digits = []  # refused below, as any other bad bits are
+    if len(digits) != layout.n_logical or any(d not in (0, 1) for d in digits):
+        raise ValueError(f"bits must be {layout.n_logical} values in {{0,1}}, got {bits}")
     psi = np.zeros(layout.dim, dtype=complex)
-    psi[layout.logical_row(bits)] = 1.0
+    psi[int("".join(map(str, digits)), 6)] = 1.0
     return psi
 
 

@@ -107,13 +107,16 @@ def cmd_simulate(args) -> int:
 
     amplitudes = psi[layout.logical_rows()]
     logical_population = float(np.sum(np.abs(amplitudes) ** 2))
-    marg = np.abs(psi.reshape(layout.site_dims)) ** 2
+    # one running reduction, site 1 first: a site's marginal sums out the sites after it, and the sum over the
+    # site carries on to the next one
+    rest = np.abs(psi) ** 2
     site_populations = []
-    for site in range(layout.n_sites):
-        axes = tuple(i for i in range(layout.n_sites) if i != site)
-        populations = [float(v) for v in marg.sum(axis=axes)]
+    for d in layout.site_dims:
+        rest = rest.reshape(d, -1)
+        populations = rest.sum(axis=1).tolist()
+        rest = rest.sum(axis=0)
         # an auxiliary site has no |e> in the reachable space: its population there is 0
-        site_populations.append(populations + [0.0] * (3 - len(populations)))
+        site_populations.append(populations + [0.0] * (3 - d))
 
     report = {
         "qubits": layout.n_logical,

@@ -33,7 +33,6 @@ __all__ = [
     "schedule_to_obj",
     "schedule_from_obj",
     "loads_schedule",
-    "gate_to_dict",
     "gate_from_dict",
     "circuit_from_obj",
     "loads_circuit",
@@ -115,8 +114,6 @@ def _leaf(value) -> str:
 # ---------------------------------------------------------------------------
 
 _VECTOR3 = tuple[float, float, float]
-# the shape of a document field of each array-capable annotation (a batch has others)
-_SHAPES = {float: (), _VECTOR3: (3,)}
 
 
 def _field(obj: dict, name: str, where: str, expected=None, default=MISSING):
@@ -154,27 +151,6 @@ _FIELDS = {cls: {f.name: (get_type_hints(cls)[f.name], f.default) for f in field
            for cls in (*_PULSES.values(), *_GATES.values())}
 
 
-def _to_dict(obj, tag: str, noun: str, union) -> dict:
-    if not isinstance(obj, union):
-        raise TypeError(f"not a {noun}: {obj!r}")
-    doc = {tag: obj.kind}
-    for name, (annotation, _) in _FIELDS[type(obj)].items():
-        value = getattr(obj, name)
-        if annotation is float and type(value) is float:  # one number, written as it is
-            doc[name] = value
-            continue
-        shape = _SHAPES.get(annotation)
-        if shape is not None and np.shape(value) != shape:
-            raise ValueError(f"{noun} field {name!r} has shape {np.shape(value)}, expected {shape}: "
-                             f"a document holds single {noun}s, not batches")
-        if annotation is float:
-            value = float(value)
-        elif annotation == _VECTOR3:
-            value = [float(v) for v in value]
-        doc[name] = value
-    return doc
-
-
 def _from_dict(obj, where: str, tag: str, noun: str, classes: dict):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -193,15 +169,22 @@ def _from_dict(obj, where: str, tag: str, noun: str, classes: dict):
 
 
 def pulse_to_dict(pulse) -> dict:
-    return _to_dict(pulse, "type", "pulse", Pulse)
+    if not isinstance(pulse, Pulse):
+        raise TypeError(f"not a pulse: {pulse!r}")
+    doc = {"type": pulse.kind}
+    for name, (annotation, _) in _FIELDS[type(pulse)].items():
+        value = getattr(pulse, name)
+        if annotation is float and type(value) is not float:  # a float is written as it is
+            if np.shape(value) != ():
+                raise ValueError(f"pulse field {name!r} has shape {np.shape(value)}, expected (): "
+                                 "a document holds single pulses, not batches")
+            value = float(value)
+        doc[name] = value
+    return doc
 
 
 def pulse_from_dict(obj, where: str = "pulse"):
     return _from_dict(obj, where, "type", "pulse", _PULSES)
-
-
-def gate_to_dict(gate) -> dict:
-    return _to_dict(gate, "kind", "gate", Gate)
 
 
 def gate_from_dict(obj, where: str = "gate"):

@@ -34,7 +34,6 @@ import os
 import numpy as np
 
 __all__ = [
-    "hermiticity_defect",
     "unitarity_defect",
     "inner",
     "dot",
@@ -98,12 +97,6 @@ def finite(value) -> bool:
 def any_true(mask) -> bool:
     """Whether some element of a boolean result is true; a single (0-d) one is read directly."""
     return bool(mask.any()) if mask.ndim else bool(mask)
-
-
-def hermiticity_defect(H):
-    """Frobenius norm of H - H^dagger (per matrix of a stack)."""
-    H = np.asarray(H, dtype=complex)
-    return frobenius(H - _adjoint(H))
 
 
 def unitarity_defect(U):
@@ -214,7 +207,7 @@ def expm_hermitian(H, t: float) -> np.ndarray:
     if not finite(t):
         raise ValueError(f"expm_hermitian requires a finite t, got {float_or_inf(t)}")
     H = _as_square_matrix(H, "H")
-    defect = np.max(hermiticity_defect(H))
+    defect = np.max(frobenius(H - _adjoint(H)))
     if defect > 1e-12:
         raise ValueError(
             f"expm_hermitian requires a Hermitian matrix: ||H - H^dag|| = {defect:.3e} > 1.0e-12"

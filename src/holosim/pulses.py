@@ -65,7 +65,6 @@ __all__ = [
     "OneQubitPulse",
     "ThreeSitePulse",
     "Pulse",
-    "slice_areas",
     "cumulative_area",
     "block_hamiltonian",
     "propagate_exact",
@@ -186,20 +185,6 @@ class ThreeSitePulse:
 Pulse = OneQubitPulse | ThreeSitePulse
 
 
-def slice_areas(envelope: str, area: float, steps: int) -> np.ndarray:
-    """Per-slice areas for midpoint time slicing, rescaled to sum to ``area``.
-
-    Midpoint sampling is second-order accurate per slice; the rescaling pins
-    the discretized total area to the requested one at any step count.
-    """
-    steps = _index(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    mids = (np.arange(steps) + 0.5) / steps
-    weights = _envelope(envelope)[0](mids)
-    return weights * (area / weights.sum())
-
-
 def cumulative_area(envelope: str, area: float, s):
     """Area accumulated by scaled time s = t/tau (a closed form per shape).
 
@@ -278,13 +263,19 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     independence: returns prod_j exp(-i da_j H) with slice areas from
     midpoint sampling of the envelope (latest slice leftmost), each slice
     ``closed_form`` on the block and its square, not ``local_propagator``.
+    Midpoint sampling is second-order accurate per slice; the slice areas
+    are rescaled to sum to the pulse's area at any step count.
     """
     site, block = local_form(pulse, layout)
     if block.ndim > 2 or np.ndim(pulse.area) > 0:
         raise ValueError("stepped propagation takes one pulse, not a batch")
+    steps = _index(steps, "steps")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    weights = _envelope(pulse.envelope)[0]((np.arange(steps) + 0.5) / steps)
     eye, block_sq = np.eye(len(block)), block @ block
     U = np.eye(len(block), dtype=complex)
-    for da in slice_areas(pulse.envelope, pulse.area, steps):
+    for da in weights * (pulse.area / weights.sum()):
         U = closed_form(eye, block, block_sq, da) @ U
     return embed(lifted(U, 1.0), site, layout)
 

@@ -23,6 +23,11 @@ from oracles import (_GELL_MANN, brute_embed, generator_lambda_coupling, generat
                      reachable_states, restricted)
 
 
+def digits_in_base(n, base):
+    """The numbers of all n-bit strings, lexicographic, each read as digits in ``base``, in Python ints."""
+    return [sum(b * base ** (n - 1 - i) for i, b in enumerate(bits)) for bits in product((0, 1), repeat=n)]
+
+
 def ket(i):
     v = np.zeros(3, dtype=complex)
     v[i] = 1.0
@@ -81,22 +86,23 @@ class TestChainLayout:
             with pytest.raises(ValueError):
                 ChainLayout(bad)
 
-    def test_logical_index_examples(self):
-        assert ChainLayout(2).logical_index([0, 0]) == 0
+    def test_logical_indices_examples(self):
+        # the logical states are lexicographic in n1..nN: state n1 n2 n3 is number 0bn1n2n3
+        assert ChainLayout(2).logical_indices()[0b00] == 0
         # |1,0,1> -> 1*9 + 0*3 + 1
-        assert ChainLayout(2).logical_index([1, 1]) == 10
+        assert ChainLayout(2).logical_indices()[0b11] == 10
         # |0,0,1,0,0> -> 3**2
-        assert ChainLayout(3).logical_index([0, 1, 0]) == 9
+        assert ChainLayout(3).logical_indices()[0b010] == 9
 
-    def test_logical_row_examples(self):
+    def test_logical_rows_examples(self):
         # the mixed radix (3, 2, 3, ...): a site weighs the product of the dimensions after it
-        assert ChainLayout(2).logical_row([0, 0]) == 0
+        assert ChainLayout(2).logical_rows()[0b00] == 0
         # |1,0,1> -> 1*6 + 0*3 + 1
-        assert ChainLayout(2).logical_row([1, 1]) == 7
+        assert ChainLayout(2).logical_rows()[0b11] == 7
         # |0,0,1,0,0> -> 3*2
-        assert ChainLayout(3).logical_row([0, 1, 0]) == 6
+        assert ChainLayout(3).logical_rows()[0b010] == 6
         with pytest.raises(ValueError, match="bits must be 2 values"):
-            ChainLayout(2).logical_row([0, 2])
+            logical_encode([0, 2], ChainLayout(2))
 
     def test_logical_indices_injective(self):
         layout = ChainLayout(3)
@@ -115,9 +121,12 @@ class TestChainLayout:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_logical_indices_equal_the_per_state_indices(self, n):
         layout = ChainLayout(n)
-        for idx, index in ((layout.logical_indices(), layout.logical_index), (layout.logical_rows(), layout.logical_row)):
-            assert idx == [index(bits) for bits in product((0, 1), repeat=n)]
+        for idx, base in ((layout.logical_indices(), 9), (layout.logical_rows(), 6)):
+            assert idx == digits_in_base(n, base)
             assert all(type(i) is int for i in idx)
+        if n <= 6:  # each encoded state is one 1 on its row
+            rows = [np.flatnonzero(logical_encode(bits, layout)).tolist() for bits in product((0, 1), repeat=n)]
+            assert rows == [[row] for row in layout.logical_rows()]
 
     def test_logical_indices_past_int64_are_python_ints(self):
         # from N = 21 on the chain dimension passes 2^63, and from N = 25 the reachable one; that route,
@@ -126,15 +135,15 @@ class TestChainLayout:
             dim = full_dim = 2**63
 
         layout = Wide(3)
-        for idx, index in ((layout.logical_indices(), layout.logical_index), (layout.logical_rows(), layout.logical_row)):
-            assert idx == [index(bits) for bits in product((0, 1), repeat=3)]
+        for idx, base in ((layout.logical_indices(), 9), (layout.logical_rows(), 6)):
+            assert idx == digits_in_base(3, base)
             assert all(type(i) is int for i in idx)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
-            ChainLayout(2).logical_index([0, 2])
+            logical_encode([0, 2], ChainLayout(2))
         with pytest.raises(ValueError):
-            ChainLayout(2).logical_index([0])
+            logical_encode([0], ChainLayout(2))
 
     def test_bits_must_be_integers(self):
         # each bit is read as an index is: a float used to be truncated, so [1.7, 0] encoded |1 0 0> and
@@ -142,11 +151,9 @@ class TestChainLayout:
         layout = ChainLayout(2)
         for bad in ([1.7, 0], [0.5, 1], [1.0, 0], [np.float64(1.0), 0], [True, 0], [0, np.bool_(False)], ["1", 0]):
             with pytest.raises(ValueError, match=r"^bits must be 2 values in \{0,1\}, got \("):
-                layout.logical_index(bad)
-            with pytest.raises(ValueError, match="bits must be 2 values"):
                 logical_encode(bad, layout)
-        assert layout.logical_index([np.int64(1), np.uint8(1)]) == 10
-        assert layout.logical_index(np.array([1, 0])) == 9
+        assert np.flatnonzero(logical_encode([np.int64(1), np.uint8(1)], layout)).tolist() == [7]
+        assert np.flatnonzero(logical_encode(np.array([1, 0]), layout)).tolist() == [6]
 
     def test_indices_must_be_integers(self):
         # a bool or a non-integer qubit, pair or size is refused by value wherever it enters; a float
@@ -433,3 +440,11 @@ class TestLogicalEncode:
         G = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.array_equal(G, np.eye(8))
 
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_the_column_budget_asks_for_the_columns_bytes(n, monkeypatch):
+    # check_columns estimates the bytes of complex columns of the reachable space, as the frame holds them
+    asked = []
+    monkeypatch.setattr("holosim.chain.check_memory", lambda what, nbytes: asked.append(nbytes))
+    frame = logical_frame(ChainLayout(n))
+    assert asked == [frame.nbytes]

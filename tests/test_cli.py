@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holosim import cli
+from holosim.chain import ChainLayout, logical_encode
 from holosim.cli import main
 from holosim.formats import dumps, schedule_to_obj
 from holosim.gates import two_qubit_gate
 from holosim.linalg import gate_fidelity
-from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse
+from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse, run_schedule
 
 
 MISSING = "/nonexistent.json"
@@ -75,6 +76,32 @@ class TestSimulate:
         assert report["site_populations"][0] == [0, 1, 0]
         assert report["site_populations"][1] == [1, 0, 0]
         assert report["site_populations"][2] == [1, 0, 0]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_site_populations_equal_the_per_site_reductions(self, tmp_path, capsys, n):
+        # the report's running reduction against one full reduction per site, over every other axis
+        rng = np.random.default_rng(40 + n)
+        schedule = []
+        for _ in range(6):
+            area = rng.uniform(0.3, 3.0)
+            if n > 1 and rng.integers(0, 2):
+                schedule.append(ThreeSitePulse(int(rng.integers(1, n)), rng.uniform(-3, 3), area=area))
+            else:
+                schedule.append(OneQubitPulse(int(rng.integers(1, n + 1)), rng.uniform(0, 3), rng.uniform(-3, 3),
+                                              area=area, envelope="gaussian"))
+        bits = [int(b) for b in rng.integers(0, 2, size=n)]
+        sched = tmp_path / "s.json"
+        write_schedule(sched, schedule)
+        assert main(["simulate", "--schedule", str(sched), "--qubits", str(n),
+                     "--initial", "".join(map(str, bits))]) == 0
+        report = json.loads(capsys.readouterr().out)
+        layout = ChainLayout(n)
+        marg = np.abs(run_schedule(schedule, logical_encode(bits, layout), layout).reshape(layout.site_dims)) ** 2
+        for site, (d, got) in enumerate(zip(layout.site_dims, report["site_populations"])):
+            want = marg.sum(axis=tuple(i for i in range(layout.n_sites) if i != site))
+            assert np.max(np.abs(np.array(got[:d]) - want)) <= 1e-15
+            assert got[d:] == [0.0] * (3 - d)
+        assert len(report["site_populations"]) == layout.n_sites
 
     def test_bad_bitstring(self, tmp_path, capsys):
         sched = tmp_path / "s.json"

@@ -1,16 +1,21 @@
-"""Every exported name resolves, so ``from holosim import *`` cannot fail on a stale entry,
-and no function takes a numerical threshold: each bound is fixed where it is checked."""
+"""Every exported name resolves, so ``from holosim import *`` cannot fail on a stale entry, and has a reader
+outside the tests, and no function takes a numerical threshold: each bound is fixed where it is checked."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import holosim
 from holosim import gates, holonomy
 from holosim.formats import dumps
 
+from test_traced_names import load_tracer
+
 MODULES = [holosim] + [importlib.import_module(f"holosim.{info.name}")
                        for info in pkgutil.iter_modules(holosim.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -18,6 +23,23 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in MODULES
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_exported_name_has_a_reader():
+    # read as a Name or an Attribute (not in a string) by the package's modules, the demos or the benchmark,
+    # or traced by the benchmark; the package __init__ only re-exports, and a name only tests read is not exported
+    sources = [path for path in (ROOT / "src" / "holosim").glob("*.py") if path.name != "__init__.py"]
+    sources += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = {name for _, name, _ in load_tracer().TRACED}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(sources) > 10
+    unread = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__ if name not in read]
+    assert unread == []
 
 
 def test_no_function_takes_a_threshold():

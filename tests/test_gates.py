@@ -140,6 +140,16 @@ class TestExtractLogicalGate:
             assert report.cyclic
             assert np.allclose(report.logical_gate, np.eye(4), atol=1e-14)
 
+    def test_the_cyclic_split_is_at_cyclic_leakage(self):
+        # an amplitude on |e> of leakage just below the fixed bound 1e-8 is cyclic, and one just above it is not
+        layout = ChainLayout(1)
+        for leakage, cyclic in ((0.99e-8, True), (1.01e-8, False)):
+            columns = logical_frame(layout)
+            columns[2, 0] = leakage
+            report = extract_logical_gate(columns, layout)
+            assert report.leakage == pytest.approx(leakage, rel=1e-12)
+            assert report.cyclic is cyclic
+
     def test_one_qubit_pulse_extends_by_identity(self):
         layout = ChainLayout(2)
         theta, phi = 1.1, 0.6

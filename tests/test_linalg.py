@@ -9,7 +9,6 @@ from holosim.linalg import (
     embed_factor,
     expm_hermitian,
     gate_fidelity,
-    hermiticity_defect,
     inner,
     polar_unitary,
     unitarity_defect,
@@ -101,7 +100,7 @@ class TestPolarUnitary:
             Uv, _, Vh = np.linalg.svd(M)
             assert np.linalg.norm(W - Uv @ Vh) < 1e-12
             P = W.conj().T @ M
-            assert hermiticity_defect(P) < 1e-10
+            assert np.linalg.norm(P - P.conj().T) < 1e-10
             assert np.min(np.linalg.eigvalsh(0.5 * (P + P.conj().T))) > 0
 
     def test_rank_deficient_reports_singular_value(self):
@@ -257,7 +256,6 @@ class TestStacks:
             assert np.array_equal(W[i, j], polar_unitary(M[i, j]))
             assert abs(F[i, j] - gate_fidelity(U[i, j], V)) <= 1e-15
             assert abs(unitarity_defect(U)[i, j] - unitarity_defect(U[i, j])) <= 1e-15
-            assert abs(hermiticity_defect(M)[i, j] - hermiticity_defect(M[i, j])) <= 1e-14
         assert np.max(np.abs(E[1] - expm_hermitian(H, 1.4))) <= 1e-12
         assert type(gate_fidelity(V, V)) is float and type(unitarity_defect(V)) is float
 
@@ -267,6 +265,11 @@ class TestStacks:
             polar_unitary(stack)
         with pytest.raises(ValueError, match="not unitary"):
             gate_fidelity(stack, np.eye(2))
+        # the message reports the largest member's ||H - H^dag||_F, sqrt(2) * 3e-12 for one unpaired entry
+        hermitian = np.stack([np.eye(2), np.eye(2), np.eye(2)])
+        hermitian[1, 0, 1], hermitian[2, 1, 0] = 1e-12, 3e-12
+        with pytest.raises(ValueError, match=re.escape(f"= {np.sqrt(2) * 3e-12:.3e} > 1.0e-12")):
+            expm_hermitian(hermitian, 1.0)
 
     def test_any_memory_layout_is_read(self):
         # a last axis that is not contiguous (Fortran order, a transpose, a reversed view) cannot be viewed

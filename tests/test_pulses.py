@@ -22,7 +22,7 @@ from holosim.pulses import (
     propagate_stepped,
     run_schedule,
     schedule_propagator,
-    slice_areas,
+    _envelope,
 )
 
 from oracles import (generator_lambda_coupling, generator_xy_coupling, kron_logical, local_reference, restricted,
@@ -33,10 +33,12 @@ class TestEnvelopes:
     @pytest.mark.parametrize("envelope", ENVELOPES)
     @pytest.mark.parametrize("steps", [1, 10, 100, 10000])
     def test_discretized_area_matches_request(self, envelope, steps):
-        areas = slice_areas(envelope, np.pi, steps)
-        assert areas.shape == (steps,)
-        assert np.all(areas >= 0)
-        assert abs(areas.sum() - np.pi) < 1e-12
+        # the slice areas sum to the pulse's area at any step count: the slices share one block, so their
+        # product is the single-shot propagator
+        layout = ChainLayout(1)
+        pulse = OneQubitPulse(1, 0.7, 0.3, area=2.2, envelope=envelope)
+        U = propagate_stepped(pulse, steps, layout)
+        assert np.max(np.abs(U - propagate_exact(pulse, layout))) <= 1e-12
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     def test_cumulative_area_endpoints_and_monotonicity(self, envelope):
@@ -56,9 +58,12 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("envelope", ENVELOPES)
     def test_slice_sums_track_the_closed_form_cumulative(self, envelope):
-        # partial sums of the normalized slices must follow cumulative_area
+        # partial sums of the normalized midpoint slices, as propagate_stepped takes them, must follow
+        # cumulative_area
         steps = 10000
-        partial = np.cumsum(slice_areas(envelope, np.pi, steps))
+        weights = _envelope(envelope)[0]((np.arange(steps) + 0.5) / steps)
+        assert np.all(weights >= 0)
+        partial = np.cumsum(weights * (np.pi / weights.sum()))
         grid = (np.arange(steps) + 1.0) / steps
         want = np.array([cumulative_area(envelope, np.pi, s) for s in grid])
         assert np.max(np.abs(partial - want)) < 1e-7
@@ -70,22 +75,23 @@ class TestEnvelopes:
     def test_invalid_envelope_and_steps(self):
         # one lookup gives every caller the same message
         message = "unknown envelope 'triangle', expected one of ('square', 'gaussian', 'sin2')"
-        for make in (lambda: slice_areas("triangle", np.pi, 10), lambda: cumulative_area("triangle", np.pi, 0.5),
+        for make in (lambda: cumulative_area("triangle", np.pi, 0.5),
                      lambda: OneQubitPulse(1, 0.0, 0.0, envelope="triangle"),
                      lambda: ThreeSitePulse(1, 0.0, envelope="triangle")):
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == message
-        with pytest.raises(ValueError, match="steps"):
-            slice_areas("square", np.pi, 0)
+        pulse, layout = OneQubitPulse(1, 0.3, 0.2, envelope="sin2"), ChainLayout(1)
+        for steps in (0, -3):
+            with pytest.raises(ValueError) as err:
+                propagate_stepped(pulse, steps, layout)
+            assert str(err.value) == f"steps must be >= 1, got {steps}"
         # steps is read as an integer, as a site or qubit index is: no rounding, no bool, no string
         for steps in (2.5, True, np.float64(3.0), "3"):
-            for make in (lambda: slice_areas("square", np.pi, steps),
-                         lambda: propagate_stepped(OneQubitPulse(1, 0.3, 0.2), steps, ChainLayout(1))):
-                with pytest.raises(ValueError) as err:
-                    make()
-                assert str(err.value) == f"steps must be an integer, got {steps!r}"
-        assert np.array_equal(slice_areas("sin2", np.pi, np.int64(3)), slice_areas("sin2", np.pi, 3))
+            with pytest.raises(ValueError) as err:
+                propagate_stepped(pulse, steps, layout)
+            assert str(err.value) == f"steps must be an integer, got {steps!r}"
+        assert np.array_equal(propagate_stepped(pulse, np.int64(3), layout), propagate_stepped(pulse, 3, layout))
 
 
 class TestPropagateExact:
