@@ -9,113 +9,20 @@ transported around a closed loop with no dynamical phase, and the gate is
 recovered independently from the loop geometry (a discrete Wilson loop).
 """
 
-from .linalg import (
-    expm_hermitian,
-    gate_fidelity,
-    polar_unitary,
-    unitarity_defect,
-)
-from .chain import (
-    ChainLayout,
-    block_sz,
-    embed,
-    h1,
-    h3,
-    logical_encode,
-    logical_frame,
-)
-from .pulses import (
-    ENVELOPES,
-    OneQubitPulse,
-    ThreeSitePulse,
-    block_hamiltonian,
-    cumulative_area,
-    propagate_exact,
-    propagate_stepped,
-    run_schedule,
-    schedule_propagator,
-)
-from .gates import (
-    GateReport,
-    bloch_angles,
-    bloch_vector,
-    compose_rule,
-    entangling_verdict,
-    entanglement_entropy,
-    extract_logical_gate,
-    makhlin_invariants,
-    one_qubit_gate,
-    projected_block_maps,
-    schmidt_coefficients,
-    two_qubit_gate,
-)
-from .holonomy import (
-    HolonomyError,
-    HolonomyReport,
-    SubspacePath,
-    certify,
-    check_parallel_transport,
-    trace_subspace,
-    wilson_loop,
-)
-from .compiler import (
-    Reflection,
-    Rotation,
-    XYGate,
-    circuit_unitary,
-    compile_circuit,
-    compile_gate,
-    compile_rotation,
-)
+from .linalg import *
+from .chain import *
+from .pulses import *
+from .gates import *
+from .holonomy import *
+from .compiler import *
+from . import chain, compiler, gates, holonomy, linalg, pulses  # bound by name for the sums below
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "expm_hermitian",
-    "gate_fidelity",
-    "polar_unitary",
-    "unitarity_defect",
-    "ChainLayout",
-    "block_sz",
-    "embed",
-    "h1",
-    "h3",
-    "logical_encode",
-    "logical_frame",
-    "ENVELOPES",
-    "OneQubitPulse",
-    "ThreeSitePulse",
-    "block_hamiltonian",
-    "cumulative_area",
-    "propagate_exact",
-    "propagate_stepped",
-    "run_schedule",
-    "schedule_propagator",
-    "GateReport",
-    "bloch_angles",
-    "bloch_vector",
-    "compose_rule",
-    "entangling_verdict",
-    "entanglement_entropy",
-    "extract_logical_gate",
-    "makhlin_invariants",
-    "one_qubit_gate",
-    "projected_block_maps",
-    "schmidt_coefficients",
-    "two_qubit_gate",
-    "HolonomyError",
-    "HolonomyReport",
-    "SubspacePath",
-    "certify",
-    "check_parallel_transport",
-    "trace_subspace",
-    "wilson_loop",
-    "Reflection",
-    "Rotation",
-    "XYGate",
-    "circuit_unitary",
-    "compile_circuit",
-    "compile_gate",
-    "compile_rotation",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += linalg.__all__
+__all__ += chain.__all__
+__all__ += pulses.__all__
+__all__ += gates.__all__
+__all__ += holonomy.__all__
+__all__ += compiler.__all__

@@ -54,7 +54,6 @@ import numpy as np
 from .linalg import check_memory, embed_factor, finite, power_bytes
 
 __all__ = [
-    "SIGMA_Z3",
     "ChainLayout",
     "embed",
     "h1",
@@ -62,9 +61,6 @@ __all__ = [
     "block_sz",
     "logical_encode",
     "logical_frame",
-    "check_columns",
-    "full_chain_rows",
-    "lifted",
 ]
 
 # Pseudo-spin z on the qubit subspace of one qutrit: |0><0| - |1><1|.

@@ -36,7 +36,6 @@ __all__ = [
     "Rotation",
     "Reflection",
     "XYGate",
-    "Gate",
     "compile_rotation",
     "compile_gate",
     "compile_circuit",

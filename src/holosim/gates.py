@@ -31,10 +31,6 @@ from .linalg import (any_true, cross, dot, finite, gate_fidelity, inner, polar_u
                      unitarity_defect, unstack)
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "CYCLIC_LEAKAGE",
     "bloch_vector",
     "bloch_angles",
     "one_qubit_gate",
@@ -42,7 +38,6 @@ __all__ = [
     "two_qubit_gate",
     "projected_block_maps",
     "GateReport",
-    "logical_rows_of",
     "extract_logical_gate",
     "schmidt_coefficients",
     "entanglement_entropy",

@@ -72,16 +72,11 @@ from .linalg import check_memory, embed_factor, frobenius, gate_fidelity, inner,
 from .pulses import Pulse, _checked, apply_local, closed_form, cumulative_area, local_form
 
 __all__ = [
-    "CERTIFY_PARALLEL_TRANSPORT",
-    "CERTIFY_DYNAMICAL_PHASE",
-    "CERTIFY_CYCLICITY",
-    "CERTIFY_CROSS_FIDELITY",
     "SubspacePath",
     "HolonomyReport",
     "HolonomyError",
     "trace_subspace",
     "check_parallel_transport",
-    "projected_propagator",
     "wilson_loop",
     "certify",
 ]

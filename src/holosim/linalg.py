@@ -35,14 +35,9 @@ import numpy as np
 
 __all__ = [
     "unitarity_defect",
-    "inner",
-    "dot",
-    "cross",
     "expm_hermitian",
     "polar_unitary",
     "gate_fidelity",
-    "check_memory",
-    "power_bytes",
 ]
 
 

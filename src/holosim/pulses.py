@@ -64,7 +64,6 @@ __all__ = [
     "ENVELOPES",
     "OneQubitPulse",
     "ThreeSitePulse",
-    "Pulse",
     "cumulative_area",
     "block_hamiltonian",
     "propagate_exact",

@@ -26,6 +26,9 @@ _CHILD = "import sys, pytest; code = pytest.main(sys.argv[1:]); import holosim; 
 # each pulse's propagator against the dense exponential of its Hamiltonian, both written from its Λ systems
 _DENSE = "tests/test_pulses.py::TestLocalKernelAgainstDense::test_propagate_exact_matches_dense_oracles"
 
+# a value 10x past each of certify's and wilson_loop's bounds
+_BETWEEN = "tests/test_holonomy.py::TestBoundsFromBetween"
+
 MUTANTS = (
     # the checks of the removed helpers, now in their one caller each
     ("pulses.py", "    if steps < 1:", "    if steps < 0:",
@@ -96,6 +99,18 @@ MUTANTS = (
     ("holonomy.py", "    if largest >= np.pi / 2 or product <= 1e-8:",
      "    if largest >= np.pi / 2 or product <= 1e-12:",
      ("tests/test_holonomy.py::TestWilsonLoop::test_each_undersampling_bound_refuses_on_its_own",)),
+    # certify's and wilson_loop's bounds loosened 100-fold, each met by a value 10x past the bound
+    ("holonomy.py", "CERTIFY_PARALLEL_TRANSPORT = 1e-9", "CERTIFY_PARALLEL_TRANSPORT = 1e-7",
+     (f"{_BETWEEN}::test_parallel_transport_residual",)),
+    ("holonomy.py", "CERTIFY_DYNAMICAL_PHASE = 1e-9", "CERTIFY_DYNAMICAL_PHASE = 1e-7",
+     (f"{_BETWEEN}::test_dynamical_phase",)),
+    ("holonomy.py", "CERTIFY_CROSS_FIDELITY = 1.0 - 1e-6", "CERTIFY_CROSS_FIDELITY = 1.0 - 1e-4",
+     (f"{_BETWEEN}::test_cross_fidelity",)),
+    ("holonomy.py", "_WILSON_CYCLICITY = 1e-6", "_WILSON_CYCLICITY = 1e-4",
+     (f"{_BETWEEN}::test_wilson_loop_refuses_a_residual_between_its_bound_and_100_times_it",)),
+    # the package re-exports every library module's __all__
+    ("__init__.py", "from .holonomy import *", "",
+     ("tests/test_exports.py::test_every_exported_name_resolves", "tests/test_demos.py::test_readme_block_runs[block0]")),
 )
 
 

@@ -1,5 +1,6 @@
-"""Every exported name resolves, so ``from holosim import *`` cannot fail on a stale entry, and has a reader
-outside the tests, and no function takes a numerical threshold: each bound is fixed where it is checked."""
+"""The package exports its library modules' ``__all__`` and nothing else, every exported name resolves, so
+``from holosim import *`` cannot fail on a stale entry, every public name has a reader outside the tests, and
+no function takes a numerical threshold: each bound is fixed where it is checked."""
 
 import ast
 import importlib
@@ -8,7 +9,7 @@ import pkgutil
 from pathlib import Path
 
 import holosim
-from holosim import gates, holonomy
+from holosim import chain, compiler, gates, holonomy, linalg, pulses
 from holosim.formats import dumps
 
 from test_traced_names import load_tracer
@@ -16,6 +17,37 @@ from test_traced_names import load_tracer
 MODULES = [holosim] + [importlib.import_module(f"holosim.{info.name}")
                        for info in pkgutil.iter_modules(holosim.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
+# the modules whose ``__all__`` the package re-exports, in its import order
+LIBRARY = [linalg, chain, pulses, gates, holonomy, compiler]
+
+
+def test_the_package_exports_its_library_modules_all():
+    assert holosim.__all__ == ["__version__"] + [name for module in LIBRARY for name in module.__all__]
+
+
+def test_no_name_is_exported_twice():
+    # a later star import would silently shadow an earlier module's name
+    assert len(set(holosim.__all__)) == len(holosim.__all__)
+
+
+def test_each_package_name_is_its_modules_object():
+    differ = [f"{module.__name__}.{name}" for module in LIBRARY for name in module.__all__
+              if getattr(holosim, name) is not getattr(module, name)]
+    assert differ == []
+
+
+def public_names(module) -> set[str]:
+    """The module's ``__all__`` and every name without a leading underscore that a top-level def, class or
+    assignment of its source binds."""
+    names = set(module.__all__)
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store))
+    return {name for name in names if not name.startswith("_")}
 
 
 def test_every_exported_name_resolves():
@@ -26,8 +58,9 @@ def test_every_exported_name_resolves():
 
 
 def test_every_exported_name_has_a_reader():
-    # read as a Name or an Attribute (not in a string) by the package's modules, the demos or the benchmark,
-    # or traced by the benchmark; the package __init__ only re-exports, and a name only tests read is not exported
+    # every public name, exported or not, is read as a Name or an Attribute (not in a string) by the package's
+    # modules, the demos or the benchmark, or traced by the benchmark; the package __init__ only re-exports,
+    # and a name only tests read is not public
     sources = [path for path in (ROOT / "src" / "holosim").glob("*.py") if path.name != "__init__.py"]
     sources += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     read = {name for _, name, _ in load_tracer().TRACED}
@@ -38,7 +71,9 @@ def test_every_exported_name_has_a_reader():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert len(sources) > 10
-    unread = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__ if name not in read]
+    public = {f"{module.__name__}.{name}": name for module in MODULES for name in public_names(module)}
+    assert len(public) > 100  # the scan finds the names outside each __all__ too
+    unread = [qualified for qualified, name in public.items() if name not in read]
     assert unread == []
 
 

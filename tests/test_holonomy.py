@@ -306,6 +306,40 @@ class TestCertify:
         assert gate_fidelity(report.wilson_gate, report.propagator_gate) >= 1.0 - 1e-9
 
 
+class TestBoundsFromBetween:
+    # each bound meets a value 10x past it, which a bound loosened 100-fold would accept
+    PULSE, LAYOUT = OneQubitPulse(1, 0.7, 0.3), ChainLayout(1)
+
+    def test_wilson_loop_refuses_a_residual_between_its_bound_and_100_times_it(self):
+        pulse = replace(self.PULSE, area=np.pi + 7e-6)
+        path = trace_subspace(pulse, logical_frame(self.LAYOUT), 64, self.LAYOUT)
+        assert 1e-6 < path.cyclicity_residual < 1e-4
+        with pytest.raises(ValueError) as err:
+            wilson_loop(path)
+        assert str(err.value) == "wilson_loop requires a cyclic path: ||P(tau) - P(0)|| = 9.899e-06 >= 1.0e-06"
+
+    def certify_failures(self):
+        with pytest.raises(HolonomyError) as err:
+            certify(self.PULSE, self.LAYOUT, samples=64)
+        return err.value.failures
+
+    def test_parallel_transport_residual(self, monkeypatch):
+        measured = holonomy.check_parallel_transport
+        monkeypatch.setattr(holonomy, "check_parallel_transport", lambda path: (1e-8, measured(path)[1]))
+        assert self.certify_failures() == ("parallel transport residual 1.000e-08 >= 1.0e-09",)
+
+    def test_dynamical_phase(self, monkeypatch):
+        # a constant energy per unit envelope eps integrates to eps times the pulse's area, pi
+        measured = holonomy.check_parallel_transport
+        monkeypatch.setattr(holonomy, "check_parallel_transport",
+                            lambda path: (measured(path)[0], np.full(path.samples, 1e-8 / np.pi)))
+        assert self.certify_failures() == ("dynamical phase 1.000e-08 >= 1.0e-09",)
+
+    def test_cross_fidelity(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "gate_fidelity", lambda wilson, propagator: 1.0 - 1e-5)
+        assert self.certify_failures() == ("wilson cross fidelity 0.999990000000 < 0.999999000000",)
+
+
 class TestWilsonConvergence:
     def test_deficits_already_at_roundoff(self):
         # For constant-in-time block Hamiltonians the overlap product differs
