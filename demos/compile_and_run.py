@@ -27,7 +27,7 @@ from holosim.formats import dumps, schedule_to_obj
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
 layout = ChainLayout(3)
-print("chain: 3 logical qubits on", layout.n_sites, "sites, Hilbert dimension", layout.full_dim,
+print("chain: 3 logical qubits on", layout.n_sites, "sites, Hilbert dimension", 3 ** layout.n_sites,
       "of which", layout.dim, "are reachable (no auxiliary |e>)")
 
 circuit = [

@@ -17,14 +17,7 @@ Basis conventions (fixed once, everything downstream depends on them):
   levels on a logical site and 2 on an auxiliary one, and the index is
   sum_i code(site i) * (product of the dimensions of the sites after i),
   site 1 most significant, so logical qubit q weighs 6^(N - q)
-  (``ChainLayout.logical_rows``);
-* the full three-level chain, which the dense references ``embed``, ``h1``,
-  ``h3`` and ``block_sz`` build, has the index sum_i code(site i) *
-  3**(n_sites - i) (plain ``np.kron`` order with site 1 leftmost), in which
-  qubit q weighs 9^(N - q) (``ChainLayout.logical_indices``);
-* one isometry connects them: ``full_chain_rows`` gives the full-chain
-  index of each reachable state, and ``lifted`` takes a local block of the
-  reachable space to the three-level states of its sites.
+  (``ChainLayout.logical_rows``).  It is the only index of the package.
 
 A pulse's local block is made of Λ systems, three-level loops in which |e>
 couples to one bright state: the block H = |e><w| + |w><e| on levels
@@ -39,8 +32,12 @@ or into its propagator: H^3 = H, so exp(-i a H) = 1 - i sin(a) H + (cos(a) -
 generator is built), with the identity off the systems' levels.  No block,
 separate identity or matrix product is formed on the way, and a batch runs
 the same element-wise operations as a single pulse, so each member has the
-single pulse's bits.  ``embed`` takes a stack of operators too; ``h1``,
-``h3`` and ``block_sz`` build single full-chain operators.
+single pulse's bits.
+
+The dense full-chain builders ``h1`` and ``h3`` stay, with those of
+``pulses`` and ``linalg.expm_hermitian``, because perfbench traces them;
+they place a block on the full three-level chain through ``_dense``, the
+one lift of the package.
 """
 
 from __future__ import annotations
@@ -55,16 +52,11 @@ from .linalg import check_memory, embed_factor, finite, power_bytes
 
 __all__ = [
     "ChainLayout",
-    "embed",
     "h1",
     "h3",
-    "block_sz",
     "logical_encode",
     "logical_frame",
 ]
-
-# Pseudo-spin z on the qubit subspace of one qutrit: |0><0| - |1><1|.
-SIGMA_Z3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -94,11 +86,6 @@ class ChainLayout:
         """The dimension 3^N 2^(N-1) of the reachable space, the rows of every propagated state and column."""
         return 3 * 6 ** (self.n_logical - 1)
 
-    @cached_property
-    def full_dim(self) -> int:
-        """The dimension 3^(2N-1) of the full three-level chain, the size of the dense references."""
-        return 3 ** self.n_sites
-
     @property
     def logical_dim(self) -> int:
         return 1 << self.n_logical
@@ -118,23 +105,15 @@ class ChainLayout:
         left = 2 * pair - 1
         return (left, left + 1, left + 2)
 
-    def logical_indices(self) -> list[int]:
-        """Full-chain indices of all 2^N logical states, lexicographic in n1..nN: qubit q weighs
-        3^(n_sites - site) = 9^(N - q).  The rows of the logical states in a dense reference."""
-        return self._logical_numbers(9, self.full_dim)
-
     def logical_rows(self) -> list[int]:
         """Reachable-space indices of all 2^N logical states, lexicographic in n1..nN: qubit q weighs the
         dimensions of the 2(N - q) sites after it, 6^(N - q).  The rows of the logical states in propagated
         columns."""
-        return self._logical_numbers(6, self.dim)
-
-    def _logical_numbers(self, base: int, dim: int) -> list[int]:
-        # qubit q is bit N - q of the state's number and weighs base^(N - q); indices past int64 stay exact
+        # qubit q is bit N - q of the state's number and weighs 6^(N - q); indices past int64 stay exact
         # as Python ints
-        shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if dim < 2**63 else object)
+        shifts = np.arange(self.n_logical - 1, -1, -1, dtype=np.int64 if self.dim < 2**63 else object)
         bits = (np.arange(self.logical_dim, dtype=shifts.dtype)[:, None] >> shifts) & 1
-        return (bits @ base ** shifts).tolist()
+        return (bits @ 6 ** shifts).tolist()
 
 
 def _index(value, name: str) -> int:
@@ -145,29 +124,6 @@ def _index(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def embed(op, start_site: int, layout: ChainLayout) -> np.ndarray:
-    """Tensor-embed ``op`` (acting on contiguous sites) into the full chain.
-
-    ``op`` must act on m = log3(dim) consecutive sites beginning at
-    ``start_site`` (1-based); identities fill the remaining sites
-    (``linalg.embed_factor``).  A stack (..., 3^m, 3^m) gives the stack of
-    embeddings, bit for bit the per-member results.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    size = op.shape[-1]
-    m = round(np.log(size) / np.log(3))
-    if 3 ** m != size:
-        raise ValueError(f"operator dimension {size} is not a power of 3")
-    start_site = _index(start_site, "start_site")
-    if start_site < 1 or start_site + m - 1 > layout.n_sites:
-        raise ValueError(
-            f"sites {start_site}..{start_site + m - 1} out of range 1..{layout.n_sites}"
-        )
-    return embed_factor(op, 3 ** (start_site - 1), 3 ** (layout.n_sites - (start_site + m - 1)))
 
 
 def _drive_lambdas(theta, phi) -> tuple:
@@ -257,6 +213,23 @@ def _written(size: int, systems, area=None) -> np.ndarray:
     return out.view(complex)[..., 0]
 
 
+# The 18 reachable states of a pair's three sites among their 27 three-level states: (a, b, c) is 9a + 3b + c.
+_PAIR_STATES = (9 * np.arange(3)[:, None, None] + 3 * np.arange(2)[:, None] + np.arange(3)).ravel()
+
+
+def _dense(block, site: int, layout: ChainLayout, fill: float = 0.0) -> np.ndarray:
+    """A local block (..., d, d) of the reachable space from ``site`` on, as an operator on the full three-level
+    chain (plain ``np.kron`` order, site 1 leftmost): a one-site block as it is, and the XY block among the 27
+    states of its three sites with ``fill`` times the identity on the 9 carrying an auxiliary |e> (0 for a
+    Hamiltonian, which annihilates them, and 1 for a propagator, which fixes them), embedded by ``embed_factor``."""
+    if block.shape[-1] == 18:
+        full = np.zeros(block.shape[:-2] + (27, 27), dtype=complex)
+        full[..., np.arange(27), np.arange(27)] = fill
+        full[..., _PAIR_STATES[:, None], _PAIR_STATES] = block
+        block = full
+    return embed_factor(block, 3 ** (site - 1), 3 ** (layout.n_sites - site + 1) // block.shape[-1])
+
+
 def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
     """Full-chain one-qubit drive Hamiltonian at an odd (logical) site: the drive's Λ block, embedded."""
     site = _index(site, "site")
@@ -266,23 +239,14 @@ def h1(site: int, theta: float, phi: float, layout: ChainLayout) -> np.ndarray:
         raise ValueError(f"site {site} is auxiliary; one-qubit drives address odd sites only")
     if not (finite(theta) and finite(phi)):
         raise ValueError("theta and phi must be finite")
-    return embed(_written(3, _drive_lambdas(theta, phi)), site, layout)
+    return _dense(_written(3, _drive_lambdas(theta, phi)), site, layout)
 
 
 def h3(pair: int, vartheta: float, layout: ChainLayout) -> np.ndarray:
     """Full-chain XY Hamiltonian of pair l': its two Λ blocks on sites 2l'-1, 2l', 2l'+1, embedded."""
     if not finite(vartheta):
         raise ValueError("vartheta must be finite")
-    return embed(lifted(_written(18, _xy_lambdas(vartheta))), layout.sites_of_pair(pair)[0], layout)
-
-
-def block_sz(pair: int, layout: ChainLayout) -> np.ndarray:
-    """Embedded total pseudo-spin S_z = (sz + sz + sz)/2 over a pair's three sites."""
-    sites = layout.sites_of_pair(pair)
-    out = np.zeros((layout.full_dim, layout.full_dim), dtype=complex)
-    for site in sites:
-        out += 0.5 * embed(SIGMA_Z3, site, layout)
-    return out
+    return _dense(_written(18, _xy_lambdas(vartheta)), layout.sites_of_pair(pair)[0], layout)
 
 
 def logical_encode(bits, layout: ChainLayout) -> np.ndarray:
@@ -309,32 +273,9 @@ def check_columns(what: str, layout: ChainLayout, columns: int) -> None:
 
 def logical_frame(layout: ChainLayout) -> np.ndarray:
     """The dim x 2^N frame of the reachable space whose columns are the logical basis states, lexicographic in
-    n1..nN."""
-    check_columns(f"the logical frame at N={layout.n_logical}", layout, layout.logical_dim)
+    n1..nN.  Its 48 * 2^N * 6^(N-1) = 96 * 12^(N-1) bytes are budgeted from N alone, before 2^N is formed."""
+    what = f"the logical frame at N={layout.n_logical}"
+    check_memory(what, power_bytes(what, 96, 12, layout.n_logical - 1))
     frame = np.zeros((layout.dim, layout.logical_dim), dtype=complex)
     frame[layout.logical_rows(), np.arange(layout.logical_dim)] = 1.0
     return frame
-
-
-def full_chain_rows(layout: ChainLayout) -> np.ndarray:
-    """The isometry from the reachable space into the full three-level chain: the full-chain index of each
-    reachable basis state, in reachable order.  ``full[..., rows, :] = columns`` scatters reachable columns into
-    the full chain, whose other rows, the states with an auxiliary |e>, they leave empty."""
-    rows = np.zeros(1, dtype=np.int64)
-    for d in layout.site_dims:
-        rows = (3 * rows[:, None] + np.arange(d)).ravel()
-    return rows
-
-
-def lifted(block, fill: float = 0.0) -> np.ndarray:
-    """A pulse's local block (..., d, d) on all three-level states of its sites: a one-site block as it is, and
-    the XY block's 18 reachable states (``full_chain_rows`` of one pair) among the 27 of its three sites, with
-    ``fill`` times the identity on the 9 that carry an auxiliary |e>: 0 for a Hamiltonian, which annihilates
-    them, and 1 for a propagator, which fixes them."""
-    if block.shape[-1] == 3:
-        return block
-    rows = full_chain_rows(ChainLayout(2))
-    out = np.zeros(block.shape[:-2] + (27, 27), dtype=complex)
-    out[..., np.arange(27), np.arange(27)] = fill
-    out[..., rows[:, None], rows] = block
-    return out

@@ -6,7 +6,7 @@ threshold.  Suites are deterministic: randomized checks use fixed seeds.
 
 Each sweep is one batched call: the 16x16 gate-law grid, the 1000
 composition pairs, the 32x16 block-map grid, the 32-angle XY sweep and the
-8x3 grid of dense XY propagators pass their angles and areas as arrays to
+8x3 grid of local XY propagators pass their angles and areas as arrays to
 one pulse (see ``pulses``); the block maps come from
 ``projected_propagator``, whose three-term form needs no 18 x 18
 propagator per grid point.  The compiler suite draws circuit shapes, not
@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .chain import ChainLayout, block_sz, logical_frame
+from .chain import ChainLayout, logical_frame
 from .compiler import Gate, Reflection, Rotation, XYGate, compile_circuit, compile_rotation, circuit_unitary
 from .gates import (
     bloch_angles,
@@ -33,7 +33,6 @@ from .gates import (
     compose_rule,
     entangling_verdict,
     extract_logical_gate,
-    logical_rows_of,
     projected_block_maps,
     two_qubit_gate,
 )
@@ -46,7 +45,7 @@ from .holonomy import (
     projected_propagator,
 )
 from .linalg import cross, dot, gate_fidelity
-from .pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
+from .pulses import OneQubitPulse, ThreeSitePulse, local_propagator, run_schedule
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -139,13 +138,12 @@ def suite_twoqubit() -> list[CheckResult]:
     results.append(_check("pi-area XY gate: max auxiliary-site population",
                           _aux_population(columns, layout), 1e-12))
 
-    # 8 vartheta x 3 areas in one dense propagation
-    U = propagate_exact(ThreeSitePulse(1, thetas[::4, None], area=np.array([0.37, np.pi, 5.1])), layout)
-    sz = block_sz(1, layout)
+    # 8 vartheta x 3 areas in one local propagator, on the 18 reachable states of pair 1's three sites
+    U = local_propagator(ThreeSitePulse(1, thetas[::4, None], area=np.array([0.37, np.pi, 5.1])), layout)[1]
     results.append(_check("XY propagator commutes with block S_z: max commutator norm",
-                          np.max(np.linalg.norm(U @ sz - sz @ U, axis=(-2, -1))), 1e-10))
+                          np.max(np.linalg.norm(U * _PAIR_SZ - _PAIR_SZ[:, None] * U, axis=(-2, -1))), 1e-10))
     results.append(_check("XY propagator fixes every |e>-carrying basis state: max deviation",
-                          _excited_fixity(U, layout), 1e-12))
+                          np.max(np.linalg.norm((U - np.eye(18))[..., _PAIR_EXCITED], axis=-2)), 1e-12))
 
     ent_pi2, _ = entangling_verdict(two_qubit_gate(np.pi / 2))
     ent_0, power_0 = entangling_verdict(two_qubit_gate(0.0))
@@ -158,18 +156,18 @@ def suite_twoqubit() -> list[CheckResult]:
     return results
 
 
+# The block pseudo-spin S_z = (sz + sz + sz)/2 of pair 1's three sites on their 18 reachable states (a, b, c),
+# index 6a + 3b + c, as its diagonal: sz = +1 on |0>, -1 on |1> and 0 on |e>; and those states with |e> on a site.
+_PAIR_CODES = np.array([(a, b, c) for a in range(3) for b in range(2) for c in range(3)])
+_PAIR_SZ = 0.5 * np.sum(np.array([1.0, -1.0, 0.0])[_PAIR_CODES], axis=1)
+_PAIR_EXCITED = np.flatnonzero(np.any(_PAIR_CODES == 2, axis=1))
+
+
 def _aux_population(columns, layout: ChainLayout) -> float:
     """Worst-case population left outside the logical block by logical inputs (over a stack too), from columns
-    of the reachable space or of the full chain (``gates.logical_rows_of``)."""
-    outside = np.delete(columns, logical_rows_of(columns, layout), axis=-2)
+    of the reachable space."""
+    outside = np.delete(columns, layout.logical_rows(), axis=-2)
     return float(np.max(np.sum(np.abs(outside) ** 2, axis=-2)))
-
-
-def _excited_fixity(U, layout: ChainLayout) -> float:
-    """Largest ||U e_j - e_j|| over the full-chain basis states e_j carrying |e> on some site, auxiliary sites
-    included (over a stack of dense propagators too)."""
-    excited = [j for j in range(layout.full_dim) if "2" in np.base_repr(j, base=3)]
-    return float(np.max(np.linalg.norm(U[..., excited] - np.eye(layout.full_dim)[:, excited], axis=-2)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ product inputs.
 
 The closed forms, ``extract_logical_gate`` and the Schmidt and entropy
 diagnostics take a leading batch axis (or several): arrays of angles,
-(..., 3) vectors, (..., 4) states or columns (..., dim, 2^N) give stacked
-results, and a single input is a batch with no leading axes that gives the
+(..., 3) vectors, (..., 4) states or columns (..., dim, 2^N) of the reachable
+space (see ``chain``), the package's one index, give stacked results, and a
+single input is a batch with no leading axes that gives the
 single result.  ``bloch_angles`` and ``one_qubit_gate`` work on the three
 numbers of a single vector, with the operations a batch gets, so both give
 the same bits; a single vector is selected by ``ndim``.
@@ -181,20 +182,6 @@ def _leakage(columns: np.ndarray, idx: list[int]) -> np.ndarray:
     return np.sqrt(np.maximum(largest, 0.0))
 
 
-def logical_rows_of(columns, layout: ChainLayout) -> list[int]:
-    """The rows of the logical states in ``columns`` (..., rows, 2^N) of the reachable space (``layout.dim``
-    rows, ``layout.logical_rows()``) or of the full three-level chain (``layout.full_dim`` rows,
-    ``layout.logical_indices()``); any other shape is refused."""
-    shape = np.shape(columns)
-    if len(shape) >= 2 and shape[-1] == layout.logical_dim:
-        if shape[-2] == layout.dim:
-            return layout.logical_rows()
-        if shape[-2] == layout.full_dim:
-            return layout.logical_indices()
-    raise ValueError(f"logical columns shape {shape} is not ({layout.dim}, {layout.logical_dim}) "
-                     f"or ({layout.full_dim}, {layout.logical_dim})")
-
-
 def extract_logical_gate(
     columns,
     layout: ChainLayout,
@@ -203,16 +190,17 @@ def extract_logical_gate(
     """Logical gate of a propagator U from its logical columns.
 
     ``columns`` are those of the reachable space (dim x 2^N, e.g. ``run_schedule(schedule,
-    logical_frame(layout), layout)``, or a stack (..., dim, 2^N) of them) or a dense reference's
-    logical columns U[:, layout.logical_indices()] of the full chain (``logical_rows_of``); no
-    other shape is accepted.  leakage is the operator 2-norm of its non-logical rows.  If it is
+    logical_frame(layout), layout)``, or a stack (..., dim, 2^N) of them); no other shape is
+    accepted.  leakage is the operator 2-norm of its non-logical rows.  If it is
     below ``CYCLIC_LEAKAGE`` the evolution was cyclic: the logical rows are unitarized by polar decomposition and
     reported as the gate.  Otherwise the raw (contractive) block is returned and the
     report is flagged non-cyclic.  A ``target`` (stacks broadcast) needs every
     member cyclic.
     """
     columns = np.asarray(columns, dtype=complex)
-    idx = logical_rows_of(columns, layout)
+    if columns.shape[-2:] != (layout.dim, layout.logical_dim):
+        raise ValueError(f"logical columns shape {columns.shape} is not ({layout.dim}, {layout.logical_dim})")
+    idx = layout.logical_rows()
     block = columns[..., idx, :]
     leakage = _leakage(columns, idx)
 

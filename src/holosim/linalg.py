@@ -12,8 +12,9 @@ after the first ``left`` dimensions, as one product broadcast over them that
 allocates only its result; ``embed_factor`` builds 1 (x) op (x) 1 as one
 broadcast product.  ``expm_hermitian`` is the general dense exponential,
 through a full Hermitian eigendecomposition; pulse propagation does not use it
-(the local blocks have a closed-form exponential, see ``pulses``), so it
-serves as the dense reference for any Hermitian matrix.  ``polar_unitary`` unitarizes
+(the local blocks have a closed-form exponential, see ``pulses``), and no
+command reads it; it stays, with the dense builders, because perfbench
+traces it.  ``polar_unitary`` unitarizes
 through one SVD per matrix, except a 2 x 2 matrix, whose polar factor and
 singular values have a closed form (see ``_polar_2x2``), so a stack of them
 costs a few array operations and no LAPACK call.  ``check_memory`` is the

@@ -25,13 +25,13 @@ which squares the block, so that stepped and exact propagation are two
 independent constructions.  ``apply_local`` is the one place that turns a
 site into the number of reachable dimensions before it, 6^(q-1) before
 logical qubit q, so that ``linalg.apply_factor`` applies a propagator to a
-state or to operator columns of the reachable space.  The dense references
-``block_hamiltonian``, ``propagate_exact``, ``propagate_stepped`` and
-``schedule_propagator`` act on the full three-level chain: they lift the
-local block to all three-level states of its sites (``chain.lifted``, which
-fixes or annihilates every auxiliary |e>) and embed it.  Each pulse class also
+state or to operator columns of the reachable space, the package's one
+space.  The dense builders ``block_hamiltonian``, ``propagate_exact``,
+``propagate_stepped`` and ``schedule_propagator`` act on the full
+three-level chain instead, through ``chain._dense``; no command reads them,
+and they stay because perfbench traces them.  Each pulse class also
 says how it moves to its minimal chain, one qubit or one pair
-(``minimal_chain``), and which identities embed the gate found there;
+(``minimal_chain``), and which identities extend the gate found there;
 ``holonomy.certify`` works there.
 
 A pulse's angles and area may be arrays that broadcast together: the pulse
@@ -57,7 +57,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainLayout, _drive_lambdas, _index, _written, _xy_lambdas, embed, lifted
+from .chain import ChainLayout, _dense, _drive_lambdas, _index, _written, _xy_lambdas
 from .linalg import apply_factor, finite
 
 __all__ = [
@@ -174,7 +174,7 @@ class ThreeSitePulse:
 
     def minimal_chain(self, layout: ChainLayout) -> tuple[ThreeSitePulse, ChainLayout, tuple[int, int]]:
         """This pulse moved to pair 1 of a two-qubit chain, and the identity sizes (left, right) =
-        (2^(pair-1), 2^(N-pair-1)) that embed its 4 x 4 gate there as 1_left (x) g (x) 1_right
+        (2^(pair-1), 2^(N-pair-1)) that extend its 4 x 4 gate there as 1_left (x) g (x) 1_right
         in the logical frame at ``layout``."""
         layout.sites_of_pair(self.pair)  # validate index
         identities = (1 << (self.pair - 1), 1 << (layout.n_logical - self.pair - 1))  # 2 ** k takes 0.5 s at k = 10^8
@@ -239,10 +239,12 @@ def apply_local(site: int, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     return apply_factor(3 ** (site // 2) * 2 ** ((site - 1) // 2), U, X)
 
 
+# The dense full-chain builders: these four, chain.h1, chain.h3 and linalg.expm_hermitian.  No command or check
+# reads them; they stay because perfbench traces them, and tests compare them with tests/oracles.py.
 def block_hamiltonian(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     """The time-independent full-chain Hamiltonian switched on by ``pulse`` (a stack for a batch)."""
     site, block = local_form(pulse, layout)
-    return embed(lifted(block), site, layout)
+    return _dense(block, site, layout)
 
 
 def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
@@ -252,7 +254,7 @@ def propagate_exact(pulse: Pulse, layout: ChainLayout) -> np.ndarray:
     Hamiltonian is constant during the pulse, so only the area enters.
     """
     site, U = local_propagator(pulse, layout)
-    return embed(lifted(U, 1.0), site, layout)
+    return _dense(U, site, layout, 1.0)
 
 
 def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarray:
@@ -276,17 +278,16 @@ def propagate_stepped(pulse: Pulse, steps: int, layout: ChainLayout) -> np.ndarr
     U = np.eye(len(block), dtype=complex)
     for da in weights * (pulse.area / weights.sum()):
         U = closed_form(eye, block, block_sq, da) @ U
-    return embed(lifted(U, 1.0), site, layout)
+    return _dense(U, site, layout, 1.0)
 
 
 def schedule_propagator(schedule, layout: ChainLayout) -> np.ndarray:
     """Full-chain unitary of a pulse schedule (first pulse acts first), the dense reference of ``run_schedule``:
-    each lifted local propagator applied to the full three-level chain's identity, 3^(site-1) dimensions
-    before it."""
-    U = np.eye(layout.full_dim, dtype=complex)
+    the product of the pulses' ``propagate_exact`` matrices, latest leftmost."""
+    U = np.eye(3 ** layout.n_sites, dtype=complex)
     for pulse in schedule:
         site, local = local_propagator(pulse, layout)
-        U = apply_factor(3 ** (site - 1), lifted(local, 1.0), U)
+        U = _dense(local, site, layout, 1.0) @ U
     return U
 
 

@@ -6,6 +6,15 @@ the reachable states' place in the full chain is read from their enumerated
 site codes, the local blocks are complex broadcasts of their generators, the
 reference frames are Kronecker products of basis kets, and entropies come
 straight from an SVD of the amplitude matrix.
+
+The library propagates in the reachable space alone; the full three-level
+chain, of dimension 3^(2N-1) (``chain_dim``) with index sum_i code(site i) *
+3^(n_sites - i), site 1 most significant, lives here: its logical states
+(``logical_indices``), the isometry from the reachable space
+(``reachable_states``, ``to_full_chain``, ``restricted``), the one way back
+from a dense operator's logical columns (``reachable_logical_columns``), the
+block pseudo-spin (``block_sz``) and the |e>-state motion
+(``excited_fixity``).
 """
 
 import itertools
@@ -101,6 +110,17 @@ def local_reference(pulse, layout):
     return site, U
 
 
+def chain_dim(layout):
+    """The dimension 3^(2N-1) of the full three-level chain."""
+    return 3 ** layout.n_sites
+
+
+def logical_indices(layout):
+    """The full-chain index of each logical basis state, lexicographic in n1..nN: the qubits' bits on the logical
+    sites and |0> on the auxiliary ones, read in base 3, so that qubit q weighs 9^(N - q)."""
+    return [int("0".join(map(str, bits)), 3) for bits in itertools.product((0, 1), repeat=layout.n_logical)]
+
+
 def reachable_states(layout):
     """The full-chain index of each reachable basis state, in reachable order, by enumerating the site codes:
     0-2 on a logical (odd) site and 0-1 on an auxiliary one, site 1 most significant, read in base 3."""
@@ -114,7 +134,7 @@ def to_full_chain(columns, layout):
     columns = np.asarray(columns)
     state = columns.ndim == 1
     columns = columns[:, None] if state else columns
-    out = np.zeros(columns.shape[:-2] + (layout.full_dim, columns.shape[-1]), dtype=complex)
+    out = np.zeros(columns.shape[:-2] + (chain_dim(layout), columns.shape[-1]), dtype=complex)
     out[..., reachable_states(layout), :] = columns
     return out[..., 0] if state else out
 
@@ -125,14 +145,40 @@ def restricted(U, layout):
     return np.ascontiguousarray(U[..., rows[:, None], rows])
 
 
+def reachable_logical_columns(U, layout):
+    """The logical columns of a dense full-chain operator (..., 3^(2N-1), 3^(2N-1)) on the reachable rows, the
+    columns that ``gates.extract_logical_gate`` takes.  Every row it drops, a state with an auxiliary |e>, must
+    be exactly 0.0: no pulse populates such a state."""
+    columns = np.asarray(U)[..., logical_indices(layout)]
+    rows = reachable_states(layout)
+    dropped = np.delete(columns, rows, axis=-2)
+    assert not dropped.any(), f"a dropped row holds {np.max(np.abs(dropped)):.3e}"
+    return columns[..., rows, :]
+
+
+def block_sz(pair, layout):
+    """The total pseudo-spin S_z of a pair's three sites on the full chain, sum of diag(1, -1, 0)/2 on each,
+    embedded by ``brute_embed``."""
+    sz = np.diag([0.5, -0.5, 0.0])
+    return sum(brute_embed(sz, site, layout.n_sites) for site in layout.sites_of_pair(pair))
+
+
+def excited_fixity(U, layout):
+    """Largest ||U e_j - e_j|| over the full-chain basis states e_j carrying |e> on some site, auxiliary sites
+    included (over a stack of dense operators too)."""
+    eye = np.eye(chain_dim(layout))
+    excited = [j for j in range(chain_dim(layout)) if "2" in np.base_repr(j, base=3)]
+    return float(np.max(np.linalg.norm(U[..., excited] - eye[:, excited], axis=-2)))
+
+
 def dense_propagator(pulse, layout):
     """The full three-level chain's propagator of ``pulse``: ``local_reference``'s Taylor propagator of the
     generators' block, embedded by Kronecker products with identities, member by member for a batch (a stack
     with the batch's axes).  It acts on every state of the chain, auxiliary |e> included."""
     site, local = local_reference(pulse, layout)
     left = 3 ** (site - 1)
-    right = layout.full_dim // (left * local.shape[-1])
-    out = np.empty(local.shape[:-2] + (layout.full_dim,) * 2, dtype=complex)
+    right = chain_dim(layout) // (left * local.shape[-1])
+    out = np.empty(local.shape[:-2] + (chain_dim(layout),) * 2, dtype=complex)
     for index in np.ndindex(local.shape[:-2]):
         out[index] = np.kron(np.kron(np.eye(left), local[index]), np.eye(right))
     return out

@@ -4,23 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from holosim.chain import (
-    ChainLayout,
-    block_sz,
-    embed,
-    h1,
-    h3,
-    full_chain_rows,
-    lifted,
-    logical_encode,
-    logical_frame,
-)
+from holosim.chain import ChainLayout, _dense, check_columns, h1, h3, logical_encode, logical_frame
 from holosim.compiler import Reflection, XYGate, circuit_unitary, compile_circuit
 from holosim.holonomy import certify
 from holosim.pulses import OneQubitPulse, ThreeSitePulse, local_form, run_schedule
 
-from oracles import (_GELL_MANN, brute_embed, generator_lambda_coupling, generator_xy_coupling, kron_chain,
-                     reachable_states, restricted)
+from oracles import (_GELL_MANN, block_sz, brute_embed, generator_lambda_coupling, generator_xy_coupling,
+                     kron_chain, logical_indices, reachable_states, restricted)
 
 
 def digits_in_base(n, base):
@@ -79,7 +69,6 @@ class TestChainLayout:
             assert layout.n_sites == 2 * n - 1
             assert layout.site_dims == (3, 2) * (n - 1) + (3,)
             assert layout.dim == 3 ** n * 2 ** (n - 1) == int(np.prod(layout.site_dims))
-            assert layout.full_dim == 3 ** (2 * n - 1)
 
     def test_invalid_sizes(self):
         for bad in (0, -1, 1.5):
@@ -87,12 +76,13 @@ class TestChainLayout:
                 ChainLayout(bad)
 
     def test_logical_indices_examples(self):
-        # the logical states are lexicographic in n1..nN: state n1 n2 n3 is number 0bn1n2n3
-        assert ChainLayout(2).logical_indices()[0b00] == 0
+        # the oracle's full-chain indices, which the dense references' logical columns are read at; the logical
+        # states are lexicographic in n1..nN: state n1 n2 n3 is number 0bn1n2n3
+        assert logical_indices(ChainLayout(2))[0b00] == 0
         # |1,0,1> -> 1*9 + 0*3 + 1
-        assert ChainLayout(2).logical_indices()[0b11] == 10
+        assert logical_indices(ChainLayout(2))[0b11] == 10
         # |0,0,1,0,0> -> 3**2
-        assert ChainLayout(3).logical_indices()[0b010] == 9
+        assert logical_indices(ChainLayout(3))[0b010] == 9
 
     def test_logical_rows_examples(self):
         # the mixed radix (3, 2, 3, ...): a site weighs the product of the dimensions after it
@@ -106,7 +96,7 @@ class TestChainLayout:
 
     def test_logical_indices_injective(self):
         layout = ChainLayout(3)
-        for idx, dim in ((layout.logical_indices(), layout.full_dim), (layout.logical_rows(), layout.dim)):
+        for idx, dim in ((logical_indices(layout), 3 ** layout.n_sites), (layout.logical_rows(), layout.dim)):
             assert len(idx) == 8
             assert len(set(idx)) == 8
             assert all(0 <= i < dim for i in idx)
@@ -114,30 +104,26 @@ class TestChainLayout:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_the_isometry_maps_logical_rows_to_logical_indices(self, n):
         layout = ChainLayout(n)
-        rows = full_chain_rows(layout)
-        assert np.array_equal(rows, reachable_states(layout))
-        assert rows[layout.logical_rows()].tolist() == layout.logical_indices()
+        assert reachable_states(layout)[layout.logical_rows()].tolist() == logical_indices(layout)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_logical_indices_equal_the_per_state_indices(self, n):
         layout = ChainLayout(n)
-        for idx, base in ((layout.logical_indices(), 9), (layout.logical_rows(), 6)):
-            assert idx == digits_in_base(n, base)
-            assert all(type(i) is int for i in idx)
+        assert logical_indices(layout) == digits_in_base(n, 9)
+        assert layout.logical_rows() == digits_in_base(n, 6)
+        assert all(type(i) is int for i in layout.logical_rows())
         if n <= 6:  # each encoded state is one 1 on its row
             rows = [np.flatnonzero(logical_encode(bits, layout)).tolist() for bits in product((0, 1), repeat=n)]
             assert rows == [[row] for row in layout.logical_rows()]
 
     def test_logical_indices_past_int64_are_python_ints(self):
-        # from N = 21 on the chain dimension passes 2^63, and from N = 25 the reachable one; that route,
-        # taken here at N = 3
+        # from N = 25 on the reachable dimension passes 2^63; that route, taken here at N = 3
         class Wide(ChainLayout):
-            dim = full_dim = 2**63
+            dim = 2**63
 
-        layout = Wide(3)
-        for idx, base in ((layout.logical_indices(), 9), (layout.logical_rows(), 6)):
-            assert idx == digits_in_base(3, base)
-            assert all(type(i) is int for i in idx)
+        idx = Wide(3).logical_rows()
+        assert idx == digits_in_base(3, 6)
+        assert all(type(i) is int for i in idx)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
@@ -177,7 +163,6 @@ class TestChainLayout:
                          lambda: compile_circuit([XYGate(bad, 0.9)], layout),
                          lambda: circuit_unitary([XYGate(bad, 0.9)], layout)],
                 "site": [lambda: h1(bad, 0.7, 0.2, layout)],  # a float failed inside numpy, and True was site 1
-                "start_site": [lambda: embed(np.eye(3), bad, layout)],
             }
             for name, entries in calls.items():
                 for call in entries:
@@ -227,7 +212,7 @@ class TestCouplingsAgainstGenerators:
             assert got.shape == want.shape and np.array_equal(got, want)
             nonzero = want.view(float) != 0
             assert got.view(float)[nonzero].tobytes() == want.view(float)[nonzero].tobytes()
-            assert np.array_equal(lifted(got), bonds)
+            assert np.array_equal(h3(1, vt, ChainLayout(2)), bonds)
             assert not np.delete(bonds, rows, axis=-1).any()
 
     def test_drive_block_has_the_values_and_nonzero_bits_of_its_generators(self):
@@ -244,18 +229,24 @@ class TestCouplingsAgainstGenerators:
 
 
 class TestEmbed:
+    """``_dense``, the dense builders' one lift: a local block of the reachable space on the full three-level
+    chain, embedded with identities on the other sites."""
+
     def test_least_significant_site_action(self):
         layout = ChainLayout(2)
-        M = embed(np.outer(KET0, KET1) + np.outer(KET1, KET0), 3, layout)
+        M = _dense(np.outer(KET0, KET1) + np.outer(KET1, KET0), 3, layout)
         assert M[0, 1] == 1 and M[1, 0] == 1
 
     def test_identity_any_site(self):
         layout = ChainLayout(2)
         for site in (1, 2, 3):
-            assert np.array_equal(embed(np.eye(3), site, layout), np.eye(27))
+            assert np.array_equal(_dense(np.eye(3), site, layout), np.eye(27))
+        # the XY block's 18 reachable states, with the identity filled in on the 9 carrying an auxiliary |e>
+        assert np.array_equal(_dense(np.eye(18), 1, layout, 1.0), np.eye(27))
+        assert np.array_equal(_dense(np.eye(18), 1, layout), np.diag(np.isin(np.arange(27), reachable_states(layout))))
 
     def test_site1_exchange_blocks(self):
-        M = embed(np.outer(KETE, KET1) + np.outer(KET1, KETE), 1, ChainLayout(2))
+        M = _dense(np.outer(KETE, KET1) + np.outer(KET1, KETE), 1, ChainLayout(2))
         for j in range(9):
             assert M[9 + j, 18 + j] == 1
             assert M[18 + j, 9 + j] == 1
@@ -266,42 +257,30 @@ class TestEmbed:
         rng = np.random.default_rng(site)
         op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         layout = ChainLayout(2)
-        assert np.array_equal(embed(op, site, layout), brute_embed(op, site, layout.n_sites))
+        assert np.array_equal(_dense(op, site, layout), brute_embed(op, site, layout.n_sites))
 
     def test_two_site_embedding(self):
+        # an 18 x 18 block of pair 2 at N = 3: its 27-state lift on sites 3-5, the identity on sites 1-2
         rng = np.random.default_rng(9)
-        op = rng.normal(size=(9, 9))
-        layout = ChainLayout(2)
-        want = kron_chain([op.reshape(9, 9), np.eye(3)])
-        assert np.array_equal(embed(op, 1, layout), want)
+        op = rng.normal(size=(18, 18))
+        layout = ChainLayout(3)
+        lift = np.eye(27, dtype=complex)
+        rows = reachable_states(ChainLayout(2))
+        lift[np.ix_(rows, rows)] = op
+        assert np.array_equal(_dense(op, 3, layout, 1.0), kron_chain([np.eye(9), lift]))
 
     @pytest.mark.parametrize("n_logical", [2, 3])
-    @pytest.mark.parametrize("size", [3, 27])
+    @pytest.mark.parametrize("size", [3, 18])
     def test_stack_equals_per_member_embeddings(self, n_logical, size):
         layout = ChainLayout(n_logical)
         rng = np.random.default_rng(10 * n_logical + size)
         ops = rng.normal(size=(2, 3, size, size)) + 1j * rng.normal(size=(2, 3, size, size))
         last = layout.n_sites - (1 if size == 3 else 3) + 1
         for site in range(1, last + 1):
-            stacked = embed(ops, site, layout)
-            assert stacked.shape == (2, 3, layout.full_dim, layout.full_dim)
+            stacked = _dense(ops, site, layout, 1.0)
+            assert stacked.shape == (2, 3, 3 ** layout.n_sites, 3 ** layout.n_sites)
             for point in np.ndindex(2, 3):
-                assert np.array_equal(stacked[point], embed(ops[point], site, layout))
-
-    def test_non_square_and_non_matrix_rejected(self):
-        layout = ChainLayout(2)
-        for op in (np.zeros(3), np.zeros((2, 3, 9)), np.zeros((3, 9))):
-            with pytest.raises(ValueError, match="must be square"):
-                embed(op, 1, layout)
-        with pytest.raises(ValueError, match="power of 3"):
-            embed(np.zeros((2, 4, 4)), 1, layout)
-
-    def test_out_of_range(self):
-        layout = ChainLayout(2)
-        with pytest.raises(ValueError, match="out of range"):
-            embed(np.eye(3), 4, layout)
-        with pytest.raises(ValueError, match="out of range"):
-            embed(np.eye(9), 3, layout)
+                assert np.array_equal(stacked[point], _dense(ops[point], site, layout, 1.0))
 
 
 class TestOneQubitHamiltonian:
@@ -334,7 +313,7 @@ class TestOneQubitHamiltonian:
     def test_full_chain_vanishes_on_logical_states(self):
         layout = ChainLayout(2)
         H = h1(1, 0.83, 2.1, layout)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         assert np.all(H[np.ix_(idx, idx)] == 0)
 
     def test_hermitian(self):
@@ -396,7 +375,7 @@ class TestThreeSiteHamiltonian:
     def test_computational_block_exactly_zero(self):
         layout = ChainLayout(2)
         H = h3(1, 2.2, layout)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         assert np.all(H[np.ix_(idx, idx)] == 0)
 
     @pytest.mark.parametrize("vt", np.linspace(0, 2 * np.pi, 32, endpoint=False))
@@ -443,8 +422,11 @@ class TestLogicalEncode:
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_the_column_budget_asks_for_the_columns_bytes(n, monkeypatch):
-    # check_columns estimates the bytes of complex columns of the reachable space, as the frame holds them
+    # the frame's budget and check_columns estimate the bytes of complex columns of the reachable space, as the
+    # frame and a state hold them
     asked = []
     monkeypatch.setattr("holosim.chain.check_memory", lambda what, nbytes: asked.append(nbytes))
-    frame = logical_frame(ChainLayout(n))
-    assert asked == [frame.nbytes]
+    layout = ChainLayout(n)
+    frame = logical_frame(layout)
+    check_columns("a state", layout, 1)
+    assert asked == [frame.nbytes, logical_encode([0] * n, layout).nbytes]

@@ -4,9 +4,11 @@ Every sweep in ``holosim.checks`` is one batched call.  The tests below make
 the same call on the same grid and compare a seeded subsample of its points
 with an independent dense computation: ``expm_hermitian`` of the embedded
 full-chain Hamiltonian (``h1``/``h3``) or ``oracles.taylor_expm``, then an
-``np.ix_`` extraction of the logical rows and columns.  The sweeps' columns
-of the reachable space are compared in the full chain, scattered there by
-``oracles.to_full_chain``.
+``np.ix_`` extraction of the logical rows and columns
+(``oracles.logical_indices``).  The sweeps' columns of the reachable space
+are compared in the full chain, scattered there by ``oracles.to_full_chain``,
+and the XY propagators on pair 1's 18 reachable states with the dense ones
+restricted there (``oracles.restricted``).
 """
 
 from dataclasses import fields
@@ -14,16 +16,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from holosim.chain import ChainLayout, block_sz, h1, h3, logical_frame
+from holosim.chain import ChainLayout, h1, h3, logical_frame
 from holosim import checks
-from holosim.checks import _excited_fixity, _phase_free_distance, run_suite
+from holosim.checks import _phase_free_distance, run_suite
 from holosim.gates import (bloch_angles, bloch_vector, compose_rule, extract_logical_gate, one_qubit_gate,
                            projected_block_maps, two_qubit_gate)
 from holosim.holonomy import projected_propagator
 from holosim.linalg import expm_hermitian, polar_unitary
-from holosim.pulses import OneQubitPulse, ThreeSitePulse, propagate_exact, run_schedule
+from holosim.pulses import OneQubitPulse, ThreeSitePulse, local_propagator, run_schedule
 
-from oracles import taylor_expm, to_full_chain
+from oracles import (block_sz, chain_dim, excited_fixity, logical_indices, restricted, taylor_expm,
+                     to_full_chain)
 
 TOL = 1e-12
 
@@ -145,28 +148,39 @@ def test_compiler_suite_covers_every_gate_kind_on_every_qubit_and_pair(monkeypat
         assert set().union(*circuits) == every
 
 
-def test_twoqubit_suite_makes_one_dense_call_over_its_grid(monkeypatch):
-    shapes = []
-
-    def recording(pulse, layout):
-        U = propagate_exact(pulse, layout)
-        shapes.append(U.shape)
-        return U
-
-    monkeypatch.setattr(checks, "propagate_exact", recording)
+def test_twoqubit_suite_makes_one_local_propagator_call_over_its_grid(monkeypatch):
+    shapes = _record_shapes(monkeypatch, "local_propagator", lambda args, site_and_U: site_and_U[1].shape)
     checks.suite_twoqubit()
-    assert shapes == [(8, 3, 27, 27)]
+    assert shapes == [(8, 3, 18, 18)]
+
+
+# (columns swapped in the XY propagators, the one check that must fail): two |e>-carrying states of one S_z
+# sector, |200> and |002>, then the two qubit-sector states |000> and |100> of S_z 3/2 and 1/2
+@pytest.mark.parametrize("swap, failing", [
+    ((12, 2), "XY propagator fixes every |e>-carrying basis state: max deviation"),
+    ((0, 6), "XY propagator commutes with block S_z: max commutator norm"),
+], ids=["fixity", "commutator"])
+def test_each_xy_check_fails_on_its_own_defect(monkeypatch, swap, failing):
+    def defective(pulse, layout):
+        site, U = local_propagator(pulse, layout)
+        U[..., list(swap)] = U[..., list(swap[::-1])]
+        return site, U
+
+    monkeypatch.setattr(checks, "local_propagator", defective)
+    assert [r.name for r in checks.suite_twoqubit() if not r.passed] == [failing]
 
 
 def test_excited_fixity_takes_the_worst_column_over_a_stack():
+    # the oracle that criterion 7 reads
     layout = ChainLayout(2)
-    moved = np.eye(layout.full_dim, dtype=complex)
+    eye = np.eye(chain_dim(layout), dtype=complex)
+    moved = eye.copy()
     moved[:, [0, 2]] = moved[:, [2, 0]]  # |002> -> |000>: one |e>-carrying column moves by sqrt 2
-    assert _excited_fixity(np.eye(layout.full_dim), layout) == 0.0
-    assert _excited_fixity(np.stack([np.eye(layout.full_dim), moved]), layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-    aux = np.eye(layout.full_dim, dtype=complex)
+    assert excited_fixity(eye, layout) == 0.0
+    assert excited_fixity(np.stack([eye, moved]), layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    aux = eye.copy()
     aux[:, [0, 6]] = aux[:, [6, 0]]  # |020> -> |000>: an auxiliary |e> counts as any other
-    assert _excited_fixity(aux, layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert excited_fixity(aux, layout) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def _subsample(shape, count, seed):
@@ -176,12 +190,12 @@ def _subsample(shape, count, seed):
 
 
 def _dense_columns(U, layout):
-    return U[np.ix_(np.arange(layout.full_dim), layout.logical_indices())]
+    return U[:, logical_indices(layout)]
 
 
 def _dense_gate_and_leakage(U, layout):
-    idx = layout.logical_indices()
-    rest = np.setdiff1d(np.arange(layout.full_dim), idx)
+    idx = logical_indices(layout)
+    rest = np.setdiff1d(np.arange(chain_dim(layout)), idx)
     leak = np.linalg.svd(U[np.ix_(rest, idx)], compute_uv=False)[0]
     return U[np.ix_(idx, idx)], leak
 
@@ -232,7 +246,7 @@ class TestSweepsAgainstDense:
         maps = projected_propagator(pulse, logical_frame(layout), layout)
         A, c = projected_block_maps(thetas[:, None], areas)
         assert maps.shape == (32, 16, 4, 4) and A.shape == (32, 16, 2, 2) and c.shape == (32, 16)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         for i, j in _subsample(maps.shape[:2], 32, seed=3):
             U = expm_hermitian(h3(1, thetas[i], layout), areas[j])
             dense = U[np.ix_(idx, idx)]
@@ -254,14 +268,16 @@ class TestSweepsAgainstDense:
             assert report.fidelity_vs_target[k] >= 1.0 - TOL
 
     def test_dense_xy_grid(self):
+        # the XY checks' 18 x 18 propagators are the dense ones on the reachable states; the dense ones commute
+        # with S_z and fix every |e>-carrying state, the 9 with an auxiliary |e> that the checks do not see too
         layout = ChainLayout(2)
         thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)[::4]
         areas = np.array([0.37, np.pi, 5.1])
-        U = propagate_exact(ThreeSitePulse(1, thetas[:, None], area=areas), layout)
-        assert U.shape == (8, 3, layout.full_dim, layout.full_dim)
+        site, U = local_propagator(ThreeSitePulse(1, thetas[:, None], area=areas), layout)
+        assert site == 1 and U.shape == (8, 3, 18, 18)
         sz = block_sz(1, layout)
         for i, j in np.ndindex(8, 3):
             dense = taylor_expm(h3(1, thetas[i], layout), areas[j])
-            assert np.max(np.abs(U[i, j] - dense)) <= TOL
+            assert np.max(np.abs(U[i, j] - restricted(dense, layout))) <= TOL
             assert np.linalg.norm(dense @ sz - sz @ dense) <= TOL
-            assert _excited_fixity(U[i, j], layout) <= _excited_fixity(U, layout) <= TOL
+            assert excited_fixity(dense, layout) <= TOL

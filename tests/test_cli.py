@@ -350,6 +350,16 @@ class TestLargeChainGuard:
             assert err.startswith(f"error: {what} at N=100000000 needs about 2^")
             assert err.endswith(" GiB, more than any physical memory\n"), err
 
+    @pytest.mark.parametrize("n", [10**18, 10**20])
+    def test_extract_gate_budgets_the_frame_before_forming_2_to_the_n(self, n, capsys):
+        # 2^N was formed before the budget: at N = 10^18 its MemoryError printed a bare "error: ", and at 10^20
+        # the shift ended in an OverflowError traceback with exit 1.  The frame's 96 * 12^(N-1) bytes are
+        # budgeted from N alone
+        assert main(["extract-gate", "--schedule", MISSING, "--qubits", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the logical frame at N={n} needs about 2^"), err
+        assert err.endswith(" GiB, more than any physical memory\n") and "Traceback" not in err
+
     def test_compile_estimate_covers_the_rendering(self, tmp_path, monkeypatch):
         # a dense 2^7 x 2^7 unitary (a rotation on every qubit, an XY gate on every pair), whose JSON
         # text outweighs the array about 18-fold: compile's traced peak stays within the estimate it budgets

@@ -27,7 +27,8 @@ from holosim.linalg import expm_hermitian, polar_unitary, unitarity_defect
 from holosim.pulses import (OneQubitPulse, ThreeSitePulse, block_hamiltonian, propagate_exact,
                             run_schedule, schedule_propagator)
 
-from oracles import haar_unitary, random_unit_vector, scan_entangling_witness, svd_entropy, to_full_chain
+from oracles import (chain_dim, haar_unitary, logical_indices, random_unit_vector, reachable_logical_columns,
+                     scan_entangling_witness, svd_entropy)
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -96,7 +97,7 @@ class TestTwoQubitGate:
     def test_matches_simulated_pulse(self, vt):
         layout = ChainLayout(2)
         U = propagate_exact(ThreeSitePulse(1, vt), layout)
-        report = extract_logical_gate(U[:, layout.logical_indices()], layout,
+        report = extract_logical_gate(reachable_logical_columns(U, layout), layout,
                                       target=two_qubit_gate(vt))
         assert report.fidelity_vs_target >= 1.0 - 1e-10
 
@@ -123,7 +124,7 @@ class TestProjectedBlockMaps:
     @pytest.mark.parametrize("area", [0.3, 1.7, np.pi / 2, 4.4])
     def test_matches_numeric_projection_and_is_contractive(self, vt, area):
         layout = ChainLayout(2)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         U = propagate_exact(ThreeSitePulse(1, vt, area=area), layout)
         A, c = projected_block_maps(vt, area)
         assert np.max(np.abs(U[np.ix_(idx[1:3], idx[1:3])] - A)) < 1e-10
@@ -134,7 +135,7 @@ class TestProjectedBlockMaps:
 class TestExtractLogicalGate:
     def test_identity_chain(self):
         layout = ChainLayout(2)
-        for columns in (logical_frame(layout), np.eye(layout.full_dim)[:, layout.logical_indices()]):
+        for columns in (logical_frame(layout), reachable_logical_columns(np.eye(chain_dim(layout)), layout)):
             report = extract_logical_gate(columns, layout)
             assert report.leakage == 0.0
             assert report.cyclic
@@ -155,25 +156,26 @@ class TestExtractLogicalGate:
         theta, phi = 1.1, 0.6
         U = propagate_exact(OneQubitPulse(1, theta, phi), layout)
         target = np.kron(one_qubit_gate(bloch_vector(theta, phi)), np.eye(2))
-        report = extract_logical_gate(U[:, layout.logical_indices()], layout, target=target)
+        report = extract_logical_gate(reachable_logical_columns(U, layout), layout, target=target)
         assert report.leakage < 1e-10
         assert report.fidelity_vs_target >= 1.0 - 1e-12
 
     def test_noncyclic_evolution_reported_not_unitarized(self):
         layout = ChainLayout(2)
-        U = propagate_exact(ThreeSitePulse(1, np.pi / 2, area=np.pi / 2), layout)
-        report = extract_logical_gate(U[:, layout.logical_indices()], layout)
+        columns = reachable_logical_columns(propagate_exact(ThreeSitePulse(1, np.pi / 2, area=np.pi / 2), layout),
+                                            layout)
+        report = extract_logical_gate(columns, layout)
         assert report.leakage > 0.1
         assert not report.cyclic
         # the raw contraction block is returned unmodified
         A, c = projected_block_maps(np.pi / 2, np.pi / 2)
         assert np.allclose(report.logical_gate[1:3, 1:3], A, atol=1e-12)
         with pytest.raises(ValueError, match="non-cyclic"):
-            extract_logical_gate(U[:, layout.logical_indices()], layout, target=np.eye(4))
+            extract_logical_gate(columns, layout, target=np.eye(4))
 
     def test_auxiliary_site_restored_by_pi_pulse(self):
         layout = ChainLayout(2)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         for vt in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             U = propagate_exact(ThreeSitePulse(1, vt), layout)
             for j in idx:
@@ -186,19 +188,14 @@ class TestExtractLogicalGate:
             extract_logical_gate(np.eye(9), ChainLayout(2))
 
     def test_full_propagator_is_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            extract_logical_gate(np.eye(27), ChainLayout(2))
-        with pytest.raises(ValueError, match=r"^logical columns shape \(20, 4\) is not \(18, 4\) or \(27, 4\)$"):
-            extract_logical_gate(np.zeros((20, 4)), ChainLayout(2))
-
-    def test_either_space_gives_the_same_report(self):
-        # the reachable columns and their image in the full chain: the rows the isometry adds are zero
-        layout = ChainLayout(3)
-        schedule = [ThreeSitePulse(1, 0.9, area=1.3), OneQubitPulse(3, 0.4, 1.1), ThreeSitePulse(2, 2.2)]
-        columns = run_schedule(schedule, logical_frame(layout), layout)
-        reachable, full = (extract_logical_gate(c, layout) for c in (columns, to_full_chain(columns, layout)))
-        assert np.max(np.abs(reachable.logical_gate - full.logical_gate)) <= 1e-15
-        assert abs(reachable.leakage - full.leakage) <= 1e-15 and reachable.cyclic == full.cyclic is False
+        # only reachable columns are read: those of the full three-level chain are refused, its logical columns as
+        # well as its whole propagator, and so is any other shape, with one message
+        layout = ChainLayout(2)
+        for columns in (np.eye(27), np.eye(27)[:, logical_indices(layout)], np.ones((3, 27, 4)), np.zeros((20, 4)),
+                        np.zeros((18, 4, 1)), np.zeros(18), np.zeros(())):
+            with pytest.raises(ValueError) as err:
+                extract_logical_gate(columns, layout)
+            assert str(err.value) == f"logical columns shape {columns.shape} is not (18, 4)"
 
     def test_any_memory_layout_of_a_stack(self):
         # a Fortran-ordered stack unitarizes copies whose last axis is not contiguous; they are read as any other
@@ -281,8 +278,8 @@ def _random_schedule(layout, rng, cyclic):
 
 def _dense_extraction(U, layout):
     """(gate, leakage) from a full propagator by index blocks, independent of the column path."""
-    idx = layout.logical_indices()
-    comp = np.setdiff1d(np.arange(layout.full_dim), idx)
+    idx = logical_indices(layout)
+    comp = np.setdiff1d(np.arange(chain_dim(layout)), idx)
     leakage = float(np.linalg.svd(U[np.ix_(comp, idx)], compute_uv=False)[0])
     block = U[np.ix_(idx, idx)]
     return (polar_unitary(block) if leakage < CYCLIC_LEAKAGE else block), leakage
@@ -298,9 +295,9 @@ class TestColumnExtractionAgainstDense:
         report = extract_logical_gate(run_schedule(schedule, logical_frame(layout), layout), layout)
         assert report.cyclic == cyclic
 
-        sliced = extract_logical_gate(schedule_propagator(schedule, layout)[:, layout.logical_indices()],
+        sliced = extract_logical_gate(reachable_logical_columns(schedule_propagator(schedule, layout), layout),
                                       layout)
-        dense = np.eye(layout.full_dim)
+        dense = np.eye(chain_dim(layout))
         for pulse in schedule:
             dense = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ dense
         gate, leakage = _dense_extraction(dense, layout)

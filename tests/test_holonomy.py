@@ -32,7 +32,8 @@ from holosim.linalg import expm_hermitian, frobenius, gate_fidelity, inner, pola
 from holosim.pulses import (ENVELOPES, OneQubitPulse, ThreeSitePulse, apply_local, block_hamiltonian,
                             cumulative_area, local_form, propagate_exact)
 
-from oracles import computational_frame, eigh_frames, haar_unitary, subspace_energies, to_full_chain, wilson_product
+from oracles import (chain_dim, computational_frame, eigh_frames, haar_unitary, subspace_energies, to_full_chain,
+                     wilson_product)
 
 LAYOUT = ChainLayout(2)
 
@@ -397,7 +398,7 @@ class TestAgainstDenseOracle:
         F0 = computational_frame(pulse, layout)
         H, full = block_hamiltonian(pulse, layout), to_full_chain(F0, layout)
         frames = eigh_frames(H, full, trace_subspace(pulse, F0, samples, layout).table.areas)
-        U = eigh_frames(H, np.eye(layout.full_dim), [pulse.area])[0]
+        U = eigh_frames(H, np.eye(chain_dim(layout)), [pulse.area])[0]
         assert np.max(np.abs(report.wilson_gate - wilson_product(frames))) <= 1e-12
         assert np.max(np.abs(report.propagator_gate - polar_unitary(full.conj().T @ U @ full))) <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim.chain import ChainLayout, block_sz, embed, lifted, logical_encode, logical_frame
+from holosim.chain import ChainLayout, logical_encode, logical_frame
 from holosim.gates import bloch_vector, entanglement_entropy, extract_logical_gate, one_qubit_gate, two_qubit_gate
 from holosim.linalg import apply_factor, expm_hermitian, gate_fidelity, unitarity_defect
 from holosim.pulses import (
@@ -25,8 +25,9 @@ from holosim.pulses import (
     _envelope,
 )
 
-from oracles import (generator_lambda_coupling, generator_xy_coupling, kron_logical, local_reference, restricted,
-                     svd_entropy, taylor_expm, to_full_chain)
+from oracles import (block_sz, brute_embed, chain_dim, excited_fixity, generator_lambda_coupling,
+                     generator_xy_coupling, kron_logical, local_reference, logical_indices, restricted, svd_entropy,
+                     taylor_expm, to_full_chain)
 
 
 class TestEnvelopes:
@@ -98,7 +99,7 @@ class TestPropagateExact:
     def test_zero_area_is_identity(self):
         layout = ChainLayout(2)
         U = propagate_exact(OneQubitPulse(1, 0.7, 0.3, area=0.0), layout)
-        assert np.allclose(U, np.eye(layout.full_dim), atol=1e-14)
+        assert np.allclose(U, np.eye(chain_dim(layout)), atol=1e-14)
 
     @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (np.pi / 4, 0.0), (1.2, 2.6)])
     def test_pi_area_restricts_to_reflection(self, theta, phi):
@@ -112,7 +113,7 @@ class TestPropagateExact:
     def test_three_site_double_area_is_identity_on_logical_block(self):
         layout = ChainLayout(2)
         U = propagate_exact(ThreeSitePulse(1, 1.1, area=2 * np.pi), layout)
-        idx = layout.logical_indices()
+        idx = logical_indices(layout)
         assert np.allclose(U[np.ix_(idx, idx)], np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -134,13 +135,10 @@ class TestPropagateExact:
             assert np.linalg.norm(U @ sz - sz @ U) < 1e-10
 
     def test_three_site_pulse_fixes_excited_states(self):
+        # every one of the 27 states, auxiliary |e> included
         layout = ChainLayout(2)
         U = propagate_exact(ThreeSitePulse(1, 2.0, area=1.3), layout)
-        for j in range(layout.dim):
-            if "2" in np.base_repr(j, base=3).zfill(3):
-                col = U[:, j].copy()
-                col[j] -= 1.0
-                assert np.linalg.norm(col) < 1e-12
+        assert excited_fixity(U, layout) < 1e-12
 
     def test_locality_on_three_qubit_chain(self):
         # a pulse on pair (1,2) commutes with every operator on site 5
@@ -150,7 +148,7 @@ class TestPropagateExact:
             for b in range(3):
                 E = np.zeros((3, 3))
                 E[a, b] = 1.0
-                O = embed(E, 5, layout)
+                O = brute_embed(E, 5, layout.n_sites)
                 assert np.linalg.norm(U @ O - O @ U) < 1e-12
 
 
@@ -287,7 +285,7 @@ class TestLocalKernelAgainstDense:
     def test_schedule_propagator_matches_dense_product(self):
         layout = ChainLayout(3)
         schedule = _raw_angle_pulses(layout, 2.2)
-        want = np.eye(layout.full_dim)
+        want = np.eye(chain_dim(layout))
         for pulse in schedule:
             want = expm_hermitian(block_hamiltonian(pulse, layout), pulse.area) @ want
         assert np.max(np.abs(schedule_propagator(schedule, layout) - want)) <= 1e-12
@@ -335,6 +333,12 @@ _ANGLE = st.floats(-20.0, 20.0, allow_nan=False)
 _BLOCK_SZ = restricted(block_sz(1, ChainLayout(2)), ChainLayout(2))
 
 
+def on_reachable(local):
+    """A dense local operator (..., 3^k, 3^k) of a pulse's sites on their reachable states: a three-site one
+    restricted to the 18 of its 27 states without an auxiliary |e>, as pair 1 spans the chain of N = 2."""
+    return local if local.shape[-1] == 3 else restricted(local, ChainLayout(2))
+
+
 class TestLocalBlockProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(theta=_ANGLE, phi=_ANGLE, vartheta=_ANGLE, area=_ANGLE)
@@ -374,21 +378,20 @@ class TestLocalPropagator:
         pulse, layout = kind(first, *angles, area=area), ChainLayout(n_logical)
         site, U = local_propagator(pulse, layout)
         want_site, want = local_reference(pulse, layout)  # on all 3^k three-level states of the sites
-        full = lifted(U, 1.0)  # the reference fixes every state with an auxiliary |e>, as the lift does
-        assert site == want_site and full.shape == want.shape
-        assert np.max(np.abs(full - want)) <= 1e-14
+        want = on_reachable(want)
+        assert site == want_site and U.shape == want.shape
+        assert np.max(np.abs(U - want)) <= 1e-14
         assert np.max(unitarity_defect(U)) <= 1e-14
+        # the block's closed-form exponential, as stepped propagation forms it: local_form against the propagator
+        block = local_form(pulse, layout)[1]
+        assert np.max(np.abs(closed_form(np.eye(U.shape[-1]), block, block @ block, area) - U)) <= 1e-14
         if three_site:  # the identity off the qubit sector, exactly: 1.0 and +0.0, with +0.0 imaginary parts
             outside = U[..., _OUTSIDE]
             assert outside.tobytes() == np.broadcast_to(np.eye(18, dtype=complex)[_OUTSIDE], outside.shape).tobytes()
         if batch:
-            dense = propagate_exact(pulse, layout)
             for i, j in np.ndindex(2, 3):
                 single = kind(first, *(a[i, 0] for a in angles), area=area[j])
                 assert U[i, j].tobytes() == local_propagator(single, layout)[1].tobytes()
-                assert dense[i, j].tobytes() == propagate_exact(single, layout).tobytes()
-        else:
-            assert np.max(np.abs(propagate_stepped(pulse, 1, layout) - propagate_exact(pulse, layout))) <= 1e-14
 
     def test_identity_and_zero_off_the_lambda_levels(self):
         # off the level triples its Λ systems list (read from lambdas), the propagator is exactly the identity,
@@ -418,8 +421,8 @@ class TestLocalPropagator:
         for theta, phi, vartheta, area in zip(*rng.uniform(-7, 7, (3, 300)), areas):
             for H, pulse in ((generator_lambda_coupling(theta, phi), OneQubitPulse(1, theta, phi, area=area)),
                              (generator_xy_coupling(vartheta), ThreeSitePulse(1, vartheta, area=area))):
-                got = lifted(local_propagator(pulse, ChainLayout(2))[1], 1.0)
-                assert np.max(np.abs(got - closed_form(np.eye(len(H)), H, H @ H, area))) <= 1e-15
+                got = local_propagator(pulse, ChainLayout(2))[1]
+                assert np.max(np.abs(got - on_reachable(closed_form(np.eye(len(H)), H, H @ H, area)))) <= 1e-15
 
 
 class TestBatchedPulses:
@@ -452,7 +455,7 @@ class TestBatchedPulses:
         got = apply_local(site, block, X)
         assert got.shape == (5, 4, layout.dim, 3)
         for i, j in np.ndindex(5, 4):
-            want = embed(block[i, 0], site, layout) @ to_full_chain(X[j], layout)
+            want = brute_embed(block[i, 0], site, layout.n_sites) @ to_full_chain(X[j], layout)
             assert np.max(np.abs(to_full_chain(got[i, j], layout) - want)) <= 1e-13
 
     @pytest.mark.parametrize("site", [1, 3, 5])
@@ -514,7 +517,7 @@ class TestBatchedPulses:
         batches += [ThreeSitePulse(p, vt, area=area) for p in range(1, n_logical)]
         for batch in batches:
             U = propagate_exact(batch, layout)
-            assert U.shape == (2, 3, layout.full_dim, layout.full_dim)
+            assert U.shape == (2, 3, chain_dim(layout), chain_dim(layout))
             H = np.broadcast_to(block_hamiltonian(batch, layout), U.shape)  # the area is not an axis of H
             for i, j in np.ndindex(2, 3):
                 if isinstance(batch, OneQubitPulse):

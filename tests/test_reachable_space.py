@@ -16,7 +16,7 @@ from holosim.chain import ChainLayout, logical_frame
 from holosim.holonomy import check_parallel_transport, trace_subspace
 from holosim.pulses import ENVELOPES, OneQubitPulse, ThreeSitePulse, block_hamiltonian, run_schedule
 
-from oracles import dense_propagator, dense_run, reachable_states, to_full_chain
+from oracles import chain_dim, dense_propagator, dense_run, reachable_states, to_full_chain
 
 TOL = 1e-13
 
@@ -72,7 +72,7 @@ class TestRunScheduleAgainstTheThreeLevelChain:
         for columns in (logical_frame(layout), _random_frame(rng, layout, 3)):
             got = to_full_chain(run_schedule(schedule, columns, layout), layout)
             want = dense_run(schedule, to_full_chain(columns, layout), layout)
-            assert got.shape == want.shape == ((3, 2) if batch else ()) + (layout.full_dim, columns.shape[1])
+            assert got.shape == want.shape == ((3, 2) if batch else ()) + (chain_dim(layout), columns.shape[1])
             assert np.max(np.abs(got - want)) <= TOL
             assert not _excited_rows(want, layout).any()  # exactly 0: no pulse populates an auxiliary |e>
         state = _random_frame(rng, layout, 1)
